@@ -47,6 +47,9 @@ def load_group(spec: str) -> GroupTable:
             raise GroupSpecError(f"{path} is not valid JSON: {exc}")
         if isinstance(data, dict) and "semidirect" in data:
             sd = data["semidirect"]
+            needed = {"normal", "acting", "action"}
+            if not isinstance(sd, dict) or not needed <= sd.keys():
+                raise GroupSpecError(f"{path}: semidirect needs normal, acting, action")
             normal = load_group(sd["normal"])
             acting = load_group(sd["acting"])
             return make_semidirect(normal, acting, sd["action"])
@@ -137,10 +140,8 @@ def cmd_geodesics(args) -> int:
 def cmd_radon(args) -> int:
     t0 = perf_counter()
     g = load_group(args.spec)
-    verdict = radon.is_injective(
-        g, variant=args.variant, exact_confirm=args.exact_confirm == "on"
-    )
     sys_ = radon.build_system(g, args.variant)
+    verdict, kb = radon._verdict(sys_, exact_confirm=args.exact_confirm == "on")
     payload = {
         "group": g.recipe,
         "variant": verdict.variant,
@@ -169,7 +170,8 @@ def cmd_radon(args) -> int:
                 writer.writerow(row)
         lines.append(f"  matrix written to {args.matrix_csv}")
     if args.kernel:
-        kb = radon.kernel(sys_)
+        if kb is None:  # the verdict stayed modular-unconfirmed
+            kb = radon.kernel(sys_)
         payload["kernel"] = [[str(v) for v in vec] for vec in kb.vectors]
         lines.append(f"  kernel basis ({kb.dim} vectors):")
         for vec in kb.vectors:
@@ -280,7 +282,12 @@ def cmd_spectral(args) -> int:
 
 def _load_flow(spec: str) -> flows.SuccessorFlow:
     if spec.startswith("constant:"):
-        return flows.constant_flow(int(spec[len("constant:") :]))
+        text = spec[len("constant:") :]
+        try:
+            size = int(text)
+        except ValueError:
+            raise GroupSpecError(f"flow size {text!r} is not an integer")
+        return flows.constant_flow(size)
     if spec.startswith("group:"):
         return flows.group_flow(load_group(spec[len("group:") :]))
     if spec.startswith("file:"):
@@ -292,6 +299,8 @@ def _load_flow(spec: str) -> flows.SuccessorFlow:
             raise GroupSpecError(f"cannot read {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise GroupSpecError(f"{path} is not valid JSON: {exc}")
+        if not isinstance(data, dict) or not {"size", "table"} <= data.keys():
+            raise GroupSpecError(f"{path}: a flow file needs size and table")
         return flows.validate_flow(data["size"], data["table"], label=f"file:{path}")
     raise GroupSpecError(
         f"cannot parse flow {spec!r}; expected constant:M, group:SPEC or file:PATH"

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals, plus a mod-p cross-check path.
 
-Rank and kernel verdicts rest on fraction-free row reduction with Python's
-unbounded integers: rows are cross-multiplied, divided by their gcd and kept
-in echelon form, so no floating point is ever involved. The modular path
-reduces the same matrix over small prime fields with numpy; a full modular
-rank is already a proof of full rational rank (a minor that is nonzero mod p
-is nonzero), while deficient modular ranks only ever serve as cross-checks.
+Rank and kernel verdicts rest on one fraction-free integer elimination,
+int_echelon, with Python's unbounded integers: rows are cross-multiplied,
+divided by their gcd and kept in echelon form, so no floating point is ever
+involved; rational_nullspace divides only to write its output Fractions.
+field_rref and field_nullspace, generic over any exact field, serve only
+the Gaussian-rational representations in spectral. The modular path reduces
+the same matrix over small prime fields with numpy; a full modular rank is
+already a proof of full rational rank (a minor that is nonzero mod p is
+nonzero), while deficient modular ranks only ever serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "is_prime",
     "next_prime",
     "check_primes",
+    "factorize",
     "prime_divisors",
     "rank_exact",
     "rank_mod",
@@ -94,31 +98,38 @@ def rational_nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the rational kernel, presented in reduced row-echelon form.
 
     Entries are Fractions in lowest terms and each basis vector's leading
-    entry is 1.
+    entry is 1. One int_echelon pass over the column-reversed rows reduces
+    the matrix from the right, so basis row b_q is zero right of its pivot q;
+    integer back-substitution then clears each pivot column from the other
+    rows. For a free column f, e_f - sum_q (b_q[f] / b_q[q]) e_q has its
+    leading 1 at f and zeros at the other free columns: that is the unique
+    reduced row-echelon form of the kernel.
     """
-    pivots, basis = int_echelon(rows, ncols)
-    rank = len(pivots)
+    rev_pivots, rev_basis = int_echelon((list(row)[::-1] for row in rows), ncols)
+    rank = len(rev_pivots)
     if rank == ncols:
         return []
-    rref = [[Fraction(v) for v in row] for row in basis]
-    for i in range(rank):
-        lead = rref[i][pivots[i]]
-        rref[i] = [v / lead for v in rref[i]]
-    for i in range(rank - 1, -1, -1):
+    pivots = [ncols - 1 - p for p in rev_pivots]
+    basis = [row[::-1] for row in rev_basis]
+    for i in range(rank - 1, 0, -1):
+        q, bi = pivots[i], basis[i]
+        lead = bi[q]
         for j in range(i):
-            factor = rref[j][pivots[i]]
-            if factor:
-                rref[j] = [a - factor * b for a, b in zip(rref[j], rref[i])]
-    free = [c for c in range(ncols) if c not in set(pivots)]
+            x = basis[j][q]
+            if x:
+                g = math.gcd(x, lead)
+                cj, ci = lead // g, x // g
+                basis[j] = _normalize([cj * a - ci * b for a, b in zip(basis[j], bi)])
+    zero, one = Fraction(0), Fraction(1)
     vectors = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rref[i][f]
-        vectors.append(vec)
-    reduced, _ = field_rref(vectors)
-    return [tuple(v) for v in reduced]
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        vec = [zero] * ncols
+        vec[f] = one
+        for q, b in zip(pivots, basis):
+            if b[f]:
+                vec[q] = Fraction(-b[f], b[q])
+        vectors.append(tuple(vec))
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +185,7 @@ def field_nullspace(rows, ncols: int, zero, one) -> list[list]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return factorize(n) == [(n, 1)]
 
 
 def next_prime(n: int) -> int:
@@ -203,19 +205,27 @@ def check_primes(bound: int, count: int = 3) -> list[int]:
     return out
 
 
-def prime_divisors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n by trial division: (prime, exponent) pairs,
+    primes ascending; empty for n <= 1."""
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
+                e += 1
+            out.append((d, e))
         d += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
+
+
+def prime_divisors(n: int) -> list[int]:
+    """Distinct prime divisors of n, ascending."""
+    return [p for p, _ in factorize(n)]
 
 
 def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:

@@ -4,8 +4,8 @@ A system's matrix has one row per geodesic and one column per group element;
 injectivity of the transform is exactly "this matrix has full column rank
 over the rationals". Verdicts are never probabilistic: a full rank mod p is
 already a proof of full rational rank, and deficient systems are settled by
-fraction-free integer elimination with the kernel basis re-verified by exact
-multiplication.
+one fraction-free integer elimination with the kernel basis re-verified by
+exact integer multiplication.
 """
 
 from __future__ import annotations
@@ -131,17 +131,58 @@ def rank(sys: RadonSystem) -> int:
 
 
 def kernel(sys: RadonSystem) -> KernelBasis:
-    """Exact rational kernel; every returned vector is re-checked against
-    the matrix, so a KernelBasis in hand is a certificate."""
+    """Exact rational kernel in reduced row-echelon form, from the one
+    integer elimination in exactla.rational_nullspace. Each vector is scaled
+    to integers and multiplied back through the matrix (one pass over each
+    row's nonzeros checks them all), so a KernelBasis in hand is a
+    certificate."""
     vectors = exactla.rational_nullspace(sys.matrix, sys.ncols)
+    scaled = []
     for vec in vectors:
-        if any(v for v in apply(sys, vec)):
+        den = math.lcm(*(v.denominator for v in vec))
+        scaled.append([v.numerator * (den // v.denominator) for v in vec])
+    for row in sys.matrix:
+        nonzeros = [(j, w) for j, w in enumerate(row) if w]
+        if any(sum(w * vec[j] for j, w in nonzeros) for vec in scaled):
             raise AssertionError("kernel vector fails exact annihilation check")
     return KernelBasis(vectors=tuple(vectors), dim=len(vectors))
 
 
 def _max_entry(sys: RadonSystem) -> int:
     return max((max(row) for row in sys.matrix), default=1)
+
+
+def _verdict(
+    sys: RadonSystem, exact_confirm: bool
+) -> tuple[InjectivityVerdict, KernelBasis | None]:
+    """The verdict on a built system, with the kernel basis that settled it.
+
+    The basis is empty after a full modular rank, computed once on the exact
+    path, and None when exact_confirm is off and no modular rank was full.
+    """
+    n = sys.ncols
+    primes = exactla.check_primes(n * max(1, _max_entry(sys)))
+    best = 0
+    for p in primes:
+        best = max(best, exactla.rank_mod(sys.matrix, n, p, stop_rank=n))
+        if best == n:
+            break
+    ker = None
+    if best == n:
+        r, method, ker = n, "modular-full-rank", KernelBasis(vectors=(), dim=0)
+    elif exact_confirm:
+        ker = kernel(sys)
+        r, method = n - ker.dim, "exact-elimination"
+        if r < best:  # pragma: no cover - modular rank never exceeds rational
+            raise RankDisagreementError(f"exact rank {r} below modular rank {best}")
+    else:
+        r, method = best, "modular-unconfirmed"
+    frob = (r < n) if sys.variant == "prime" else None
+    verdict = InjectivityVerdict(
+        order=n, variant=sys.variant, rows=len(sys.rows), rank=r, kernel_dim=n - r,
+        injective=r == n, frobenius_complement=frob, method=method,
+    )
+    return verdict, ker
 
 
 def decide_system(sys: RadonSystem, exact_confirm: bool = True) -> tuple[int, int, str]:
@@ -152,23 +193,8 @@ def decide_system(sys: RadonSystem, exact_confirm: bool = True) -> tuple[int, in
     exact_confirm is off, in which case the best modular rank is reported
     as-is and flagged in the method string).
     """
-    n = sys.ncols
-    primes = exactla.check_primes(n * max(1, _max_entry(sys)))
-    best = 0
-    for p in primes:
-        r = exactla.rank_mod(sys.matrix, n, p, stop_rank=n)
-        best = max(best, r)
-        if r == n:
-            return n, 0, "modular-full-rank"
-    if not exact_confirm:
-        return best, n - best, "modular-unconfirmed"
-    ker = kernel(sys)
-    r = n - ker.dim
-    if r < best:  # modular rank can never exceed the rational rank
-        raise RankDisagreementError(
-            f"exact rank {r} below modular rank {best}"
-        )  # pragma: no cover
-    return r, ker.dim, "exact-elimination"
+    v = _verdict(sys, exact_confirm)[0]
+    return v.rank, v.kernel_dim, v.method
 
 
 def is_injective(
@@ -180,20 +206,7 @@ def is_injective(
     complement, so that flag is reported as the definitional restatement of
     the verdict; the maximal variant carries no such flag.
     """
-    sys = build_system(g, variant)
-    r, kdim, method = decide_system(sys, exact_confirm=exact_confirm)
-    injective = kdim == 0
-    frob = (not injective) if variant == "prime" else None
-    return InjectivityVerdict(
-        order=g.order,
-        variant=variant,
-        rows=len(sys.rows),
-        rank=r,
-        kernel_dim=kdim,
-        injective=injective,
-        frobenius_complement=frob,
-        method=method,
-    )
+    return _verdict(build_system(g, variant), exact_confirm)[0]
 
 
 def group_sum_from_radon(sys: RadonSystem, values) -> Fraction:
@@ -267,19 +280,7 @@ def kernel_witness_cyclic(g: GroupTable) -> tuple[Fraction, ...]:
         raise NotCyclicError(f"{g.recipe} is not cyclic")
     n = g.order
     gen = g.elt_order.index(n)
-    factors = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            q = 1
-            while rest % d == 0:
-                rest //= d
-                q *= d
-            factors.append((d, q))
-        d += 1
-    if rest > 1:
-        factors.append((rest, rest))
+    factors = [(p, p**e) for p, e in exactla.factorize(n)]
     witness = [Fraction(0)] * n
     cur = 0
     for t in range(n):
@@ -355,15 +356,6 @@ def dimension_bound_check(g: GroupTable) -> BoundCheck:
     )
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def composite_consistency(g: GroupTable, n: int, functions) -> bool:
     """Check that length-n coset sums reduce to prime-length data.
 
@@ -377,7 +369,7 @@ def composite_consistency(g: GroupTable, n: int, functions) -> bool:
     """
     if n < 4 or exactla.is_prime(n):
         raise InvalidOrderError(f"composite length required, got {n}")
-    m = _smallest_prime_factor(n)
+    m = exactla.factorize(n)[0][0]
     k = n // m
     homs = homomorphisms_cn(g, n)
     if not homs:

@@ -624,8 +624,13 @@ def rep_to_dict(rep: MatrixRep) -> dict:
 def load_rep(source, g: GroupTable) -> MatrixRep:
     """Build a validated MatrixRep from a dict or a JSON file path."""
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise InvalidRepresentationError(f"cannot read {source}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise InvalidRepresentationError(f"{source} is not valid JSON: {exc}")
     else:
         data = source
     try:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import flows, geodesics, iso, radon, spectral
-from .errors import NoGeodesicsError, FlowAxiomError
-from .exactla import is_prime
+from .errors import NoGeodesicsError, FlowAxiomError, InvalidOrderError
+from .exactla import factorize, is_prime
 from .groups import (
     GroupTable,
     from_name,
@@ -107,27 +107,11 @@ def _prime_power_splits(p: int, e: int) -> list[list[int]]:
     return out
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def abelian_groups_upto(max_order: int) -> list[GroupTable]:
     """One group per isomorphism class of abelian groups, orders 2..max."""
     out = []
     for n in range(2, max_order + 1):
-        per_prime = [_prime_power_splits(p, e) for p, e in _factorize(n)]
+        per_prime = [_prime_power_splits(p, e) for p, e in factorize(n)]
 
         def rec(i: int, acc: list[int]):
             if i == len(per_prime):
@@ -687,7 +671,10 @@ SUITES = {
 
 
 def run_suite(name: str, max_order: int | None = None) -> SuiteReport:
+    """Run one named suite; a sweep bound that leaves it no cases is an
+    input error, so an empty suite can never pass."""
     fn = SUITES[name]
-    if max_order is None:
-        return fn()
-    return fn(max_order=max_order)
+    report = fn() if max_order is None else fn(max_order=max_order)
+    if not report.cases:
+        raise InvalidOrderError(f"suite {name} has no cases up to order {max_order}")
+    return report

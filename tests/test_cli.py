@@ -258,3 +258,49 @@ def test_group_file_order_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "group", f"file:{path}")
     assert code == 2
     assert "order" in err
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["group", "file:{path}"], {"semidirect": {"normal": "C7", "action": []}}),
+        (["flow", "constant:abc"], None),
+        (["flow", "file:{path}"], {"size": 3}),
+        (["spectral", "C4", "--rep", "{missing}"], None),
+        (["verify", "abelian", "--max-order", "-3"], None),
+    ],
+    ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
+         "missing-rep-file", "suite-with-no-cases"],
+)
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [a.format(path=path, missing=tmp_path / "missing.json") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
+    from coset_radon import radon
+
+    calls = {"build_system": 0, "kernel": 0}
+
+    def counting(name):
+        original = getattr(radon, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(radon, name, wrapper)
+
+    counting("build_system")
+    counting("kernel")
+    code, payload, _ = run_json(capsys, "radon", "Dic3", "--kernel")
+    assert code == 0
+    assert payload["method"] == "exact-elimination"
+    assert len(payload["kernel"]) == payload["kernel_dim"] == 4
+    assert calls == {"build_system": 1, "kernel": 1}

@@ -153,3 +153,42 @@ def test_rank_plus_nullity(rows):
     for vec in kernel:
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+
+
+def test_factorize():
+    assert exactla.factorize(1) == []
+    assert exactla.factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert exactla.factorize(97) == [(97, 1)]
+    assert exactla.factorize(1000) == [(2, 3), (5, 3)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices with negative and non-0/1 entries and zero rows,
+    n = 1 included; some draws are forced to rank 0 or to full rank."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-7, max_value=7)
+    row = st.one_of(st.just([0] * n), st.lists(entry, min_size=n, max_size=n))
+    rows = draw(st.lists(row, max_size=7))
+    shape = draw(st.sampled_from(["any", "rank 0", "full rank"]))
+    if shape == "rank 0":
+        rows = [[0] * n for _ in rows]
+    elif shape == "full rank":
+        # a triangle with a nonzero diagonal, mixed into the drawn rows
+        nonzero = entry.filter(bool)
+        for i in range(n):
+            tail = draw(st.lists(entry, min_size=n - i - 1, max_size=n - i - 1))
+            step = [0] * i + [draw(nonzero)] + tail
+            rows.insert(draw(st.integers(0, len(rows))), step)
+    return rows, n
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rational_nullspace_matches_field_oracle(matrix):
+    rows, n = matrix
+    frac_rows = [[Fraction(v) for v in r] for r in rows]
+    oracle = exactla.field_rref(
+        exactla.field_nullspace(frac_rows, n, Fraction(0), Fraction(1))
+    )[0]
+    assert exactla.rational_nullspace(rows, n) == [tuple(v) for v in oracle]
