@@ -50,11 +50,17 @@ def load_group(spec: str) -> GroupTable:
             needed = {"normal", "acting", "action"}
             if not isinstance(sd, dict) or not needed <= sd.keys():
                 raise GroupSpecError(f"{path}: semidirect needs normal, acting, action")
+            if not isinstance(sd["normal"], str) or not isinstance(sd["acting"], str):
+                raise GroupSpecError(
+                    f"{path}: semidirect normal and acting must be group expressions"
+                )
             normal = load_group(sd["normal"])
             acting = load_group(sd["acting"])
             return make_semidirect(normal, acting, sd["action"])
         if isinstance(data, dict) and "table" in data:
             table = data["table"]
+            if not isinstance(table, list):
+                raise GroupSpecError(f"{path}: table must be a list of rows")
             if "order" in data and data["order"] != len(table):
                 raise GroupSpecError(
                     f"{path} declares order {data['order']} "

@@ -2,8 +2,11 @@
 
 The identity always sits at id 0. Constructors hand back immutable
 GroupTable records; every one of them runs the full axiom validation, so a
-GroupTable in hand is a genuine group (associativity is sampled above the
-exhaustive-check threshold, and the table records which mode ran).
+GroupTable in hand is a genuine group. Associativity is proven at every
+order, by Light's test on a generating set.
+
+Each table is built and validated as one numpy integer array, then frozen
+into the tuple rows of GroupTable.mul.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import random
 import re
 from dataclasses import dataclass
 
@@ -21,6 +23,7 @@ from .errors import (
     AssociativityError,
     GroupSpecError,
     GroupValidationError,
+    InvalidActionError,
     InvalidOrderError,
     MissingIdentityError,
     MissingInverseError,
@@ -33,8 +36,8 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 5040
-ASSOC_EXHAUSTIVE_MAX = 256
-ASSOC_SAMPLE_COUNT = 10_000
+_ID = np.int32  # element ids of any table that fits in memory
+_BLOCK_CELLS = 1 << 20  # bounds the temporaries of each pass over a table
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -89,7 +92,6 @@ class GroupTable:
     inv: tuple[int, ...]
     elt_order: tuple[int, ...]
     recipe: str
-    assoc_check: str  # "exhaustive" or "sampled"
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -151,85 +153,126 @@ class SubgroupSet:
 # validation
 
 
-def _check_latin(mul: list[list[int]], n: int) -> None:
-    full = set(range(n))
-    for a in range(n):
-        if set(mul[a]) != full:
-            raise GroupValidationError(f"row {a} of the table is not a permutation")
-    for b in range(n):
-        if {mul[a][b] for a in range(n)} != full:
-            raise GroupValidationError(f"column {b} of the table is not a permutation")
+def _check_cap(order: int, what: str) -> None:
+    """Raise SizeLimitError before anything of that order is allocated."""
+    cap = max_group_order()
+    if order > cap:
+        # str() refuses integers of more than 4300 digits, such as 2000!
+        bits = order.bit_length()
+        size = order if bits <= 64 else f"more than 2^{bits - 1}"
+        raise SizeLimitError(f"{what} has order {size}, above the cap of {cap}")
 
 
-def _find_identity(mul: list[list[int]], n: int) -> int | None:
-    for e in range(n):
-        if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
-            return e
-    return None
+def _as_array(g: GroupTable) -> np.ndarray:
+    return np.array(g.mul, dtype=_ID)
 
 
-def _check_associativity(mul: list[list[int]], n: int) -> str:
-    """Exhaustive up to ASSOC_EXHAUSTIVE_MAX elements, sampled beyond."""
-    if n <= ASSOC_EXHAUSTIVE_MAX:
-        table = np.array(mul, dtype=np.int32)
-        for a in range(n):
-            lhs = table[table[a], :]  # (a*b)*c
-            rhs = table[a][table]  # a*(b*c)
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an n x n table, about _BLOCK_CELLS cells each."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _check_latin(t: np.ndarray) -> None:
+    ids = np.arange(len(t))
+    for rows in _row_blocks(len(t)):
+        bad = np.flatnonzero((np.sort(t[rows], axis=1) != ids).any(axis=1))
+        if bad.size:
+            raise GroupValidationError(
+                f"row {rows.start + bad[0]} of the table is not a permutation"
+            )
+    for cols in _row_blocks(len(t)):
+        bad = np.flatnonzero((np.sort(t[:, cols], axis=0) != ids[:, None]).any(axis=0))
+        if bad.size:
+            raise GroupValidationError(
+                f"column {cols.start + bad[0]} of the table is not a permutation"
+            )
+
+
+def _check_associativity(t: np.ndarray, orders: np.ndarray) -> None:
+    """Light's test on a greedy generating set; a proof at every order.
+
+    The elements a with (xa)y = x(ay) for all x, y are closed under
+    products, so checking a generating set proves associativity. Closing
+    {0} under right multiplication by the checked generators reaches only
+    left-bracketed products of them. Each new generator lies outside the
+    subgroup reached so far, so there are at most log2(n) of them, and the
+    test costs O(n^2 log n). Taking an unreached element of largest order
+    as the next generator keeps the set small in practice.
+    """
+    n = len(t)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        a = int(np.argmax(np.where(reached, 0, orders)))
+        right_a, left_a = np.ascontiguousarray(t[:, a]), t[a]
+        for rows in _row_blocks(n):
+            # take gathers several times faster than fancy indexing here
+            lhs = t.take(right_a[rows], axis=0)  # (x*a)*y
+            rhs = t[rows].take(left_a, axis=1)  # x*(a*y)
             if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)[0]
-                raise AssociativityError((a, int(bad[0]), int(bad[1])))
-        return "exhaustive"
-    rng = random.Random(0xC05E7 ^ n)
-    for _ in range(ASSOC_SAMPLE_COUNT):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            raise AssociativityError((a, b, c))
-    return "sampled"
+                x, y = np.argwhere(lhs != rhs)[0]
+                raise AssociativityError((rows.start + int(x), a, int(y)))
+        gens.append(a)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            before = reached.copy()
+            reached[t[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(reached & ~before)
 
 
-def _element_orders(mul: list[list[int]], n: int) -> list[int]:
-    orders = [1] * n
-    for a in range(1, n):
-        cur = a
-        k = 1
-        while cur != 0:
-            cur = mul[cur][a]
-            k += 1
-            if k > n:
-                raise GroupValidationError(f"powers of element {a} never reach the identity")
-        orders[a] = k
+def _element_orders(t: np.ndarray) -> np.ndarray:
+    """Least k >= 1 with (..((a*a)*a)..)*a = 0, k factors, for each a.
+
+    Right multiplication by a permutes the elements of a latin square, so
+    these powers return to the identity 0 within n steps.
+    """
+    orders = np.ones(len(t), dtype=np.int64)
+    active = np.arange(1, len(t))
+    power, k = active, 1
+    while active.size:
+        k += 1
+        power = t[power, active]
+        done = power == 0
+        orders[active[done]] = k
+        active, power = active[~done], power[~done]
     return orders
 
 
-def _build(mul_rows: list[list[int]], recipe: str) -> GroupTable:
-    """Validate a table whose identity is already at id 0 and freeze it."""
-    n = len(mul_rows)
-    cap = max_group_order()
-    if n > cap:
-        raise SizeLimitError(f"group of order {n} exceeds the cap of {cap}")
-    _check_latin(mul_rows, n)
-    if any(mul_rows[0][x] != x or mul_rows[x][0] != x for x in range(n)):
+def _build(t: np.ndarray, recipe: str) -> GroupTable:
+    """Validate a table whose identity is already at id 0 and freeze it.
+
+    Callers check the order cap before they allocate the table.
+    """
+    n = len(t)
+    _check_latin(t)
+    ids = np.arange(n)
+    if (t[0] != ids).any() or (t[:, 0] != ids).any():
         raise MissingIdentityError("element 0 is not a two-sided identity")
-    inv = [-1] * n
-    for a in range(n):
-        b = mul_rows[a].index(0)
-        if mul_rows[b][a] != 0:
-            raise MissingInverseError(a)
-        inv[a] = b
-    mode = _check_associativity(mul_rows, n)
-    orders = _element_orders(mul_rows, n)
-    for a, k in enumerate(orders):
-        if n % k != 0:
-            raise GroupValidationError(
-                f"element {a} has order {k}, which does not divide {n}"
-            )
+    # powers are defined in any latin square with an identity; a loop fails
+    # on associativity before the inverse and Lagrange checks below
+    orders = _element_orders(t)
+    _check_associativity(t, orders)
+    inv = np.argmin(t, axis=1)  # each row is a permutation, so 0 is its minimum
+    bad = np.flatnonzero(t[inv, ids] != 0)
+    if bad.size:
+        raise MissingInverseError(int(bad[0]))
+    bad = np.flatnonzero(n % orders)
+    if bad.size:
+        a = int(bad[0])
+        raise GroupValidationError(
+            f"element {a} has order {orders[a]}, which does not divide {n}"
+        )
+    # rows share one int object per id instead of holding n^2 fresh ints;
+    # one row at a time, so no freed row lists are left between the tuples
+    interned = ids.astype(object)
     return GroupTable(
         order=n,
-        mul=tuple(tuple(row) for row in mul_rows),
-        inv=tuple(inv),
-        elt_order=tuple(orders),
+        mul=tuple(tuple(interned[row].tolist()) for row in t),
+        inv=tuple(interned[inv].tolist()),
+        elt_order=tuple(orders.tolist()),
         recipe=recipe,
-        assoc_check=mode,
     )
 
 
@@ -241,8 +284,11 @@ def make_cyclic(n: int) -> GroupTable:
     """C_n with addition mod n."""
     if n < 1:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {n}")
-    mul = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return _build(mul, f"C{n}")
+    _check_cap(n, f"C{n}")
+    k = np.arange(n, dtype=_ID)
+    t = k[:, None] + k
+    t %= n
+    return _build(t, f"C{n}")
 
 
 def make_trivial() -> GroupTable:
@@ -251,56 +297,49 @@ def make_trivial() -> GroupTable:
 
 def make_direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """G1 x G2 with id encoding a*|G2| + b."""
-    n2 = g2.order
-    n = g1.order * n2
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(g1.order):
-        for a2 in range(n2):
-            row = mul[a1 * n2 + a2]
-            m1 = g1.mul[a1]
-            m2 = g2.mul[a2]
-            for b1 in range(g1.order):
-                base = m1[b1] * n2
-                for b2 in range(n2):
-                    row[b1 * n2 + b2] = base + m2[b2]
-    return _build(mul, f"{g1.recipe}x{g2.recipe}")
+    n1, n2 = g1.order, g2.order
+    recipe = f"{g1.recipe}x{g2.recipe}"
+    _check_cap(n1 * n2, recipe)
+    # axes (a1, a2, b1, b2) of the product (a1*n2 + a2) * (b1*n2 + b2)
+    t = _as_array(g1)[:, None, :, None] * n2 + _as_array(g2)[None, :, None, :]
+    return _build(t.reshape(n1 * n2, n1 * n2), recipe)
+
+
+def _rotations_and_flips(m: int, fold: int) -> np.ndarray:
+    """Table of <r, s | r^m = 1, s^2 = r^fold, r^k s = s r^-k>.
+
+    The element s^f r^k has id f*m + k.
+    """
+    k = np.arange(m, dtype=_ID)
+    add = k[:, None] + k  # r^k1 r^k2
+    add %= m
+    sub = k - k[:, None]  # r^k1 s r^k2 = s r^(k2 - k1)
+    sub %= m
+    t = np.empty((2 * m, 2 * m), dtype=_ID)
+    t[:m, :m] = add
+    t[m:, :m] = add + m
+    t[:m, m:] = sub + m
+    sub += fold  # s r^k1 s r^k2 = s^2 r^(k2 - k1)
+    sub %= m
+    t[m:, m:] = sub
+    return t
 
 
 def make_dihedral(n: int) -> GroupTable:
     """D_n of order 2n; id = flip*n + rotation."""
     if n < 1:
         raise InvalidOrderError(f"dihedral parameter must be >= 1, got {n}")
-    mul = [[0] * (2 * n) for _ in range(2 * n)]
-    for e1, k1 in itertools.product(range(2), range(n)):
-        row = mul[e1 * n + k1]
-        for e2, k2 in itertools.product(range(2), range(n)):
-            if e2 == 0:
-                val = e1 * n + (k1 + k2) % n
-            else:
-                val = (1 - e1) * n + (k2 - k1) % n
-            row[e2 * n + k2] = val
-    return _build(mul, f"D{n}")
+    _check_cap(2 * n, f"D{n}")
+    return _build(_rotations_and_flips(n, 0), f"D{n}")
 
 
 def make_dicyclic(n: int) -> GroupTable:
     """Dic_n of order 4n (n >= 2); Dic_2 is the quaternion group."""
     if n < 2:
         raise InvalidOrderError(f"dicyclic parameter must be >= 2, got {n}")
-    m2 = 2 * n
-    size = 4 * n
-    mul = [[0] * size for _ in range(size)]
-    for m1, k1 in itertools.product(range(2), range(m2)):
-        row = mul[m1 * m2 + k1]
-        for mm, k2 in itertools.product(range(2), range(m2)):
-            if mm == 0:
-                val = m1 * m2 + (k1 + k2) % m2
-            elif m1 == 0:
-                val = m2 + (k2 - k1) % m2
-            else:
-                # b^2 = a^n folds the double flip back into the rotations
-                val = (k2 - k1 + n) % m2
-            row[mm * m2 + k2] = val
-    return _build(mul, f"Dic{n}")
+    _check_cap(4 * n, f"Dic{n}")
+    # b^2 = a^n folds the double flip back into the rotations
+    return _build(_rotations_and_flips(2 * n, n), f"Dic{n}")
 
 
 def _perm_parity(p: tuple[int, ...]) -> int:
@@ -320,24 +359,33 @@ def _perm_parity(p: tuple[int, ...]) -> int:
 
 
 def _perm_group(perms: list[tuple[int, ...]], recipe: str) -> GroupTable:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    mul = [[0] * n for _ in range(n)]
-    for i, p in enumerate(perms):
-        row = mul[i]
-        for j, q in enumerate(perms):
-            row[j] = index[tuple(p[q[k]] for k in range(len(q)))]
-    return _build(mul, recipe)
+    """Table of a list of permutations closed under p*q = p o q.
+
+    A permutation of d letters is coded by reading its letters as base-d
+    digits. The codes of the products p_i o p_j are built digit by digit
+    for a block of rows at a time and looked up.
+    """
+    p = np.array(perms, dtype=_ID)
+    n, d = p.shape
+    lookup = np.zeros(d**d, dtype=_ID)
+    lookup[p @ d ** np.arange(d - 1, -1, -1)] = np.arange(n, dtype=_ID)
+    letters = [np.ascontiguousarray(p[:, k]) for k in range(d)]
+    t = np.empty((n, n), dtype=_ID)
+    for rows in _row_blocks(n):
+        left = p[rows]
+        code = left[:, letters[0]]  # digit k of p_i o p_j is p_i[p_j[k]]
+        for k in range(1, d):
+            code *= d
+            code += left[:, letters[k]]
+        t[rows] = lookup[code]
+    return _build(t, recipe)
 
 
 def make_symmetric(n: int) -> GroupTable:
     """S_n on n letters, elements in lexicographic order."""
     if n < 1:
         raise InvalidOrderError(f"symmetric degree must be >= 1, got {n}")
-    size = math.factorial(n)
-    cap = max_group_order()
-    if size > cap:
-        raise SizeLimitError(f"S_{n} has order {size}, above the cap of {cap}")
+    _check_cap(math.factorial(n), f"S_{n}")
     perms = sorted(itertools.permutations(range(n)))
     return _perm_group(perms, f"S{n}")
 
@@ -346,10 +394,7 @@ def make_alternating(n: int) -> GroupTable:
     """A_n, the even permutations of n letters."""
     if n < 1:
         raise InvalidOrderError(f"alternating degree must be >= 1, got {n}")
-    size = max(1, math.factorial(n) // 2)
-    cap = max_group_order()
-    if size > cap:
-        raise SizeLimitError(f"A_{n} has order {size}, above the cap of {cap}")
+    _check_cap(max(1, math.factorial(n) // 2), f"A_{n}")
     perms = sorted(p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0)
     return _perm_group(perms, f"A{n}")
 
@@ -365,30 +410,34 @@ def make_semidirect(
     exhaustively before any multiplication happens.
     """
     nn, nh = normal.order, acting.order
+    recipe = f"semidirect({normal.recipe},{acting.recipe})"
+    _check_cap(nn * nh, recipe)
+    if not isinstance(action, (list, tuple)):
+        raise InvalidActionError("the action must be a list of permutations")
     if len(action) != nh:
         raise NotHomomorphismError((len(action), nh))
-    perms = [tuple(a) for a in action]
-    full = set(range(nn))
-    for h, phi in enumerate(perms):
-        if len(phi) != nn or set(phi) != full:
+    for h, phi in enumerate(action):
+        if (
+            not isinstance(phi, (list, tuple))
+            or set(map(type, phi)) - {int}
+            or sorted(phi) != list(range(nn))
+        ):
             raise NotAutomorphismError(h, (-1, -1))
-        for x in range(nn):
-            for y in range(nn):
-                if phi[normal.mul[x][y]] != normal.mul[phi[x]][phi[y]]:
-                    raise NotAutomorphismError(h, (x, y))
-    for h1 in range(nh):
-        for h2 in range(nh):
-            composed = tuple(perms[h1][perms[h2][x]] for x in range(nn))
-            if perms[acting.mul[h1][h2]] != composed:
-                raise NotHomomorphismError((h1, h2))
-    size = nn * nh
-    mul = [[0] * size for _ in range(size)]
-    for n1, h1 in itertools.product(range(nn), range(nh)):
-        row = mul[n1 * nh + h1]
-        phi = perms[h1]
-        for n2, h2 in itertools.product(range(nn), range(nh)):
-            row[n2 * nh + h2] = normal.mul[n1][phi[n2]] * nh + acting.mul[h1][h2]
-    return _build(mul, f"semidirect({normal.recipe},{acting.recipe})")
+    phi = np.array(action, dtype=_ID)
+    tn, th = _as_array(normal), _as_array(acting)
+    # phi_h(x*y) against phi_h(x)*phi_h(y), for every h at once
+    bad = np.argwhere(phi[:, tn] != tn[phi[:, :, None], phi[:, None, :]])
+    if bad.size:
+        h, x, y = map(int, bad[0])
+        raise NotAutomorphismError(h, (x, y))
+    # phi_{h1*h2} against phi_h1 o phi_h2
+    bad = np.argwhere(phi[th] != phi[:, phi])
+    if bad.size:
+        raise NotHomomorphismError((int(bad[0][0]), int(bad[0][1])))
+    # axes (n1, h1, n2, h2): (n1, h1)*(n2, h2) = (n1 * phi_h1(n2), h1*h2)
+    left = tn[np.arange(nn)[:, None, None], phi[None, :, :]]
+    t = left[:, :, :, None] * nh + th[None, :, None, :]
+    return _build(t.reshape(nn * nh, nn * nh), recipe)
 
 
 def from_cayley_table(raw, recipe: str | None = None) -> GroupTable:
@@ -397,27 +446,36 @@ def from_cayley_table(raw, recipe: str | None = None) -> GroupTable:
     If the two-sided identity is not element 0, ids 0 and the identity are
     swapped so the 0-at-identity convention holds.
     """
-    rows = [list(r) for r in raw]
-    n = len(rows)
+    if not isinstance(raw, (list, tuple)):
+        raise GroupValidationError("a Cayley table must be a list of rows")
+    n = len(raw)
     if n < 1:
         raise InvalidOrderError("empty table")
-    for i, r in enumerate(rows):
+    _check_cap(n, "table")
+    # every cell is checked before numpy converts anything, so floats,
+    # strings and JSON booleans are rejected, not coerced
+    for i, r in enumerate(raw):
+        if not isinstance(r, (list, tuple)):
+            raise GroupValidationError(f"row {i} is not a list")
         if len(r) != n:
             raise GroupValidationError(f"row {i} has length {len(r)}, expected {n}")
-        for v in r:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise GroupValidationError(f"row {i} holds {v!r}, outside 0..{n - 1}")
-    _check_latin(rows, n)
-    e = _find_identity(rows, n)
-    if e is None:
+        if set(map(type, r)) != {int} or min(r) < 0 or max(r) >= n:
+            v = next(v for v in r if type(v) is not int or not 0 <= v < n)
+            raise GroupValidationError(f"row {i} holds {v!r}, outside 0..{n - 1}")
+    t = np.array(raw, dtype=_ID)
+    _check_latin(t)
+    ids = np.arange(n)
+    two_sided = (t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0)
+    if not two_sided.any():
         raise MissingIdentityError("table has no two-sided identity element")
+    e = int(np.argmax(two_sided))
     label = recipe or f"table({n})"
     if e != 0:
-        swap = list(range(n))
+        swap = ids.copy()
         swap[0], swap[e] = e, 0
-        rows = [[swap[rows[swap[a]][swap[b]]] for b in range(n)] for a in range(n)]
+        t = swap[t[np.ix_(swap, swap)]].astype(_ID)
         label += f"[id was {e}]"
-    return _build(rows, label)
+    return _build(t, label)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +555,7 @@ def quotient_with_projection(
     for ci, coset in enumerate(cosets):
         for cj, other in enumerate(cosets):
             mul[ci][cj] = proj[g.mul[coset[0]][other[0]]]
-    q = _build(mul, f"{g.recipe}/<order {len(sub)}>")
+    q = _build(np.array(mul, dtype=_ID), f"{g.recipe}/<order {len(sub)}>")
     return q, tuple(proj)
 
 
@@ -572,14 +630,25 @@ _ATOM_MAKERS = {
     "A": make_alternating,
 }
 
+_ATOM_ORDERS = {
+    "C": lambda k: k,
+    "D": lambda k: 2 * k,
+    "Dic": lambda k: 4 * k,
+    "S": math.factorial,
+    "A": lambda k: max(1, math.factorial(k) // 2),
+}
+
 
 def from_name(spec: str) -> GroupTable:
     """Build a group from a short expression: atoms C/D/Dic/S/A followed by
-    a number, combined left-associatively with x for direct products."""
+    a number, combined left-associatively with x for direct products.
+
+    The order of the whole expression is checked against the cap before
+    any factor is built."""
     parts = spec.strip().split("x")
     if not parts or any(not p for p in parts):
         raise GroupSpecError(f"cannot parse group expression {spec!r}")
-    built = None
+    atoms = []
     for part in parts:
         m = _ATOM_RE.match(part.strip())
         if m is None:
@@ -587,6 +656,10 @@ def from_name(spec: str) -> GroupTable:
                 f"cannot parse {part.strip()!r} in {spec!r}; expected one of "
                 "Cn, Dn, Dicn, Sn, An"
             )
-        g = _ATOM_MAKERS[m.group(1)](int(m.group(2)))
+        atoms.append((m.group(1), int(m.group(2))))
+    _check_cap(math.prod(_ATOM_ORDERS[kind](k) for kind, k in atoms), spec.strip())
+    built = None
+    for kind, k in atoms:
+        g = _ATOM_MAKERS[kind](k)
         built = g if built is None else make_direct_product(built, g)
     return built

@@ -241,6 +241,12 @@ def test_size_cap_exits_3(capsys):
     assert "error" in err
 
 
+def test_astronomical_order_exits_3_with_one_line(capsys):
+    code, _, err = run(capsys, "group", "S2000")
+    assert code == 3
+    assert err.count("\n") == 1 and "more than 2^19052" in err
+
+
 def test_missing_subcommand_exits_nonzero(capsys):
     assert main([]) != 0
     capsys.readouterr()
@@ -268,9 +274,17 @@ def test_group_file_order_mismatch(capsys, tmp_path):
         (["flow", "file:{path}"], {"size": 3}),
         (["spectral", "C4", "--rep", "{missing}"], None),
         (["verify", "abelian", "--max-order", "-3"], None),
+        (["group", "file:{path}"], {"table": 5}),
+        (["group", "file:{path}"], {"table": [5]}),
+        (["group", "file:{path}"], {"table": [[False]]}),
+        (["group", "file:{path}"],
+         {"semidirect": {"normal": "C7", "acting": "C3", "action": 5}}),
+        (["group", "file:{path}"],
+         {"semidirect": {"normal": 5, "acting": "C3", "action": []}}),
     ],
     ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
-         "missing-rep-file", "suite-with-no-cases"],
+         "missing-rep-file", "suite-with-no-cases", "table-not-a-list",
+         "row-not-a-list", "boolean-cell", "action-not-a-list", "normal-not-a-spec"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     path = tmp_path / "input.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,12 @@ def test_from_cayley_table_rejects_magma():
     # repeated rows break the latin property before anything else is checked
     with pytest.raises(GroupValidationError):
         groups.from_cayley_table([[1, 0], [1, 0]])
+
+
+def test_from_cayley_table_rejects_repeated_column():
+    # every row is a permutation and 0 is an identity, but column 1 is not
+    with pytest.raises(GroupValidationError, match="column 1 "):
+        groups.from_cayley_table([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
 
 
 def test_from_cayley_table_rejects_identityless_latin_square():
@@ -247,3 +255,164 @@ def test_dihedral_conjugation_inverts_rotations(n):
     s = n  # a reflection
     for k in range(n):
         assert g.conjugate(s, k) == g.inverse(k)
+
+
+# ---------------------------------------------------------------------------
+# element ids against pure-Python definitions
+
+
+def _perm_table(perms):
+    """Composition table (p*q)[k] = p[q[k]] of a list of permutations."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
+def _is_even(p):
+    pairs = itertools.combinations(range(len(p)), 2)
+    return sum(p[i] > p[j] for i, j in pairs) % 2 == 0
+
+
+def _dihedral_table(n):
+    # id f*n + k is s^f r^k, with r^n = s^2 = 1 and r^k s = s r^-k
+    def mul(x, y):
+        (f1, k1), (f2, k2) = divmod(x, n), divmod(y, n)
+        return (f1 ^ f2) * n + (k2 + (-k1 if f2 else k1)) % n
+
+    return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
+
+
+def _dicyclic_table(n):
+    # id m*2n + k is b^m a^k, with a^2n = 1, b^2 = a^n and a^k b = b a^-k
+    def mul(x, y):
+        (m1, k1), (m2, k2) = divmod(x, 2 * n), divmod(y, 2 * n)
+        k = k2 + (-k1 if m2 else k1) + (n if m1 and m2 else 0)
+        return (m1 ^ m2) * 2 * n + k % (2 * n)
+
+    return [[mul(x, y) for y in range(4 * n)] for x in range(4 * n)]
+
+
+def _product_table(t1, t2):
+    n2 = len(t2)
+    ids = [(a1, a2) for a1 in range(len(t1)) for a2 in range(n2)]
+    return [[t1[a1][b1] * n2 + t2[a2][b2] for b1, b2 in ids] for a1, a2 in ids]
+
+
+def test_element_ids_match_definitions():
+    s3 = _perm_table(sorted(itertools.permutations(range(3))))
+    c4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    # C7 x| C3 with h acting as multiplication by 2^h; id n*3 + h
+    ids = [(n1, h1) for n1 in range(7) for h1 in range(3)]
+    frob = [
+        [((n1 + pow(2, h1, 7) * n2) % 7) * 3 + (h1 + h2) % 3 for n2, h2 in ids]
+        for n1, h1 in ids
+    ]
+    action = [[(pow(2, k, 7) * x) % 7 for x in range(7)] for k in range(3)]
+    c7, c3 = groups.make_cyclic(7), groups.make_cyclic(3)
+    frob_group = groups.make_semidirect(c7, c3, action)
+    s4 = sorted(itertools.permutations(range(4)))
+    a5 = [p for p in itertools.permutations(range(5)) if _is_even(p)]
+    cases = [
+        (groups.make_symmetric(4), _perm_table(s4)),
+        (groups.make_alternating(5), _perm_table(a5)),
+        (groups.make_dihedral(6), _dihedral_table(6)),
+        (groups.make_dicyclic(3), _dicyclic_table(3)),
+        (groups.from_name("C4xS3"), _product_table(c4, s3)),
+        (frob_group, frob),
+    ]
+    for g, expected in cases:
+        assert [list(row) for row in g.mul] == expected, g.recipe
+
+
+# ---------------------------------------------------------------------------
+# the order cap and exact associativity
+
+
+def test_order_cap_checked_before_any_table(monkeypatch):
+    c72, c71 = groups.make_cyclic(72), groups.make_cyclic(71)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built above the cap")
+
+    monkeypatch.setattr(groups, "_build", no_table)
+    for spec in ("C5041", "D2521", "Dic1261", "C72xC71"):
+        with pytest.raises(SizeLimitError):
+            groups.from_name(spec)
+    # each constructor checks the cap itself, not only from_name
+    for make in (
+        lambda: groups.make_cyclic(5041),
+        lambda: groups.make_dihedral(2521),
+        lambda: groups.make_dicyclic(1261),
+        lambda: groups.make_direct_product(c72, c71),
+        lambda: groups.make_semidirect(c72, c71, []),
+        lambda: groups.from_cayley_table([[]] * 5041),
+    ):
+        with pytest.raises(SizeLimitError):
+            make()
+
+
+def _reduced_latin_squares(n):
+    """Every latin square on 0..n-1 whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[r] + [0] * (n - 1) for r in range(1, n)]
+    in_row = [{r} for r in range(n)]
+    in_col = [{c} for c in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in rows]
+            return
+        r, c = cells[k]
+        for v in range(n):
+            if v not in in_row[r] and v not in in_col[c]:
+                rows[r][c] = v
+                in_row[r].add(v)
+                in_col[c].add(v)
+                yield from fill(k + 1)
+                in_row[r].discard(v)
+                in_col[c].discard(v)
+
+    return list(fill(0))
+
+
+def _first_nonassociative_triple(t):
+    n = len(t)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def test_light_test_agrees_with_brute_force_on_small_latin_squares(monkeypatch):
+    # blocks of one or two rows, so the blocked comparison is exercised too
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", 8)
+    counts = []
+    for n in range(1, 7):
+        squares = _reduced_latin_squares(n)
+        counts.append(len(squares))
+        for t in squares:
+            if _first_nonassociative_triple(t) is None:
+                assert groups.from_cayley_table(t).mul == tuple(map(tuple, t))
+                continue
+            with pytest.raises(AssociativityError) as info:
+                groups.from_cayley_table(t)
+            a, b, c = info.value.triple
+            assert t[t[a][b]][c] != t[a][t[b][c]]
+    assert counts == [1, 1, 1, 4, 56, 9408]
+
+
+def test_large_nonassociative_table_rejected():
+    # C2 x C500 with one intercalate swapped: rows a and a*z, columns c and
+    # c*z, where z = (1, 0) has order 2; still latin with identity 0
+    n = 1000
+
+    def mul(x, y):
+        return ((x // 500 + y // 500) % 2) * 500 + (x % 500 + y % 500) % 500
+
+    t = [[mul(x, y) for y in range(n)] for x in range(n)]
+    z, a, c = 500, 3, 7
+    for x in (a, mul(a, z)):
+        t[x][c], t[x][mul(c, z)] = t[x][mul(c, z)], t[x][c]
+    with pytest.raises(AssociativityError) as info:
+        groups.from_cayley_table(t)
+    x, y, w = info.value.triple
+    assert t[t[x][y]][w] != t[x][t[y][w]]
