@@ -147,7 +147,7 @@ def cmd_radon(args) -> int:
     t0 = perf_counter()
     g = load_group(args.spec)
     sys_ = radon.build_system(g, args.variant)
-    verdict, kb = radon._verdict(sys_, exact_confirm=args.exact_confirm == "on")
+    verdict, kb = radon._verdict(sys_)
     payload = {
         "group": g.recipe,
         "variant": verdict.variant,
@@ -176,8 +176,6 @@ def cmd_radon(args) -> int:
                 writer.writerow(row)
         lines.append(f"  matrix written to {args.matrix_csv}")
     if args.kernel:
-        if kb is None:  # the verdict stayed modular-unconfirmed
-            kb = radon.kernel(sys_)
         payload["kernel"] = [[str(v) for v in vec] for vec in kb.vectors]
         lines.append(f"  kernel basis ({kb.dim} vectors):")
         for vec in kb.vectors:
@@ -319,9 +317,7 @@ def cmd_flow(args) -> int:
     orbs = flows.flow_orbits(flow)
     nonstationary = [o for o in orbs if not o.stationary]
     sys_ = flows.flow_radon_system(flow)
-    rank, kernel_dim, method = radon.decide_system(
-        sys_, exact_confirm=args.exact_confirm == "on"
-    )
+    rank, kernel_dim, method = radon.decide_system(sys_)
     payload = {
         "flow": flow.label,
         "size": flow.size,
@@ -329,7 +325,7 @@ def cmd_flow(args) -> int:
         "stationary": len(orbs) - len(nonstationary),
         "periods": sorted(o.period for o in nonstationary),
         "projections": [list(o.projection()) for o in nonstationary],
-        "rows": len(sys_.matrix),
+        "rows": len(sys_.rows),
         "rank": rank,
         "kernel_dim": kernel_dim,
         "injective": kernel_dim == 0,
@@ -424,12 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_radon.add_argument(
         "--kernel", action="store_true", help="print an exact kernel basis"
     )
-    p_radon.add_argument(
-        "--exact-confirm",
-        choices=("on", "off"),
-        default="on",
-        help="confirm modular rank deficits by exact elimination (default on)",
-    )
     p_radon.set_defaults(func=cmd_radon)
 
     p_spec = sub.add_parser(
@@ -453,10 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser("flow", help="successor-flow orbits and verdict")
     p_flow.add_argument("spec", help="constant:M, group:SPEC, or file:PATH")
     common(p_flow, variant=False)
-    p_flow.add_argument(
-        "--exact-confirm", choices=("on", "off"), default="on",
-        help="confirm modular rank deficits by exact elimination (default on)",
-    )
     p_flow.set_defaults(func=cmd_flow)
 
     p_verify = sub.add_parser("verify", help="run a regression suite")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -253,16 +254,16 @@ def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def rank_mod(rows, ncols: int, p: int, stop_rank: int | None = None) -> int:
-    """Rank of an integer matrix mod p, processed in chunks with early stop."""
+    """Rank of an integer matrix mod p, with early stop.
+
+    Rows are read lazily, 2048 at a time, and only the chunks that are
+    eliminated are converted to an array.
+    """
     limit = ncols if stop_rank is None else min(stop_rank, ncols)
+    rows = iter(rows)
     basis = np.zeros((0, ncols), dtype=np.int64)
-    mat = np.asarray(rows, dtype=np.int64)
-    if mat.size == 0:
-        return 0
-    chunk = 2048
-    for start in range(0, mat.shape[0], chunk):
-        block = np.vstack([basis, mat[start : start + chunk]])
-        basis = _eliminate_mod(block, p)
+    while chunk := list(islice(rows, 2048)):
+        basis = _eliminate_mod(np.vstack([basis, np.asarray(chunk, dtype=np.int64)]), p)
         if basis.shape[0] >= limit:
             break
     return int(basis.shape[0])

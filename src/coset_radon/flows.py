@@ -51,13 +51,6 @@ class FlowOrbit:
     def stationary(self) -> bool:
         return self.period == 1
 
-    def visit_counts(self, size: int) -> tuple[int, ...]:
-        """How often each point appears as the first pair coordinate."""
-        counts = [0] * size
-        for a, _ in self.states:
-            counts[a] += 1
-        return tuple(counts)
-
     def projection(self) -> tuple[int, ...]:
         """Sorted distinct points visited (first coordinates)."""
         return tuple(sorted({a for a, _ in self.states}))
@@ -139,27 +132,30 @@ def flow_orbits(flow: SuccessorFlow) -> list[FlowOrbit]:
 def flow_radon_system(flow: SuccessorFlow) -> RadonSystem:
     """Summation rows from the nonstationary orbits, duplicates merged.
 
+    Each row sums over the points its orbit visits as first pair coordinate,
+    with multiplicity; two orbits that visit the same multiset give one row.
+
     Stationary orbits are the diagonal pairs (a, a); they would read off f(a)
     directly and are excluded, matching the exclusion of trivial subgroups.
     """
     if flow.size < 2:
         raise InvalidOrderError("flow transform needs at least two points")
     rows = []
-    vectors = []
+    cells = []
     seen = set()
     for orbit in flow_orbits(flow):
         if orbit.stationary:
             continue
-        vec = orbit.visit_counts(flow.size)
-        if vec in seen:
+        visited = tuple(sorted(a for a, _ in orbit.states))
+        if visited in seen:
             continue
-        seen.add(vec)
+        seen.add(visited)
         rows.append(orbit.states[0])
-        vectors.append(vec)
+        cells.append(visited)
     return RadonSystem(
         group=None,
         variant="flow",
         rows=tuple(rows),
-        matrix=tuple(vectors),
+        cells=tuple(cells),
         ncols=flow.size,
     )

@@ -1,16 +1,18 @@
-"""Radon systems: coset-sum matrices, exact rank, kernels and witnesses.
+"""Radon systems: coset-sum rows, exact rank, kernels and witnesses.
 
-A system's matrix has one row per geodesic and one column per group element;
-injectivity of the transform is exactly "this matrix has full column rank
-over the rationals". Verdicts are never probabilistic: a full rank mod p is
-already a proof of full rational rank, and deficient systems are settled by
-one fraction-free integer elimination with the kernel basis re-verified by
+A system has one row per geodesic and one column per group element; each
+row is the coset it sums over. Injectivity of the transform is exactly
+"the 0/1 incidence matrix of these rows has full column rank over the
+rationals". Verdicts are never probabilistic: a full rank mod p is already
+a proof of full rational rank, and deficient systems are settled by one
+fraction-free integer elimination with the kernel basis re-verified by
 exact integer multiplication.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,13 +59,31 @@ VARIANTS = ("prime", "maximal")
 
 @dataclass(frozen=True)
 class RadonSystem:
-    """Rows (geodesics or flow orbits) and the integer incidence matrix."""
+    """Rows (geodesics or flow orbits) and the columns each one sums over.
+
+    Row i sums f over cells[i], a sorted multiset of columns: a coset for a
+    geodesic, the points an orbit visits (with multiplicity) for a flow.
+    """
 
     group: GroupTable | None
     variant: str
     rows: tuple
-    matrix: tuple[tuple[int, ...], ...]
+    cells: tuple[tuple[int, ...], ...]
     ncols: int
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense integer matrix, built anew on every access."""
+        return tuple(tuple(row) for row in _dense_rows(self))
+
+
+def _dense_rows(sys: RadonSystem):
+    """Dense integer rows, one at a time: entry j counts j in the row's cells."""
+    for cells in sys.cells:
+        row = [0] * sys.ncols
+        for j in cells:
+            row[j] += 1
+        yield row
 
 
 @dataclass(frozen=True)
@@ -87,26 +107,19 @@ class InjectivityVerdict:
 
 
 def build_system(g: GroupTable, variant: str = "prime") -> RadonSystem:
-    """Incidence matrix of the chosen geodesic family (0/1 entries)."""
+    """The system of the chosen geodesic family: one coset per row."""
     if variant == "prime":
         geos = prime_geodesics(g)
     elif variant == "maximal":
         geos = maximal_geodesics(g)
     else:
         raise InvalidVariantError(f"unknown variant {variant!r}")
-    n = g.order
-    matrix = []
-    for geo in geos:
-        row = [0] * n
-        for x in geo.coset:
-            row[x] = 1
-        matrix.append(tuple(row))
     return RadonSystem(
         group=g,
         variant=variant,
         rows=tuple(geos),
-        matrix=tuple(matrix),
-        ncols=n,
+        cells=tuple(geo.coset for geo in geos),
+        ncols=g.order,
     )
 
 
@@ -115,68 +128,59 @@ def apply(sys: RadonSystem, f) -> tuple:
     values = list(f)
     if len(values) != sys.ncols:
         raise DimensionError(f"function has length {len(values)}, expected {sys.ncols}")
-    out = []
-    for row in sys.matrix:
-        acc = 0
-        for weight, v in zip(row, values):
-            if weight:
-                acc = acc + (v if weight == 1 else weight * v)
-        out.append(acc)
-    return tuple(out)
+    return tuple(sum(values[j] for j in cells) for cells in sys.cells)
 
 
 def rank(sys: RadonSystem) -> int:
     """Exact rational rank via fraction-free integer elimination."""
-    return exactla.rank_exact(sys.matrix, sys.ncols)
+    return exactla.rank_exact(_dense_rows(sys), sys.ncols)
 
 
 def kernel(sys: RadonSystem) -> KernelBasis:
     """Exact rational kernel in reduced row-echelon form, from the one
     integer elimination in exactla.rational_nullspace. Each vector is scaled
-    to integers and multiplied back through the matrix (one pass over each
-    row's nonzeros checks them all), so a KernelBasis in hand is a
-    certificate."""
-    vectors = exactla.rational_nullspace(sys.matrix, sys.ncols)
+    to integers and summed back over every row's cells, so a KernelBasis in
+    hand is a certificate."""
+    vectors = exactla.rational_nullspace(_dense_rows(sys), sys.ncols)
     scaled = []
     for vec in vectors:
         den = math.lcm(*(v.denominator for v in vec))
         scaled.append([v.numerator * (den // v.denominator) for v in vec])
-    for row in sys.matrix:
-        nonzeros = [(j, w) for j, w in enumerate(row) if w]
-        if any(sum(w * vec[j] for j, w in nonzeros) for vec in scaled):
+    for cells in sys.cells:
+        if any(sum(vec[j] for j in cells) for vec in scaled):
             raise AssertionError("kernel vector fails exact annihilation check")
     return KernelBasis(vectors=tuple(vectors), dim=len(vectors))
 
 
 def _max_entry(sys: RadonSystem) -> int:
-    return max((max(row) for row in sys.matrix), default=1)
+    """The largest multiplicity of any column in any row (rows without a
+    repeated column are skipped by a set comparison, which is cheaper)."""
+    return max(
+        (max(Counter(c).values()) for c in sys.cells if len(set(c)) < len(c)),
+        default=1,
+    )
 
 
-def _verdict(
-    sys: RadonSystem, exact_confirm: bool
-) -> tuple[InjectivityVerdict, KernelBasis | None]:
+def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
     """The verdict on a built system, with the kernel basis that settled it.
 
-    The basis is empty after a full modular rank, computed once on the exact
-    path, and None when exact_confirm is off and no modular rank was full.
+    The basis is empty after a full modular rank and computed once on the
+    exact path.
     """
     n = sys.ncols
-    primes = exactla.check_primes(n * max(1, _max_entry(sys)))
+    primes = exactla.check_primes(n * _max_entry(sys))
     best = 0
     for p in primes:
-        best = max(best, exactla.rank_mod(sys.matrix, n, p, stop_rank=n))
+        best = max(best, exactla.rank_mod(_dense_rows(sys), n, p, stop_rank=n))
         if best == n:
             break
-    ker = None
     if best == n:
         r, method, ker = n, "modular-full-rank", KernelBasis(vectors=(), dim=0)
-    elif exact_confirm:
+    else:
         ker = kernel(sys)
         r, method = n - ker.dim, "exact-elimination"
         if r < best:  # pragma: no cover - modular rank never exceeds rational
             raise RankDisagreementError(f"exact rank {r} below modular rank {best}")
-    else:
-        r, method = best, "modular-unconfirmed"
     frob = (r < n) if sys.variant == "prime" else None
     verdict = InjectivityVerdict(
         order=n, variant=sys.variant, rows=len(sys.rows), rank=r, kernel_dim=n - r,
@@ -185,28 +189,24 @@ def _verdict(
     return verdict, ker
 
 
-def decide_system(sys: RadonSystem, exact_confirm: bool = True) -> tuple[int, int, str]:
+def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
     """(rank, kernel_dim, method) with the certificate policy.
 
     Tries small primes first; any single full modular rank certifies full
-    rational rank. Otherwise the exact integer path is authoritative (unless
-    exact_confirm is off, in which case the best modular rank is reported
-    as-is and flagged in the method string).
+    rational rank. Otherwise the exact integer path is authoritative.
     """
-    v = _verdict(sys, exact_confirm)[0]
+    v = _verdict(sys)[0]
     return v.rank, v.kernel_dim, v.method
 
 
-def is_injective(
-    g: GroupTable, variant: str = "prime", exact_confirm: bool = True
-) -> InjectivityVerdict:
+def is_injective(g: GroupTable, variant: str = "prime") -> InjectivityVerdict:
     """Injectivity verdict for the chosen variant.
 
     For the prime variant, noninjectivity coincides with G being a Frobenius
     complement, so that flag is reported as the definitional restatement of
     the verdict; the maximal variant carries no such flag.
     """
-    return _verdict(build_system(g, variant), exact_confirm)[0]
+    return _verdict(build_system(g, variant))[0]
 
 
 def group_sum_from_radon(sys: RadonSystem, values) -> Fraction:

@@ -84,13 +84,6 @@ def test_radon_matrix_csv(capsys, tmp_path):
     assert sorted(lines[1:]) == ["0,1,0,1", "1,0,1,0"]
 
 
-def test_radon_exact_confirm_off(capsys):
-    code, payload, _ = run_json(capsys, "radon", "C9", "--exact-confirm", "off")
-    assert code == 0
-    assert payload["method"] == "modular-unconfirmed"
-    assert payload["kernel_dim"] == 6
-
-
 def test_json_deterministic_modulo_timing(capsys):
     _, a, _ = run_json(capsys, "radon", "D5")
     _, b, _ = run_json(capsys, "radon", "D5")

@@ -124,6 +124,21 @@ def test_rank_mod_empty_matrix():
     assert exactla.rank_mod([], 4, 101) == 0
 
 
+def test_rank_mod_reads_rows_lazily():
+    # the identity fills the first 2048-row chunk and reaches full rank, so
+    # no row after that chunk may be pulled
+    n = 2048
+
+    def rows():
+        for i in range(n):
+            row = [0] * n
+            row[i] = 1
+            yield row
+        raise AssertionError("rank_mod read past the first chunk")
+
+    assert exactla.rank_mod(rows(), n, 101) == n
+
+
 @given(
     st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),

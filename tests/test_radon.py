@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from coset_radon import groups, radon
+from coset_radon import exactla, groups, radon
 from coset_radon.errors import (
     DimensionError,
     InvalidOrderError,
@@ -37,6 +37,23 @@ MAXIMAL_VERDICTS = {
     "C6xC6": (72, 36, 0),
 }
 
+# a valid 3-point flow whose long orbit visits point 0 twice
+MULTIPLICITY_FLOW = [[0, 0, 0], [2, 1, 1], [1, 2, 2]]
+
+SYSTEM_CASES = (
+    [("3-point", "flow")]
+    + [(name, "prime") for name in sorted(PRIME_VERDICTS)]
+    + [(name, "maximal") for name in sorted(MAXIMAL_VERDICTS)]
+)
+
+
+def _system(name, variant):
+    if variant == "flow":
+        from coset_radon.flows import flow_radon_system, validate_flow
+
+        return flow_radon_system(validate_flow(3, MULTIPLICITY_FLOW))
+    return radon.build_system(groups.from_name(name), variant)
+
 
 def test_apply_hand_computed():
     g = groups.make_cyclic(4)
@@ -50,6 +67,27 @@ def test_apply_rejects_wrong_length():
     sys = radon.build_system(groups.make_cyclic(4), "prime")
     with pytest.raises(DimensionError):
         radon.apply(sys, (1, 2, 3))
+
+
+def test_flow_rows_carry_multiplicity():
+    sys = _system("3-point", "flow")
+    assert sys.cells == ((0, 0, 1, 2), (1, 2))
+    assert sys.matrix == ((2, 1, 1), (0, 1, 1))
+
+
+@pytest.mark.parametrize("name,variant", SYSTEM_CASES)
+def test_cells_agree_with_dense_matrix(name, variant):
+    sys = _system(name, variant)
+    dense = sys.matrix
+    assert [sum(row) for row in dense] == [len(cells) for cells in sys.cells]
+    assert radon._max_entry(sys) == max(max(row) for row in dense)
+    rng = random.Random(sys.ncols)
+    f = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(sys.ncols)]
+    product = tuple(sum(w * v for w, v in zip(row, f)) for row in dense)
+    assert radon.apply(sys, f) == product
+    r = exactla.rank_exact(dense, sys.ncols)
+    assert radon.decide_system(sys)[:2] == (r, sys.ncols - r)
+    assert radon.kernel(sys).vectors == tuple(exactla.rational_nullspace(dense, sys.ncols))
 
 
 def test_build_system_rejects_unknown_variant():
@@ -86,13 +124,6 @@ def test_maximal_verdicts_frozen(name, expected):
 def test_method_reflects_certificate_path():
     assert radon.is_injective(groups.from_name("D4")).method == "modular-full-rank"
     assert radon.is_injective(groups.from_name("C6")).method == "exact-elimination"
-
-
-def test_unconfirmed_mode_flags_method():
-    v = radon.is_injective(groups.make_cyclic(6), exact_confirm=False)
-    assert v.method == "modular-unconfirmed"
-    # a random prime far above the matrix entries still finds the true rank
-    assert (v.rank, v.kernel_dim) == (4, 2)
 
 
 def test_kernel_is_certificate():
