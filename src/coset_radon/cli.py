@@ -316,7 +316,7 @@ def cmd_flow(args) -> int:
     flow = _load_flow(args.spec)
     orbs = flows.flow_orbits(flow)
     nonstationary = [o for o in orbs if not o.stationary]
-    sys_ = flows.flow_radon_system(flow)
+    sys_ = flows._orbit_system(flow, orbs)
     rank, kernel_dim, method = radon.decide_system(sys_)
     payload = {
         "flow": flow.label,

@@ -6,9 +6,12 @@ divided by their gcd and kept in echelon form, so no floating point is ever
 involved; rational_nullspace divides only to write its output Fractions.
 field_rref and field_nullspace, generic over any exact field, serve only
 the Gaussian-rational representations in spectral. The modular path reduces
-the same matrix over small prime fields with numpy; a full modular rank is
-already a proof of full rational rank (a minor that is nonzero mod p is
-nonzero), while deficient modular ranks only ever serve as cross-checks.
+the same matrix over small prime fields in int64 numpy arrays, CHUNK_ROWS
+rows at a time: each pivot updates only the block right of it and below it,
+in place, and that block is reduced mod p only once every few pivots, as
+often as int64 needs to stay exact. A full modular rank is already a proof
+of full rational rank (a minor that is nonzero mod p is nonzero), while
+deficient modular ranks only ever serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -229,24 +232,51 @@ def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in factorize(n)]
 
 
+# rank_mod reads and eliminates this many rows at a time
+CHUNK_ROWS = 2048
+
+
 def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
-    m = np.mod(m, p)
+    """Reduce the int64 array m to row echelon form mod p, in place, and
+    return its nonzero rows: unit pivots, zeros left of each pivot, entries
+    in [0, p).
+
+    At each pivot column only the trailing block right of it, in the rows
+    below, is updated; the block is left unreduced, and only the pivot
+    column (to find the rows it hits) and the pivot row (to normalize it)
+    are reduced on the spot. An update adds less than (p - 1)^2 in
+    magnitude, so the block is reduced once every `budget` pivots, which
+    keeps every entry inside int64 for any p < 2^31.
+    """
+    np.mod(m, p, out=m)
     nrows, ncols = m.shape
+    budget = 2**62 // (p - 1) ** 2
+    pending = 0
     r = 0
     for c in range(ncols):
-        nz = np.nonzero(m[r:, c])[0]
+        col = m[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        if r + 1 < nrows:
-            col = m[r + 1 :, c]
-            hit = np.nonzero(col)[0]
-            if hit.size:
-                m[r + 1 + hit] = (m[r + 1 + hit] - np.outer(col[hit], m[r])) % p
+        i = int(nz[0])
+        if i:
+            m[[r, r + i]] = m[[r + i, r]]
+            col[0], col[i] = col[i], 0
+        pivot = m[r, c:] % p
+        pivot = pivot * pow(int(pivot[0]), p - 2, p) % p
+        m[r, :c] = 0
+        m[r, c:] = pivot
+        below = col[1:]
+        hit = np.flatnonzero(below)
+        if hit.size == below.size:
+            m[r + 1 :, c + 1 :] -= np.multiply.outer(below, pivot[1:])
+        elif hit.size:
+            rows = r + 1 + hit
+            m[rows, c + 1 :] -= np.multiply.outer(below[hit], pivot[1:])
+        pending += 1
+        if pending == budget:
+            m[r + 1 :, c + 1 :] %= p
+            pending = 0
         r += 1
         if r == nrows:
             break
@@ -256,14 +286,14 @@ def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
 def rank_mod(rows, ncols: int, p: int, stop_rank: int | None = None) -> int:
     """Rank of an integer matrix mod p, with early stop.
 
-    Rows are read lazily, 2048 at a time, and only the chunks that are
-    eliminated are converted to an array.
+    Rows are read lazily, CHUNK_ROWS at a time, and only the chunks that
+    are eliminated are converted to an array.
     """
     limit = ncols if stop_rank is None else min(stop_rank, ncols)
     rows = iter(rows)
     basis = np.zeros((0, ncols), dtype=np.int64)
-    while chunk := list(islice(rows, 2048)):
-        basis = _eliminate_mod(np.vstack([basis, np.asarray(chunk, dtype=np.int64)]), p)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        basis = _eliminate_mod(np.vstack([basis, *chunk], dtype=np.int64), p)
         if basis.shape[0] >= limit:
             break
     return int(basis.shape[0])

@@ -138,12 +138,17 @@ def flow_radon_system(flow: SuccessorFlow) -> RadonSystem:
     Stationary orbits are the diagonal pairs (a, a); they would read off f(a)
     directly and are excluded, matching the exclusion of trivial subgroups.
     """
+    return _orbit_system(flow, flow_orbits(flow))
+
+
+def _orbit_system(flow: SuccessorFlow, orbits: list[FlowOrbit]) -> RadonSystem:
+    """flow_radon_system on orbits already walked by flow_orbits(flow)."""
     if flow.size < 2:
         raise InvalidOrderError("flow transform needs at least two points")
     rows = []
     cells = []
     seen = set()
-    for orbit in flow_orbits(flow):
+    for orbit in orbits:
         if orbit.stationary:
             continue
         visited = tuple(sorted(a for a, _ in orbit.states))

@@ -385,7 +385,7 @@ def make_symmetric(n: int) -> GroupTable:
     """S_n on n letters, elements in lexicographic order."""
     if n < 1:
         raise InvalidOrderError(f"symmetric degree must be >= 1, got {n}")
-    _check_cap(math.factorial(n), f"S_{n}")
+    _check_atoms_cap([("S", n)], f"S_{n}")
     perms = sorted(itertools.permutations(range(n)))
     return _perm_group(perms, f"S{n}")
 
@@ -394,7 +394,7 @@ def make_alternating(n: int) -> GroupTable:
     """A_n, the even permutations of n letters."""
     if n < 1:
         raise InvalidOrderError(f"alternating degree must be >= 1, got {n}")
-    _check_cap(max(1, math.factorial(n) // 2), f"A_{n}")
+    _check_atoms_cap([("A", n)], f"A_{n}")
     perms = sorted(p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0)
     return _perm_group(perms, f"A{n}")
 
@@ -634,9 +634,44 @@ _ATOM_ORDERS = {
     "C": lambda k: k,
     "D": lambda k: 2 * k,
     "Dic": lambda k: 4 * k,
-    "S": math.factorial,
-    "A": lambda k: max(1, math.factorial(k) // 2),
 }
+
+
+def _atom_log2(atom: tuple[str, int]) -> float:
+    """log2 of an atom's order, through lgamma for S and A (a degree too
+    large for a float is clamped, which keeps the value a lower bound)."""
+    kind, k = atom
+    if kind in ("S", "A"):
+        return math.lgamma(min(k, 10**300) + 1) / math.log(2) - (kind == "A" and k > 1)
+    return math.log2(_ATOM_ORDERS[kind](k))
+
+
+def _check_atoms_cap(atoms: list[tuple[str, int]], what: str) -> None:
+    """_check_cap on the order of a direct product of atoms (kind, k).
+
+    S and A factorials are multiplied out only while the running product
+    stays within the cap and 2^64 (orders of up to 64 bits print in full);
+    once it passes, the order is over the cap, and the message reads its
+    size off lgamma, so an absurd degree is refused at once.
+    """
+    cap = max_group_order()
+    stop = max(cap, 1 << 64)
+    order = 1
+    for kind, k in atoms:
+        if kind not in ("S", "A"):
+            order *= _ATOM_ORDERS[kind](k)
+            continue
+        halve = 2 if kind == "A" and k > 1 else 1
+        f = 1
+        for i in range(2, k + 1):
+            f *= i
+            if order * f > stop * halve:
+                bits = math.floor(sum(map(_atom_log2, atoms)) - 1e-6)
+                raise SizeLimitError(
+                    f"{what} has order more than 2^{bits}, above the cap of {cap}"
+                )
+        order *= f // halve
+    _check_cap(order, what)
 
 
 def from_name(spec: str) -> GroupTable:
@@ -657,7 +692,7 @@ def from_name(spec: str) -> GroupTable:
                 "Cn, Dn, Dicn, Sn, An"
             )
         atoms.append((m.group(1), int(m.group(2))))
-    _check_cap(math.prod(_ATOM_ORDERS[kind](k) for kind, k in atoms), spec.strip())
+    _check_atoms_cap(atoms, spec.strip())
     built = None
     for kind, k in atoms:
         g = _ATOM_MAKERS[kind](k)

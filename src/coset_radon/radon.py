@@ -15,6 +15,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from . import exactla
 from .errors import (
@@ -84,6 +87,19 @@ def _dense_rows(sys: RadonSystem):
         for j in cells:
             row[j] += 1
         yield row
+
+
+def _array_rows(sys: RadonSystem):
+    """The same rows as int64 array views for exactla.rank_mod, scattered
+    from cells by one np.bincount per chunk of exactla.CHUNK_ROWS rows; a
+    chunk is built only when rank_mod reads its first row."""
+    n, step = sys.ncols, exactla.CHUNK_ROWS
+    for lo in range(0, len(sys.cells), step):
+        chunk = sys.cells[lo : lo + step]
+        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        cols = np.fromiter(chain.from_iterable(chunk), np.int64, int(lengths.sum()))
+        flat = np.repeat(np.arange(len(chunk), dtype=np.int64) * n, lengths) + cols
+        yield from np.bincount(flat, minlength=len(chunk) * n).reshape(len(chunk), n)
 
 
 @dataclass(frozen=True)
@@ -171,7 +187,7 @@ def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
     primes = exactla.check_primes(n * _max_entry(sys))
     best = 0
     for p in primes:
-        best = max(best, exactla.rank_mod(_dense_rows(sys), n, p, stop_rank=n))
+        best = max(best, exactla.rank_mod(_array_rows(sys), n, p, stop_rank=n))
         if best == n:
             break
     if best == n:

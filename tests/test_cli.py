@@ -156,6 +156,22 @@ def test_flow_group_rule(capsys):
     assert payload["injective"] is False
 
 
+def test_flow_walks_pair_space_once(capsys, monkeypatch):
+    from coset_radon import flows
+
+    walks = []
+    walk = flows.flow_orbits
+
+    def counted(flow):
+        walks.append(flow.label)
+        return walk(flow)
+
+    monkeypatch.setattr(flows, "flow_orbits", counted)
+    code, payload, _ = run_json(capsys, "flow", "group:S5")
+    assert code == 0 and payload["injective"] is True
+    assert walks == ["group:S5"]
+
+
 def test_flow_from_file(capsys, tmp_path):
     from coset_radon import flows, groups
 

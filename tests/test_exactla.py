@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+import numpy as np
 import pytest
 
 from coset_radon import exactla
@@ -207,3 +209,72 @@ def test_rational_nullspace_matches_field_oracle(matrix):
         exactla.field_nullspace(frac_rows, n, Fraction(0), Fraction(1))
     )[0]
     assert exactla.rational_nullspace(rows, n) == [tuple(v) for v in oracle]
+
+
+def _echelon_mod_oracle(rows, ncols, p):
+    """Plain Gaussian elimination mod p on Python ints: at each column the
+    first remaining row with a nonzero entry becomes the pivot row (swapped
+    up), is scaled to a leading 1 and cleared from every row below it."""
+    work = [[v % p for v in row] for row in rows]
+    r = 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if i is None:
+            continue
+        work[r], work[i] = work[i], work[r]
+        inv = pow(work[r][c], -1, p)
+        work[r] = [v * inv % p for v in work[r]]
+        for k in range(r + 1, len(work)):
+            x = work[k][c]
+            if x:
+                work[k] = [(a - x * b) % p for a, b in zip(work[k], work[r])]
+        r += 1
+    return work[:r]
+
+
+@st.composite
+def modular_matrices(draw):
+    """Integer matrices with negative entries, zero blocks and repeated
+    rows, beside a prime; 2^30 - 35 and 2^31 - 1 leave a budget of 4 and 1
+    pivots between reductions of the trailing block."""
+    p = draw(st.sampled_from([2, 3, 101, 2**30 - 35, 2**31 - 1]))
+    n = draw(st.integers(min_value=1, max_value=16))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-(2**40), max_value=2**40),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=20))
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[0]))
+    return rows, n, p
+
+
+# a dense 16 x 16 block at p = 2^31 - 1: without a reduction after every
+# pivot, its trailing entries overflow int64 within a few pivots
+_DENSE = random.Random(5)
+_DENSE_CASE = (
+    [[_DENSE.randint(-(2**40), 2**40) for _ in range(16)] for _ in range(16)],
+    16,
+    2**31 - 1,
+)
+
+
+@given(modular_matrices())
+@example(_DENSE_CASE)
+@settings(max_examples=300, deadline=None)
+def test_modular_elimination_matches_plain_oracle(matrix):
+    rows, n, p = matrix
+    oracle = _echelon_mod_oracle(rows, n, p)
+    assert exactla.rank_mod(rows, n, p) == len(oracle)
+    if not rows:
+        return
+    echelon = exactla._eliminate_mod(np.array(rows, dtype=np.int64), p)
+    assert echelon.tolist() == oracle
+    pivots = []
+    for row in echelon.tolist():
+        lead = next(j for j, v in enumerate(row) if v)
+        assert row[lead] == 1 and not any(row[:lead])
+        assert all(0 <= v < p for v in row)
+        pivots.append(lead)
+    assert pivots == sorted(set(pivots))

@@ -1,4 +1,6 @@
 import itertools
+import math
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,24 @@ def test_symmetric_cap_applies_before_building(monkeypatch):
     monkeypatch.setenv("COSET_RADON_MAX_ORDER", "100")
     with pytest.raises(SizeLimitError):
         groups.make_symmetric(5)
+
+
+def test_absurd_degree_refused_at_once():
+    # the factorial stops once it passes the cap; S3000000! alone takes
+    # over a minute to multiply out
+    for spec in ("S3000000", "A3000000", "C2xS3000000"):
+        t0 = perf_counter()
+        with pytest.raises(SizeLimitError, match="more than 2"):
+            groups.from_name(spec)
+        assert perf_counter() - t0 < 1
+    # the size read off lgamma is the exact power of two below the order
+    for n in (21, 170, 3000):
+        for kind, order in (("S", math.factorial(n)), ("A", math.factorial(n) // 2)):
+            with pytest.raises(SizeLimitError) as err:
+                groups.from_name(f"{kind}{n}")
+            assert f"more than 2^{order.bit_length() - 1}," in str(err.value)
+    with pytest.raises(SizeLimitError, match="order 2432902008176640000,"):
+        groups.from_name("S20")
 
 
 def test_direct_product_orders_multiply():

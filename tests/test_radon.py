@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from coset_radon import exactla, groups, radon
@@ -80,6 +81,12 @@ def test_cells_agree_with_dense_matrix(name, variant):
     sys = _system(name, variant)
     dense = sys.matrix
     assert [sum(row) for row in dense] == [len(cells) for cells in sys.cells]
+    # the int64 rows rank_mod reads, scattered from cells chunk by chunk
+    arrays = list(radon._array_rows(sys))
+    assert all(row.dtype == np.int64 for row in arrays)
+    assert [tuple(row.tolist()) for row in arrays] == list(dense)
+    if variant == "flow":
+        assert arrays[0].tolist() == [2, 1, 1]
     assert radon._max_entry(sys) == max(max(row) for row in dense)
     rng = random.Random(sys.ncols)
     f = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(sys.ncols)]
@@ -88,6 +95,16 @@ def test_cells_agree_with_dense_matrix(name, variant):
     r = exactla.rank_exact(dense, sys.ncols)
     assert radon.decide_system(sys)[:2] == (r, sys.ncols - r)
     assert radon.kernel(sys).vectors == tuple(exactla.rational_nullspace(dense, sys.ncols))
+
+
+def test_array_rows_across_chunks(monkeypatch):
+    # five-row chunks split S4's 140 prime rows, so rank_mod stacks and
+    # eliminates many of them before its rank is full
+    monkeypatch.setattr(exactla, "CHUNK_ROWS", 5)
+    sys = _system("S4", "prime")
+    arrays = [tuple(row.tolist()) for row in radon._array_rows(sys)]
+    assert arrays == list(sys.matrix)
+    assert radon.decide_system(sys) == (24, 0, "modular-full-rank")
 
 
 def test_build_system_rejects_unknown_variant():
