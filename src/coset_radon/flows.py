@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FlowAxiomError, InvalidOrderError
 from .groups import GroupTable
 from .radon import RadonSystem
@@ -84,11 +86,9 @@ def validate_flow(size: int, table, label: str = "flow") -> SuccessorFlow:
 
 def group_flow(g: GroupTable) -> SuccessorFlow:
     """s(a, b) = b a^{-1} b on a group's element ids."""
-    table = [
-        [g.mul[b][g.mul[g.inv[a]][b]] for b in range(g.order)]
-        for a in range(g.order)
-    ]
-    return validate_flow(g.order, table, label=f"group:{g.recipe}")
+    # row a of table[inv] is a^{-1} b over all b; a second gather puts b in front
+    table = g.table[np.arange(g.order), g.table[list(g.inv)]]
+    return validate_flow(g.order, table.tolist(), label=f"group:{g.recipe}")
 
 
 def constant_flow(size: int) -> SuccessorFlow:

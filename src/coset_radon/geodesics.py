@@ -50,19 +50,20 @@ def homomorphisms_cn(g: GroupTable, n: int) -> list[Homomorphism]:
     """All nontrivial homomorphisms C_n -> G, ordered by generator id."""
     if n < 2:
         raise InvalidOrderError(f"domain order must be >= 2, got {n}")
-    return [
-        Homomorphism(n, x)
-        for x in range(1, g.order)
-        if g.power(x, n) == 0
-    ]
+    return [Homomorphism(n, x) for x in range(1, g.order) if n % g.elt_order[x] == 0]
 
 
 def cyclic_subgroups(g: GroupTable) -> list[SubgroupSet]:
     """All distinct nontrivial cyclic subgroups, sorted by (order, elements)."""
     seen: dict[tuple[int, ...], SubgroupSet] = {}
+    covered = [False] * g.order  # generators of a subgroup already in seen
     for x in range(1, g.order):
+        if covered[x]:
+            continue
         sub = cyclic_subgroup(g, x)
-        seen.setdefault(sub.elements, sub)
+        seen[sub.elements] = sub
+        for y in sub.elements:
+            covered[y] |= g.elt_order[y] == len(sub)
     return sorted(seen.values(), key=lambda s: (len(s.elements), s.elements))
 
 
@@ -112,9 +113,5 @@ def composite_orbit(g: GroupTable, hom: Homomorphism, x: int) -> tuple[int, ...]
 
     Each member of the coset x*<gen> shows up n / |<gen>| times.
     """
-    out = []
-    cur = x
-    for _ in range(hom.domain_order):
-        out.append(cur)
-        cur = g.mul[cur][hom.image_generator]
-    return tuple(sorted(out))
+    steps = g.powers(hom.image_generator, hom.domain_order)
+    return tuple(sorted(g.table[x, steps].tolist()))

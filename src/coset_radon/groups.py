@@ -5,8 +5,11 @@ GroupTable records; every one of them runs the full axiom validation, so a
 GroupTable in hand is a genuine group. Associativity is proven at every
 order, by Light's test on a generating set.
 
-Each table is built and validated as one numpy integer array, then frozen
-into the tuple rows of GroupTable.mul.
+A group holds exactly one multiplication table: GroupTable.table, a
+read-only C-contiguous int32 array with table[a, b] the id of a*b. It is
+built and validated as that array, and products, powers, cosets and
+quotients are array operations on it. Every value handed back to callers
+(cosets, subgroup elements, inverses, orders, powers) is a Python int.
 """
 
 from __future__ import annotations
@@ -83,44 +86,31 @@ def max_group_order() -> int:
     return cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupTable:
-    """Immutable multiplication table plus cached per-element data."""
+    """A validated group: its read-only int32 Cayley table plus cached
+    per-element data (inverses and element orders, as Python ints)."""
 
     order: int
-    mul: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     inv: tuple[int, ...]
     elt_order: tuple[int, ...]
     recipe: str
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
+    def powers(self, x: int, length: int | None = None) -> list[int]:
+        """x^0, x^1, ..., x^(length-1), walking column x of the table;
+        length defaults to the order of x, one full period."""
+        if length is None:
+            length = self.elt_order[x]
+        step = self.table[:, x].item
+        out = [0] * length
+        for k in range(1, length):
+            out[k] = step(out[k - 1])
+        return out
 
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k (negative powers go through the inverse)."""
-        if k < 0:
-            a, k = self.inv[a], -k
-        out = 0
-        row_base = a
-        while k:
-            if k & 1:
-                out = self.mul[out][row_base]
-            row_base = self.mul[row_base][row_base]
-            k >>= 1
-        return out
-
-    def order_of(self, a: int) -> int:
-        return self.elt_order[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def conjugate(self, x: int, a: int) -> int:
-        """x * a * x^-1."""
-        return self.mul[self.mul[x][a]][self.inv[x]]
+        return self.powers(a)[k % self.elt_order[a]]
 
 
 @dataclass(frozen=True)
@@ -163,13 +153,10 @@ def _check_cap(order: int, what: str) -> None:
         raise SizeLimitError(f"{what} has order {size}, above the cap of {cap}")
 
 
-def _as_array(g: GroupTable) -> np.ndarray:
-    return np.array(g.mul, dtype=_ID)
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Row slices of an n x n table, about _BLOCK_CELLS cells each."""
-    step = max(1, _BLOCK_CELLS // n)
+def _row_blocks(n: int, width: int | None = None) -> list[slice]:
+    """Row slices of an n x width array (n x n by default), about
+    _BLOCK_CELLS cells each."""
+    step = max(1, _BLOCK_CELLS // (width or n))
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
@@ -215,11 +202,17 @@ def _check_associativity(t: np.ndarray, orders: np.ndarray) -> None:
                 x, y = np.argwhere(lhs != rhs)[0]
                 raise AssociativityError((rows.start + int(x), a, int(y)))
         gens.append(a)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            before = reached.copy()
-            reached[t[frontier[:, None], gens]] = True
-            frontier = np.flatnonzero(reached & ~before)
+        _close(t, reached, gens)
+
+
+def _close(t: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
+    """Grow the mask reached, in place, until right multiplication by
+    every element of gens maps it into itself."""
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        before = reached.copy()
+        reached[t[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(reached & ~before)
 
 
 def _element_orders(t: np.ndarray) -> np.ndarray:
@@ -241,7 +234,8 @@ def _element_orders(t: np.ndarray) -> np.ndarray:
 
 
 def _build(t: np.ndarray, recipe: str) -> GroupTable:
-    """Validate a table whose identity is already at id 0 and freeze it.
+    """Validate a table whose identity is already at id 0 and wrap it,
+    read-only, in a GroupTable.
 
     Callers check the order cap before they allocate the table.
     """
@@ -264,13 +258,12 @@ def _build(t: np.ndarray, recipe: str) -> GroupTable:
         raise GroupValidationError(
             f"element {a} has order {orders[a]}, which does not divide {n}"
         )
-    # rows share one int object per id instead of holding n^2 fresh ints;
-    # one row at a time, so no freed row lists are left between the tuples
-    interned = ids.astype(object)
+    t = np.ascontiguousarray(t, dtype=_ID)
+    t.setflags(write=False)
     return GroupTable(
         order=n,
-        mul=tuple(tuple(interned[row].tolist()) for row in t),
-        inv=tuple(interned[inv].tolist()),
+        table=t,
+        inv=tuple(inv.tolist()),
         elt_order=tuple(orders.tolist()),
         recipe=recipe,
     )
@@ -301,7 +294,7 @@ def make_direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     recipe = f"{g1.recipe}x{g2.recipe}"
     _check_cap(n1 * n2, recipe)
     # axes (a1, a2, b1, b2) of the product (a1*n2 + a2) * (b1*n2 + b2)
-    t = _as_array(g1)[:, None, :, None] * n2 + _as_array(g2)[None, :, None, :]
+    t = g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]
     return _build(t.reshape(n1 * n2, n1 * n2), recipe)
 
 
@@ -424,7 +417,7 @@ def make_semidirect(
         ):
             raise NotAutomorphismError(h, (-1, -1))
     phi = np.array(action, dtype=_ID)
-    tn, th = _as_array(normal), _as_array(acting)
+    tn, th = normal.table, acting.table
     # phi_h(x*y) against phi_h(x)*phi_h(y), for every h at once
     bad = np.argwhere(phi[:, tn] != tn[phi[:, :, None], phi[:, None, :]])
     if bad.size:
@@ -484,28 +477,28 @@ def from_cayley_table(raw, recipe: str | None = None) -> GroupTable:
 
 def cyclic_subgroup(g: GroupTable, x: int) -> SubgroupSet:
     """The subgroup generated by a single element."""
-    elems = []
-    cur = 0
-    while True:
-        elems.append(cur)
-        cur = g.mul[cur][x]
-        if cur == 0:
-            break
-    return SubgroupSet(tuple(sorted(elems)), generator=x)
+    return SubgroupSet(tuple(sorted(g.powers(x))), generator=x)
 
 
 def subgroup_from_elements(g: GroupTable, elems) -> SubgroupSet:
-    """Check closure, identity and inverses, then wrap the set."""
+    """Check closure, identity and inverses, then wrap the set.
+
+    A failure names the first element, in sorted order, whose inverse is
+    missing or whose products escape the set.
+    """
     got = sorted(set(elems))
-    members = set(got)
-    if 0 not in members:
+    if 0 not in got:
         raise NotSubgroupError("subgroup must contain the identity 0")
-    for a in got:
-        if g.inv[a] not in members:
-            raise NotSubgroupError(f"inverse of {a} is missing from the set")
-        for b in got:
-            if g.mul[a][b] not in members:
-                raise NotSubgroupError(f"set is not closed: {a}*{b} escapes it")
+    h = np.array(got)
+    has_inv = np.isin(np.take(g.inv, h), h)
+    closed = np.isin(g.table[np.ix_(h, h)], h)
+    bad = np.flatnonzero(~(has_inv & closed.all(axis=1)))
+    if bad.size:
+        i = bad[0]
+        if not has_inv[i]:
+            raise NotSubgroupError(f"inverse of {got[i]} is missing from the set")
+        b = got[np.argmin(closed[i])]
+        raise NotSubgroupError(f"set is not closed: {got[i]}*{b} escapes it")
     generator = None
     for x in got:
         if g.elt_order[x] == len(got):
@@ -515,26 +508,33 @@ def subgroup_from_elements(g: GroupTable, elems) -> SubgroupSet:
 
 
 def left_cosets(g: GroupTable, sub: SubgroupSet) -> list[tuple[int, ...]]:
-    """All left cosets x*H, each sorted, ordered by their minimal member."""
-    seen = [False] * g.order
+    """All left cosets x*H, each sorted, ordered by their minimal member.
+
+    Row x of the sorted gather table[:, H] is the coset xH, and it is kept
+    where x is its minimal member.
+    """
+    h = list(sub.elements)
     cosets = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        coset = sorted(g.mul[x][h] for h in sub.elements)
-        for y in coset:
-            seen[y] = True
-        cosets.append(tuple(coset))
+    for rows in _row_blocks(g.order, len(h)):
+        block = np.sort(g.table[rows, h], axis=1)
+        first = block[:, 0] == np.arange(g.order)[rows]
+        cosets += map(tuple, block[first].tolist())
     return cosets
 
 
 def is_normal(g: GroupTable, sub: SubgroupSet) -> tuple[int, int] | None:
-    """None when normal, else a witness (x, h) with x*h*x^-1 outside."""
-    members = frozenset(sub.elements)
-    for x in range(g.order):
-        for h in sub.elements:
-            if g.conjugate(x, h) not in members:
-                return (x, h)
+    """None when normal, else the first witness (x, h), in row-major order,
+    with x*h*x^-1 outside."""
+    h = list(sub.elements)
+    member = np.zeros(g.order, dtype=bool)
+    member[h] = True
+    inv = np.array(g.inv)
+    for rows in _row_blocks(g.order, len(h)):
+        conj = g.table[g.table[rows, h], inv[rows, None]]
+        bad = np.argwhere(~member[conj])
+        if bad.size:
+            x, k = bad[0]
+            return (rows.start + int(x), h[k])
     return None
 
 
@@ -545,18 +545,12 @@ def quotient_with_projection(
     witness = is_normal(g, sub)
     if witness is not None:
         raise NotNormalError(witness)
-    cosets = left_cosets(g, sub)  # sorted by minimal member; identity coset first
-    proj = [0] * g.order
-    for ci, coset in enumerate(cosets):
-        for x in coset:
-            proj[x] = ci
-    k = len(cosets)
-    mul = [[0] * k for _ in range(k)]
-    for ci, coset in enumerate(cosets):
-        for cj, other in enumerate(cosets):
-            mul[ci][cj] = proj[g.mul[coset[0]][other[0]]]
-    q = _build(np.array(mul, dtype=_ID), f"{g.recipe}/<order {len(sub)}>")
-    return q, tuple(proj)
+    cosets = np.array(left_cosets(g, sub))  # by minimal member; identity coset first
+    proj = np.empty(g.order, dtype=_ID)
+    proj[cosets] = np.arange(len(cosets), dtype=_ID)[:, None]
+    reps = cosets[:, 0]
+    q = _build(proj[g.table[np.ix_(reps, reps)]], f"{g.recipe}/<order {len(sub)}>")
+    return q, tuple(proj.tolist())
 
 
 def quotient(g: GroupTable, sub: SubgroupSet) -> GroupTable:
@@ -568,11 +562,9 @@ def quotient(g: GroupTable, sub: SubgroupSet) -> GroupTable:
 
 
 def is_abelian(g: GroupTable) -> bool:
-    return all(
-        g.mul[a][b] == g.mul[b][a]
-        for a in range(g.order)
-        for b in range(a + 1, g.order)
-    )
+    """Whether the table is symmetric, compared a block of rows at a time."""
+    t = g.table
+    return all(np.array_equal(t[rows], t[:, rows].T) for rows in _row_blocks(g.order))
 
 
 def is_cyclic(g: GroupTable) -> bool:
@@ -596,22 +588,17 @@ def _abelian_basis_inner(g: GroupTable) -> list[tuple[int, int]]:
         return []
     d = max(g.elt_order)
     x = g.elt_order.index(d)
-    sub = cyclic_subgroup(g, x)
-    q, proj = quotient_with_projection(g, sub)
-    powers = {}
-    cur = 0
-    for k in range(d):
-        powers[cur] = k
-        cur = g.mul[cur][x]
+    powers = g.powers(x)
+    log = {p: k for k, p in enumerate(powers)}
+    q, proj = quotient_with_projection(g, SubgroupSet(tuple(sorted(powers)), x))
     out = [(x, d)]
     for yq, m in _abelian_basis_inner(q):
         y = proj.index(yq)
-        s = powers[g.power(y, m)]
+        s = log[g.power(y, m)]
         # max order of x makes s a multiple of m, so the lift lands on order m
         if s % m != 0:
             raise GroupValidationError("abelian basis lift failed; table is corrupt")
-        y = g.mul[y][g.power(x, (-(s // m)) % d)]
-        out.append((y, m))
+        out.append((g.table.item(y, powers[-(s // m) % d]), m))
     return out
 
 

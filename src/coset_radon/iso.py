@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .groups import GroupTable
+import numpy as np
+
+from .groups import GroupTable, _close
 
 __all__ = [
     "are_isomorphic",
@@ -23,19 +25,11 @@ __all__ = [
 def generating_sequence(g: GroupTable) -> list[int]:
     """A short generating list, grown greedily by smallest missing id."""
     gens: list[int] = []
-    closed = {0}
-    while len(closed) < g.order:
-        x = min(set(range(g.order)) - closed)
-        gens.append(x)
-        frontier = [0]
-        closed = {0}
-        while frontier:
-            cur = frontier.pop()
-            for gen in gens:
-                nxt = g.mul[cur][gen]
-                if nxt not in closed:
-                    closed.add(nxt)
-                    frontier.append(nxt)
+    reached = np.zeros(g.order, dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        _close(g.table, reached, gens)
     return gens
 
 
@@ -46,11 +40,15 @@ def _extend_hom(
     phi = [-1] * h.order
     phi[0] = 0
     frontier = [0]
+    steps = [
+        (h.table[:, gen].tolist(), g.table[:, img].tolist())
+        for gen, img in zip(gens, images)
+    ]
     while frontier:
         x = frontier.pop()
-        for gen, img in zip(gens, images):
-            y = h.mul[x][gen]
-            iy = g.mul[phi[x]][img]
+        for h_step, g_step in steps:
+            y = h_step[x]
+            iy = g_step[phi[x]]
             if phi[y] == -1:
                 phi[y] = iy
                 frontier.append(y)
@@ -59,10 +57,9 @@ def _extend_hom(
     # reachability from e under right multiplication by generators is all of h
     if -1 in phi:
         raise AssertionError("generating sequence failed to generate")
-    for a in range(h.order):
-        for b in range(h.order):
-            if phi[h.mul[a][b]] != g.mul[phi[a]][phi[b]]:
-                return None
+    p = np.array(phi)
+    if not np.array_equal(p[h.table], g.table[np.ix_(p, p)]):
+        return None
     return phi
 
 
@@ -72,11 +69,11 @@ def _search(h: GroupTable, g: GroupTable, injective: bool) -> list[int] | None:
         return [0] if g.order >= 1 else None
     candidates = []
     for gen in gens:
-        d = h.order_of(gen)
+        d = h.elt_order[gen]
         if injective:
-            pool = [x for x in range(g.order) if g.order_of(x) == d]
+            pool = [x for x in range(g.order) if g.elt_order[x] == d]
         else:
-            pool = [x for x in range(g.order) if d % g.order_of(x) == 0]
+            pool = [x for x in range(g.order) if d % g.elt_order[x] == 0]
         if not pool:
             return None
         candidates.append(pool)

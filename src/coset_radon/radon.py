@@ -298,8 +298,7 @@ def kernel_witness_cyclic(g: GroupTable) -> tuple[Fraction, ...]:
     gen = g.elt_order.index(n)
     factors = [(p, p**e) for p, e in exactla.factorize(n)]
     witness = [Fraction(0)] * n
-    cur = 0
-    for t in range(n):
+    for t, cur in enumerate(g.powers(gen)):
         val = 1
         for p, q in factors:
             res = t % q
@@ -311,7 +310,6 @@ def kernel_witness_cyclic(g: GroupTable) -> tuple[Fraction, ...]:
                 val = 0
                 break
         witness[cur] = Fraction(val)
-        cur = g.mul[cur][gen]
     if all(v == 0 for v in witness):
         raise AssertionError("cyclic witness degenerated to zero")
     image = apply(build_system(g, "prime"), witness)
@@ -398,35 +396,21 @@ def composite_consistency(g: GroupTable, n: int, functions) -> bool:
             raise DimensionError(f"function length {len(vals)}, expected {order}")
         denom = math.lcm(*(v.denominator for v in vals)) if vals else 1
         scaled.append([int(v * denom) for v in vals])
+    # one column per function, of Python ints, so no sum can overflow
+    values = np.array(scaled, dtype=object).reshape(-1, order).T
 
-    def orbit_sums(vec, gen, length):
-        out = [0] * order
-        for x in range(order):
-            acc = 0
-            cur = x
-            for _ in range(length):
-                acc += vec[cur]
-                cur = g.mul[cur][gen]
-            out[x] = acc
-        return out
+    def orbit_sums(vals, gen, length):
+        """Row x of the result sums the rows x * gen^t of vals, t < length."""
+        return vals[g.table[:, g.powers(gen, length)]].sum(axis=1)
 
     for hom in homs:
         gen = hom.image_generator
         gk = g.power(gen, k)
-        for vec in scaled:
-            long_sums = orbit_sums(vec, gen, n)
-            if gk == 0:
-                short = orbit_sums(vec, gen, k)
-                if any(long_sums[x] != m * short[x] for x in range(order)):
-                    return False
-            else:
-                short = orbit_sums(vec, gk, m)
-                for x in range(order):
-                    acc = 0
-                    cur = x
-                    for _ in range(n):
-                        acc += short[cur]
-                        cur = g.mul[cur][gen]
-                    if m * long_sums[x] != acc:
-                        return False
+        long_sums = orbit_sums(values, gen, n)
+        if gk == 0:
+            same = long_sums == m * orbit_sums(values, gen, k)
+        else:
+            same = m * long_sums == orbit_sums(orbit_sums(values, gk, m), gen, n)
+        if not same.all():
+            return False
     return True

@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import exactla
 from .errors import (
     DimensionError,
@@ -213,18 +215,18 @@ def characters(g: GroupTable) -> CharacterTable:
     factors = tuple(d for _, d in gens)
     basis = tuple(x for x, _ in gens)
     exponent = factors[-1] if factors else 1
-    coords_map: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.product(*(range(d) for d in factors)):
-        elt = 0
-        for x, c in zip(basis, combo):
-            elt = g.mul[elt][g.power(x, c)]
-        if elt in coords_map:
-            raise AssertionError("abelian basis is not free; construction bug")
-        coords_map[elt] = combo
-    if len(coords_map) != g.order:
-        raise AssertionError("abelian basis does not span; construction bug")
-    coords = tuple(coords_map[x] for x in range(g.order))
     chars = tuple(itertools.product(*(range(d) for d in factors)))
+    # the element prod_i basis[i]^combo[i] of every combo, in the order of chars
+    elts = np.zeros(1, dtype=np.intp)
+    for x, d in gens:
+        elts = g.table[elts[:, None], g.powers(x, d)].ravel()
+    if np.unique(elts).size != elts.size:
+        raise AssertionError("abelian basis is not free; construction bug")
+    if elts.size != g.order:
+        raise AssertionError("abelian basis does not span; construction bug")
+    where = np.empty(g.order, dtype=np.intp)
+    where[elts] = np.arange(g.order)
+    coords = tuple(chars[i] for i in where.tolist())
     weights = [exponent // d for d in factors]
     value_exponents = tuple(
         tuple(
@@ -371,22 +373,12 @@ def fourier_radon_check(
     fhat = dft(ct, f)
     for p in exactla.prime_divisors(g.order):
         for hom in homomorphisms_cn(g, p):
-            gen = hom.image_generator
-            rf = []
-            for x in range(g.order):
-                acc = 0j
-                cur = x
-                for _ in range(p):
-                    acc += vals[cur]
-                    cur = g.mul[cur][gen]
-                rf.append(acc)
+            steps = g.powers(hom.image_generator, p)
+            orbits = g.table[:, steps].tolist()  # row x: x * gen^t, t < p
+            rf = [sum((vals[y] for y in row), 0j) for row in orbits]
             rf_hat = dft(ct, rf)
             for idx in range(len(ct.characters)):
-                isum = 0j
-                cur = 0
-                for _ in range(p):
-                    isum += char_value(ct, idx, cur)
-                    cur = g.mul[cur][gen]
+                isum = sum((char_value(ct, idx, s) for s in steps), 0j)
                 if abs(rf_hat[idx] - fhat[idx] * isum) > tolerance:
                     return False
     return True
@@ -423,9 +415,9 @@ def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
             raise InvalidRepresentationError("images are not all square of one size")
     if mats[0] != _mat_identity(d):
         raise InvalidRepresentationError("image of the identity is not the identity")
-    for a in range(g.order):
-        for b in range(g.order):
-            if _mat_mul(mats[a], mats[b]) != mats[g.mul[a][b]]:
+    for a, row in enumerate(g.table.tolist()):
+        for b, ab in enumerate(row):
+            if _mat_mul(mats[a], mats[b]) != mats[ab]:
                 raise InvalidRepresentationError(
                     f"images break the product at pair ({a}, {b})"
                 )
@@ -455,19 +447,15 @@ def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSu
     if rep.group_order != g.order:
         raise DimensionError("representation belongs to a different group order")
     total = tuple(tuple(_ZERO for _ in range(rep.dim)) for _ in range(rep.dim))
-    cur = 0
-    for _ in range(hom.domain_order):
+    for cur in g.powers(hom.image_generator, hom.domain_order):
         total = _mat_add(total, rep.images[cur])
-        cur = g.mul[cur][hom.image_generator]
     out = GeodesicSumMatrix(matrix=total, domain_order=hom.domain_order, dim=rep.dim)
     if rep.declared_unitary:
         assert _mat_conjt(total) == total, "geodesic sum is not self-adjoint"
         inverse_hom = Homomorphism(hom.domain_order, g.inv[hom.image_generator])
         mirrored = tuple(tuple(_ZERO for _ in range(rep.dim)) for _ in range(rep.dim))
-        cur = 0
-        for _ in range(hom.domain_order):
+        for cur in g.powers(inverse_hom.image_generator, hom.domain_order):
             mirrored = _mat_add(mirrored, rep.images[cur])
-            cur = g.mul[cur][inverse_hom.image_generator]
         assert mirrored == total, "geodesic sum differs along the inverse generator"
     return out
 

@@ -538,7 +538,7 @@ def _quotient_cases() -> list[SuiteCase]:
     out = []
     seen = set()
     for x in range(1, g.order):
-        if g.order_of(x) not in (2, 3):
+        if g.elt_order[x] not in (2, 3):
             continue
         sub = geodesics.cyclic_subgroup(g, x)
         if sub.elements in seen:
@@ -642,7 +642,7 @@ def _parity_cases() -> list[SuiteCase]:
     for g in groups_upto(15):
         if g.order % 2 == 0 or g.order < 3:
             continue
-        involutive = all(g.order_of(x) <= 2 for x in range(g.order))
+        involutive = all(d <= 2 for d in g.elt_order)
         out.append(
             SuiteCase(
                 group=f"parity {g.recipe}",

@@ -42,6 +42,13 @@ def test_geodesics_counts(capsys):
         assert geo["rep"] == geo["coset"][0]
 
 
+def test_geodesics_json_parses(capsys):
+    code, payload, _ = run_json(capsys, "geodesics", "S4")
+    assert code == 0
+    assert payload["count"] == len(payload["geodesics"]) > 0
+    assert all(type(v) is int for geo in payload["geodesics"] for v in geo["coset"])
+
+
 def test_geodesics_maximal_variant(capsys):
     code, payload, _ = run_json(capsys, "geodesics", "C12", "--variant", "maximal")
     assert code == 0

@@ -99,7 +99,7 @@ def test_group_flow_period_is_generator_order():
     flow = flows.group_flow(g)
     for o in flows.flow_orbits(flow):
         a, b = o.states[0]
-        step = g.mul[g.inv[a]][b]
+        step = g.table[g.inv[a], b]
         assert o.period == g.elt_order[step]
         # each point of the projection is visited exactly once
         assert len(o.projection()) == o.period

@@ -1,11 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coset_radon import groups
+from coset_radon import geodesics, groups, iso, radon, verify
 from coset_radon.errors import (
     AssociativityError,
     GroupSpecError,
@@ -34,7 +36,7 @@ def test_cyclic_rejects_nonpositive():
 def test_trivial_group():
     g = groups.make_trivial()
     assert g.order == 1
-    assert g.mul == ((0,),)
+    assert g.table.tolist() == [[0]]
 
 
 def test_dihedral_structure():
@@ -42,7 +44,7 @@ def test_dihedral_structure():
     assert d4.order == 8
     # reflections are the ids n..2n-1 and square to the identity
     for k in range(4, 8):
-        assert d4.mul[k][k] == 0
+        assert d4.table[k, k] == 0
     assert not groups.is_abelian(d4)
     assert groups.is_abelian(groups.make_dihedral(2))
 
@@ -59,8 +61,8 @@ def test_dicyclic_presentation_relations():
         g = groups.make_dicyclic(n)
         a, b = 1, 2 * n
         assert g.power(a, 2 * n) == 0
-        assert g.mul[b][b] == g.power(a, n)
-        assert g.mul[a][b] == g.mul[b][g.inverse(a)]
+        assert g.table[b, b] == g.power(a, n)
+        assert g.table[a, b] == g.table[b, g.inv[a]]
 
 
 def test_dicyclic_order_profile():
@@ -68,7 +70,7 @@ def test_dicyclic_order_profile():
     assert sorted(q8.elt_order) == [1, 2, 4, 4, 4, 4, 4, 4]
     # outside the cyclic half every element has order four
     dic6 = groups.make_dicyclic(6)
-    assert all(dic6.order_of(x) == 4 for x in range(12, 24))
+    assert all(dic6.elt_order[x] == 4 for x in range(12, 24))
 
 
 def test_symmetric_and_alternating():
@@ -114,7 +116,7 @@ def test_from_cayley_table_relabels_identity():
     # identity sits at position 1 in this C2 copy
     t = [[1, 0], [0, 1]]
     g = groups.from_cayley_table(t)
-    assert g.mul[0][0] == 0
+    assert g.table[0, 0] == 0
     assert g.order == 2
 
 
@@ -250,9 +252,9 @@ def test_order_cap_env_override(monkeypatch):
 def test_cyclic_inverse_and_power_laws(n):
     g = groups.make_cyclic(n)
     for x in range(n):
-        assert g.mul[x][g.inverse(x)] == 0
+        assert g.table[x, g.inv[x]] == 0
         assert g.power(x, n) == 0
-        assert g.power(x, -1) == g.inverse(x)
+        assert g.power(x, -1) == g.inv[x]
 
 
 @settings(max_examples=25, deadline=None)
@@ -274,7 +276,7 @@ def test_dihedral_conjugation_inverts_rotations(n):
     g = groups.make_dihedral(n)
     s = n  # a reflection
     for k in range(n):
-        assert g.conjugate(s, k) == g.inverse(k)
+        assert g.table[g.table[s, k], g.inv[s]] == g.inv[k]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +342,7 @@ def test_element_ids_match_definitions():
         (frob_group, frob),
     ]
     for g, expected in cases:
-        assert [list(row) for row in g.mul] == expected, g.recipe
+        assert g.table.tolist() == expected, g.recipe
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +413,7 @@ def test_light_test_agrees_with_brute_force_on_small_latin_squares(monkeypatch):
         counts.append(len(squares))
         for t in squares:
             if _first_nonassociative_triple(t) is None:
-                assert groups.from_cayley_table(t).mul == tuple(map(tuple, t))
+                assert groups.from_cayley_table(t).table.tolist() == t
                 continue
             with pytest.raises(AssociativityError) as info:
                 groups.from_cayley_table(t)
@@ -436,3 +438,139 @@ def test_large_nonassociative_table_rejected():
         groups.from_cayley_table(t)
     x, y, w = info.value.triple
     assert t[t[x][y]][w] != t[x][t[y][w]]
+
+
+# ---------------------------------------------------------------------------
+# array routes against pure-Python definitions on the table's rows
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    extra = [groups.from_name(name) for name in ("S4", "A5", "Dic5")]
+    return [(g, g.table.tolist()) for g in verify.groups_upto(24) + extra]
+
+
+def _walk(t, x):
+    """x^0, x^1, ... up to the last power before the identity returns."""
+    out = [0]
+    while t[out[-1]][x] != 0:
+        out.append(t[out[-1]][x])
+    return out
+
+
+def test_powers_and_cyclic_subgroups_match_walks(corpus):
+    for g, t in corpus:
+        for x in range(g.order):
+            walk = _walk(t, x)
+            assert g.powers(x) == walk
+            assert g.powers(x, 2 * len(walk) + 1) == (walk * 3)[: 2 * len(walk) + 1]
+            assert groups.cyclic_subgroup(g, x).elements == tuple(sorted(walk))
+            inv = t[x].index(0)
+            for k in range(-2 * len(walk), 2 * len(walk) + 1):
+                base, cur = (x, 0) if k >= 0 else (inv, 0)
+                for _ in range(abs(k)):
+                    cur = t[cur][base]
+                assert g.power(x, k) == cur
+
+
+def test_left_cosets_match_sorted_products(corpus):
+    for g, t in corpus:
+        for sub in geodesics.cyclic_subgroups(g):
+            want, seen = [], set()
+            for x in range(g.order):
+                if x not in seen:
+                    coset = tuple(sorted(t[x][h] for h in sub.elements))
+                    seen.update(coset)
+                    want.append(coset)
+            assert groups.left_cosets(g, sub) == want, (g.recipe, sub.elements)
+
+
+def _first_conjugation_escape(t, inv, elements):
+    members = set(elements)
+    for x in range(len(t)):
+        for h in elements:
+            if t[t[x][h]][inv[x]] not in members:
+                return (x, h)
+    return None
+
+
+def test_normality_witness_and_quotients_match_definitions(corpus):
+    quotients = 0
+    for g, t in corpus:
+        for sub in geodesics.cyclic_subgroups(g):
+            want = _first_conjugation_escape(t, g.inv, sub.elements)
+            assert groups.is_normal(g, sub) == want, (g.recipe, sub.elements)
+            if want is not None:
+                continue
+            cosets = groups.left_cosets(g, sub)
+            proj = [next(i for i, c in enumerate(cosets) if x in c) for x in range(g.order)]
+            table = [[proj[t[a[0]][b[0]]] for b in cosets] for a in cosets]
+            q, got = groups.quotient_with_projection(g, sub)
+            assert (q.table.tolist(), got) == (table, tuple(proj))
+            quotients += 1
+    assert quotients > 100
+
+
+def test_is_abelian_matches_definition(corpus):
+    kinds = set()
+    for g, t in corpus:
+        want = all(t[a][b] == t[b][a] for a in range(g.order) for b in range(g.order))
+        assert groups.is_abelian(g) == want, g.recipe
+        kinds.add(want)
+    assert kinds == {True, False}
+
+
+def test_generating_sequence_is_greedy_by_smallest_missing_id(corpus):
+    for g, t in corpus:
+        gens, closed = [], {0}
+        while len(closed) < g.order:
+            gens.append(min(set(range(g.order)) - closed))
+            closed, frontier = {0}, [0]
+            while frontier:
+                cur = frontier.pop()
+                for y in (t[cur][s] for s in gens):
+                    if y not in closed:
+                        closed.add(y)
+                        frontier.append(y)
+        assert iso.generating_sequence(g) == gens, g.recipe
+
+
+def test_composite_consistency_is_exact_past_int64():
+    # the scaled numerators 3 * 2^70 * x + 1 and their orbit sums overflow int64
+    g = groups.make_cyclic(12)
+    f = [2**70 * x + Fraction(1, 3) for x in range(12)]
+    for n in (4, 6):
+        assert radon.composite_consistency(g, n, [f, [1] * 12])
+
+
+# ---------------------------------------------------------------------------
+# one read-only table, and Python ints everywhere it leaks out
+
+
+def test_table_is_one_read_only_int32_array():
+    g = groups.from_name("S4")
+    assert g.table.dtype == np.int32 and g.table.flags.c_contiguous
+    assert g.table.shape == (24, 24)
+    with pytest.raises(ValueError):
+        g.table[0, 0] = 1
+    q = groups.quotient(g, groups.subgroup_from_elements(g, [0, 7, 16, 23]))
+    with pytest.raises(ValueError):
+        q.table[0, 0] = 1
+
+
+def test_values_leaving_the_package_are_python_ints():
+    def ints(values):
+        return all(type(v) is int for v in values)
+
+    for name in ("S4", "Dic3", "C12"):
+        g = groups.from_name(name)
+        assert ints(g.inv) and ints(g.elt_order)
+        for x in range(g.order):
+            assert ints(g.powers(x)) and type(g.power(x, -1)) is int
+        for sub in geodesics.cyclic_subgroups(g):
+            assert ints(sub.elements) and type(sub.generator) is int
+            assert all(ints(c) for c in groups.left_cosets(g, sub))
+        for geo in geodesics.prime_geodesics(g) + geodesics.maximal_geodesics(g):
+            assert type(geo.rep) is int and ints(geo.coset)
+    witness = radon.kernel_witness_cyclic(groups.make_cyclic(12))
+    assert ints(v.numerator for v in witness)

@@ -13,7 +13,7 @@ def test_generating_sequence_closes():
     while frontier:
         x = frontier.pop()
         for s in gens:
-            y = g.mul[x][s]
+            y = int(g.table[x, s])
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
@@ -48,7 +48,7 @@ def test_find_embedding_is_injective_hom():
     assert len(set(phi)) == h.order
     for a in range(h.order):
         for b in range(h.order):
-            assert phi[h.mul[a][b]] == g.mul[phi[a]][phi[b]]
+            assert phi[h.table[a, b]] == g.table[phi[a], phi[b]]
 
 
 def test_no_embedding_of_klein_in_cyclic():

@@ -76,7 +76,7 @@ def test_character_values_are_homomorphisms():
         for a in range(g.order):
             for b in range(g.order):
                 want = (exps[a] + exps[b]) % ct.exponent
-                assert exps[g.mul[a][b]] == want
+                assert exps[g.table[a, b]] == want
 
 
 def test_faithful_counts_cyclic():
