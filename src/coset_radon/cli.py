@@ -325,7 +325,7 @@ def cmd_flow(args) -> int:
         "stationary": len(orbs) - len(nonstationary),
         "periods": sorted(o.period for o in nonstationary),
         "projections": [list(o.projection()) for o in nonstationary],
-        "rows": len(sys_.rows),
+        "rows": sys_.nrows,
         "rank": rank,
         "kernel_dim": kernel_dim,
         "injective": kernel_dim == 0,

@@ -15,12 +15,13 @@ orbit through (a, b) visits exactly the coset a<a^{-1}b>, each point once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import FlowAxiomError, InvalidOrderError
 from .groups import GroupTable
-from .radon import RadonSystem
+from .radon import RadonSystem, _indptr
 
 __all__ = [
     "FlowOrbit",
@@ -145,7 +146,7 @@ def _orbit_system(flow: SuccessorFlow, orbits: list[FlowOrbit]) -> RadonSystem:
     """flow_radon_system on orbits already walked by flow_orbits(flow)."""
     if flow.size < 2:
         raise InvalidOrderError("flow transform needs at least two points")
-    rows = []
+    starts = []
     cells = []
     seen = set()
     for orbit in orbits:
@@ -155,12 +156,14 @@ def _orbit_system(flow: SuccessorFlow, orbits: list[FlowOrbit]) -> RadonSystem:
         if visited in seen:
             continue
         seen.add(visited)
-        rows.append(orbit.states[0])
+        starts.append(orbit.states[0])
         cells.append(visited)
+    lengths = [len(c) for c in cells]
     return RadonSystem(
         group=None,
         variant="flow",
-        rows=tuple(rows),
-        cells=tuple(cells),
+        indptr=_indptr(lengths),
+        indices=np.fromiter(chain.from_iterable(cells), np.int32, sum(lengths)),
         ncols=flow.size,
+        starts=np.array(starts, dtype=np.int64).reshape(-1, 2),
     )

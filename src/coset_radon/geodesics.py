@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidOrderError, NoGeodesicsError
+import numpy as np
+
+from .errors import InvalidOrderError, InvalidVariantError, NoGeodesicsError
 from .groups import GroupTable, SubgroupSet, cyclic_subgroup, left_cosets
 
 __all__ = [
@@ -68,14 +70,20 @@ def cyclic_subgroups(g: GroupTable) -> list[SubgroupSet]:
 
 
 def maximal_cyclic_subgroups(g: GroupTable) -> list[SubgroupSet]:
-    """Cyclic subgroups not strictly contained in a larger cyclic subgroup."""
+    """Cyclic subgroups not strictly contained in a larger cyclic subgroup.
+
+    An element z of a cyclic subgroup S with order below |S| generates a
+    subgroup strictly inside S, so one pass marks every such z; the maximal
+    subgroups are those whose generator is left unmarked.
+    """
     subs = cyclic_subgroups(g)
-    sets = [frozenset(s.elements) for s in subs]
-    out = []
-    for i, s in enumerate(sets):
-        if not any(j != i and s < t for j, t in enumerate(sets)):
-            out.append(subs[i])
-    return out
+    if not subs:
+        return []
+    members = np.concatenate([s.elements for s in subs])
+    sizes = np.repeat([len(s) for s in subs], [len(s) for s in subs])
+    inside = np.zeros(g.order, dtype=bool)
+    inside[members[np.take(g.elt_order, members) < sizes]] = True
+    return [s for s in subs if not inside[s.generator]]
 
 
 def _geodesics_for(g: GroupTable, subs: list[SubgroupSet]) -> list[Geodesic]:
@@ -86,6 +94,20 @@ def _geodesics_for(g: GroupTable, subs: list[SubgroupSet]) -> list[Geodesic]:
     return rows
 
 
+def _family_subgroups(g: GroupTable, variant: str) -> list[SubgroupSet]:
+    """The subgroups whose cosets are a variant's geodesics: the cyclic
+    subgroups of prime order, or the maximal cyclic subgroups."""
+    if variant not in ("prime", "maximal"):
+        raise InvalidVariantError(f"unknown variant {variant!r}")
+    if g.order < 2:
+        raise NoGeodesicsError("the trivial group has no geodesics")
+    if variant == "maximal":
+        return maximal_cyclic_subgroups(g)
+    from .exactla import is_prime
+
+    return [s for s in cyclic_subgroups(g) if is_prime(len(s.elements))]
+
+
 def prime_geodesics(g: GroupTable) -> list[Geodesic]:
     """Deduplicated geodesics of prime length, the rows that matter.
 
@@ -93,19 +115,12 @@ def prime_geodesics(g: GroupTable) -> list[Geodesic]:
     enters the linear systems. One geodesic per (subgroup, coset) pair: the
     p-1 generators of each order-p subgroup all trace the same coset.
     """
-    if g.order < 2:
-        raise NoGeodesicsError("the trivial group has no geodesics")
-    from .exactla import is_prime
-
-    subs = [s for s in cyclic_subgroups(g) if is_prime(len(s.elements))]
-    return _geodesics_for(g, subs)
+    return _geodesics_for(g, _family_subgroups(g, "prime"))
 
 
 def maximal_geodesics(g: GroupTable) -> list[Geodesic]:
     """Geodesics of the maximal variant: cosets of maximal cyclic subgroups."""
-    if g.order < 2:
-        raise NoGeodesicsError("the trivial group has no geodesics")
-    return _geodesics_for(g, maximal_cyclic_subgroups(g))
+    return _geodesics_for(g, _family_subgroups(g, "maximal"))
 
 
 def composite_orbit(g: GroupTable, hom: Homomorphism, x: int) -> tuple[int, ...]:

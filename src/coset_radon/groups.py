@@ -507,19 +507,24 @@ def subgroup_from_elements(g: GroupTable, elems) -> SubgroupSet:
     return SubgroupSet(tuple(got), generator=generator)
 
 
-def left_cosets(g: GroupTable, sub: SubgroupSet) -> list[tuple[int, ...]]:
-    """All left cosets x*H, each sorted, ordered by their minimal member.
+def _left_coset_array(g: GroupTable, sub: SubgroupSet) -> np.ndarray:
+    """The left cosets of H as one int32 array, |G|/|H| rows of |H|: each
+    row sorted, rows ordered by their minimal member.
 
     Row x of the sorted gather table[:, H] is the coset xH, and it is kept
     where x is its minimal member.
     """
     h = list(sub.elements)
-    cosets = []
+    blocks = []
     for rows in _row_blocks(g.order, len(h)):
         block = np.sort(g.table[rows, h], axis=1)
-        first = block[:, 0] == np.arange(g.order)[rows]
-        cosets += map(tuple, block[first].tolist())
-    return cosets
+        blocks.append(block[block[:, 0] == np.arange(g.order)[rows]])
+    return np.concatenate(blocks)
+
+
+def left_cosets(g: GroupTable, sub: SubgroupSet) -> list[tuple[int, ...]]:
+    """All left cosets x*H, each sorted, ordered by their minimal member."""
+    return list(map(tuple, _left_coset_array(g, sub).tolist()))
 
 
 def is_normal(g: GroupTable, sub: SubgroupSet) -> tuple[int, int] | None:
@@ -545,7 +550,7 @@ def quotient_with_projection(
     witness = is_normal(g, sub)
     if witness is not None:
         raise NotNormalError(witness)
-    cosets = np.array(left_cosets(g, sub))  # by minimal member; identity coset first
+    cosets = _left_coset_array(g, sub)  # by minimal member; identity coset first
     proj = np.empty(g.order, dtype=_ID)
     proj[cosets] = np.arange(len(cosets), dtype=_ID)[:, None]
     reps = cosets[:, 0]

@@ -1,7 +1,10 @@
 """Radon systems: coset-sum rows, exact rank, kernels and witnesses.
 
 A system has one row per geodesic and one column per group element; each
-row is the coset it sums over. Injectivity of the transform is exactly
+row is the coset it sums over. The rows are held as two read-only arrays in
+compressed sparse row form, filled for a group by one sorted gather of the
+Cayley table per subgroup, and every verdict, product and kernel check
+reads those arrays directly. Injectivity of the transform is exactly
 "the 0/1 incidence matrix of these rows has full column rank over the
 rationals". Verdicts are never probabilistic: a full rank mod p is already
 a proof of full rational rank, and deficient systems are settled by one
@@ -12,10 +15,9 @@ exact integer multiplication.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -30,13 +32,16 @@ from .errors import (
     RankDisagreementError,
     UnsupportedGroupError,
 )
-from .geodesics import (
-    Geodesic,
-    homomorphisms_cn,
-    maximal_geodesics,
-    prime_geodesics,
+from .geodesics import Geodesic, _family_subgroups, homomorphisms_cn
+from .groups import (
+    _BLOCK_CELLS,
+    GroupTable,
+    SubgroupSet,
+    _left_coset_array,
+    is_abelian,
+    is_cyclic,
+    make_direct_product,
 )
-from .groups import GroupTable, is_abelian, is_cyclic, make_direct_product
 
 __all__ = [
     "InjectivityVerdict",
@@ -60,46 +65,112 @@ __all__ = [
 VARIANTS = ("prime", "maximal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadonSystem:
-    """Rows (geodesics or flow orbits) and the columns each one sums over.
+    """Rows (geodesics or flow orbits) and the columns each one sums over,
+    held in compressed sparse row form.
 
-    Row i sums f over cells[i], a sorted multiset of columns: a coset for a
-    geodesic, the points an orbit visits (with multiplicity) for a flow.
+    Row i sums f over indices[indptr[i]:indptr[i + 1]], a nonempty sorted
+    multiset of columns: a coset for a geodesic, the points an orbit visits
+    (with multiplicity) for a flow. Both arrays are read-only. A group
+    system also keeps its family's subgroups, whose cosets fill consecutive
+    blocks of rows; a flow system keeps each row's orbit start state in
+    starts. cells, matrix and rows are built from these on every access.
     """
 
     group: GroupTable | None
     variant: str
-    rows: tuple
-    cells: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     ncols: int
+    subgroups: tuple[SubgroupSet, ...] = ()
+    starts: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for arr in (self.indptr, self.indices, self.starts):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @property
+    def nrows(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """Each row's sorted multiset of columns, as tuples."""
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The dense integer matrix, built anew on every access."""
+        """The dense integer matrix."""
         return tuple(tuple(row) for row in _dense_rows(self))
+
+    @property
+    def rows(self) -> tuple:
+        """A Geodesic record per row of a group system; the (a, b) start
+        state of each row's orbit for a flow system."""
+        if self.group is None:
+            return tuple(map(tuple, self.starts.tolist()))
+        subs = chain.from_iterable(
+            repeat(sub, self.ncols // len(sub)) for sub in self.subgroups
+        )
+        return tuple(
+            Geodesic(subgroup=sub, rep=coset[0], coset=coset)
+            for sub, coset in zip(subs, self.cells)
+        )
+
+
+def _indptr(lengths) -> np.ndarray:
+    """Row starts, plus the end, for rows of the given lengths."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
 def _dense_rows(sys: RadonSystem):
-    """Dense integer rows, one at a time: entry j counts j in the row's cells."""
-    for cells in sys.cells:
+    """Dense integer rows as lists of Python ints, one at a time: entry j
+    counts j in the row's cells."""
+    flat, bounds = sys.indices.tolist(), sys.indptr.tolist()
+    for a, b in zip(bounds, bounds[1:]):
         row = [0] * sys.ncols
-        for j in cells:
+        for j in flat[a:b]:
             row[j] += 1
         yield row
 
 
 def _array_rows(sys: RadonSystem):
     """The same rows as int64 array views for exactla.rank_mod, scattered
-    from cells by one np.bincount per chunk of exactla.CHUNK_ROWS rows; a
-    chunk is built only when rank_mod reads its first row."""
+    from a slice of indices by one np.bincount per chunk of
+    exactla.CHUNK_ROWS rows; a chunk is built only when rank_mod reads its
+    first row."""
     n, step = sys.ncols, exactla.CHUNK_ROWS
-    for lo in range(0, len(sys.cells), step):
-        chunk = sys.cells[lo : lo + step]
-        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        cols = np.fromiter(chain.from_iterable(chunk), np.int64, int(lengths.sum()))
-        flat = np.repeat(np.arange(len(chunk), dtype=np.int64) * n, lengths) + cols
-        yield from np.bincount(flat, minlength=len(chunk) * n).reshape(len(chunk), n)
+    for lo in range(0, sys.nrows, step):
+        bounds = sys.indptr[lo : lo + step + 1]
+        k = len(bounds) - 1
+        flat = np.repeat(np.arange(k, dtype=np.int64) * n, np.diff(bounds))
+        flat += sys.indices[bounds[0] : bounds[-1]]
+        yield from np.bincount(flat, minlength=k * n).reshape(k, n)
+
+
+def _row_sums(sys: RadonSystem, vectors: list) -> np.ndarray:
+    """Exact sums of each vector over each row's cells, one row of the
+    result per vector.
+
+    The sums run in int64 when every value is a Python int and the largest
+    magnitude times the longest row is below 2^63, which bounds every
+    partial sum; otherwise they run on the Python objects themselves.
+    """
+    longest = int(np.diff(sys.indptr).max())
+    values = [v for vec in vectors for v in vec]
+    if (
+        all(type(v) is int for v in values)
+        and max(map(abs, values), default=0) * longest < 2**63
+    ):
+        arr = np.array(values, dtype=np.int64)
+    else:
+        arr = np.empty(len(values), dtype=object)
+        arr[:] = values
+    gathered = arr.reshape(len(vectors), sys.ncols)[:, sys.indices]
+    return np.add.reduceat(gathered, sys.indptr[:-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -123,19 +194,17 @@ class InjectivityVerdict:
 
 
 def build_system(g: GroupTable, variant: str = "prime") -> RadonSystem:
-    """The system of the chosen geodesic family: one coset per row."""
-    if variant == "prime":
-        geos = prime_geodesics(g)
-    elif variant == "maximal":
-        geos = maximal_geodesics(g)
-    else:
-        raise InvalidVariantError(f"unknown variant {variant!r}")
+    """The system of the chosen geodesic family: one coset per row, each
+    subgroup's cosets from one sorted gather of the table."""
+    subs = _family_subgroups(g, variant)
+    sizes = [len(sub) for sub in subs]
     return RadonSystem(
         group=g,
         variant=variant,
-        rows=tuple(geos),
-        cells=tuple(geo.coset for geo in geos),
+        indptr=_indptr(np.repeat(sizes, [g.order // h for h in sizes])),
+        indices=np.concatenate([_left_coset_array(g, sub).ravel() for sub in subs]),
         ncols=g.order,
+        subgroups=tuple(subs),
     )
 
 
@@ -144,7 +213,7 @@ def apply(sys: RadonSystem, f) -> tuple:
     values = list(f)
     if len(values) != sys.ncols:
         raise DimensionError(f"function has length {len(values)}, expected {sys.ncols}")
-    return tuple(sum(values[j] for j in cells) for cells in sys.cells)
+    return tuple(_row_sums(sys, [values])[0].tolist())
 
 
 def rank(sys: RadonSystem) -> int:
@@ -162,19 +231,21 @@ def kernel(sys: RadonSystem) -> KernelBasis:
     for vec in vectors:
         den = math.lcm(*(v.denominator for v in vec))
         scaled.append([v.numerator * (den // v.denominator) for v in vec])
-    for cells in sys.cells:
-        if any(sum(vec[j] for j in cells) for vec in scaled):
+    step = max(1, _BLOCK_CELLS // len(sys.indices))
+    for lo in range(0, len(scaled), step):
+        if _row_sums(sys, scaled[lo : lo + step]).any():
             raise AssertionError("kernel vector fails exact annihilation check")
     return KernelBasis(vectors=tuple(vectors), dim=len(vectors))
 
 
 def _max_entry(sys: RadonSystem) -> int:
-    """The largest multiplicity of any column in any row (rows without a
-    repeated column are skipped by a set comparison, which is cheaper)."""
-    return max(
-        (max(Counter(c).values()) for c in sys.cells if len(set(c)) < len(c)),
-        default=1,
-    )
+    """The largest multiplicity of any column in any row: one more than the
+    longest run of equal neighbours inside a row of the sorted cells."""
+    same = sys.indices[1:] == sys.indices[:-1]
+    same[sys.indptr[1:-1] - 1] = False  # neighbours in two different rows
+    edges = np.diff(np.concatenate(([0], same.view(np.int8), [0])))
+    runs = np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
+    return int(runs.max(initial=0)) + 1
 
 
 def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
@@ -199,7 +270,7 @@ def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
             raise RankDisagreementError(f"exact rank {r} below modular rank {best}")
     frob = (r < n) if sys.variant == "prime" else None
     verdict = InjectivityVerdict(
-        order=n, variant=sys.variant, rows=len(sys.rows), rank=r, kernel_dim=n - r,
+        order=n, variant=sys.variant, rows=sys.nrows, rank=r, kernel_dim=n - r,
         injective=r == n, frobenius_complement=frob, method=method,
     )
     return verdict, ker
@@ -235,14 +306,10 @@ def group_sum_from_radon(sys: RadonSystem, values) -> Fraction:
     if sys.variant not in VARIANTS:
         raise InvalidVariantError("group sum needs a geodesic system")
     vals = list(values)
-    if len(vals) != len(sys.rows):
-        raise DimensionError(f"got {len(vals)} values for {len(sys.rows)} rows")
-    first: Geodesic = sys.rows[0]
-    sub = first.subgroup.elements
-    total = sum(
-        v for geo, v in zip(sys.rows, vals) if geo.subgroup.elements == sub
-    )
-    return Fraction(total)
+    if len(vals) != sys.nrows:
+        raise DimensionError(f"got {len(vals)} values for {sys.nrows} rows")
+    # the first block of rows holds the cosets of the first subgroup
+    return Fraction(sum(vals[: sys.ncols // len(sys.subgroups[0])]))
 
 
 def _elementary_square_prime(g: GroupTable) -> int:
@@ -269,11 +336,10 @@ def reconstruct_cpxcp(sys: RadonSystem, values, x: int) -> Fraction:
     g = sys.group
     p = _elementary_square_prime(g)
     vals = list(values)
-    if len(vals) != len(sys.rows):
-        raise DimensionError(f"got {len(vals)} values for {len(sys.rows)} rows")
-    through_x = sum(
-        v for geo, v in zip(sys.rows, vals) if x in geo.coset
-    )
+    if len(vals) != sys.nrows:
+        raise DimensionError(f"got {len(vals)} values for {sys.nrows} rows")
+    hits = np.searchsorted(sys.indptr, np.flatnonzero(sys.indices == x), "right") - 1
+    through_x = sum(vals[i] for i in hits.tolist())
     total = group_sum_from_radon(sys, vals)
     return (Fraction(through_x) - total) / p
 
@@ -360,9 +426,7 @@ def dimension_bound_check(g: GroupTable) -> BoundCheck:
     prime system has fewer independent rows than |G|, certifying a kernel."""
     if g.order < 2:
         raise NoGeodesicsError("the bound needs a nontrivial group")
-    from .geodesics import cyclic_subgroups
-
-    subs = [s for s in cyclic_subgroups(g) if exactla.is_prime(len(s.elements))]
+    subs = _family_subgroups(g, "prime")
     lhs = sum((Fraction(1, len(s.elements)) for s in subs), Fraction(0))
     rhs = 1 + Fraction(len(subs) - 1, g.order)
     return BoundCheck(

@@ -227,14 +227,12 @@ def characters(g: GroupTable) -> CharacterTable:
     where = np.empty(g.order, dtype=np.intp)
     where[elts] = np.arange(g.order)
     coords = tuple(chars[i] for i in where.tolist())
-    weights = [exponent // d for d in factors]
-    value_exponents = tuple(
-        tuple(
-            sum(c * xc * w for c, xc, w in zip(char, coords[x], weights)) % exponent
-            for x in range(g.order)
-        )
-        for char in chars
-    )
+    # entry [char][x] is sum_i char_i * coords[x]_i * (exponent // d_i); each
+    # term is below d_i * exponent <= |G|^2, so int64 holds the whole sum
+    combos = np.array(chars, dtype=np.int64).reshape(len(chars), len(factors))
+    weights = np.array([exponent // d for d in factors], dtype=np.int64)
+    products = (combos * weights) @ combos[where].T % exponent
+    value_exponents = tuple(map(tuple, products.tolist()))
     return CharacterTable(
         group=g,
         factors=factors,

@@ -465,7 +465,7 @@ def suite_maximal(max_order: int = 48) -> SuiteReport:
         SuiteCase(
             group="C6xC6 maximal",
             expected="rank 36 of 72 rows",
-            computed=f"rank {r66} of {len(sys66.rows)} rows",
+            computed=f"rank {r66} of {sys66.nrows} rows",
         )
     )
     cases.extend(_coprime_factor_cases(max_order))

@@ -1,7 +1,7 @@
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from coset_radon import geodesics, groups
+from coset_radon import geodesics, groups, verify
 from coset_radon.errors import InvalidOrderError, NoGeodesicsError
 
 
@@ -171,3 +171,19 @@ def test_dihedral_geodesics_have_prime_length(n):
         length = len(geo.coset)
         assert length > 1
         assert all(length % q for q in range(2, length))
+
+
+def _maximal_by_definition(g):
+    """Cyclic subgroups that no other cyclic subgroup strictly contains."""
+    subs = geodesics.cyclic_subgroups(g)
+    sets = [frozenset(s.elements) for s in subs]
+    return [s for s, a in zip(subs, sets) if not any(a < b for b in sets)]
+
+
+def test_maximal_cyclic_subgroups_match_definition():
+    corpus = verify.groups_upto(48) + [
+        groups.from_name(name) for name in ("S5", "A6", "C12xC12")
+    ]
+    for g in corpus:
+        assert geodesics.maximal_cyclic_subgroups(g) == _maximal_by_definition(g), g.recipe
+    assert geodesics.maximal_cyclic_subgroups(groups.make_trivial()) == []

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from coset_radon import exactla, groups, radon
+from coset_radon import exactla, flows, geodesics, groups, radon, verify
 from coset_radon.errors import (
     DimensionError,
     InvalidOrderError,
@@ -105,6 +106,126 @@ def test_array_rows_across_chunks(monkeypatch):
     arrays = [tuple(row.tolist()) for row in radon._array_rows(sys)]
     assert arrays == list(sys.matrix)
     assert radon.decide_system(sys) == (24, 0, "modular-full-rank")
+
+
+def _reference(kind, variant):
+    """(labels, cells) of a system, built without it: one (rep, subgroup,
+    coset) triple per row from groups.left_cosets tuples for a group; the
+    start state and sorted visits of each new nonstationary orbit for a
+    flow."""
+    if variant == "flow":
+        labels, cells = [], []
+        for orbit in flows.flow_orbits(kind):
+            visited = tuple(sorted(a for a, _ in orbit.states))
+            if not orbit.stationary and visited not in cells:
+                labels.append(orbit.states[0])
+                cells.append(visited)
+        return labels, cells
+    if variant == "prime":
+        subs = [s for s in geodesics.cyclic_subgroups(kind) if exactla.is_prime(len(s))]
+    else:
+        subs = geodesics.maximal_cyclic_subgroups(kind)
+    rows = [(c[0], s.elements, c) for s in subs for c in groups.left_cosets(kind, s)]
+    return rows, [c for _, _, c in rows]
+
+
+def _oracle_cases():
+    cases = [
+        (g, variant)
+        for g in verify.groups_upto(24)
+        if g.order > 1
+        for variant in ("prime", "maximal")
+    ]
+    cases.append((flows.validate_flow(3, MULTIPLICITY_FLOW), "flow"))
+    cases.append((flows.group_flow(groups.make_symmetric(4)), "flow"))
+    return cases
+
+
+def test_csr_system_matches_coset_tuples(monkeypatch):
+    monkeypatch.setattr(exactla, "CHUNK_ROWS", 5)
+    for kind, variant in _oracle_cases():
+        if variant == "flow":
+            sys = flows.flow_radon_system(kind)
+            n = kind.size
+        else:
+            sys = radon.build_system(kind, variant)
+            n = kind.order
+        labels, cells = _reference(kind, variant)
+        assert sys.nrows == len(cells)
+        assert sys.cells == tuple(cells)
+        dense = tuple(tuple(Counter(c)[j] for j in range(n)) for c in cells)
+        assert sys.matrix == dense
+        assert [tuple(r.tolist()) for r in radon._array_rows(sys)] == list(dense)
+        assert radon._max_entry(sys) == max(max(Counter(c).values()) for c in cells)
+        if variant == "flow":
+            assert sys.rows == tuple(labels)
+        else:
+            assert [(geo.rep, geo.subgroup.elements, geo.coset) for geo in sys.rows] == labels
+        rng = random.Random(n)
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+        values = radon.apply(sys, f)
+        assert values == tuple(sum(f[j] for j in c) for c in cells)
+        assert radon.kernel(sys).vectors == tuple(exactla.rational_nullspace(dense, n))
+        if variant != "flow":
+            assert radon.group_sum_from_radon(sys, values) == sum(f)
+    c5 = groups.from_name("C5xC5")
+    sys = radon.build_system(c5, "prime")
+    f = tuple(Fraction(x * x - 7, x % 3 + 1) for x in range(25))
+    values = tuple(sum(f[j] for j in c) for c in _reference(c5, "prime")[1])
+    assert radon.reconstruct_all(sys, values) == f
+
+
+def test_verdict_builds_no_geodesic_record(monkeypatch):
+    made = []
+    record = geodesics.Geodesic
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "Geodesic", counting)
+    monkeypatch.setattr(radon, "Geodesic", counting)
+    for name, variant in (("S4", "prime"), ("C12", "maximal"), ("Dic3", "prime")):
+        radon._verdict(radon.build_system(groups.from_name(name), variant))
+    assert made == []
+    # the rows view is where the records are made, one per row
+    assert len(radon.build_system(groups.from_name("S4")).rows) == len(made) == 140
+
+
+def test_system_arrays_are_read_only():
+    sys = radon.build_system(groups.make_cyclic(4), "prime")
+    assert sys.indptr.tolist() == [0, 2, 4]
+    assert sys.indices.tolist() == [0, 2, 1, 3]
+    for arr in (sys.indptr, sys.indices):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_max_entry_counts_runs_inside_rows_only():
+    def system(*rows):
+        return radon.RadonSystem(
+            group=None,
+            variant="flow",
+            indptr=radon._indptr([len(r) for r in rows]),
+            indices=np.array([j for r in rows for j in r]),
+            ncols=4,
+            starts=np.zeros((len(rows), 2), dtype=np.int64),
+        )
+
+    assert radon._max_entry(system((0, 1), (1, 2))) == 1
+    assert radon._max_entry(system((0, 1, 1), (1, 1, 2))) == 2
+    assert radon._max_entry(system((0, 1), (1, 1, 1, 3), (3,))) == 3
+
+
+def test_apply_and_kernel_check_are_exact_past_int64():
+    sys = radon.build_system(groups.make_cyclic(4), "prime")  # rows {0,2}, {1,3}
+    # 2^62 times the row length 2 reaches 2^63, so these sums leave int64
+    assert radon.apply(sys, [2**62, 0, 2**62, 0]) == (2**63, 0)
+    assert radon.apply(sys, [2**70, 1, 3, -(2**70)]) == (2**70 + 3, 1 - 2**70)
+    assert all(type(v) is int for v in radon.apply(sys, [1, 2, 3, 4]))
+    # the kernel check sums a batch of vectors at once
+    batch = [[2**62, 0, 2**62, 0], [1, 2, 3, 4]]
+    assert radon._row_sums(sys, batch).tolist() == [[2**63, 0], [4, 6]]
 
 
 def test_build_system_rejects_unknown_variant():

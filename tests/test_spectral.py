@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from coset_radon import groups, radon, spectral
+from coset_radon import groups, radon, spectral, verify
 from coset_radon.errors import (
     DimensionError,
     InvalidRepresentationError,
@@ -61,6 +61,23 @@ def test_characters_c2xc4():
     assert ct.factors == (2, 4)
     assert ct.exponent == 4
     assert len(ct.characters) == 8
+
+
+def test_value_exponents_match_triple_loop():
+    corpus = [g for g in verify.groups_upto(48) if groups.is_abelian(g)]
+    for g in corpus + [groups.from_name("C12xC12")]:
+        ct = spectral.characters(g)
+        weights = [ct.exponent // d for d in ct.factors]
+        want = tuple(
+            tuple(
+                sum(c * xc * w for c, xc, w in zip(char, ct.coords[x], weights))
+                % ct.exponent
+                for x in range(g.order)
+            )
+            for char in ct.characters
+        )
+        assert ct.value_exponents == want, g.recipe
+        assert all(type(e) is int for row in ct.value_exponents for e in row)
 
 
 def test_characters_reject_nonabelian():
