@@ -39,7 +39,6 @@ from .radon import (
     kernel,
     kernel_witness_cyclic,
     kernel_witness_product,
-    rank,
     reconstruct_all,
 )
 from .spectral import characters, faithful_characters, quaternion_rep_set
@@ -82,7 +81,6 @@ __all__ = [
     "maximal_geodesics",
     "prime_geodesics",
     "quaternion_rep_set",
-    "rank",
     "reconstruct_all",
     "run_suite",
     "__version__",

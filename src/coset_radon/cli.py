@@ -15,7 +15,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import flows, geodesics, radon, spectral, verify
-from .errors import CosetRadonError, GroupSpecError, SizeLimitError
+from .errors import CosetRadonError, GroupSpecError
 from .exactla import prime_divisors
 from .groups import (
     GroupTable,
@@ -467,12 +467,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CosetRadonError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

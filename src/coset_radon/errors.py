@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Every error raised on bad user input derives from CosetRadonError; the CLI
-maps the hierarchy onto its exit codes (SizeLimitError is 3, the rest 2).
+exits with the error's exit_code (3 for SizeLimitError, 2 for the rest).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals, plus a mod-p cross-check path.
+"""Exact linear algebra over the rationals, plus one modular certificate.
 
 Rank and kernel verdicts rest on one fraction-free integer elimination,
 int_echelon, with Python's unbounded integers: rows are cross-multiplied,
@@ -6,12 +6,12 @@ divided by their gcd and kept in echelon form, so no floating point is ever
 involved; rational_nullspace divides only to write its output Fractions.
 field_rref and field_nullspace, generic over any exact field, serve only
 the Gaussian-rational representations in spectral. The modular path reduces
-the same matrix over small prime fields in int64 numpy arrays, CHUNK_ROWS
-rows at a time: each pivot updates only the block right of it and below it,
-in place, and that block is reduced mod p only once every few pivots, as
-often as int64 needs to stay exact. A full modular rank is already a proof
-of full rational rank (a minor that is nonzero mod p is nonzero), while
-deficient modular ranks only ever serve as cross-checks.
+the same matrix over the field of one fixed prime P in int64 numpy arrays,
+CHUNK_ROWS rows at a time: each pivot updates only the block right of it
+and below it, in place, and that block is reduced mod P only once every
+4,096 pivots, as often as int64 needs to stay exact. A full rank mod P is
+already a proof of full rational rank (a minor that is nonzero mod P is
+nonzero); a deficient rank mod P only ever serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "int_echelon",
     "is_prime",
     "next_prime",
+    "P",
     "check_primes",
     "factorize",
     "prime_divisors",
@@ -58,19 +59,16 @@ def _normalize(row: list[int]) -> list[int]:
     return row
 
 
-def int_echelon(
-    rows, ncols: int, stop_rank: int | None = None
-) -> tuple[list[int], list[list[int]]]:
+def int_echelon(rows, ncols: int) -> tuple[list[int], list[list[int]]]:
     """Insert integer rows one at a time, keeping a gcd-reduced echelon basis.
 
     Returns (pivot columns, basis rows), both sorted by pivot column. Rows
     are eliminated by integer cross-multiplication only, so every basis row
-    spans exactly what the inserted rows span over the rationals. Passing
-    stop_rank short-circuits once that many independent rows are found.
+    spans exactly what the inserted rows span over the rationals. Reading
+    stops once the basis has ncols rows.
     """
     pivots: list[int] = []
     basis: list[list[int]] = []
-    limit = ncols if stop_rank is None else min(stop_rank, ncols)
     for row in rows:
         r = list(row)
         if len(r) != ncols:
@@ -89,13 +87,13 @@ def int_echelon(
         pos = bisect_left(pivots, piv)
         pivots.insert(pos, piv)
         basis.insert(pos, r)
-        if len(basis) >= limit:
+        if len(basis) == ncols:
             break
     return pivots, basis
 
 
-def rank_exact(rows, ncols: int, stop_rank: int | None = None) -> int:
-    return len(int_echelon(rows, ncols, stop_rank=stop_rank)[0])
+def rank_exact(rows, ncols: int) -> int:
+    return len(int_echelon(rows, ncols)[0])
 
 
 def rational_nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -235,6 +233,13 @@ def prime_divisors(n: int) -> list[int]:
 # rank_mod reads and eliminates this many rows at a time
 CHUNK_ROWS = 2048
 
+# The one prime of every verdict's modular rank: the largest prime below
+# 2^25. A Cayley table of order 2^25 would need 2^50 cells, so P exceeds
+# every order that fits in memory and divides none of them; and
+# 2**62 // (P - 1)**2 == 4096, so _eliminate_mod reduces its trailing block
+# once every 4,096 pivots.
+P = 2**25 - 39
+
 
 def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
     """Reduce the int64 array m to row echelon form mod p, in place, and
@@ -283,17 +288,16 @@ def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
     return m[:r]
 
 
-def rank_mod(rows, ncols: int, p: int, stop_rank: int | None = None) -> int:
-    """Rank of an integer matrix mod p, with early stop.
+def rank_mod(rows, ncols: int, p: int) -> int:
+    """Rank of an integer matrix mod p, with early stop at full rank.
 
     Rows are read lazily, CHUNK_ROWS at a time, and only the chunks that
     are eliminated are converted to an array.
     """
-    limit = ncols if stop_rank is None else min(stop_rank, ncols)
     rows = iter(rows)
     basis = np.zeros((0, ncols), dtype=np.int64)
     while chunk := list(islice(rows, CHUNK_ROWS)):
         basis = _eliminate_mod(np.vstack([basis, *chunk], dtype=np.int64), p)
-        if basis.shape[0] >= limit:
+        if basis.shape[0] == ncols:
             break
     return int(basis.shape[0])

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FlowAxiomError, InvalidOrderError
+from .errors import DimensionError, FlowAxiomError, InvalidOrderError
 from .groups import GroupTable
 from .radon import RadonSystem, _indptr
 
@@ -60,16 +60,25 @@ class FlowOrbit:
 
 
 def validate_flow(size: int, table, label: str = "flow") -> SuccessorFlow:
-    """Check the three axioms; report the first violated one with a witness."""
-    if size < 1:
-        raise InvalidOrderError(f"flow needs at least one point, got {size}")
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    """Check the three axioms; report the first violated one with a witness.
+
+    The size and every cell must be Python ints, as in
+    groups.from_cayley_table: floats, strings and booleans are rejected,
+    not coerced.
+    """
+    if type(size) is not int or size < 1:
+        raise InvalidOrderError(f"flow needs a positive integer size, got {size!r}")
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in table
+    ):
+        raise DimensionError("a flow table must be a list of rows")
+    rows = tuple(map(tuple, table))
     if len(rows) != size or any(len(r) != size for r in rows):
         raise FlowAxiomError("shape", (size, len(rows)))
     for a in range(size):
         for b in range(size):
             v = rows[a][b]
-            if not 0 <= v < size:
+            if type(v) is not int or not 0 <= v < size:
                 raise FlowAxiomError("range", (a, b, v))
     for a in range(size):
         if rows[a][a] != a:

@@ -8,6 +8,7 @@ cyclic subgroups not contained in any larger cyclic subgroup.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,9 @@ def maximal_cyclic_subgroups(g: GroupTable) -> list[SubgroupSet]:
     return [s for s in subs if not inside[s.generator]]
 
 
-def _geodesics_for(g: GroupTable, subs: list[SubgroupSet]) -> list[Geodesic]:
+def _geodesics_for(g: GroupTable, subs: Iterable[SubgroupSet]) -> list[Geodesic]:
+    """One Geodesic record per left coset of each subgroup in subs, in the
+    row order of radon.build_system; the one place such records are made."""
     rows = []
     for sub in subs:
         for coset in left_cosets(g, sub):

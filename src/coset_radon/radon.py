@@ -6,10 +6,11 @@ compressed sparse row form, filled for a group by one sorted gather of the
 Cayley table per subgroup, and every verdict, product and kernel check
 reads those arrays directly. Injectivity of the transform is exactly
 "the 0/1 incidence matrix of these rows has full column rank over the
-rationals". Verdicts are never probabilistic: a full rank mod p is already
-a proof of full rational rank, and deficient systems are settled by one
-fraction-free integer elimination with the kernel basis re-verified by
-exact integer multiplication.
+rationals". Every verdict takes one route: one elimination modulo the
+fixed prime exactla.P, whose full rank is already a proof of full rational
+rank; a system deficient mod P is settled by one fraction-free integer
+elimination, with the kernel basis re-verified by exact integer
+multiplication.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     RankDisagreementError,
     UnsupportedGroupError,
 )
-from .geodesics import Geodesic, _family_subgroups, homomorphisms_cn
+from .geodesics import _family_subgroups, _geodesics_for, homomorphisms_cn
 from .groups import (
     _BLOCK_CELLS,
     GroupTable,
@@ -57,7 +57,6 @@ __all__ = [
     "kernel",
     "kernel_witness_cyclic",
     "kernel_witness_product",
-    "rank",
     "reconstruct_all",
     "reconstruct_cpxcp",
 ]
@@ -112,13 +111,7 @@ class RadonSystem:
         state of each row's orbit for a flow system."""
         if self.group is None:
             return tuple(map(tuple, self.starts.tolist()))
-        subs = chain.from_iterable(
-            repeat(sub, self.ncols // len(sub)) for sub in self.subgroups
-        )
-        return tuple(
-            Geodesic(subgroup=sub, rep=coset[0], coset=coset)
-            for sub, coset in zip(subs, self.cells)
-        )
+        return tuple(_geodesics_for(self.group, self.subgroups))
 
 
 def _indptr(lengths) -> np.ndarray:
@@ -216,21 +209,13 @@ def apply(sys: RadonSystem, f) -> tuple:
     return tuple(_row_sums(sys, [values])[0].tolist())
 
 
-def rank(sys: RadonSystem) -> int:
-    """Exact rational rank via fraction-free integer elimination."""
-    return exactla.rank_exact(_dense_rows(sys), sys.ncols)
-
-
 def kernel(sys: RadonSystem) -> KernelBasis:
     """Exact rational kernel in reduced row-echelon form, from the one
     integer elimination in exactla.rational_nullspace. Each vector is scaled
     to integers and summed back over every row's cells, so a KernelBasis in
     hand is a certificate."""
     vectors = exactla.rational_nullspace(_dense_rows(sys), sys.ncols)
-    scaled = []
-    for vec in vectors:
-        den = math.lcm(*(v.denominator for v in vec))
-        scaled.append([v.numerator * (den // v.denominator) for v in vec])
+    scaled = [_integer_multiple(vec) for vec in vectors]
     step = max(1, _BLOCK_CELLS // len(sys.indices))
     for lo in range(0, len(scaled), step):
         if _row_sums(sys, scaled[lo : lo + step]).any():
@@ -238,36 +223,27 @@ def kernel(sys: RadonSystem) -> KernelBasis:
     return KernelBasis(vectors=tuple(vectors), dim=len(vectors))
 
 
-def _max_entry(sys: RadonSystem) -> int:
-    """The largest multiplicity of any column in any row: one more than the
-    longest run of equal neighbours inside a row of the sorted cells."""
-    same = sys.indices[1:] == sys.indices[:-1]
-    same[sys.indptr[1:-1] - 1] = False  # neighbours in two different rows
-    edges = np.diff(np.concatenate(([0], same.view(np.int8), [0])))
-    runs = np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)
-    return int(runs.max(initial=0)) + 1
+def _integer_multiple(vec) -> list[int]:
+    """A rational vector times the lcm of its denominators, as ints."""
+    den = math.lcm(*(v.denominator for v in vec))
+    return [v.numerator * (den // v.denominator) for v in vec]
 
 
 def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
     """The verdict on a built system, with the kernel basis that settled it.
 
-    The basis is empty after a full modular rank and computed once on the
-    exact path.
+    One elimination mod exactla.P: a full rank there is the verdict, with an
+    empty basis; otherwise the exact path computes the basis once.
     """
     n = sys.ncols
-    primes = exactla.check_primes(n * _max_entry(sys))
-    best = 0
-    for p in primes:
-        best = max(best, exactla.rank_mod(_array_rows(sys), n, p, stop_rank=n))
-        if best == n:
-            break
-    if best == n:
+    modular = exactla.rank_mod(_array_rows(sys), n, exactla.P)
+    if modular == n:
         r, method, ker = n, "modular-full-rank", KernelBasis(vectors=(), dim=0)
     else:
         ker = kernel(sys)
         r, method = n - ker.dim, "exact-elimination"
-        if r < best:  # pragma: no cover - modular rank never exceeds rational
-            raise RankDisagreementError(f"exact rank {r} below modular rank {best}")
+        if r < modular:  # pragma: no cover - modular rank never exceeds rational
+            raise RankDisagreementError(f"exact rank {r} below modular rank {modular}")
     frob = (r < n) if sys.variant == "prime" else None
     verdict = InjectivityVerdict(
         order=n, variant=sys.variant, rows=sys.nrows, rank=r, kernel_dim=n - r,
@@ -277,11 +253,8 @@ def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
 
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
-    """(rank, kernel_dim, method) with the certificate policy.
-
-    Tries small primes first; any single full modular rank certifies full
-    rational rank. Otherwise the exact integer path is authoritative.
-    """
+    """(rank, kernel_dim, method): a full rank mod exactla.P certifies full
+    rational rank; otherwise the exact integer path is authoritative."""
     v = _verdict(sys)[0]
     return v.rank, v.kernel_dim, v.method
 
@@ -455,11 +428,10 @@ def composite_consistency(g: GroupTable, n: int, functions) -> bool:
     order = g.order
     scaled = []
     for f in functions:
-        vals = [Fraction(v) for v in f]
+        vals = [v if type(v) in (int, Fraction) else Fraction(v) for v in f]
         if len(vals) != order:
             raise DimensionError(f"function length {len(vals)}, expected {order}")
-        denom = math.lcm(*(v.denominator for v in vals)) if vals else 1
-        scaled.append([int(v * denom) for v in vals])
+        scaled.append(_integer_multiple(vals))
     # one column per function, of Python ints, so no sum can overflow
     values = np.array(scaled, dtype=object).reshape(-1, order).T
 

@@ -607,6 +607,19 @@ def rep_to_dict(rep: MatrixRep) -> dict:
     return {"dim": rep.dim, "images": images, "unitary": rep.declared_unitary}
 
 
+def _is_square(m, dim: int) -> bool:
+    return isinstance(m, list) and len(m) == dim and all(
+        isinstance(row, list) and len(row) == dim for row in m
+    )
+
+
+def _is_cell(cell) -> bool:
+    return (
+        isinstance(cell, list) and len(cell) == 4
+        and all(type(v) is int for v in cell) and cell[1] != 0 and cell[3] != 0
+    )
+
+
 def load_rep(source, g: GroupTable) -> MatrixRep:
     """Build a validated MatrixRep from a dict or a JSON file path."""
     if isinstance(source, (str, bytes)):
@@ -620,24 +633,31 @@ def load_rep(source, g: GroupTable) -> MatrixRep:
     else:
         data = source
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         raw_images = data["images"]
-        unitary = bool(data["unitary"])
-    except (KeyError, TypeError, ValueError) as exc:
+        unitary = data["unitary"]
+    except (KeyError, TypeError) as exc:
         raise InvalidRepresentationError(f"malformed representation file: {exc}")
+    if (
+        type(dim) is not int or dim < 1
+        or not isinstance(raw_images, dict) or type(unitary) is not bool
+    ):
+        raise InvalidRepresentationError(
+            "malformed representation file: dim must be a positive integer, "
+            "images an object and unitary a boolean"
+        )
     images = []
     for x in range(g.order):
         m = raw_images.get(str(x))
         if m is None:
             raise InvalidRepresentationError(f"missing image for element {x}")
-        rows = []
-        for row in m:
-            cells = []
-            for cell in row:
-                rn, rd, im, idn = cell
-                cells.append(GaussianRational(Fraction(rn, rd), Fraction(im, idn)))
-            rows.append(tuple(cells))
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise InvalidRepresentationError(f"image of {x} is not {dim}x{dim}")
-        images.append(tuple(rows))
+        if not _is_square(m, dim) or not all(_is_cell(c) for row in m for c in row):
+            raise InvalidRepresentationError(
+                f"image of {x} is not a {dim}x{dim} matrix of cells [re_num, "
+                f"re_den, im_num, im_den], four ints with nonzero denominators"
+            )
+        images.append(tuple(
+            tuple(GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in r)
+            for r in m
+        ))
     return matrix_rep(g, images, unitary=unitary)

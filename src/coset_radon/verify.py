@@ -217,7 +217,7 @@ def suite_products(max_order: int = 64) -> SuiteReport:
     return _report("products", cases)
 
 
-def suite_catalog(max_order: int | None = None) -> SuiteReport:
+def suite_catalog() -> SuiteReport:
     """Named-family verdicts.
 
     Dihedral: D_1 is C_2 (noninjective) and D_2 is the Klein four-group,
@@ -226,7 +226,6 @@ def suite_catalog(max_order: int | None = None) -> SuiteReport:
     n >= 4, with the one-element A_2 counted noninjective by convention.
     Dicyclic: never injective.
     """
-    del max_order  # fixed ranges; signature kept uniform
     cases = []
     for n in range(1, 13):
         expected = n >= 2  # Klein four-group at n = 2 included
@@ -259,10 +258,9 @@ def _verdict_case(g: GroupTable, expect_injective: bool) -> SuiteCase:
     )
 
 
-def suite_bound(max_order: int | None = None) -> SuiteReport:
+def suite_bound() -> SuiteReport:
     """Counting bound on dicyclic groups: strict through Dic_14, equality at
     Dic_15, reversed at Dic_30; all of them noninjective regardless."""
-    del max_order
     cases = []
     for n in list(range(2, 16)) + [30]:
         g = make_dicyclic(n)
@@ -330,14 +328,13 @@ _MONOTONE_PAIRS: tuple[tuple[str, str], ...] = (
 )
 
 
-def suite_subgroup_monotone(max_order: int | None = None) -> SuiteReport:
+def suite_subgroup_monotone() -> SuiteReport:
     """Injective on a subgroup implies injective on the whole group.
 
     Each pair is first certified by an explicit embedding search; cyclic
     subgroups of injective groups are included to witness that the converse
     direction is not claimed.
     """
-    del max_order
     cases = []
     for h_name, g_name in _MONOTONE_PAIRS:
         h = from_name(h_name)
@@ -426,10 +423,9 @@ def _quaternion_span_case() -> SuiteCase:
 
 def _zero_average_cyclic_case(n: int) -> SuiteCase:
     g = make_cyclic(n)
-    sys = radon.build_system(g, "maximal")
-    kb = radon.kernel(sys)
+    verdict, kb = radon._verdict(radon.build_system(g, "maximal"))
     zero_avg = all(sum(vec) == 0 for vec in kb.vectors)
-    ok = kb.dim == n - 1 and zero_avg and radon.rank(sys) == 1
+    ok = kb.dim == n - 1 and zero_avg and verdict.rank == 1
     return SuiteCase(
         group=g.recipe,
         expected="kernel = zero-average functions",
@@ -460,7 +456,7 @@ def suite_maximal(max_order: int = 48) -> SuiteReport:
         cases.append(_zero_average_cyclic_case(n))
     c66 = make_direct_product(make_cyclic(6), make_cyclic(6))
     sys66 = radon.build_system(c66, "maximal")
-    r66 = radon.rank(sys66)
+    r66 = radon.decide_system(sys66)[0]
     cases.append(
         SuiteCase(
             group="C6xC6 maximal",
@@ -670,11 +666,21 @@ SUITES = {
 }
 
 
+# suites over a fixed list of groups, which take no sweep bound
+_FIXED_CORPUS = ("catalog", "bound", "subgroup-monotone")
+
+
 def run_suite(name: str, max_order: int | None = None) -> SuiteReport:
-    """Run one named suite; a sweep bound that leaves it no cases is an
-    input error, so an empty suite can never pass."""
+    """Run one named suite. A sweep bound is an input error when the suite
+    has a fixed corpus or when it leaves the suite no cases, so a bound is
+    never dropped silently and an empty suite can never pass."""
     fn = SUITES[name]
-    report = fn() if max_order is None else fn(max_order=max_order)
+    if max_order is None:
+        report = fn()
+    elif name in _FIXED_CORPUS:
+        raise InvalidOrderError(f"suite {name} has a fixed corpus, so no max order")
+    else:
+        report = fn(max_order=max_order)
     if not report.cases:
         raise InvalidOrderError(f"suite {name} has no cases up to order {max_order}")
     return report

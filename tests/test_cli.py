@@ -297,10 +297,28 @@ def test_group_file_order_mismatch(capsys, tmp_path):
          {"semidirect": {"normal": "C7", "acting": "C3", "action": 5}}),
         (["group", "file:{path}"],
          {"semidirect": {"normal": 5, "acting": "C3", "action": []}}),
+        (["flow", "file:{path}"], {"size": 2, "table": [[0, "x"], [1, 1]]}),
+        (["flow", "file:{path}"], {"size": "2", "table": [[0, 0], [1, 1]]}),
+        (["flow", "file:{path}"], {"size": 2, "table": 5}),
+        (["spectral", "C2", "--rep", "{path}"],
+         {"dim": 1, "images": {"0": [[[1, 1, 0, 1]]], "1": [[[-1, 0, 0, 1]]]},
+          "unitary": True}),
+        (["spectral", "C2", "--rep", "{path}"],
+         {"dim": 1, "images": {"0": [[[1, 1]]], "1": [[[-1, 1]]]}, "unitary": True}),
+        (["spectral", "C2", "--rep", "{path}"],
+         {"dim": 1, "images": [[[[1, 1, 0, 1]]], [[[-1, 1, 0, 1]]]], "unitary": True}),
+        (["spectral", "C2", "--rep", "{path}"],
+         {"dim": 0, "images": {"0": [], "1": []}, "unitary": True}),
+        (["spectral", "C2", "--rep", "{path}"],
+         {"dim": 1, "images": {"0": [[[1, 1, 0, 1]]], "1": [[[-1, 1, 0, 1]]]},
+          "unitary": "false"}),
     ],
     ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
          "missing-rep-file", "suite-with-no-cases", "table-not-a-list",
-         "row-not-a-list", "boolean-cell", "action-not-a-list", "normal-not-a-spec"],
+         "row-not-a-list", "boolean-cell", "action-not-a-list", "normal-not-a-spec",
+         "flow-string-cell", "flow-string-size", "flow-table-not-a-list",
+         "rep-zero-denominator", "rep-two-entry-cell", "rep-images-a-list",
+         "rep-dim-zero", "rep-unitary-a-string"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     path = tmp_path / "input.json"
@@ -311,6 +329,14 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["catalog", "bound", "subgroup-monotone"])
+def test_fixed_corpus_suite_refuses_max_order(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--max-order", "3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "fixed corpus" in err
 
 
 def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):

@@ -28,12 +28,6 @@ def test_int_echelon_rejects_ragged_rows():
         exactla.int_echelon([[1, 2], [1]], 2)
 
 
-def test_rank_exact_stop_rank_short_circuits():
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-    assert exactla.rank_exact(rows, 3) == 3
-    assert exactla.rank_exact(rows, 3, stop_rank=2) == 2
-
-
 def test_rank_exact_survives_big_intermediate_entries():
     # Hilbert-like integer rows force heavy cross-multiplication
     rows = [[(i + j + 1) ** 3 for j in range(6)] for i in range(6)]
@@ -98,6 +92,14 @@ def test_prime_helpers():
     assert exactla.next_prime(13) == 17
     assert exactla.next_prime(1) == 2
     assert exactla.check_primes(100, count=3) == [101, 103, 107]
+
+
+def test_certificate_prime_is_largest_below_2_to_25():
+    assert exactla.P < 2**25
+    assert exactla.is_prime(exactla.P)
+    assert exactla.next_prime(exactla.P) > 2**25
+    # _eliminate_mod reduces its trailing block once every 4,096 pivots
+    assert 2**62 // (exactla.P - 1) ** 2 == 4096
 
 
 def test_prime_divisors():

@@ -88,7 +88,6 @@ def test_cells_agree_with_dense_matrix(name, variant):
     assert [tuple(row.tolist()) for row in arrays] == list(dense)
     if variant == "flow":
         assert arrays[0].tolist() == [2, 1, 1]
-    assert radon._max_entry(sys) == max(max(row) for row in dense)
     rng = random.Random(sys.ncols)
     f = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(sys.ncols)]
     product = tuple(sum(w * v for w, v in zip(row, f)) for row in dense)
@@ -156,7 +155,6 @@ def test_csr_system_matches_coset_tuples(monkeypatch):
         dense = tuple(tuple(Counter(c)[j] for j in range(n)) for c in cells)
         assert sys.matrix == dense
         assert [tuple(r.tolist()) for r in radon._array_rows(sys)] == list(dense)
-        assert radon._max_entry(sys) == max(max(Counter(c).values()) for c in cells)
         if variant == "flow":
             assert sys.rows == tuple(labels)
         else:
@@ -183,8 +181,8 @@ def test_verdict_builds_no_geodesic_record(monkeypatch):
         made.append(1)
         return record(*args, **kwargs)
 
+    # geodesics._geodesics_for is the one producer of the records
     monkeypatch.setattr(geodesics, "Geodesic", counting)
-    monkeypatch.setattr(radon, "Geodesic", counting)
     for name, variant in (("S4", "prime"), ("C12", "maximal"), ("Dic3", "prime")):
         radon._verdict(radon.build_system(groups.from_name(name), variant))
     assert made == []
@@ -199,22 +197,6 @@ def test_system_arrays_are_read_only():
     for arr in (sys.indptr, sys.indices):
         with pytest.raises(ValueError):
             arr[0] = 1
-
-
-def test_max_entry_counts_runs_inside_rows_only():
-    def system(*rows):
-        return radon.RadonSystem(
-            group=None,
-            variant="flow",
-            indptr=radon._indptr([len(r) for r in rows]),
-            indices=np.array([j for r in rows for j in r]),
-            ncols=4,
-            starts=np.zeros((len(rows), 2), dtype=np.int64),
-        )
-
-    assert radon._max_entry(system((0, 1), (1, 2))) == 1
-    assert radon._max_entry(system((0, 1, 1), (1, 1, 2))) == 2
-    assert radon._max_entry(system((0, 1), (1, 1, 1, 3), (3,))) == 3
 
 
 def test_apply_and_kernel_check_are_exact_past_int64():
@@ -262,6 +244,48 @@ def test_maximal_verdicts_frozen(name, expected):
 def test_method_reflects_certificate_path():
     assert radon.is_injective(groups.from_name("D4")).method == "modular-full-rank"
     assert radon.is_injective(groups.from_name("C6")).method == "exact-elimination"
+
+
+@pytest.mark.parametrize(
+    "kind, name", [("group", "C6"), ("group", "Dic15"), ("group", "S4"), ("flow", 7)]
+)
+def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
+    primes = []
+    rank_mod = exactla.rank_mod
+
+    def counting(rows, ncols, p):
+        primes.append(p)
+        return rank_mod(rows, ncols, p)
+
+    monkeypatch.setattr(exactla, "rank_mod", counting)
+    if kind == "group":
+        sys = radon.build_system(groups.from_name(name), "prime")
+    else:
+        sys = flows.flow_radon_system(flows.constant_flow(name))
+    radon.decide_system(sys)
+    assert primes == [exactla.P]
+
+
+def _verdict_oracle_systems():
+    for g in verify.groups_upto(24):
+        if g.order > 1:
+            for variant in ("prime", "maximal"):
+                yield radon.build_system(g, variant)
+    for m in range(2, 17):
+        yield flows.flow_radon_system(flows.constant_flow(m))
+    for g in verify.groups_upto(12):
+        yield flows.flow_radon_system(flows.group_flow(g))
+
+
+def test_modular_certificate_matches_exact_rank():
+    # the verdict certifies full rank mod P exactly when the rank over Q is
+    # full, and its rank is the rank over Q either way
+    for sys in _verdict_oracle_systems():
+        n = sys.ncols
+        exact = exactla.rank_exact(sys.matrix, n)
+        verdict = radon._verdict(sys)[0]
+        assert verdict.rank == exact
+        assert (verdict.method == "modular-full-rank") == (exact == n)
 
 
 def test_kernel_is_certificate():
