@@ -177,9 +177,9 @@ def cmd_radon(args) -> int:
         lines.append(f"  matrix written to {args.matrix_csv}")
     if args.kernel:
         payload["kernel"] = [[str(v) for v in vec] for vec in kb.vectors]
-        lines.append(f"  kernel basis ({kb.dim} vectors):")
-        for vec in kb.vectors:
-            lines.append("    [" + ", ".join(str(v) for v in vec) + "]")
+        if not args.json:
+            lines.append(f"  kernel basis ({kb.dim} vectors):")
+            lines.extend("    [" + ", ".join(vec) + "]" for vec in payload["kernel"])
     _emit(args, payload, lines)
     return 0
 

@@ -1,17 +1,23 @@
 """Exact linear algebra over the rationals, plus one modular certificate.
 
-Rank and kernel verdicts rest on one fraction-free integer elimination,
-int_echelon, with Python's unbounded integers: rows are cross-multiplied,
-divided by their gcd and kept in echelon form, so no floating point is ever
-involved; rational_nullspace divides only to write its output Fractions.
-field_rref and field_nullspace, generic over any exact field, serve only
-the Gaussian-rational representations in spectral. The modular path reduces
-the same matrix over the field of one fixed prime P in int64 numpy arrays,
-CHUNK_ROWS rows at a time: each pivot updates only the block right of it
-and below it, in place, and that block is reduced mod P only once every
-4,096 pivots, as often as int64 needs to stay exact. A full rank mod P is
-already a proof of full rational rank (a minor that is nonzero mod P is
-nonzero); a deficient rank mod P only ever serves as a cross-check.
+The modular path reduces an integer matrix over the field of one fixed
+prime P in int64 numpy arrays, CHUNK_ROWS rows at a time: each pivot
+updates only the block right of it and below it, in place, and that block
+is reduced mod P only once every 4,096 pivots, as often as int64 needs to
+stay exact. A full rank mod P is already a proof of full rational rank (a
+minor that is nonzero mod P is nonzero). A deficient echelon basis mod P
+also yields the kernel: nullspace_mod reduces it to the reduced echelon
+form of the kernel mod P, and lift_nullspace lifts each entry to a small
+integer or, by rational reconstruction, a fraction. The lift is only a
+candidate until the caller substitutes it into every row exactly.
+
+rational_nullspace, the fallback when a lift fails and the test oracle,
+rests on one fraction-free integer elimination, int_echelon, with
+Python's unbounded integers: rows are cross-multiplied, divided by their
+gcd and kept in echelon form, so no floating point is ever involved; it
+divides only to write its output Fractions. field_rref and
+field_nullspace, generic over any exact field, serve the Gaussian-rational
+representations in spectral.
 """
 
 from __future__ import annotations
@@ -31,7 +37,10 @@ __all__ = [
     "next_prime",
     "P",
     "check_primes",
+    "echelon_mod",
     "factorize",
+    "lift_nullspace",
+    "nullspace_mod",
     "prime_divisors",
     "rank_exact",
     "rank_mod",
@@ -288,8 +297,9 @@ def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
     return m[:r]
 
 
-def rank_mod(rows, ncols: int, p: int) -> int:
-    """Rank of an integer matrix mod p, with early stop at full rank.
+def echelon_mod(rows, ncols: int, p: int) -> np.ndarray:
+    """Row echelon basis of an integer matrix mod p, as _eliminate_mod
+    leaves it, with early stop at full rank.
 
     Rows are read lazily, CHUNK_ROWS at a time, and only the chunks that
     are eliminated are converted to an array.
@@ -300,4 +310,113 @@ def rank_mod(rows, ncols: int, p: int) -> int:
         basis = _eliminate_mod(np.vstack([basis, *chunk], dtype=np.int64), p)
         if basis.shape[0] == ncols:
             break
-    return int(basis.shape[0])
+    return basis
+
+
+def rank_mod(rows, ncols: int, p: int) -> int:
+    """Rank of an integer matrix mod p, with early stop at full rank."""
+    return len(echelon_mod(rows, ncols, p))
+
+
+def nullspace_mod(echelon: np.ndarray, p: int) -> np.ndarray:
+    """Kernel basis mod p of the row space of an echelon_mod basis, in
+    reduced row-echelon form, as an int64 array with entries in [0, p).
+
+    As in rational_nullspace, the row space is reduced from the right:
+    _eliminate_mod on the column-reversed basis, then back-substitution
+    above each pivot, gives rows R_q that are 1 at their pivot q, 0 at every
+    other pivot and zero right of q. Free column f then gives the row
+    e_f - sum_q R_q[f] e_q: 1 at f, 0 at the other free columns and zero left
+    of f. Back-substitution leaves its block unreduced for up to 4,096
+    pivots, as _eliminate_mod does.
+    """
+    rank, ncols = echelon.shape
+    rev = _eliminate_mod(echelon[:, ::-1].copy(), p)
+    lead = (rev != 0).argmax(axis=1)
+    budget = 2**62 // (p - 1) ** 2
+    pending = 0
+    for i in range(rank - 1, 0, -1):
+        c = lead[i]
+        pivot = rev[i, c:] % p
+        rev[i, c:] = pivot
+        col = rev[:i, c] % p
+        hit = np.flatnonzero(col)
+        if hit.size:
+            rev[hit, c:] -= np.multiply.outer(col[hit], pivot)
+        pending += 1
+        if pending == budget:
+            rev[:i] %= p
+            pending = 0
+    rev %= p
+    pivots = ncols - 1 - lead
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    out = np.zeros((len(free), ncols), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    block = rev[:, ncols - 1 - free]
+    np.negative(block, out=block)
+    block %= p
+    out[:, pivots] = block.T
+    return out
+
+
+def _reconstruct(x: int, p: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) in lowest terms with a = b x mod p, |a| <= bound and
+    0 < b <= bound, by Wang's rational reconstruction (the extended
+    Euclidean algorithm on p and x, stopped at the first remainder within
+    bound); None when there is no such pair. It is unique when
+    2 bound^2 < p."""
+    r0, r1, t0, t1 = p, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def lift_nullspace(
+    kernel: np.ndarray, p: int
+) -> tuple[list[tuple[Fraction, ...]], np.ndarray] | None:
+    """Lift a nullspace_mod basis to rational vectors, one candidate per row.
+
+    With N = isqrt((p - 1) // 2), so that 2 N^2 < p (N = 4095 at P), a
+    residue whose symmetric representative v has |v| <= N lifts to v; any
+    other goes through _reconstruct with bound N. Each distinct value is
+    lifted, and made a Fraction, once. Returns the Fraction vectors and the
+    same vectors times the lcm of their denominators as an int64 array, or
+    None when a residue has no lift or a scaled entry could leave int64.
+    Nothing here is proven: the caller must check the integer vectors
+    against the matrix exactly.
+    """
+    bound = math.isqrt((p - 1) // 2)
+    # code c <= 2N stands for the integer c - N; later codes index the
+    # fractions reconstructed from the residues outside [-N, N]
+    code = kernel + bound
+    code[kernel > p // 2] -= p
+    big = (code < 0) | (code > 2 * bound)
+    num = np.arange(-bound, bound + 1, dtype=np.int64)
+    den = np.ones_like(num)
+    if big.any():
+        residues, where = np.unique(kernel[big], return_inverse=True)
+        pairs = [_reconstruct(x, p, bound) for x in residues.tolist()]
+        if None in pairs:
+            return None
+        num = np.concatenate([num, [a for a, _ in pairs]])
+        den = np.concatenate([den, [b for _, b in pairs]])
+        code[big] = 2 * bound + 1 + where.ravel()
+    scaled = num[code]
+    # a reconstructed value has a denominator above 1, since a residue
+    # whose lift is an integer within [-N, N] is not big
+    for k in np.flatnonzero(big.any(axis=1)).tolist():
+        row_den = den[code[k]]
+        lcm = math.lcm(*np.unique(row_den).tolist())
+        if lcm * bound >= 2**63:
+            return None
+        scaled[k] *= lcm // row_den
+    table = np.empty(len(num), dtype=object)
+    for c in np.flatnonzero(np.bincount(code.ravel(), minlength=len(num))).tolist():
+        table[c] = Fraction(int(num[c]), int(den[c]))
+    return [tuple(table[row].tolist()) for row in code], scaled

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionError, FlowAxiomError, InvalidOrderError
-from .groups import GroupTable
+from .groups import GroupTable, _check_cap
 from .radon import RadonSystem, _indptr
 
 __all__ = [
@@ -64,10 +64,12 @@ def validate_flow(size: int, table, label: str = "flow") -> SuccessorFlow:
 
     The size and every cell must be Python ints, as in
     groups.from_cayley_table: floats, strings and booleans are rejected,
-    not coerced.
+    not coerced. A size above the order cap raises SizeLimitError before
+    any pair is walked.
     """
     if type(size) is not int or size < 1:
         raise InvalidOrderError(f"flow needs a positive integer size, got {size!r}")
+    _check_cap(size, "flow")
     if not isinstance(table, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in table
     ):
@@ -105,6 +107,7 @@ def constant_flow(size: int) -> SuccessorFlow:
     """s(a, b) = a: every pair is already its own mirror."""
     if size < 1:
         raise InvalidOrderError(f"flow needs at least one point, got {size}")
+    _check_cap(size, "flow")
     table = [[a] * size for a in range(size)]
     return validate_flow(size, table, label=f"constant:{size}")
 

@@ -8,9 +8,13 @@ reads those arrays directly. Injectivity of the transform is exactly
 "the 0/1 incidence matrix of these rows has full column rank over the
 rationals". Every verdict takes one route: one elimination modulo the
 fixed prime exactla.P, whose full rank is already a proof of full rational
-rank; a system deficient mod P is settled by one fraction-free integer
-elimination, with the kernel basis re-verified by exact integer
-multiplication.
+rank. A system deficient mod P takes its kernel from that same echelon
+basis: reduced mod P, lifted to rationals and proven by exact integer
+substitution into every row. The lifted basis has n - rank_P independent
+vectors in reduced row-echelon form and rational rank is at least rank_P,
+so a lift that passes is the unique reduced kernel basis. A lift that fails
+falls back to the fraction-free integer elimination of
+exactla.rational_nullspace.
 """
 
 from __future__ import annotations
@@ -131,10 +135,10 @@ def _dense_rows(sys: RadonSystem):
 
 
 def _array_rows(sys: RadonSystem):
-    """The same rows as int64 array views for exactla.rank_mod, scattered
+    """The same rows as int64 array views for exactla.echelon_mod, scattered
     from a slice of indices by one np.bincount per chunk of
-    exactla.CHUNK_ROWS rows; a chunk is built only when rank_mod reads its
-    first row."""
+    exactla.CHUNK_ROWS rows; a chunk is built only when echelon_mod reads
+    its first row."""
     n, step = sys.ncols, exactla.CHUNK_ROWS
     for lo in range(0, sys.nrows, step):
         bounds = sys.indptr[lo : lo + step + 1]
@@ -144,26 +148,32 @@ def _array_rows(sys: RadonSystem):
         yield from np.bincount(flat, minlength=k * n).reshape(k, n)
 
 
-def _row_sums(sys: RadonSystem, vectors: list) -> np.ndarray:
+def _row_sums(sys: RadonSystem, vectors) -> np.ndarray:
     """Exact sums of each vector over each row's cells, one row of the
     result per vector.
 
-    The sums run in int64 when every value is a Python int and the largest
+    vectors is a list of vectors of Python numbers or a 2-D int64 array.
+    The sums run in int64 when every value is an int and the largest
     magnitude times the longest row is below 2^63, which bounds every
-    partial sum; otherwise they run on the Python objects themselves.
+    partial sum; otherwise they run on Python objects.
     """
     longest = int(np.diff(sys.indptr).max())
-    values = [v for vec in vectors for v in vec]
-    if (
-        all(type(v) is int for v in values)
-        and max(map(abs, values), default=0) * longest < 2**63
-    ):
-        arr = np.array(values, dtype=np.int64)
+    if isinstance(vectors, np.ndarray):
+        arr = vectors
+        if arr.size and int(np.abs(arr).max()) * longest >= 2**63:
+            arr = arr.astype(object)
     else:
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = values
-    gathered = arr.reshape(len(vectors), sys.ncols)[:, sys.indices]
-    return np.add.reduceat(gathered, sys.indptr[:-1], axis=1)
+        values = [v for vec in vectors for v in vec]
+        if (
+            all(type(v) is int for v in values)
+            and max(map(abs, values), default=0) * longest < 2**63
+        ):
+            arr = np.array(values, dtype=np.int64)
+        else:
+            arr = np.empty(len(values), dtype=object)
+            arr[:] = values
+        arr = arr.reshape(len(vectors), sys.ncols)
+    return np.add.reduceat(arr[:, sys.indices], sys.indptr[:-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -210,17 +220,36 @@ def apply(sys: RadonSystem, f) -> tuple:
 
 
 def kernel(sys: RadonSystem) -> KernelBasis:
-    """Exact rational kernel in reduced row-echelon form, from the one
-    integer elimination in exactla.rational_nullspace. Each vector is scaled
-    to integers and summed back over every row's cells, so a KernelBasis in
-    hand is a certificate."""
-    vectors = exactla.rational_nullspace(_dense_rows(sys), sys.ncols)
-    scaled = [_integer_multiple(vec) for vec in vectors]
-    step = max(1, _BLOCK_CELLS // len(sys.indices))
-    for lo in range(0, len(scaled), step):
-        if _row_sums(sys, scaled[lo : lo + step]).any():
+    """Exact rational kernel in reduced row-echelon form. Each vector is
+    scaled to integers and summed back over every row's cells, so a
+    KernelBasis in hand is a certificate."""
+    return _kernel(sys, exactla.echelon_mod(_array_rows(sys), sys.ncols, exactla.P))
+
+
+def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
+    """kernel(sys), from an exactla.echelon_mod basis of its rows mod
+    exactla.P: the kernel mod P, lifted to rationals, or, when the lift
+    fails or does not annihilate every row exactly,
+    exactla.rational_nullspace."""
+    p = exactla.P
+    lifted = exactla.lift_nullspace(exactla.nullspace_mod(echelon, p), p)
+    if lifted is not None and _annihilates(sys, lifted[1]):
+        vectors = lifted[0]
+    else:
+        vectors = exactla.rational_nullspace(_dense_rows(sys), sys.ncols)
+        if not _annihilates(sys, [_integer_multiple(vec) for vec in vectors]):
             raise AssertionError("kernel vector fails exact annihilation check")
     return KernelBasis(vectors=tuple(vectors), dim=len(vectors))
+
+
+def _annihilates(sys: RadonSystem, scaled) -> bool:
+    """Whether every integer vector sums to 0 over every row's cells,
+    checked a block of vectors at a time."""
+    step = max(1, _BLOCK_CELLS // len(sys.indices))
+    return not any(
+        _row_sums(sys, scaled[lo : lo + step]).any()
+        for lo in range(0, len(scaled), step)
+    )
 
 
 def _integer_multiple(vec) -> list[int]:
@@ -233,14 +262,16 @@ def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
     """The verdict on a built system, with the kernel basis that settled it.
 
     One elimination mod exactla.P: a full rank there is the verdict, with an
-    empty basis; otherwise the exact path computes the basis once.
+    empty basis; otherwise the kernel comes from that elimination's echelon
+    basis, proven exactly.
     """
     n = sys.ncols
-    modular = exactla.rank_mod(_array_rows(sys), n, exactla.P)
+    echelon = exactla.echelon_mod(_array_rows(sys), n, exactla.P)
+    modular = len(echelon)
     if modular == n:
         r, method, ker = n, "modular-full-rank", KernelBasis(vectors=(), dim=0)
     else:
-        ker = kernel(sys)
+        ker = _kernel(sys, echelon)
         r, method = n - ker.dim, "exact-elimination"
         if r < modular:  # pragma: no cover - modular rank never exceeds rational
             raise RankDisagreementError(f"exact rank {r} below modular rank {modular}")
@@ -254,7 +285,7 @@ def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
     """(rank, kernel_dim, method): a full rank mod exactla.P certifies full
-    rational rank; otherwise the exact integer path is authoritative."""
+    rational rank; otherwise the exactly proven kernel settles the rank."""
     v = _verdict(sys)[0]
     return v.rank, v.kernel_dim, v.method
 

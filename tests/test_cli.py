@@ -257,6 +257,16 @@ def test_size_cap_exits_3(capsys):
     assert "error" in err
 
 
+def test_flow_above_order_cap_exits_3(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", "10")
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"size": 11, "table": [[a] * 11 for a in range(11)]}))
+    for spec in ("constant:100000", "constant:11", f"file:{path}"):
+        code, out, err = run(capsys, "flow", spec)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "above the cap of 10" in err
+
+
 def test_astronomical_order_exits_3_with_one_line(capsys):
     code, _, err = run(capsys, "group", "S2000")
     assert code == 3
@@ -342,7 +352,9 @@ def test_fixed_corpus_suite_refuses_max_order(capsys, suite):
 def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
     from coset_radon import radon
 
-    calls = {"build_system": 0, "kernel": 0}
+    # the verdict computes the kernel from its own echelon basis, through
+    # radon._kernel, which the public radon.kernel wraps
+    calls = {"build_system": 0, "_kernel": 0}
 
     def counting(name):
         original = getattr(radon, name)
@@ -354,9 +366,9 @@ def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
         monkeypatch.setattr(radon, name, wrapper)
 
     counting("build_system")
-    counting("kernel")
+    counting("_kernel")
     code, payload, _ = run_json(capsys, "radon", "Dic3", "--kernel")
     assert code == 0
     assert payload["method"] == "exact-elimination"
     assert len(payload["kernel"]) == payload["kernel_dim"] == 4
-    assert calls == {"build_system": 1, "kernel": 1}
+    assert calls == {"build_system": 1, "_kernel": 1}

@@ -280,3 +280,102 @@ def test_modular_elimination_matches_plain_oracle(matrix):
         assert all(0 <= v < p for v in row)
         pivots.append(lead)
     assert pivots == sorted(set(pivots))
+
+
+@given(modular_matrices())
+@example(_DENSE_CASE)
+@settings(max_examples=100, deadline=None)
+def test_nullspace_mod_is_reduced_kernel_mod_p(matrix):
+    # rows that annihilate the matrix mod p, n - rank of them, each 1 at its
+    # own free column, 0 at the other free columns and zero left of it: that
+    # is the unique reduced echelon basis of the kernel mod p
+    rows, n, p = matrix
+    echelon = exactla.echelon_mod(rows, n, p)
+    kernel = exactla.nullspace_mod(echelon, p)
+    assert kernel.shape == (n - len(echelon), n)
+    assert ((kernel >= 0) & (kernel < p)).all()
+    leads = [next(j for j, v in enumerate(vec) if v) for vec in kernel.tolist()]
+    assert leads == sorted(set(leads))
+    for vec, f in zip(kernel.tolist(), leads):
+        assert vec[f] == 1 and [vec[g] for g in leads if g != f] == [0] * (len(leads) - 1)
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) % p == 0
+
+
+@given(
+    st.integers(min_value=-4095, max_value=4095),
+    st.integers(min_value=1, max_value=4095),
+)
+@settings(max_examples=200, deadline=None)
+def test_reconstruct_inverts_reduction_mod_p(a, b):
+    p = exactla.P
+    x = a * pow(b, -1, p) % p
+    f = Fraction(a, b)
+    assert exactla._reconstruct(x, p, 4095) == (f.numerator, f.denominator)
+
+
+def _certified_lift(rows, n):
+    """The lifted kernel of the echelon basis mod P, or None when the lift
+    fails or its integer vectors do not annihilate every row exactly: the
+    check after which radon.kernel falls back to rational_nullspace."""
+    p = exactla.P
+    echelon = exactla.echelon_mod(rows, n, p)
+    lifted = exactla.lift_nullspace(exactla.nullspace_mod(echelon, p), p)
+    if lifted is None:
+        return None
+    vectors, scaled = lifted
+    for vec in scaled.tolist():
+        if any(sum(a * b for a, b in zip(row, vec)) for row in rows):
+            return None
+    return vectors
+
+
+@st.composite
+def lift_matrices(draw):
+    """integer_matrices, with some entries scaled past the lift bound so that
+    kernels with entries of height above 4095 occur."""
+    rows, n = draw(integer_matrices())
+    big = st.integers(min_value=-(10**4), max_value=10**4)
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(big)
+    return rows, n
+
+
+@given(lift_matrices())
+@example(([[1, 2]], 2))
+@example(([[1, -5000]], 2))
+@example(([[4096, 1], [0, 0]], 2))
+@settings(max_examples=300, deadline=None)
+def test_certified_lift_is_rational_nullspace(matrix):
+    rows, n = matrix
+    oracle = exactla.rational_nullspace(rows, n)
+    lifted = _certified_lift(rows, n)
+    if lifted is not None:
+        assert lifted == oracle
+    else:
+        # only a kernel entry beyond the bound or a rank that drops mod P
+        # sends the route to its fallback
+        fits = all(
+            abs(v.numerator) <= 4095 and v.denominator <= 4095
+            for vec in oracle
+            for v in vec
+        )
+        drops = exactla.rank_mod(rows, n, exactla.P) < exactla.rank_exact(rows, n)
+        assert drops or not fits
+
+
+def test_lift_reconstructs_a_fractional_kernel():
+    assert _certified_lift([[1, 2]], 2) == [(Fraction(1), Fraction(-1, 2))]
+    # the scaled copy is the vector times the lcm of its denominators
+    p = exactla.P
+    kernel = exactla.nullspace_mod(exactla.echelon_mod([[2, 0, 3]], 3, p), p)
+    vectors, scaled = exactla.lift_nullspace(kernel, p)
+    assert vectors == [(1, 0, Fraction(-2, 3)), (0, 1, 0)]
+    assert scaled.dtype == np.int64 and scaled.tolist() == [[3, 0, -2], [0, 1, 0]]
+
+
+def test_kernel_entry_above_lift_bound_is_not_certified():
+    # the kernel (1, 1/5000) has a denominator above 4095
+    assert exactla.rational_nullspace([[1, -5000]], 2) == [(1, Fraction(1, 5000))]
+    assert _certified_lift([[1, -5000]], 2) is None

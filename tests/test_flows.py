@@ -1,7 +1,7 @@
 import pytest
 
 from coset_radon import flows, groups, radon
-from coset_radon.errors import FlowAxiomError, InvalidOrderError
+from coset_radon.errors import FlowAxiomError, InvalidOrderError, SizeLimitError
 from coset_radon.exactla import rank_exact, rational_nullspace
 from coset_radon.geodesics import cyclic_subgroups
 from coset_radon.groups import cyclic_subgroup, left_cosets
@@ -48,6 +48,17 @@ def test_invalid_sizes():
         flows.validate_flow(0, [])
     with pytest.raises(InvalidOrderError):
         flows.constant_flow(0)
+
+
+def test_flows_refuse_sizes_above_the_order_cap(monkeypatch):
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", "6")
+    with pytest.raises(SizeLimitError):
+        flows.constant_flow(7)
+    # every cell is out of range, so a walk of the table would raise
+    # FlowAxiomError; the cap is checked first
+    with pytest.raises(SizeLimitError):
+        flows.validate_flow(7, [[99] * 7] * 7)
+    assert flows.constant_flow(6).size == 6
 
 
 def test_constant_flow_orbits():

@@ -250,20 +250,28 @@ def test_method_reflects_certificate_path():
     "kind, name", [("group", "C6"), ("group", "Dic15"), ("group", "S4"), ("flow", 7)]
 )
 def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
-    primes = []
-    rank_mod = exactla.rank_mod
+    # one elimination over the system's rows, at P; a deficient system takes
+    # its kernel from that echelon basis, with no integer elimination
+    primes, integer = [], []
+    echelon_mod, int_echelon = exactla.echelon_mod, exactla.int_echelon
 
     def counting(rows, ncols, p):
         primes.append(p)
-        return rank_mod(rows, ncols, p)
+        return echelon_mod(rows, ncols, p)
 
-    monkeypatch.setattr(exactla, "rank_mod", counting)
+    def counting_int(rows, ncols):
+        integer.append(ncols)
+        return int_echelon(rows, ncols)
+
+    monkeypatch.setattr(exactla, "echelon_mod", counting)
+    monkeypatch.setattr(exactla, "int_echelon", counting_int)
     if kind == "group":
         sys = radon.build_system(groups.from_name(name), "prime")
     else:
         sys = flows.flow_radon_system(flows.constant_flow(name))
     radon.decide_system(sys)
     assert primes == [exactla.P]
+    assert integer == []
 
 
 def _verdict_oracle_systems():
@@ -286,6 +294,89 @@ def test_modular_certificate_matches_exact_rank():
         verdict = radon._verdict(sys)[0]
         assert verdict.rank == exact
         assert (verdict.method == "modular-full-rank") == (exact == n)
+
+
+def _kernel_oracle_systems():
+    for g in verify.groups_upto(48):
+        if g.order > 1:
+            for variant in ("prime", "maximal"):
+                yield radon.build_system(g, variant)
+    for m in range(2, 40):
+        yield flows.flow_radon_system(flows.constant_flow(m))
+    for g in verify.groups_upto(30):
+        yield flows.flow_radon_system(flows.group_flow(g))
+
+
+def _counting_nullspace(monkeypatch):
+    """Patch exactla.rational_nullspace to record each call; return the
+    record and the unpatched function."""
+    calls, oracle = [], exactla.rational_nullspace
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return oracle(rows, ncols)
+
+    monkeypatch.setattr(exactla, "rational_nullspace", counting)
+    return calls, oracle
+
+
+def test_lifted_kernel_matches_integer_oracle_on_corpus(monkeypatch):
+    calls, oracle = _counting_nullspace(monkeypatch)
+    deficient = 0
+    for sys in _kernel_oracle_systems():
+        if exactla.rank_mod(radon._array_rows(sys), sys.ncols, exactla.P) == sys.ncols:
+            continue
+        deficient += 1
+        assert radon.kernel(sys).vectors == tuple(oracle(sys.matrix, sys.ncols))
+    assert deficient == 168
+    # every kernel here came from the lift: none fell back
+    assert calls == []
+
+
+def _hand_system(*rows):
+    """A system whose rows are the given sorted multisets of columns."""
+    ncols = max(max(row) for row in rows) + 1
+    return radon.RadonSystem(
+        group=None,
+        variant="flow",
+        indptr=radon._indptr([len(row) for row in rows]),
+        indices=np.array([j for row in rows for j in row], dtype=np.int32),
+        ncols=ncols,
+        starts=np.zeros((len(rows), 2), dtype=np.int64),
+    )
+
+
+def test_kernel_reconstructs_fractions_and_falls_back_past_the_bound(monkeypatch):
+    calls, _ = _counting_nullspace(monkeypatch)
+    # f(0) + 2 f(1) = 0: the kernel (1, -1/2) is reconstructed from its residue
+    assert radon.kernel(_hand_system((0, 1, 1))).vectors == ((1, Fraction(-1, 2)),)
+    assert calls == []
+    # f(0) + 5000 f(1) = 0: the denominator 5000 is past the lift bound 4095
+    sys = _hand_system((0,) + (1,) * 5000)
+    assert radon.kernel(sys).vectors == ((1, Fraction(-1, 5000)),)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("name", ["Dic3", "C12"])
+def test_wrong_lift_is_caught_and_falls_back(monkeypatch, name):
+    lift = exactla.lift_nullspace
+
+    def wrong(kernel, p):
+        vectors, scaled = lift(kernel, p)
+        # move the last entry of the first vector: still a lifted vector of
+        # the same shape, but no longer in the kernel
+        scaled[0, -1] += 1
+        vectors[0] = vectors[0][:-1] + (vectors[0][-1] + 1,)
+        return vectors, scaled
+
+    monkeypatch.setattr(exactla, "lift_nullspace", wrong)
+    calls, oracle = _counting_nullspace(monkeypatch)
+    sys = radon.build_system(groups.from_name(name), "prime")
+    verdict, ker = radon._verdict(sys)
+    assert calls == [sys.ncols]
+    assert ker.vectors == tuple(oracle(sys.matrix, sys.ncols))
+    assert verdict.kernel_dim == ker.dim > 0
+    assert verdict.method == "exact-elimination"
 
 
 def test_kernel_is_certificate():
