@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from time import perf_counter
 
 from . import flows, geodesics, radon, spectral, verify
-from .errors import CosetRadonError, GroupSpecError
+from .errors import CosetRadonError, GroupSpecError, read_json
 from .exactla import prime_divisors
 from .groups import (
     GroupTable,
@@ -36,15 +38,18 @@ def load_group(spec: str) -> GroupTable:
     A file may hold {"table": [[...]]} for a raw Cayley table or
     {"semidirect": {"normal": SPEC, "acting": SPEC, "action": [[...]]}}.
     """
+    return _load_group(spec, frozenset())
+
+
+def _load_group(spec: str, loading: frozenset[str]) -> GroupTable:
+    """load_group, inside the semidirect files whose real paths are in
+    loading; a file that includes one of them is refused."""
     if spec.startswith("file:"):
         path = spec[len("file:") :]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise GroupSpecError(f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise GroupSpecError(f"{path} is not valid JSON: {exc}")
+        real = os.path.realpath(path)
+        if real in loading:
+            raise GroupSpecError(f"{path} includes itself through a semidirect spec")
+        data = read_json(path, GroupSpecError)
         if isinstance(data, dict) and "semidirect" in data:
             sd = data["semidirect"]
             needed = {"normal", "acting", "action"}
@@ -54,8 +59,8 @@ def load_group(spec: str) -> GroupTable:
                 raise GroupSpecError(
                     f"{path}: semidirect normal and acting must be group expressions"
                 )
-            normal = load_group(sd["normal"])
-            acting = load_group(sd["acting"])
+            normal = _load_group(sd["normal"], loading | {real})
+            acting = _load_group(sd["acting"], loading | {real})
             return make_semidirect(normal, acting, sd["action"])
         if isinstance(data, dict) and "table" in data:
             table = data["table"]
@@ -169,14 +174,21 @@ def cmd_radon(args) -> int:
     if verdict.frobenius_complement is not None:
         lines.append(f"  frobenius complement: {verdict.frobenius_complement}")
     if args.matrix_csv:
-        with open(args.matrix_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(range(sys_.ncols)))
-            for row in sys_.matrix:
-                writer.writerow(row)
+        try:
+            with open(args.matrix_csv, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(list(range(sys_.ncols)))
+                writer.writerows(row.tolist() for row in radon._array_rows(sys_))
+        except OSError as exc:
+            raise CosetRadonError(f"cannot write {args.matrix_csv}: {exc}")
         lines.append(f"  matrix written to {args.matrix_csv}")
     if args.kernel:
-        payload["kernel"] = [[str(v) for v in vec] for vec in kb.vectors]
+        # a lifted basis shares one Fraction object per distinct value, so
+        # each object is written once and looked up by identity, in C loops
+        entries = chain.from_iterable
+        shared = dict(zip(map(id, entries(kb.vectors)), entries(kb.vectors)))
+        text = {key: str(v) for key, v in shared.items()}.__getitem__
+        payload["kernel"] = [list(map(text, map(id, vec))) for vec in kb.vectors]
         if not args.json:
             lines.append(f"  kernel basis ({kb.dim} vectors):")
             lines.extend("    [" + ", ".join(vec) + "]" for vec in payload["kernel"])
@@ -296,13 +308,7 @@ def _load_flow(spec: str) -> flows.SuccessorFlow:
         return flows.group_flow(load_group(spec[len("group:") :]))
     if spec.startswith("file:"):
         path = spec[len("file:") :]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise GroupSpecError(f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise GroupSpecError(f"{path} is not valid JSON: {exc}")
+        data = read_json(path, GroupSpecError)
         if not isinstance(data, dict) or not {"size", "table"} <= data.keys():
             raise GroupSpecError(f"{path}: a flow file needs size and table")
         return flows.validate_flow(data["size"], data["table"], label=f"file:{path}")

@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one JSON file reader.
 
 Every error raised on bad user input derives from CosetRadonError; the CLI
 exits with the error's exit_code (3 for SizeLimitError, 2 for the rest).
 """
 
 from __future__ import annotations
+
+import json
 
 
 class CosetRadonError(Exception):
@@ -128,3 +130,19 @@ class GroupSpecError(CosetRadonError):
 
 class RankDisagreementError(CosetRadonError):
     """Exact and modular rank computations disagree; something is broken."""
+
+
+def read_json(path: str, error: type[CosetRadonError]):
+    """The JSON value in the UTF-8 file at path. Every way the file can fail
+    to be read or parsed raises error, with a one-line message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}")
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise error(f"{path} nests its JSON too deeply to parse")

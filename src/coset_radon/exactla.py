@@ -302,15 +302,17 @@ def echelon_mod(rows, ncols: int, p: int) -> np.ndarray:
     leaves it, with early stop at full rank.
 
     Rows are read lazily, CHUNK_ROWS at a time, and only the chunks that
-    are eliminated are converted to an array.
+    are eliminated are converted to an array. A deficient basis is a copy,
+    so that while the caller takes its kernel it does not keep alive the
+    whole stacked array of the last chunk.
     """
     rows = iter(rows)
     basis = np.zeros((0, ncols), dtype=np.int64)
     while chunk := list(islice(rows, CHUNK_ROWS)):
         basis = _eliminate_mod(np.vstack([basis, *chunk], dtype=np.int64), p)
         if basis.shape[0] == ncols:
-            break
-    return basis
+            return basis
+    return basis.copy()
 
 
 def rank_mod(rows, ncols: int, p: int) -> int:

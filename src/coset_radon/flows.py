@@ -119,8 +119,10 @@ def _step(flow: SuccessorFlow, state: tuple[int, int]) -> tuple[int, int]:
 
 def flow_orbits(flow: SuccessorFlow) -> list[FlowOrbit]:
     """All cycles of the pair-step map, each anchored at its lexicographically
-    smallest state. The step map is a bijection (reflection gives the inverse
-    step), so every pair lies on exactly one cycle."""
+    smallest state, in the order of those states. The step map is a
+    bijection (reflection gives the inverse step), so every pair lies on
+    exactly one cycle. Pairs are scanned in lexicographic order, so each
+    cycle is first met at its smallest state, and cycles are met in order."""
     seen = [[False] * flow.size for _ in range(flow.size)]
     orbits = []
     for a in range(flow.size):
@@ -135,10 +137,7 @@ def flow_orbits(flow: SuccessorFlow) -> list[FlowOrbit]:
                 cur = _step(flow, cur)
             if cur != (a, b):
                 raise AssertionError("pair-step walk re-entered mid-cycle")
-            start = min(range(len(cycle)), key=lambda i: cycle[i])
-            states = tuple(cycle[start:] + cycle[:start])
-            orbits.append(FlowOrbit(states=states, period=len(states)))
-    orbits.sort(key=lambda o: o.states[0])
+            orbits.append(FlowOrbit(states=tuple(cycle), period=len(cycle)))
     return orbits
 
 

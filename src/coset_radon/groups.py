@@ -127,17 +127,6 @@ class SubgroupSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: int) -> bool:
-        return x in self._member_set()
-
-    def _member_set(self) -> frozenset[int]:
-        # cached lazily on the instance; frozen dataclass needs object.__setattr__
-        cached = self.__dict__.get("_members")
-        if cached is None:
-            cached = frozenset(self.elements)
-            object.__setattr__(self, "_members", cached)
-        return cached
-
 
 # ---------------------------------------------------------------------------
 # validation

@@ -107,7 +107,7 @@ class RadonSystem:
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """The dense integer matrix."""
-        return tuple(tuple(row) for row in _dense_rows(self))
+        return tuple(tuple(row.tolist()) for row in _array_rows(self))
 
     @property
     def rows(self) -> tuple:
@@ -123,22 +123,11 @@ def _indptr(lengths) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
-def _dense_rows(sys: RadonSystem):
-    """Dense integer rows as lists of Python ints, one at a time: entry j
-    counts j in the row's cells."""
-    flat, bounds = sys.indices.tolist(), sys.indptr.tolist()
-    for a, b in zip(bounds, bounds[1:]):
-        row = [0] * sys.ncols
-        for j in flat[a:b]:
-            row[j] += 1
-        yield row
-
-
 def _array_rows(sys: RadonSystem):
-    """The same rows as int64 array views for exactla.echelon_mod, scattered
-    from a slice of indices by one np.bincount per chunk of
-    exactla.CHUNK_ROWS rows; a chunk is built only when echelon_mod reads
-    its first row."""
+    """The dense integer rows, one at a time, as int64 array views: entry j
+    counts j in the row's cells. They are scattered from a slice of indices
+    by one np.bincount per chunk of exactla.CHUNK_ROWS rows; a chunk is
+    built only when its first row is read."""
     n, step = sys.ncols, exactla.CHUNK_ROWS
     for lo in range(0, sys.nrows, step):
         bounds = sys.indptr[lo : lo + step + 1]
@@ -236,7 +225,9 @@ def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
     if lifted is not None and _annihilates(sys, lifted[1]):
         vectors = lifted[0]
     else:
-        vectors = exactla.rational_nullspace(_dense_rows(sys), sys.ncols)
+        vectors = exactla.rational_nullspace(
+            (row.tolist() for row in _array_rows(sys)), sys.ncols
+        )
         if not _annihilates(sys, [_integer_multiple(vec) for vec in vectors]):
             raise AssertionError("kernel vector fails exact annihilation check")
     return KernelBasis(vectors=tuple(vectors), dim=len(vectors))

@@ -1,20 +1,24 @@
 """Characters, matrix representations and Fourier-side cross-checks.
 
+Both kinds of table are read-only numpy arrays, as the Cayley table is.
 Abelian character tables are kept in exponent form: with invariant factors
 d_1 | ... | d_k and exponent L, a character is a tuple (c_1, ..., c_k) and
 its value at x is the L-th root of unity with exponent sum(c_i * x_i * L/d_i)
-mod L. That keeps every identity checkable in integer arithmetic; floats
-only appear in the numeric DFT. Matrix representations carry exact complex
-rational entries (GaussianRational), which is enough for the quaternion
-group's 2-dimensional representation and all permutation-style examples.
+mod L. CharacterTable.value_exponents holds every such exponent as one int64
+array indexed [character, element], so every identity is checkable in
+integer arithmetic; floats only appear in the numeric DFT, whose sums run in
+element order. A matrix representation holds its images as one
+(|G|, d, d) object array of exact complex rationals (GaussianRational),
+enough for the quaternion group's 2-dimensional representation and all
+permutation-style examples: products, sums, conjugate transposes and traces
+are numpy operations on those exact entries, and ranks and kernels go
+through exactla.field_rref.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +30,10 @@ from .errors import (
     InvalidRepresentationError,
     UnsupportedGroupError,
     UnsupportedRepresentationError,
+    read_json,
 )
 from .geodesics import Homomorphism, homomorphisms_cn
-from .groups import GroupTable, abelian_basis, is_abelian
+from .groups import GroupTable, _row_blocks, abelian_basis, is_abelian
 
 __all__ = [
     "CharacterTable",
@@ -149,52 +154,28 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 _I = GaussianRational(0, 1)
 
-Matrix = tuple[tuple[GaussianRational, ...], ...]
+
+def _eye(d: int) -> np.ndarray:
+    """The d x d identity as an object array of GaussianRational."""
+    out = np.full((d, d), _ZERO, dtype=object)
+    np.fill_diagonal(out, _ONE)
+    return out
 
 
-def _mat_identity(d: int) -> Matrix:
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(d)) for i in range(d)
-    )
+def _rank(m: np.ndarray) -> int:
+    return len(exactla.field_rref(m.tolist())[0])
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    d = len(a)
-    cols = len(b[0])
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(len(b))), _ZERO)
-            for j in range(cols)
-        )
-        for i in range(d)
-    )
-
-
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a: Matrix, s) -> Matrix:
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def _mat_conjt(a: Matrix) -> Matrix:
-    d = len(a)
-    return tuple(tuple(a[j][i].conjugate() for j in range(d)) for i in range(len(a[0])))
-
-
-def _mat_rank(rows) -> int:
-    return len(exactla.field_rref([list(r) for r in rows])[0])
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
 # abelian character tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """All characters of an abelian group, in exponent form."""
 
@@ -204,7 +185,7 @@ class CharacterTable:
     basis: tuple[int, ...]  # generator ids aligned with factors
     coords: tuple[tuple[int, ...], ...]  # element -> coordinates
     characters: tuple[tuple[int, ...], ...]
-    value_exponents: tuple[tuple[int, ...], ...]  # [char][element]
+    value_exponents: np.ndarray  # read-only int64, [char, element]
 
 
 def characters(g: GroupTable) -> CharacterTable:
@@ -227,12 +208,10 @@ def characters(g: GroupTable) -> CharacterTable:
     where = np.empty(g.order, dtype=np.intp)
     where[elts] = np.arange(g.order)
     coords = tuple(chars[i] for i in where.tolist())
-    # entry [char][x] is sum_i char_i * coords[x]_i * (exponent // d_i); each
+    # entry [char, x] is sum_i char_i * coords[x]_i * (exponent // d_i); each
     # term is below d_i * exponent <= |G|^2, so int64 holds the whole sum
     combos = np.array(chars, dtype=np.int64).reshape(len(chars), len(factors))
     weights = np.array([exponent // d for d in factors], dtype=np.int64)
-    products = (combos * weights) @ combos[where].T % exponent
-    value_exponents = tuple(map(tuple, products.tolist()))
     return CharacterTable(
         group=g,
         factors=factors,
@@ -240,37 +219,49 @@ def characters(g: GroupTable) -> CharacterTable:
         basis=basis,
         coords=coords,
         characters=chars,
-        value_exponents=value_exponents,
+        value_exponents=_frozen((combos * weights) @ combos[where].T % exponent),
     )
 
 
 def char_value(ct: CharacterTable, char_index: int, x: int) -> complex:
-    e = ct.value_exponents[char_index][x]
+    e = int(ct.value_exponents[char_index, x])
     return cmath.exp(2j * cmath.pi * e / ct.exponent)
+
+
+def _roots(ct: CharacterTable) -> np.ndarray:
+    """Root k is char_value's value at exponent k, bit for bit."""
+    return np.array(
+        [cmath.exp(2j * cmath.pi * k / ct.exponent) for k in range(ct.exponent)]
+    )
+
+
+def _sums_in_order(nrows: int, width: int, terms) -> np.ndarray:
+    """Row sums of the nrows x width complex array terms(rows) returns for a
+    block of rows, each added up left to right as Python's sum does, so they
+    match an entry-by-entry sum bit for bit."""
+    out = np.empty(nrows, dtype=complex)
+    for rows in _row_blocks(nrows, width):
+        out[rows] = np.add.accumulate(terms(rows), axis=1)[:, -1]
+    return out
 
 
 def faithful_characters(ct: CharacterTable) -> list[int]:
     """Indices of the characters whose kernel is trivial."""
-    out = []
-    for idx, row in enumerate(ct.value_exponents):
-        if all(row[x] != 0 for x in range(1, ct.group.order)):
-            out.append(idx)
-    return out
+    return np.flatnonzero((ct.value_exponents[:, 1:] != 0).all(axis=1)).tolist()
 
 
 def dft(ct: CharacterTable, f) -> list[complex]:
     """Numeric Fourier coefficients sum_x f(x) chi(x), one per character."""
-    vals = [complex(v) for v in f]
+    vals = np.array([complex(v) for v in f], dtype=complex)
     if len(vals) != ct.group.order:
         raise DimensionError(
             f"function length {len(vals)}, expected {ct.group.order}"
         )
-    n = ct.group.order
-    roots = [cmath.exp(2j * cmath.pi * k / ct.exponent) for k in range(ct.exponent)]
-    return [
-        sum(vals[x] * roots[ct.value_exponents[idx][x]] for x in range(n))
-        for idx in range(len(ct.characters))
-    ]
+    roots = _roots(ct)
+    return _sums_in_order(
+        len(ct.characters), len(vals),
+        lambda rows: roots[ct.value_exponents[rows]] * vals,
+    ).tolist()
 
 
 def plancherel_defect(ct: CharacterTable, f) -> float:
@@ -288,7 +279,9 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _polydiv_monic(poly, _cyclotomic(d))
+            poly, rem = _divmod_monic(poly, _cyclotomic(d))
+            if any(rem):
+                raise AssertionError("nonzero remainder in cyclotomic division")
     out = tuple(poly)
     _CYCLOTOMIC_CACHE[n] = out
     return out
@@ -297,9 +290,9 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
 _CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
 
 
-def _polydiv_monic(num, den):
-    """Exact quotient num/den for a monic integer divisor; remainder must
-    vanish (holds for products of cyclotomics)."""
+def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of integer polynomials, low degree first, for a
+    monic divisor den; the remainder has len(den) - 1 coefficients."""
     num = list(num)
     dd = len(den) - 1
     out = [0] * (len(num) - dd)
@@ -309,28 +302,15 @@ def _polydiv_monic(num, den):
         if c:
             for j, dv in enumerate(den):
                 num[i - dd + j] -= c * dv
-    if any(num[:dd]):
-        raise AssertionError("nonzero remainder in cyclotomic division")
-    return out
+    return out, num[:dd]
 
 
-def _root_sum_is_zero(counts: Counter, order: int) -> bool:
-    """Whether sum over k of counts[k] * zeta^k vanishes, zeta = primitive
-    order-th root of unity. Exact: divisibility by the minimal polynomial."""
-    poly = [0] * order
-    for k, c in counts.items():
-        poly[k % order] += c
-    if not any(poly):
-        return True
-    phi = _cyclotomic(order)
-    dd = len(phi) - 1
-    rem = list(poly)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for j, dv in enumerate(phi):
-                rem[i - dd + j] -= c * dv
-    return not any(rem[:dd])
+def _root_sum_is_zero(exps: np.ndarray, order: int) -> bool:
+    """Whether the sum of zeta^e over the exponents e in [0, order) vanishes,
+    zeta = primitive order-th root of unity. Exact: divisibility of the
+    polynomial that counts the exponents by the minimal polynomial."""
+    counts = np.bincount(exps, minlength=order).tolist()
+    return not any(_divmod_monic(counts, _cyclotomic(order))[1])
 
 
 def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
@@ -341,17 +321,14 @@ def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
     roots of unity, which vanishes iff the counting polynomial is divisible
     by the relevant cyclotomic polynomial.
     """
-    idx = range(len(ct.characters)) if indices is None else list(indices)
-    n = ct.group.order
-    for x in range(n):
-        exps = [ct.value_exponents[i][x] for i in idx]
-        if x == 0:
-            if any(exps) or len(exps) != n:
-                return False
-            continue
-        if not _root_sum_is_zero(Counter(exps), ct.exponent):
-            return False
-    return True
+    n, order = ct.group.order, ct.exponent
+    idx = list(range(len(ct.characters)) if indices is None else indices)
+    # every character is 1 at the identity, so the sum there is len(idx)
+    if len(idx) != n:
+        return False
+    return all(
+        _root_sum_is_zero(ct.value_exponents[idx, x], order) for x in range(1, n)
+    )
 
 
 def fourier_radon_check(
@@ -365,65 +342,71 @@ def fourier_radon_check(
     """
     if ct is None:
         ct = characters(g)
-    vals = [complex(v) for v in f]
+    vals = np.array([complex(v) for v in f], dtype=complex)
     if len(vals) != g.order:
         raise DimensionError(f"function length {len(vals)}, expected {g.order}")
-    fhat = dft(ct, f)
+    fhat = np.array(dft(ct, f))
+    roots = _roots(ct)
     for p in exactla.prime_divisors(g.order):
         for hom in homomorphisms_cn(g, p):
             steps = g.powers(hom.image_generator, p)
-            orbits = g.table[:, steps].tolist()  # row x: x * gen^t, t < p
-            rf = [sum((vals[y] for y in row), 0j) for row in orbits]
-            rf_hat = dft(ct, rf)
-            for idx in range(len(ct.characters)):
-                isum = sum((char_value(ct, idx, s) for s in steps), 0j)
-                if abs(rf_hat[idx] - fhat[idx] * isum) > tolerance:
-                    return False
+            # row x: the orbit x * gen^t, t < p; row chi: chi at gen^t
+            rf = _sums_in_order(g.order, p, lambda rows: vals[g.table[rows][:, steps]])
+            isum = _sums_in_order(
+                len(fhat), p, lambda rows: roots[ct.value_exponents[rows][:, steps]]
+            )
+            if (np.abs(np.array(dft(ct, rf)) - fhat * isum) > tolerance).any():
+                return False
     return True
-
-
 
 
 # ---------------------------------------------------------------------------
 # matrix representations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixRep:
-    """Exact matrix representation, one image per element id."""
+    """Exact matrix representation: images[x] is the d x d image of element
+    x, all in one read-only (|G|, d, d) object array of GaussianRational."""
 
     group_order: int
     dim: int
-    images: tuple[Matrix, ...]
+    images: np.ndarray
     declared_unitary: bool
 
 
 def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
     """Validate images (identity, full homomorphism table, unitarity)."""
-    mats = tuple(
-        tuple(tuple(_as_gq(v) for v in row) for row in m) for m in images
-    )
+    mats = [[[_as_gq(v) for v in row] for row in m] for m in images]
     if len(mats) != g.order:
         raise InvalidRepresentationError(
             f"{len(mats)} images for a group of order {g.order}"
         )
     d = len(mats[0])
-    for m in mats:
-        if len(m) != d or any(len(row) != d for row in m):
-            raise InvalidRepresentationError("images are not all square of one size")
-    if mats[0] != _mat_identity(d):
+    if d == 0 or any(len(m) != d or any(len(row) != d for row in m) for m in mats):
+        raise InvalidRepresentationError("images are not all square of one size")
+    arr = np.empty((g.order, d, d), dtype=object)
+    arr[...] = mats
+    eye = _eye(d)
+    if not np.array_equal(arr[0], eye):
         raise InvalidRepresentationError("image of the identity is not the identity")
-    for a, row in enumerate(g.table.tolist()):
-        for b, ab in enumerate(row):
-            if _mat_mul(mats[a], mats[b]) != mats[ab]:
-                raise InvalidRepresentationError(
-                    f"images break the product at pair ({a}, {b})"
-                )
+    for rows in _row_blocks(g.order, g.order * d * d):
+        # [a, b] compares rho(a) rho(b) with rho(ab), a in this block
+        bad = (arr[rows, None] @ arr != arr[g.table[rows]]).any(axis=(2, 3))
+        if bad.any():
+            a, b = np.argwhere(bad)[0].tolist()
+            raise InvalidRepresentationError(
+                f"images break the product at pair ({rows.start + a}, {b})"
+            )
     if unitary:
-        for a, m in enumerate(mats):
-            if _mat_mul(m, _mat_conjt(m)) != _mat_identity(d):
-                raise InvalidRepresentationError(f"image of {a} is not unitary")
-    return MatrixRep(group_order=g.order, dim=d, images=mats, declared_unitary=unitary)
+        bad = (arr @ arr.conj().transpose(0, 2, 1) != eye).any(axis=(1, 2))
+        if bad.any():
+            raise InvalidRepresentationError(
+                f"image of {int(np.argmax(bad))} is not unitary"
+            )
+    return MatrixRep(
+        group_order=g.order, dim=d, images=_frozen(arr), declared_unitary=unitary
+    )
 
 
 def _as_gq(v) -> GaussianRational:
@@ -432,11 +415,12 @@ def _as_gq(v) -> GaussianRational:
     return GaussianRational(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicSumMatrix:
-    """I(rho, gamma) = sum_t rho(gamma(t)); hermitian by construction."""
+    """I(rho, gamma) = sum_t rho(gamma(t)), a read-only (d, d) object
+    array; hermitian by construction."""
 
-    matrix: Matrix
+    matrix: np.ndarray
     domain_order: int
     dim: int
 
@@ -444,18 +428,16 @@ class GeodesicSumMatrix:
 def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSumMatrix:
     if rep.group_order != g.order:
         raise DimensionError("representation belongs to a different group order")
-    total = tuple(tuple(_ZERO for _ in range(rep.dim)) for _ in range(rep.dim))
-    for cur in g.powers(hom.image_generator, hom.domain_order):
-        total = _mat_add(total, rep.images[cur])
-    out = GeodesicSumMatrix(matrix=total, domain_order=hom.domain_order, dim=rep.dim)
+    total = rep.images[g.powers(hom.image_generator, hom.domain_order)].sum(axis=0)
     if rep.declared_unitary:
-        assert _mat_conjt(total) == total, "geodesic sum is not self-adjoint"
-        inverse_hom = Homomorphism(hom.domain_order, g.inv[hom.image_generator])
-        mirrored = tuple(tuple(_ZERO for _ in range(rep.dim)) for _ in range(rep.dim))
-        for cur in g.powers(inverse_hom.image_generator, hom.domain_order):
-            mirrored = _mat_add(mirrored, rep.images[cur])
-        assert mirrored == total, "geodesic sum differs along the inverse generator"
-    return out
+        assert np.array_equal(total.conj().T, total), "geodesic sum is not self-adjoint"
+        back = g.powers(g.inv[hom.image_generator], hom.domain_order)
+        assert np.array_equal(rep.images[back].sum(axis=0), total), (
+            "geodesic sum differs along the inverse generator"
+        )
+    return GeodesicSumMatrix(
+        matrix=_frozen(total), domain_order=hom.domain_order, dim=rep.dim
+    )
 
 
 def check_projection(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> bool:
@@ -467,17 +449,15 @@ def check_projection(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> bool:
     if not rep.declared_unitary:
         raise UnsupportedRepresentationError("projection check needs a unitary rep")
     total = geodesic_sum(g, rep, hom).matrix
-    p = _mat_scale(total, GaussianRational(Fraction(1, hom.domain_order)))
-    if _mat_mul(p, p) != p:
+    p = total * GaussianRational(Fraction(1, hom.domain_order))
+    if not np.array_equal(p @ p, p):
         return False
-    if _mat_conjt(p) != p:
+    if not np.array_equal(p.conj().T, p):
         return False
-    m = rep.images[hom.image_generator]
-    shifted = _mat_sub(m, _mat_identity(rep.dim))
-    if any(any(v for v in row) for row in _mat_mul(shifted, p)):
+    shifted = rep.images[hom.image_generator] - _eye(rep.dim)
+    if (shifted @ p).astype(bool).any():
         return False
-    fixed_dim = rep.dim - _mat_rank(shifted)
-    return _mat_rank(p) == fixed_dim
+    return _rank(p) == rep.dim - _rank(shifted)
 
 
 @dataclass(frozen=True)
@@ -495,23 +475,19 @@ def fixed_space_analysis(g: GroupTable, rep: MatrixRep) -> FixedSpaceReport:
     or the other; which way decides whether the rep contributes kernel."""
     if not rep.declared_unitary:
         raise UnsupportedRepresentationError("analysis needs a unitary rep")
-    fixed_rows: list[list[GaussianRational]] = []
-    ident = _mat_identity(rep.dim)
-    for x in range(1, g.order):
-        shifted = _mat_sub(rep.images[x], ident)
-        for vec in exactla.field_nullspace(
-            [list(r) for r in shifted], rep.dim, _ZERO, _ONE
-        ):
-            fixed_rows.append(vec)
-    fixed_span = _mat_rank(fixed_rows) if fixed_rows else 0
-    stacked: list[list[GaussianRational]] = []
-    for p in exactla.prime_divisors(g.order):
-        for hom in homomorphisms_cn(g, p):
-            stacked.extend(
-                list(r) for r in geodesic_sum(g, rep, hom).matrix
-            )
-    kernel_vecs = exactla.field_nullspace(stacked, rep.dim, _ZERO, _ONE)
-    kdim = len(kernel_vecs)
+    fixed_rows = [
+        vec
+        for shifted in rep.images[1:] - _eye(rep.dim)
+        for vec in exactla.field_nullspace(shifted.tolist(), rep.dim, _ZERO, _ONE)
+    ]
+    fixed_span = len(exactla.field_rref(fixed_rows)[0])
+    stacked = [
+        row
+        for p in exactla.prime_divisors(g.order)
+        for hom in homomorphisms_cn(g, p)
+        for row in geodesic_sum(g, rep, hom).matrix.tolist()
+    ]
+    kdim = len(exactla.field_nullspace(stacked, rep.dim, _ZERO, _ONE))
     ok = (fixed_span == 0 and kdim == rep.dim) or (
         fixed_span == rep.dim and kdim == 0
     )
@@ -526,24 +502,17 @@ def char_sum_check(g: GroupTable, reps) -> bool:
     The caller asserts the list is a complete set of irreducibles; the check
     is the standard completeness witness for that claim.
     """
-    for x in range(g.order):
-        acc = _ZERO
-        for rep in reps:
-            tr = sum((rep.images[x][i][i] for i in range(rep.dim)), _ZERO)
-            acc = acc + tr * rep.dim
-        want = GaussianRational(g.order if x == 0 else 0)
-        if acc != want:
-            return False
-    return True
+    want = np.zeros(g.order, dtype=object)
+    want[0] = g.order
+    acc = sum(rep.images.trace(axis1=1, axis2=2) * rep.dim for rep in reps)
+    return np.array_equal(acc, want)
 
 
 def matrix_coefficient_vectors(g: GroupTable, rep: MatrixRep) -> list[tuple]:
-    """The dim^2 functions x -> rho(x^-1)[i][j] as exact vectors on G."""
-    out = []
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            out.append(tuple(rep.images[g.inv[x]][i][j] for x in range(g.order)))
-    return out
+    """The dim^2 functions x -> rho(x^-1)[i][j] as exact vectors on G,
+    ordered by (i, j)."""
+    coeffs = rep.images[list(g.inv)].reshape(g.order, rep.dim**2).T
+    return [tuple(vec) for vec in coeffs.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -558,30 +527,17 @@ def quaternion_rep_set(g: GroupTable) -> list[MatrixRep]:
     """
     if g.order != 8 or sorted(g.elt_order) != [1, 2, 4, 4, 4, 4, 4, 4]:
         raise UnsupportedGroupError("not the quaternion group")
-    mat_i = ((_I, _ZERO), (_ZERO, -_I))
-    mat_j = ((_ZERO, _ONE), (-_ONE, _ZERO))
-
-    def images_2d():
-        out = []
-        for x in range(8):
-            m, k = divmod(x, 4)
-            mat = _mat_identity(2)
-            if m:
-                mat = _mat_mul(mat, mat_j)
-            for _ in range(k):
-                mat = _mat_mul(mat, mat_i)
-            out.append(mat)
-        return out
-
-    reps = [matrix_rep(g, images_2d(), unitary=True)]
+    mat_i = np.array([[_I, _ZERO], [_ZERO, -_I]], dtype=object)
+    mat_j = np.array([[_ZERO, _ONE], [-_ONE, _ZERO]], dtype=object)
+    power = np.linalg.matrix_power
+    ids = [divmod(x, 4) for x in range(8)]
+    images = [power(mat_j, m) @ power(mat_i, k) for m, k in ids]
+    reps = [matrix_rep(g, images, unitary=True)]
     for alpha, beta in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        images = []
-        for x in range(8):
-            m, k = divmod(x, 4)
-            images.append(((GaussianRational(alpha**m * beta**k),),))
+        images = [[[alpha**m * beta**k]] for m, k in ids]
         reps.append(matrix_rep(g, images, unitary=True))
     # trivial first, 2-dim last: conventional reading order
-    reps.sort(key=lambda r: (r.dim, [complex(m[0][0]) != 1 for m in r.images]))
+    reps.sort(key=lambda r: (r.dim, (r.images[:, 0, 0] != 1).tolist()))
     return reps
 
 
@@ -590,20 +546,14 @@ def quaternion_rep_set(g: GroupTable) -> list[MatrixRep]:
 
 
 def rep_to_dict(rep: MatrixRep) -> dict:
-    images = {}
-    for x, m in enumerate(rep.images):
-        images[str(x)] = [
-            [
-                [
-                    v.re.numerator,
-                    v.re.denominator,
-                    v.im.numerator,
-                    v.im.denominator,
-                ]
-                for v in row
-            ]
+    images = {
+        str(x): [
+            [[v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator]
+             for v in row]
             for row in m
         ]
+        for x, m in enumerate(rep.images.tolist())
+    }
     return {"dim": rep.dim, "images": images, "unitary": rep.declared_unitary}
 
 
@@ -623,13 +573,7 @@ def _is_cell(cell) -> bool:
 def load_rep(source, g: GroupTable) -> MatrixRep:
     """Build a validated MatrixRep from a dict or a JSON file path."""
     if isinstance(source, (str, bytes)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidRepresentationError(f"cannot read {source}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise InvalidRepresentationError(f"{source} is not valid JSON: {exc}")
+        data = read_json(source, InvalidRepresentationError)
     else:
         data = source
     try:
@@ -656,8 +600,8 @@ def load_rep(source, g: GroupTable) -> MatrixRep:
                 f"image of {x} is not a {dim}x{dim} matrix of cells [re_num, "
                 f"re_den, im_num, im_den], four ints with nonzero denominators"
             )
-        images.append(tuple(
-            tuple(GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in r)
+        images.append([
+            [GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in r]
             for r in m
-        ))
+        ])
     return matrix_rep(g, images, unitary=unitary)

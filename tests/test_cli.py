@@ -292,6 +292,11 @@ def test_group_file_order_mismatch(capsys, tmp_path):
     assert "order" in err
 
 
+# not UTF-8, and nested past the json module's recursion limit
+_UNDECODABLE = b"\xff\xfe{}"
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
 @pytest.mark.parametrize(
     "argv, data",
     [
@@ -322,17 +327,32 @@ def test_group_file_order_mismatch(capsys, tmp_path):
         (["spectral", "C2", "--rep", "{path}"],
          {"dim": 1, "images": {"0": [[[1, 1, 0, 1]]], "1": [[[-1, 1, 0, 1]]]},
           "unitary": "false"}),
+        (["group", "file:{path}"], _UNDECODABLE),
+        (["flow", "file:{path}"], _UNDECODABLE),
+        (["spectral", "Dic2", "--rep", "{path}"], _UNDECODABLE),
+        (["group", "file:{path}"], _DEEP),
+        (["flow", "file:{path}"], _DEEP),
+        (["spectral", "Dic2", "--rep", "{path}"], _DEEP),
+        (["group", "file:{path}"],
+         {"semidirect": {"normal": "file:{path}", "acting": "C2", "action": [[0]]}}),
+        (["radon", "C4", "--matrix-csv", "{missing}/x.csv"], None),
     ],
     ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
          "missing-rep-file", "suite-with-no-cases", "table-not-a-list",
          "row-not-a-list", "boolean-cell", "action-not-a-list", "normal-not-a-spec",
          "flow-string-cell", "flow-string-size", "flow-table-not-a-list",
          "rep-zero-denominator", "rep-two-entry-cell", "rep-images-a-list",
-         "rep-dim-zero", "rep-unitary-a-string"],
+         "rep-dim-zero", "rep-unitary-a-string", "group-file-undecodable",
+         "flow-file-undecodable", "rep-file-undecodable", "group-file-deep",
+         "flow-file-deep", "rep-file-deep", "semidirect-includes-itself",
+         "matrix-csv-unwritable"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data).replace("{path}", str(path)))
     argv = [a.format(path=path, missing=tmp_path / "missing.json") for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -143,6 +143,17 @@ def test_rank_mod_reads_rows_lazily():
     assert exactla.rank_mod(rows(), n, 101) == n
 
 
+def test_deficient_echelon_basis_owns_its_data():
+    # three equal rows eliminate to one: a view of them would keep the
+    # stacked 3 x 2 array alive along with the 1 x 2 basis
+    deficient = exactla.echelon_mod([[1, 2]] * 3, 2, 101)
+    assert deficient.shape == (1, 2)
+    assert deficient.base is None and deficient.flags.owndata
+    # a full-rank basis is returned as elimination leaves it
+    full = exactla.echelon_mod([[1, 2], [3, 4], [5, 6]], 2, 101)
+    assert full.shape == (2, 2) and full.base is not None
+
+
 @given(
     st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),

@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from coset_radon import groups, radon, spectral, verify
+from coset_radon import exactla, groups, radon, spectral, verify
 from coset_radon.errors import (
     DimensionError,
     InvalidRepresentationError,
@@ -68,16 +69,17 @@ def test_value_exponents_match_triple_loop():
     for g in corpus + [groups.from_name("C12xC12")]:
         ct = spectral.characters(g)
         weights = [ct.exponent // d for d in ct.factors]
-        want = tuple(
-            tuple(
+        want = [
+            [
                 sum(c * xc * w for c, xc, w in zip(char, ct.coords[x], weights))
                 % ct.exponent
                 for x in range(g.order)
-            )
+            ]
             for char in ct.characters
-        )
-        assert ct.value_exponents == want, g.recipe
-        assert all(type(e) is int for row in ct.value_exponents for e in row)
+        ]
+        assert ct.value_exponents.tolist() == want, g.recipe
+        assert ct.value_exponents.dtype == np.int64
+        assert not ct.value_exponents.flags.writeable
 
 
 def test_characters_reject_nonabelian():
@@ -227,7 +229,7 @@ def test_regular_rep_projection_matrix():
     hom = Homomorphism(2, 1)
     total = spectral.geodesic_sum(g, rep, hom).matrix
     one = GaussianRational(1)
-    assert total == ((one, one), (one, one))
+    assert total.tolist() == [[one, one], [one, one]]
     assert spectral.check_projection(g, rep, hom)
 
 
@@ -308,8 +310,6 @@ def test_quaternion_kernel_prediction(q8, q8_reps):
 
 
 def test_quaternion_matrix_coefficients_span_kernel(q8, q8_reps):
-    from coset_radon import exactla
-
     rep = q8_reps[-1]
     sys = radon.build_system(q8, "prime")
     rows = []
@@ -331,7 +331,10 @@ def test_rep_round_trip(q8, q8_reps, tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(spectral.rep_to_dict(rep)))
     again = spectral.load_rep(str(path), q8)
-    assert again == rep
+    assert (again.group_order, again.dim, again.declared_unitary) == (
+        rep.group_order, rep.dim, rep.declared_unitary
+    )
+    assert np.array_equal(again.images, rep.images)
 
 
 def test_load_rep_malformed(q8):
@@ -346,3 +349,117 @@ def test_load_rep_malformed(q8):
     }
     with pytest.raises(InvalidRepresentationError):
         spectral.load_rep(bad_shape, q8)
+
+
+# --- array forms against per-entry references ------------------------------------
+
+
+def _first_broken_pair(g, images):
+    """Row-major first (a, b) with images[a] images[b] != images[ab], by
+    plain nested loops over nested lists."""
+    d = len(images[0])
+
+    def mul(a, b):
+        return [
+            [sum((a[i][k] * b[k][j] for k in range(d)), GaussianRational(0))
+             for j in range(d)]
+            for i in range(d)
+        ]
+
+    for a in range(g.order):
+        for b in range(g.order):
+            if mul(images[a], images[b]) != images[int(g.table[a, b])]:
+                return a, b
+    return None
+
+
+def _corruptions(images):
+    """Copies of images with one image x > 0 changed in several ways."""
+    i = GaussianRational(0, 1)
+    changes = [
+        lambda m: [[-v for v in row] for row in m],
+        lambda m: [[v * i for v in row] for row in m],
+        lambda m: m[::-1],
+        lambda m: [row[::-1] for row in m],
+        lambda m: [[v + 1 for v in row] for row in m],
+    ]
+    for x in range(1, len(images)):
+        for change in changes:
+            out = [m for m in images]
+            out[x] = change(images[x])
+            yield out
+
+
+@pytest.mark.parametrize("which", ["q8-two-dim", "c2-regular"])
+def test_matrix_rep_names_first_broken_pair(which, q8, q8_reps):
+    if which == "q8-two-dim":
+        g, rep = q8, q8_reps[-1]
+    else:
+        g, rep = groups.make_cyclic(2), _regular_rep_c2()
+    images = rep.images.tolist()
+    broken = 0
+    for bad in _corruptions(images):
+        pair = _first_broken_pair(g, bad)
+        if pair is None:
+            assert spectral.matrix_rep(g, bad, unitary=False).dim == rep.dim
+            continue
+        broken += 1
+        with pytest.raises(InvalidRepresentationError) as err:
+            spectral.matrix_rep(g, bad, unitary=False)
+        assert str(err.value) == f"images break the product at pair {pair}"
+    assert broken >= 2
+
+
+def _dft_reference(ct, f):
+    vals = [complex(v) for v in f]
+    return [
+        sum(vals[x] * spectral.char_value(ct, c, x) for x in range(ct.group.order))
+        for c in range(len(ct.characters))
+    ]
+
+
+def _fourier_reference(g, ct, f, tolerance):
+    vals = [complex(v) for v in f]
+    fhat = _dft_reference(ct, f)
+    for p in exactla.prime_divisors(g.order):
+        for x in range(1, g.order):
+            if p % g.elt_order[x]:
+                continue
+            steps = g.powers(x, p)
+            rf = [
+                sum((vals[int(g.table[y, s])] for s in steps), 0j)
+                for y in range(g.order)
+            ]
+            rf_hat = _dft_reference(ct, rf)
+            for c in range(len(ct.characters)):
+                isum = sum((spectral.char_value(ct, c, s) for s in steps), 0j)
+                if abs(rf_hat[c] - fhat[c] * isum) > tolerance:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["C12", "C2xC4", "C3xC3"])
+def test_dft_and_fourier_check_match_per_entry_reference(name):
+    g = groups.from_name(name)
+    ct = spectral.characters(g)
+    rng = random.Random(name)
+    verdicts = set()
+    for _ in range(5):
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(g.order)]
+        # summed in the same order, so equal bit for bit
+        assert spectral.dft(ct, f) == _dft_reference(ct, f)
+        for tolerance in (0.0, 1e-16, 1e-15, 1e-9):
+            want = _fourier_reference(g, ct, f, tolerance)
+            assert spectral.fourier_radon_check(g, f, tolerance, ct=ct) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_array_forms_refuse_writes(q8, q8_reps):
+    ct = spectral.characters(groups.from_name("C2xC4"))
+    rep = q8_reps[-1]
+    total = spectral.geodesic_sum(q8, rep, Homomorphism(4, 1)).matrix
+    for arr in (ct.value_exponents, rep.images, total):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
