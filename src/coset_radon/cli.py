@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain
 from time import perf_counter
@@ -153,18 +154,7 @@ def cmd_radon(args) -> int:
     g = load_group(args.spec)
     sys_ = radon.build_system(g, args.variant)
     verdict, kb = radon._verdict(sys_)
-    payload = {
-        "group": g.recipe,
-        "variant": verdict.variant,
-        "order": verdict.order,
-        "rows": verdict.rows,
-        "rank": verdict.rank,
-        "kernel_dim": verdict.kernel_dim,
-        "injective": verdict.injective,
-        "frobenius_complement": verdict.frobenius_complement,
-        "method": verdict.method,
-        "elapsed_ms": _ms(t0),
-    }
+    payload = {"group": g.recipe, **asdict(verdict), "elapsed_ms": _ms(t0)}
     lines = [
         f"group {g.recipe} ({args.variant}): "
         f"{'injective' if verdict.injective else 'noninjective'}",
@@ -231,8 +221,8 @@ def _spectral_abelian_payload(g: GroupTable, tolerance: float) -> tuple[dict, li
     return payload, lines
 
 
-def _spectral_rep_payload(g: GroupTable, reps, tolerance: float) -> tuple[dict, list]:
-    del tolerance  # rep-based checks are exact
+def _spectral_rep_payload(g: GroupTable, reps) -> tuple[dict, list]:
+    """The rep-based checks, all exact, so no tolerance applies."""
     projections_ok = True
     for rep in reps:
         for p in prime_divisors(g.order):
@@ -248,15 +238,7 @@ def _spectral_rep_payload(g: GroupTable, reps, tolerance: float) -> tuple[dict, 
         "rep_dims": [rep.dim for rep in reps],
         "char_sum_exact": spectral.char_sum_check(g, reps),
         "projections_ok": projections_ok,
-        "dichotomies": [
-            {
-                "dim": r.dim,
-                "fixed_span_dim": r.fixed_span_dim,
-                "kernel_dim": r.kernel_dim,
-                "dichotomy_ok": r.dichotomy_ok,
-            }
-            for r in reports
-        ],
+        "dichotomies": [asdict(r) for r in reports],
         "kernel_dim": verdict.kernel_dim,
         "predicted_kernel_dim": predicted,
     }
@@ -278,6 +260,7 @@ def _spectral_rep_payload(g: GroupTable, reps, tolerance: float) -> tuple[dict, 
 
 def cmd_spectral(args) -> int:
     t0 = perf_counter()
+    spectral._check_tolerance(args.tolerance)
     g = load_group(args.spec)
     if args.rep is None:
         if not is_abelian(g):
@@ -287,10 +270,10 @@ def cmd_spectral(args) -> int:
         payload, lines = _spectral_abelian_payload(g, args.tolerance)
     elif args.rep == "builtin:q8":
         reps = spectral.quaternion_rep_set(g)
-        payload, lines = _spectral_rep_payload(g, reps, args.tolerance)
+        payload, lines = _spectral_rep_payload(g, reps)
     else:
         rep = spectral.load_rep(args.rep, g)
-        payload, lines = _spectral_rep_payload(g, [rep], args.tolerance)
+        payload, lines = _spectral_rep_payload(g, [rep])
     payload["elapsed_ms"] = _ms(t0)
     _emit(args, payload, lines)
     return 0
@@ -362,15 +345,7 @@ def cmd_verify(args) -> int:
         "total": report.total,
         "failed": report.failed,
         "passed": report.passed,
-        "cases": [
-            {
-                "group": c.group,
-                "expected": c.expected,
-                "computed": c.computed,
-                "pass": c.passed,
-            }
-            for c in report.cases
-        ],
+        "cases": [{**asdict(c), "pass": c.passed} for c in report.cases],
         "elapsed_ms": _ms(t0),
     }
     lines = [

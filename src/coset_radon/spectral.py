@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import exactla
 from .errors import (
+    CosetRadonError,
     DimensionError,
     InvalidRepresentationError,
     UnsupportedGroupError,
@@ -305,30 +307,45 @@ def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
     return out, num[:dd]
 
 
-def _root_sum_is_zero(exps: np.ndarray, order: int) -> bool:
-    """Whether the sum of zeta^e over the exponents e in [0, order) vanishes,
-    zeta = primitive order-th root of unity. Exact: divisibility of the
-    polynomial that counts the exponents by the minimal polynomial."""
-    counts = np.bincount(exps, minlength=order).tolist()
-    return not any(_divmod_monic(counts, _cyclotomic(order))[1])
-
-
 def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
     """sum over the listed characters of chi(x): |G| at identity, 0 elsewhere.
 
     For the full table this is the completeness identity; passing a proper
     subset should make it fail. Exact at every x: the value is a sum of
-    roots of unity, which vanishes iff the counting polynomial is divisible
-    by the relevant cyclotomic polynomial.
+    roots of unity, which vanishes iff the polynomial that counts the
+    exponents at x is divisible by the exponent-th cyclotomic polynomial.
+    Elements with the same counts share one division; for the full table
+    the counts depend only on the element's order.
     """
     n, order = ct.group.order, ct.exponent
     idx = list(range(len(ct.characters)) if indices is None else indices)
     # every character is 1 at the identity, so the sum there is len(idx)
     if len(idx) != n:
         return False
-    return all(
-        _root_sum_is_zero(ct.value_exponents[idx, x], order) for x in range(1, n)
-    )
+    cyclotomic = _cyclotomic(order)
+    divided = set()
+    for cols in _row_blocks(n - 1, n):
+        exps = ct.value_exponents[:, 1:][:, cols][idx].T
+        width = len(exps)
+        # [x, e]: how many listed characters take exponent e at element x
+        counts = np.bincount(
+            (exps + order * np.arange(width)[:, None]).ravel(),
+            minlength=width * order,
+        ).reshape(width, order)
+        for vec in counts:
+            key = vec.tobytes()
+            if key not in divided:
+                if any(_divmod_monic(vec.tolist(), cyclotomic)[1]):
+                    return False
+                divided.add(key)
+    return True
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance no comparison can use: every difference is within
+    NaN or infinity, and none is within a negative bound."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise CosetRadonError(f"tolerance {tolerance} is not finite and nonnegative")
 
 
 def fourier_radon_check(
@@ -340,6 +357,7 @@ def fourier_radon_check(
     Fourier coefficient of x -> sum_t f(x gamma(t)) at chi must be
     f^(chi) * sum_t chi(gamma(t)).
     """
+    _check_tolerance(tolerance)
     if ct is None:
         ct = characters(g)
     vals = np.array([complex(v) for v in f], dtype=complex)

@@ -15,7 +15,7 @@ from math import gcd
 
 from . import flows, geodesics, iso, radon, spectral
 from .errors import NoGeodesicsError, FlowAxiomError, InvalidOrderError
-from .exactla import factorize, is_prime
+from .exactla import factorize, field_rref, is_prime
 from .groups import (
     GroupTable,
     from_name,
@@ -78,6 +78,12 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return self.failed == 0
+
+
+def _case(group: str, expected: str, ok: bool, detail: str) -> SuiteCase:
+    """A case that passes by repeating its expectation; detail is what it
+    reports instead when ok fails."""
+    return SuiteCase(group, expected, expected if ok else detail)
 
 
 def _report(name: str, cases: list[SuiteCase]) -> SuiteReport:
@@ -167,14 +173,13 @@ def suite_abelian(max_order: int = 48) -> SuiteReport:
     for g in abelian_groups_upto(max_order):
         inj = _inj(g)
         cyclic = is_cyclic(g)
-        factors = invariant_factors(g)
-        has_square = len(factors) >= 2  # p | d_{k-1} and p | d_k for p | d_{k-1}
-        expected = "injective iff noncyclic iff contains-square"
-        if (inj == (not cyclic)) and (inj == has_square):
-            computed = expected
-        else:
-            computed = f"injective={inj} cyclic={cyclic} square={has_square}"
-        cases.append(SuiteCase(group=g.recipe, expected=expected, computed=computed))
+        # p | d_{k-1} and p | d_k for p | d_{k-1}
+        has_square = len(invariant_factors(g)) >= 2
+        cases.append(_case(
+            g.recipe, "injective iff noncyclic iff contains-square",
+            inj == (not cyclic) == has_square,
+            f"injective={inj} cyclic={cyclic} square={has_square}",
+        ))
     return _report("abelian", cases)
 
 
@@ -203,17 +208,10 @@ def suite_products(max_order: int = 64) -> SuiteReport:
                 and (not verdicts[g2.recipe])
                 and gcd(g1.order, g2.order) == 1
             )
-            cases.append(
-                SuiteCase(
-                    group=prod.recipe,
-                    expected="product rule holds",
-                    computed=(
-                        "product rule holds"
-                        if noninj_prod == predicted
-                        else f"noninjective={noninj_prod} predicted={predicted}"
-                    ),
-                )
-            )
+            cases.append(_case(
+                prod.recipe, "product rule holds", noninj_prod == predicted,
+                f"noninjective={noninj_prod} predicted={predicted}",
+            ))
     return _report("products", cases)
 
 
@@ -299,13 +297,7 @@ def suite_lemma_prime(
         fs = random_rational_functions(g.order, functions, seed ^ g.order)
         for n in composites:
             ok = radon.composite_consistency(g, n, fs)
-            cases.append(
-                SuiteCase(
-                    group=f"{g.recipe} len={n}",
-                    expected="consistent",
-                    computed="consistent" if ok else "inconsistent",
-                )
-            )
+            cases.append(_case(f"{g.recipe} len={n}", "consistent", ok, "inconsistent"))
     return _report("lemma-prime", cases)
 
 
@@ -336,33 +328,20 @@ def suite_subgroup_monotone() -> SuiteReport:
     direction is not claimed.
     """
     cases = []
+    expected = "embedding found, monotone"
     for h_name, g_name in _MONOTONE_PAIRS:
+        pair = f"{h_name} <= {g_name}"
         h = from_name(h_name)
         g = from_name(g_name)
-        emb = iso.find_embedding(h, g)
-        if emb is None:
-            cases.append(
-                SuiteCase(
-                    group=f"{h_name} <= {g_name}",
-                    expected="embedding found, monotone",
-                    computed="no embedding",
-                )
-            )
+        if iso.find_embedding(h, g) is None:
+            cases.append(_case(pair, expected, False, "no embedding"))
             continue
         inj_h = _inj(h)
         inj_g = _inj(g)
-        holds = (not inj_h) or inj_g
-        cases.append(
-            SuiteCase(
-                group=f"{h_name} <= {g_name}",
-                expected="embedding found, monotone",
-                computed=(
-                    "embedding found, monotone"
-                    if holds
-                    else f"subgroup injective={inj_h} group injective={inj_g}"
-                ),
-            )
-        )
+        cases.append(_case(
+            pair, expected, (not inj_h) or inj_g,
+            f"subgroup injective={inj_h} group injective={inj_g}",
+        ))
     return _report("subgroup-monotone", cases)
 
 
@@ -374,17 +353,10 @@ def suite_spectral_abelian(max_order: int = 64) -> SuiteReport:
     for g in abelian_groups_upto(max_order):
         verdict = radon.is_injective(g)
         count = len(spectral.faithful_characters(spectral.characters(g)))
-        cases.append(
-            SuiteCase(
-                group=g.recipe,
-                expected="kernel dim = faithful count",
-                computed=(
-                    "kernel dim = faithful count"
-                    if verdict.kernel_dim == count
-                    else f"kernel={verdict.kernel_dim} faithful={count}"
-                ),
-            )
-        )
+        cases.append(_case(
+            g.recipe, "kernel dim = faithful count", verdict.kernel_dim == count,
+            f"kernel={verdict.kernel_dim} faithful={count}",
+        ))
     cases.append(_quaternion_span_case())
     return _report("spectral-abelian", cases)
 
@@ -393,31 +365,19 @@ def _quaternion_span_case() -> SuiteCase:
     g = make_dicyclic(2)
     sys = radon.build_system(g, "prime")
     kb = radon.kernel(sys)
-    reps = spectral.quaternion_rep_set(g)
-    two = next(r for r in reps if r.dim == 2)
-    rows = []
-    for vec in spectral.matrix_coefficient_vectors(g, two):
-        re = [c.re for c in vec]
-        im = [c.im for c in vec]
-        for part in (re, im):
-            if any(radon.apply(sys, part)):
-                return SuiteCase(
-                    group=g.recipe,
-                    expected="coefficients span kernel",
-                    computed="coefficient vector not annihilated",
-                )
-            if any(part):
-                rows.append([Fraction(v) for v in part])
-    from .exactla import field_rref
-
-    rank = len(field_rref(rows)[0])
-    ok = kb.dim == 4 and rank == 4
-    return SuiteCase(
-        group=g.recipe,
-        expected="coefficients span kernel",
-        computed=(
-            "coefficients span kernel" if ok else f"kernel={kb.dim} span={rank}"
-        ),
+    two = next(r for r in spectral.quaternion_rep_set(g) if r.dim == 2)
+    # the real and imaginary parts of each coefficient vector, as Fractions
+    parts = [
+        [getattr(c, axis) for c in vec]
+        for vec in spectral.matrix_coefficient_vectors(g, two)
+        for axis in ("re", "im")
+    ]
+    expected = "coefficients span kernel"
+    if any(any(radon.apply(sys, part)) for part in parts):
+        return _case(g.recipe, expected, False, "coefficient vector not annihilated")
+    rank = len(field_rref([part for part in parts if any(part)])[0])
+    return _case(
+        g.recipe, expected, kb.dim == 4 and rank == 4, f"kernel={kb.dim} span={rank}"
     )
 
 
@@ -425,15 +385,10 @@ def _zero_average_cyclic_case(n: int) -> SuiteCase:
     g = make_cyclic(n)
     verdict, kb = radon._verdict(radon.build_system(g, "maximal"))
     zero_avg = all(sum(vec) == 0 for vec in kb.vectors)
-    ok = kb.dim == n - 1 and zero_avg and verdict.rank == 1
-    return SuiteCase(
-        group=g.recipe,
-        expected="kernel = zero-average functions",
-        computed=(
-            "kernel = zero-average functions"
-            if ok
-            else f"dim={kb.dim} zero_avg={zero_avg}"
-        ),
+    return _case(
+        g.recipe, "kernel = zero-average functions",
+        kb.dim == n - 1 and zero_avg and verdict.rank == 1,
+        f"dim={kb.dim} zero_avg={zero_avg}",
     )
 
 
@@ -445,13 +400,8 @@ def suite_maximal(max_order: int = 48) -> SuiteReport:
     cases = []
     for p in (2, 3, 5):
         g = make_direct_product(make_cyclic(p), make_cyclic(p))
-        cases.append(
-            SuiteCase(
-                group=f"{g.recipe} maximal",
-                expected="injective",
-                computed="injective" if _inj(g, "maximal") else "noninjective",
-            )
-        )
+        inj = _inj(g, "maximal")
+        cases.append(_case(f"{g.recipe} maximal", "injective", inj, "noninjective"))
     for n in range(2, 31):
         cases.append(_zero_average_cyclic_case(n))
     c66 = make_direct_product(make_cyclic(6), make_cyclic(6))
@@ -508,20 +458,12 @@ def _coprime_factor_cases(max_order: int) -> list[SuiteCase]:
                 f[x] = Fraction(-1)
         sysm = radon.build_system(prod, "maximal")
         annihilated = not any(radon.apply(sysm, f))
-        noninj = not _inj(prod, "maximal")
-        ok = surjective and annihilated and noninj
-        out.append(
-            SuiteCase(
-                group=f"{prod.recipe} maximal",
-                expected="coprime factor kills injectivity",
-                computed=(
-                    "coprime factor kills injectivity"
-                    if ok
-                    else f"surjective={surjective} annihilated={annihilated} "
-                    f"noninjective={noninj}"
-                ),
-            )
-        )
+        noninj = radon.decide_system(sysm)[1] > 0
+        out.append(_case(
+            f"{prod.recipe} maximal", "coprime factor kills injectivity",
+            surjective and annihilated and noninj,
+            f"surjective={surjective} annihilated={annihilated} noninjective={noninj}",
+        ))
     return out
 
 
@@ -543,18 +485,10 @@ def _quotient_cases() -> list[SuiteCase]:
         premise = sub.elements not in maximal_sets
         q, _ = quotient_with_projection(g, sub)
         inj_q = _inj(q)
-        ok = premise and inj_q
-        out.append(
-            SuiteCase(
-                group=f"C6xC6/<{x}> order {q.order}",
-                expected="quotient transform injective",
-                computed=(
-                    "quotient transform injective"
-                    if ok
-                    else f"premise={premise} injective={inj_q}"
-                ),
-            )
-        )
+        out.append(_case(
+            f"C6xC6/<{x}> order {q.order}", "quotient transform injective",
+            premise and inj_q, f"premise={premise} injective={inj_q}",
+        ))
     return out
 
 
@@ -586,19 +520,12 @@ def suite_flows(max_order: int = 24) -> SuiteReport:
             o.stationary == (o.states[0][0] == o.states[0][1]) for o in orbs
         )
         reversal_ok = _reversal_closed(orbs)
-        ok = projections == cosets and diag_ok and reversal_ok
-        cases.append(
-            SuiteCase(
-                group=f"group-flow {g.recipe}",
-                expected="orbits = cosets",
-                computed=(
-                    "orbits = cosets"
-                    if ok
-                    else f"match={projections == cosets} diag={diag_ok} "
-                    f"reversal={reversal_ok}"
-                ),
-            )
-        )
+        match = projections == cosets
+        cases.append(_case(
+            f"group-flow {g.recipe}", "orbits = cosets",
+            match and diag_ok and reversal_ok,
+            f"match={match} diag={diag_ok} reversal={reversal_ok}",
+        ))
     cases.append(_axiom_witness_case())
     cases.extend(_parity_cases())
     return _report("flows", cases)
@@ -624,11 +551,7 @@ def _axiom_witness_case() -> SuiteCase:
         except FlowAxiomError as exc:
             got.append(exc.axiom)
     ok = got[0] == "fixed-diagonal" and got[1] in ("avoids-target", "reflection")
-    return SuiteCase(
-        group="axiom-witnesses",
-        expected="violations named",
-        computed="violations named" if ok else f"got {got}",
-    )
+    return _case("axiom-witnesses", "violations named", ok, f"got {got}")
 
 
 def _parity_cases() -> list[SuiteCase]:
@@ -639,17 +562,10 @@ def _parity_cases() -> list[SuiteCase]:
         if g.order % 2 == 0 or g.order < 3:
             continue
         involutive = all(d <= 2 for d in g.elt_order)
-        out.append(
-            SuiteCase(
-                group=f"parity {g.recipe}",
-                expected="odd order admits no constant group flow",
-                computed=(
-                    "odd order admits no constant group flow"
-                    if not involutive
-                    else "all elements involutive"
-                ),
-            )
-        )
+        out.append(_case(
+            f"parity {g.recipe}", "odd order admits no constant group flow",
+            not involutive, "all elements involutive",
+        ))
     return out
 
 
@@ -672,13 +588,16 @@ _FIXED_CORPUS = ("catalog", "bound", "subgroup-monotone")
 
 def run_suite(name: str, max_order: int | None = None) -> SuiteReport:
     """Run one named suite. A sweep bound is an input error when the suite
-    has a fixed corpus or when it leaves the suite no cases, so a bound is
-    never dropped silently and an empty suite can never pass."""
+    has a fixed corpus, when it is below 2 (the smallest nontrivial group)
+    or when it leaves the suite no cases, so a bound is never dropped
+    silently and an empty suite can never pass."""
     fn = SUITES[name]
     if max_order is None:
         report = fn()
     elif name in _FIXED_CORPUS:
         raise InvalidOrderError(f"suite {name} has a fixed corpus, so no max order")
+    elif max_order < 2:
+        raise InvalidOrderError(f"max order {max_order} is below 2")
     else:
         report = fn(max_order=max_order)
     if not report.cases:

@@ -336,6 +336,15 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
         (["group", "file:{path}"],
          {"semidirect": {"normal": "file:{path}", "acting": "C2", "action": [[0]]}}),
         (["radon", "C4", "--matrix-csv", "{missing}/x.csv"], None),
+        (["spectral", "C4", "--tolerance", "nan"], None),
+        (["spectral", "C4", "--tolerance", "inf"], None),
+        (["spectral", "C4", "--tolerance", "-1"], None),
+        (["spectral", "Dic2", "--rep", "builtin:q8", "--tolerance", "nan"], None),
+        (["verify", "maximal", "--max-order", "0"], None),
+        (["verify", "maximal", "--max-order", "-5"], None),
+        (["verify", "flows", "--max-order", "1"], None),
+        (["verify", "spectral-abelian", "--max-order", "1"], None),
+        (["verify", "products", "--max-order", "3"], None),
     ],
     ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
          "missing-rep-file", "suite-with-no-cases", "table-not-a-list",
@@ -345,7 +354,10 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
          "rep-dim-zero", "rep-unitary-a-string", "group-file-undecodable",
          "flow-file-undecodable", "rep-file-undecodable", "group-file-deep",
          "flow-file-deep", "rep-file-deep", "semidirect-includes-itself",
-         "matrix-csv-unwritable"],
+         "matrix-csv-unwritable", "tolerance-nan", "tolerance-inf",
+         "tolerance-negative", "rep-route-tolerance-nan", "maximal-max-order-0",
+         "maximal-max-order-negative", "flows-max-order-1",
+         "spectral-abelian-max-order-1", "products-with-no-cases"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     path = tmp_path / "input.json"
@@ -392,3 +404,24 @@ def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
     assert payload["method"] == "exact-elimination"
     assert len(payload["kernel"]) == payload["kernel_dim"] == 4
     assert calls == {"build_system": 1, "_kernel": 1}
+
+
+def test_json_key_sets_from_records(capsys):
+    # these payload fields are read off InjectivityVerdict, SuiteCase and
+    # FixedSpaceReport, so a field added to one of them shows up here
+    verdict = {
+        "group", "variant", "order", "rows", "rank", "kernel_dim", "injective",
+        "frobenius_complement", "method", "elapsed_ms",
+    }
+    _, payload, _ = run_json(capsys, "radon", "Dic3")
+    assert set(payload) == verdict
+    _, payload, _ = run_json(capsys, "radon", "Dic3", "--kernel")
+    assert set(payload) == verdict | {"kernel"}
+    _, payload, _ = run_json(capsys, "verify", "catalog")
+    assert payload["cases"]
+    for case in payload["cases"]:
+        assert set(case) == {"group", "expected", "computed", "pass"}
+    _, payload, _ = run_json(capsys, "spectral", "Dic2", "--rep", "builtin:q8")
+    assert len(payload["dichotomies"]) == 5
+    for report in payload["dichotomies"]:
+        assert set(report) == {"dim", "fixed_span_dim", "kernel_dim", "dichotomy_ok"}

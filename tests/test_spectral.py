@@ -7,6 +7,7 @@ import pytest
 
 from coset_radon import exactla, groups, radon, spectral, verify
 from coset_radon.errors import (
+    CosetRadonError,
     DimensionError,
     InvalidRepresentationError,
     UnsupportedGroupError,
@@ -143,6 +144,40 @@ def test_dropping_a_character_breaks_completeness():
     assert not spectral.char_sum_check_characters(ct, indices=[0])
 
 
+def _char_sum_per_element(ct, indices) -> bool:
+    """The completeness identity one element at a time: at each x != e the
+    polynomial counting the listed characters' exponents must be divisible
+    by the cyclotomic polynomial of the exponent."""
+    n, order = ct.group.order, ct.exponent
+    if len(indices) != n:
+        return False
+    cyclotomic = spectral._cyclotomic(order)
+    for x in range(1, n):
+        counts = [0] * order
+        for i in indices:
+            counts[int(ct.value_exponents[i, x])] += 1
+        if any(spectral._divmod_monic(counts, cyclotomic)[1]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["C240", "C12xC12", "C2xC4xC3xC5"])
+def test_char_sum_check_matches_per_element_division(name, monkeypatch):
+    ct = spectral.characters(groups.from_name(name))
+    n = ct.group.order
+    rng = random.Random(n)
+    full = list(range(n))
+    one_repeated = [0] + full[:-1]  # character 0 twice, the last one missing
+    drawn = [rng.randrange(n) for _ in range(n)]
+    lists = (full, full[::-1], one_repeated, drawn, [5] * n)
+    want = [_char_sum_per_element(ct, indices) for indices in lists]
+    assert want[:2] == [True, True]
+    assert spectral.char_sum_check_characters(ct)
+    assert [spectral.char_sum_check_characters(ct, i) for i in lists] == want
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", 1000)  # many element blocks
+    assert [spectral.char_sum_check_characters(ct, i) for i in lists] == want
+
+
 # --- numeric Fourier side -----------------------------------------------------
 
 
@@ -185,6 +220,16 @@ def test_fourier_transform_identity():
 def test_fourier_check_length_error():
     with pytest.raises(DimensionError):
         spectral.fourier_radon_check(groups.make_cyclic(4), [1, 2])
+
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+def test_fourier_check_refuses_unusable_tolerance(tolerance):
+    g = groups.make_cyclic(6)
+    with pytest.raises(CosetRadonError, match="tolerance"):
+        spectral.fourier_radon_check(g, [1] * 6, tolerance=tolerance)
+    # zero stays allowed: a point mass at the identity passes exactly
+    assert spectral.fourier_radon_check(g, [1, 0, 0, 0, 0, 0], tolerance=0.0)
 
 
 # --- matrix representations ---------------------------------------------------

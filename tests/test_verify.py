@@ -42,6 +42,14 @@ def test_suite_case_semantics():
     assert not report.passed
 
 
+def test_case_repeats_expectation_or_reports_detail():
+    good = verify._case("C2", "x", True, "saw y")
+    bad = verify._case("C2", "x", False, "saw y")
+    assert good == verify.SuiteCase(group="C2", expected="x", computed="x")
+    assert bad == verify.SuiteCase(group="C2", expected="x", computed="saw y")
+    assert good.passed and not bad.passed
+
+
 def test_report_orders_cases_canonically():
     report = verify.run_suite("catalog")
     keys = [(c.group, c.expected) for c in report.cases]
