@@ -79,9 +79,26 @@ def _load_group(spec: str, loading: frozenset[str]) -> GroupTable:
     return from_name(spec)
 
 
+def _dumps(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2), written faster when
+    the payload holds a "kernel": a list of nonempty rows of strings that
+    need no escaping, such as str(Fraction). Those rows are joined here, one
+    entry a line as indent=2 lays them out, and spliced in where the rest of
+    the payload, dumped by json, holds a marker."""
+    if "kernel" not in payload:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    marker = "\0kernel\0"  # no recipe holds a NUL
+    text = json.dumps({**payload, "kernel": marker}, sort_keys=True, indent=2)
+    rows = [
+        '    [\n      "' + '",\n      "'.join(row) + '"\n    ]' for row in payload["kernel"]
+    ]
+    kernel = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return text.replace(json.dumps(marker), kernel, 1)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -152,8 +169,7 @@ def cmd_geodesics(args) -> int:
 def cmd_radon(args) -> int:
     t0 = perf_counter()
     g = load_group(args.spec)
-    sys_ = radon.build_system(g, args.variant)
-    verdict, kb = radon._verdict(sys_)
+    verdict, kb, sys_ = radon._group_verdict(g, args.variant)
     payload = {"group": g.recipe, **asdict(verdict), "elapsed_ms": _ms(t0)}
     lines = [
         f"group {g.recipe} ({args.variant}): "
@@ -164,6 +180,8 @@ def cmd_radon(args) -> int:
     if verdict.frobenius_complement is not None:
         lines.append(f"  frobenius complement: {verdict.frobenius_complement}")
     if args.matrix_csv:
+        if sys_ is None:
+            sys_ = radon.build_system(g, args.variant)
         try:
             with open(args.matrix_csv, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)

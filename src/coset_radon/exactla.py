@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "echelon_mod",
     "factorize",
     "lift_nullspace",
+    "minimal_polynomial_mod",
     "nullspace_mod",
     "prime_divisors",
     "rank_exact",
@@ -318,6 +319,38 @@ def echelon_mod(rows, ncols: int, p: int) -> np.ndarray:
 def rank_mod(rows, ncols: int, p: int) -> int:
     """Rank of an integer matrix mod p, with early stop at full rank."""
     return len(echelon_mod(rows, ncols, p))
+
+
+def minimal_polynomial_mod(step, v: np.ndarray, p: int) -> list[int]:
+    """Coefficients c_0, ..., c_d, with c_d = 1, of the monic polynomial m
+    of least degree with m(T) v = 0 mod p, where step(u) returns T u mod p
+    as an int64 array: the first linear dependency of the Krylov sequence
+    v, T v, T^2 v, ...
+
+    Each new vector is reduced against the normalized rows before it; every
+    row carries the combination of Krylov vectors it stands for, so the
+    vector that reduces to zero hands back the dependency itself.
+    """
+    pivots, rows, combos = [], [], []
+    u = v % p
+    for d in count():
+        r = u.copy()
+        c = np.zeros(d + 1, dtype=np.int64)
+        c[d] = 1
+        for q, row, combo in zip(pivots, rows, combos):
+            f = int(r[q])
+            if f:
+                r = (r - f * row) % p
+                c[: len(combo)] = (c[: len(combo)] - f * combo) % p
+        nz = np.flatnonzero(r)
+        if not nz.size:
+            return c.tolist()
+        q = int(nz[0])
+        s = pow(int(r[q]), p - 2, p)
+        pivots.append(q)
+        rows.append(r * s % p)
+        combos.append(c * s % p)
+        u = step(u)
 
 
 def nullspace_mod(echelon: np.ndarray, p: int) -> np.ndarray:

@@ -47,6 +47,7 @@ __all__ = [
     "GroupTable",
     "SubgroupSet",
     "abelian_basis",
+    "conjugacy_classes",
     "cyclic_subgroup",
     "from_cayley_table",
     "from_name",
@@ -89,13 +90,15 @@ def max_group_order() -> int:
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """A validated group: its read-only int32 Cayley table plus cached
-    per-element data (inverses and element orders, as Python ints)."""
+    per-element data (inverses and element orders, as Python ints) and the
+    generating set on which Light's test proved associativity."""
 
     order: int
     table: np.ndarray
     inv: tuple[int, ...]
     elt_order: tuple[int, ...]
     recipe: str
+    generators: tuple[int, ...]
 
     def powers(self, x: int, length: int | None = None) -> list[int]:
         """x^0, x^1, ..., x^(length-1), walking column x of the table;
@@ -165,8 +168,9 @@ def _check_latin(t: np.ndarray) -> None:
             )
 
 
-def _check_associativity(t: np.ndarray, orders: np.ndarray) -> None:
+def _check_associativity(t: np.ndarray, orders: np.ndarray) -> list[int]:
     """Light's test on a greedy generating set; a proof at every order.
+    Returns that generating set.
 
     The elements a with (xa)y = x(ay) for all x, y are closed under
     products, so checking a generating set proves associativity. Closing
@@ -192,6 +196,7 @@ def _check_associativity(t: np.ndarray, orders: np.ndarray) -> None:
                 raise AssociativityError((rows.start + int(x), a, int(y)))
         gens.append(a)
         _close(t, reached, gens)
+    return gens
 
 
 def _close(t: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
@@ -236,7 +241,7 @@ def _build(t: np.ndarray, recipe: str) -> GroupTable:
     # powers are defined in any latin square with an identity; a loop fails
     # on associativity before the inverse and Lagrange checks below
     orders = _element_orders(t)
-    _check_associativity(t, orders)
+    gens = _check_associativity(t, orders)
     inv = np.argmin(t, axis=1)  # each row is a permutation, so 0 is its minimum
     bad = np.flatnonzero(t[inv, ids] != 0)
     if bad.size:
@@ -255,6 +260,7 @@ def _build(t: np.ndarray, recipe: str) -> GroupTable:
         inv=tuple(inv.tolist()),
         elt_order=tuple(orders.tolist()),
         recipe=recipe,
+        generators=tuple(gens),
     )
 
 
@@ -530,6 +536,41 @@ def is_normal(g: GroupTable, sub: SubgroupSet) -> tuple[int, int] | None:
             x, k = bad[0]
             return (rows.start + int(x), h[k])
     return None
+
+
+def conjugacy_classes(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, reps): the class index of every element and the least
+    member of each class, classes ordered by it, so class 0 is {e}.
+
+    Classes are the orbits of conjugation x -> a^-1 x a by the generators
+    Light's test found, one gather of the table each. The orbits are the
+    components of the graph joining x to a^-1 x a for each of them: every
+    round hooks the larger root of each edge onto the smaller and jumps
+    every element to its root, so a root is the least member of its class.
+    A central generator moves nothing, so an abelian group has singletons.
+    """
+    ids = np.arange(g.order)
+    src, dst = [ids[:0]], [ids[:0]]  # an edge per element a generator moves
+    for a in g.generators:
+        conj = g.table[g.table[g.inv[a]], a]
+        moved = np.flatnonzero(conj != ids)
+        src.append(moved)
+        dst.append(conj[moved])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    root = ids.copy()
+    while True:
+        lo, hi = np.minimum(root[src], root[dst]), np.maximum(root[src], root[dst])
+        apart = lo != hi
+        if not apart.any():
+            break
+        np.minimum.at(root, hi[apart], lo[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    reps, labels = np.unique(root, return_inverse=True)
+    return labels, reps
 
 
 def quotient_with_projection(

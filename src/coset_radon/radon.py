@@ -3,13 +3,27 @@
 A system has one row per geodesic and one column per group element; each
 row is the coset it sums over. The rows are held as two read-only arrays in
 compressed sparse row form, filled for a group by one sorted gather of the
-Cayley table per subgroup, and every verdict, product and kernel check
-reads those arrays directly. Injectivity of the transform is exactly
-"the 0/1 incidence matrix of these rows has full column rank over the
-rationals". Every verdict takes one route: one elimination modulo the
-fixed prime exactla.P, whose full rank is already a proof of full rational
-rank. A system deficient mod P takes its kernel from that same echelon
-basis: reduced mod P, lifted to rationals and proven by exact integer
+Cayley table per subgroup, and every product and kernel check reads those
+arrays directly. Injectivity of the transform is exactly "the 0/1 incidence
+matrix A of these rows has full column rank over the rationals".
+
+A group verdict asks the centre of the group algebra first. Row xH meets
+column a exactly when a lies in xH, so the Gram matrix is
+(A^T A)[a, b] = z(a^-1 b), with z = sum of 1_H over the family: A^T A is
+multiplication by z in F[G]. Both families are closed under conjugation,
+so z is central and every z^j is a class function. The Krylov sequence
+delta_e, z delta_e, z^2 delta_e, ... on class vectors mod exactla.P stops
+at the minimal polynomial of z mod P. A nonzero constant term makes z a
+unit, so A^T A is invertible mod P and A has rank |G| mod P, hence over Q:
+the modular-full-rank verdict, reached before any coset row is built. A
+system with fewer rows than |G| skips the test, since it cannot have full
+rank.
+
+Every other verdict (a flow, a group system with too few rows, a z that is
+no unit mod P) takes the matrix route: one elimination of the rows modulo
+exactla.P, whose full rank is already a proof of full rational rank. A
+system deficient mod P takes its kernel from that same echelon basis:
+reduced mod P, lifted to rationals and proven by exact integer
 substitution into every row. The lifted basis has n - rank_P independent
 vectors in reduced row-echelon form and rational rank is at least rank_P,
 so a lift that passes is the unique reduced kernel basis. A lift that fails
@@ -42,6 +56,8 @@ from .groups import (
     GroupTable,
     SubgroupSet,
     _left_coset_array,
+    _row_blocks,
+    conjugacy_classes,
     is_abelian,
     is_cyclic,
     make_direct_product,
@@ -185,10 +201,13 @@ class InjectivityVerdict:
     method: str
 
 
-def build_system(g: GroupTable, variant: str = "prime") -> RadonSystem:
+def build_system(
+    g: GroupTable, variant: str = "prime", subgroups=None
+) -> RadonSystem:
     """The system of the chosen geodesic family: one coset per row, each
-    subgroup's cosets from one sorted gather of the table."""
-    subs = _family_subgroups(g, variant)
+    subgroup's cosets from one sorted gather of the table. subgroups, when
+    given, is the family as _family_subgroups(g, variant) lists it."""
+    subs = _family_subgroups(g, variant) if subgroups is None else subgroups
     sizes = [len(sub) for sub in subs]
     return RadonSystem(
         group=g,
@@ -249,34 +268,110 @@ def _integer_multiple(vec) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in vec]
 
 
-def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
-    """The verdict on a built system, with the kernel basis that settled it.
+_NO_KERNEL = KernelBasis(vectors=(), dim=0)
 
-    One elimination mod exactla.P: a full rank there is the verdict, with an
-    empty basis; otherwise the kernel comes from that elimination's echelon
-    basis, proven exactly.
+
+def _make_verdict(
+    n: int, variant: str, rows: int, rank: int, method: str
+) -> InjectivityVerdict:
+    frob = (rank < n) if variant == "prime" else None
+    return InjectivityVerdict(
+        order=n, variant=variant, rows=rows, rank=rank, kernel_dim=n - rank,
+        injective=rank == n, frobenius_complement=frob, method=method,
+    )
+
+
+def _central_element(g: GroupTable, subs) -> np.ndarray:
+    """z = sum of 1_H over subs, as its value at every element: the number
+    of subgroups in subs that hold it."""
+    return np.bincount(np.concatenate([s.elements for s in subs]), minlength=g.order)
+
+
+def _unit_in_centre(g: GroupTable, subs) -> bool:
+    """Whether z = sum of 1_H over subs is a unit of F_P[G], P = exactla.P.
+
+    z is a unit exactly when its minimal polynomial has a nonzero constant
+    term, and that polynomial is the first dependency of the Krylov
+    sequence delta_e, z delta_e, ..., all class functions. A product z v
+    reads v, given on classes, at the class of s^-1 r for every s in the
+    support of z and every class representative r, a block of the support
+    at a time.
     """
+    labels, reps = conjugacy_classes(g)
+    z = _central_element(g, subs)
+    support = np.flatnonzero(z)
+    weight, inv = z[support, None], np.take(g.inv, support)
+    blocks = _row_blocks(len(support), len(reps))
+
+    def times_z(v: np.ndarray) -> np.ndarray:
+        # entries of v are below P < 2^25 and the weights sum to the sum of
+        # |H|, a few times |G| at most, so every sum stays inside int64
+        out = np.zeros(len(reps), dtype=np.int64)
+        for rows in blocks:
+            classes = labels[g.table[inv[rows, None], reps]]
+            out += (weight[rows] * v[classes]).sum(axis=0)
+        return out % exactla.P
+
+    delta_e = np.zeros(len(reps), dtype=np.int64)
+    delta_e[0] = 1
+    return exactla.minimal_polynomial_mod(times_z, delta_e, exactla.P)[0] != 0
+
+
+def _centre_verdict(g: GroupTable, variant: str, subs) -> InjectivityVerdict | None:
+    """The modular-full-rank verdict when z is a unit of F_P[G], else None.
+    rows is counted from the subgroup sizes; fewer rows than |G| cannot
+    give full rank, so such a family never starts the Krylov sequence."""
+    n = g.order
+    rows = sum(n // len(s) for s in subs)
+    if rows < n or not _unit_in_centre(g, subs):
+        return None
+    return _make_verdict(n, variant, rows, n, "modular-full-rank")
+
+
+def _matrix_verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
+    """The verdict from the rows: one elimination mod exactla.P. A full rank
+    there is the verdict, with an empty basis; otherwise the kernel comes
+    from that elimination's echelon basis, proven exactly."""
     n = sys.ncols
     echelon = exactla.echelon_mod(_array_rows(sys), n, exactla.P)
     modular = len(echelon)
     if modular == n:
-        r, method, ker = n, "modular-full-rank", KernelBasis(vectors=(), dim=0)
-    else:
-        ker = _kernel(sys, echelon)
-        r, method = n - ker.dim, "exact-elimination"
-        if r < modular:  # pragma: no cover - modular rank never exceeds rational
-            raise RankDisagreementError(f"exact rank {r} below modular rank {modular}")
-    frob = (r < n) if sys.variant == "prime" else None
-    verdict = InjectivityVerdict(
-        order=n, variant=sys.variant, rows=sys.nrows, rank=r, kernel_dim=n - r,
-        injective=r == n, frobenius_complement=frob, method=method,
-    )
-    return verdict, ker
+        verdict = _make_verdict(n, sys.variant, sys.nrows, n, "modular-full-rank")
+        return verdict, _NO_KERNEL
+    ker = _kernel(sys, echelon)
+    r = n - ker.dim
+    if r < modular:  # pragma: no cover - modular rank never exceeds rational
+        raise RankDisagreementError(f"exact rank {r} below modular rank {modular}")
+    return _make_verdict(n, sys.variant, sys.nrows, r, "exact-elimination"), ker
+
+
+def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
+    """The verdict on a built system, with the kernel basis that settled it:
+    the centre first for a group system, then the matrix route."""
+    if sys.group is not None:
+        verdict = _centre_verdict(sys.group, sys.variant, sys.subgroups)
+        if verdict is not None:
+            return verdict, _NO_KERNEL
+    return _matrix_verdict(sys)
+
+
+def _group_verdict(
+    g: GroupTable, variant: str
+) -> tuple[InjectivityVerdict, KernelBasis, RadonSystem | None]:
+    """_verdict on the system of g's family, plus that system, which is
+    built only when the centre leaves the verdict to the matrix route."""
+    subs = _family_subgroups(g, variant)
+    verdict = _centre_verdict(g, variant, subs)
+    if verdict is not None:
+        return verdict, _NO_KERNEL, None
+    sys = build_system(g, variant, subs)
+    return (*_matrix_verdict(sys), sys)
 
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
-    """(rank, kernel_dim, method): a full rank mod exactla.P certifies full
-    rational rank; otherwise the exactly proven kernel settles the rank."""
+    """(rank, kernel_dim, method): a unit in the centre or a full rank mod
+    exactla.P certifies full rational rank; otherwise the exactly proven
+    kernel settles the rank."""
     v = _verdict(sys)[0]
     return v.rank, v.kernel_dim, v.method
 
@@ -288,7 +383,7 @@ def is_injective(g: GroupTable, variant: str = "prime") -> InjectivityVerdict:
     complement, so that flag is reported as the definitional restatement of
     the verdict; the maximal variant carries no such flag.
     """
-    return _verdict(build_system(g, variant))[0]
+    return _group_verdict(g, variant)[0]
 
 
 def group_sum_from_radon(sys: RadonSystem, values) -> Fraction:

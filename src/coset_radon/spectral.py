@@ -310,15 +310,19 @@ def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
 def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
     """sum over the listed characters of chi(x): |G| at identity, 0 elsewhere.
 
-    For the full table this is the completeness identity; passing a proper
-    subset should make it fail. Exact at every x: the value is a sum of
+    indices are positions in ct.characters; one outside that range raises
+    DimensionError. For the full table this is the completeness identity;
+    passing a proper subset should make it fail. Exact at every x: the value is a sum of
     roots of unity, which vanishes iff the polynomial that counts the
     exponents at x is divisible by the exponent-th cyclotomic polynomial.
     Elements with the same counts share one division; for the full table
     the counts depend only on the element's order.
     """
-    n, order = ct.group.order, ct.exponent
-    idx = list(range(len(ct.characters)) if indices is None else indices)
+    n, order, count = ct.group.order, ct.exponent, len(ct.characters)
+    idx = list(range(count) if indices is None else indices)
+    bad = [i for i in idx if not 0 <= i < count]
+    if bad:
+        raise DimensionError(f"character index {bad[0]} is outside 0..{count - 1}")
     # every character is 1 at the identity, so the sum there is len(idx)
     if len(idx) != n:
         return False

@@ -425,3 +425,13 @@ def test_json_key_sets_from_records(capsys):
     assert len(payload["dichotomies"]) == 5
     for report in payload["dichotomies"]:
         assert set(report) == {"dim", "fixed_span_dim", "kernel_dim", "dichotomy_ok"}
+
+
+@pytest.mark.parametrize("name, dim", [("S4", 0), ("C2", 1), ("C240", 64)])
+def test_kernel_json_matches_the_json_encoder_byte_for_byte(capsys, name, dim):
+    # the kernel rows are joined by hand and spliced into json's own dump
+    code, out, _ = run(capsys, "radon", name, "--kernel", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["kernel"]) == payload["kernel_dim"] == dim
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"

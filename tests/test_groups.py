@@ -574,3 +574,34 @@ def test_values_leaving_the_package_are_python_ints():
             assert type(geo.rep) is int and ints(geo.coset)
     witness = radon.kernel_witness_cyclic(groups.make_cyclic(12))
     assert ints(v.numerator for v in witness)
+
+
+# ---------------------------------------------------------------------------
+# conjugacy classes
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "A5", "D4", "Dic2", "Dic3"])
+def test_conjugacy_classes_match_brute_force_conjugation(name):
+    g = groups.from_name(name)
+    t = g.table.tolist()
+    n = g.order
+    want = {frozenset(t[t[g.inv[b]][x]][b] for b in range(n)) for x in range(n)}
+    labels, reps = groups.conjugacy_classes(g)
+    got = [frozenset(np.flatnonzero(labels == c).tolist()) for c in range(len(reps))]
+    assert set(got) == want and len(got) == len(want)
+    assert reps.tolist() == [min(c) for c in got] == sorted(reps.tolist())
+    assert reps[0] == 0 and got[0] == {0}
+
+
+def test_class_counts_of_s6_and_s7():
+    assert len(groups.conjugacy_classes(groups.from_name("S6"))[1]) == 11
+    assert len(groups.conjugacy_classes(groups.from_name("S7"))[1]) == 15
+
+
+def test_abelian_classes_are_singletons(corpus):
+    for g, _ in corpus:
+        labels, reps = groups.conjugacy_classes(g)
+        if groups.is_abelian(g):
+            assert labels.tolist() == reps.tolist() == list(range(g.order))
+        else:
+            assert len(reps) < g.order

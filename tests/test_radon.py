@@ -250,8 +250,10 @@ def test_method_reflects_certificate_path():
     "kind, name", [("group", "C6"), ("group", "Dic15"), ("group", "S4"), ("flow", 7)]
 )
 def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
-    # one elimination over the system's rows, at P; a deficient system takes
+    # one elimination over the system's rows, at P, except for S4, whose
+    # full rank the centre certifies with none; a deficient system takes
     # its kernel from that echelon basis, with no integer elimination
+    eliminations = 0 if name == "S4" else 1
     primes, integer = [], []
     echelon_mod, int_echelon = exactla.echelon_mod, exactla.int_echelon
 
@@ -270,7 +272,7 @@ def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
     else:
         sys = flows.flow_radon_system(flows.constant_flow(name))
     radon.decide_system(sys)
-    assert primes == [exactla.P]
+    assert primes == [exactla.P] * eliminations
     assert integer == []
 
 
@@ -294,6 +296,92 @@ def test_modular_certificate_matches_exact_rank():
         verdict = radon._verdict(sys)[0]
         assert verdict.rank == exact
         assert (verdict.method == "modular-full-rank") == (exact == n)
+
+
+# --- verdicts from the centre of F_P[G] -----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["S4", "Dic3", "C12", "D6"])
+@pytest.mark.parametrize("variant", radon.VARIANTS)
+def test_gram_matrix_is_multiplication_by_the_central_element(name, variant):
+    # (A^T A)[a, b] counts the family subgroups holding a^-1 b
+    g = groups.from_name(name)
+    sys = radon.build_system(g, variant)
+    a = np.array(sys.matrix, dtype=np.int64)
+    z = radon._central_element(g, sys.subgroups)
+    quotients = g.table[np.array(g.inv)[:, None], np.arange(g.order)]  # a^-1 b
+    assert np.array_equal(a.T @ a, z[quotients])
+    # z is central: z(a^-1 b a) = z(b)
+    conj = g.table[quotients, np.arange(g.order)[:, None]]
+    assert np.array_equal(z[conj], np.broadcast_to(z, conj.shape))
+
+
+def _centre_corpus():
+    names = (
+        "A5", "S5", "A6", "S6", "C6xC6", "C2xC2xC2xC2", "C2xC2xC2xC2xC2xC2xC2xC2",
+        "C12xC12", "Dic15", "Dic63", "C240", "C96",
+    )
+    for g in verify.groups_upto(48) + [groups.from_name(name) for name in names]:
+        if g.order > 1:
+            yield g
+
+
+def test_centre_certifies_exactly_when_the_matrix_route_does():
+    certified = 0
+    for g in _centre_corpus():
+        for variant in radon.VARIANTS:
+            subs = geodesics._family_subgroups(g, variant)
+            matrix = radon._matrix_verdict(radon.build_system(g, variant))[0]
+            centre = radon._centre_verdict(g, variant, subs)
+            assert (centre is not None) == (matrix.method == "modular-full-rank")
+            assert centre in (None, matrix), (g.recipe, variant)
+            assert radon.is_injective(g, variant) == matrix, (g.recipe, variant)
+            certified += centre is not None
+    assert certified > 100
+
+
+def _relabelled(g, perm):
+    n = g.order
+    table = [[0] * n for _ in range(n)]
+    for a, row in enumerate(g.table.tolist()):
+        for b, c in enumerate(row):
+            table[perm[a]][perm[b]] = perm[c]
+    return groups.from_cayley_table(table)
+
+
+@pytest.fixture(scope="module")
+def small_groups():
+    return [g for g in verify.groups_upto(24) if g.order > 1]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_centre_verdict_matches_matrix_route_on_relabelled_tables(small_groups, data):
+    g = data.draw(st.sampled_from(small_groups))
+    g = _relabelled(g, data.draw(st.permutations(range(g.order))))
+    for variant in radon.VARIANTS:
+        matrix = radon._matrix_verdict(radon.build_system(g, variant))[0]
+        assert radon.is_injective(g, variant) == matrix
+        subs = geodesics._family_subgroups(g, variant)
+        assert radon._centre_verdict(g, variant, subs) in (None, matrix)
+
+
+@pytest.mark.parametrize(
+    "name, variant", [("C12", "maximal"), ("C7", "prime"), ("Dic3", "maximal")]
+)
+def test_fewer_rows_than_order_never_start_the_krylov_sequence(
+    monkeypatch, name, variant
+):
+    calls = []
+    monkeypatch.setattr(
+        exactla, "minimal_polynomial_mod", lambda *args: calls.append(args) or [1]
+    )
+    g = groups.from_name(name)
+    verdict = radon.is_injective(g, variant)
+    assert verdict.rows < g.order and not verdict.injective
+    assert verdict.method == "exact-elimination" and calls == []
+    radon.is_injective(groups.from_name("S4"), variant)
+    assert len(calls) == 1  # the patch is reached when rows suffice
 
 
 def _kernel_oracle_systems():

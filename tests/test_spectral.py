@@ -144,6 +144,15 @@ def test_dropping_a_character_breaks_completeness():
     assert not spectral.char_sum_check_characters(ct, indices=[0])
 
 
+@pytest.mark.parametrize("indices", [[-6, -5, -4, -3, -2, -1], [0, 1, 2, 3, 4, 6]])
+def test_character_indices_outside_the_table_are_refused(indices):
+    # negative indices would wrap around to the full table, and 6 is past
+    # the end of C6's six characters
+    ct = spectral.characters(groups.make_cyclic(6))
+    with pytest.raises(DimensionError, match="outside 0..5"):
+        spectral.char_sum_check_characters(ct, indices=indices)
+
+
 def _char_sum_per_element(ct, indices) -> bool:
     """The completeness identity one element at a time: at each x != e the
     polynomial counting the listed characters' exponents must be divisible
