@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -39,8 +39,8 @@ __all__ = [
     "check_primes",
     "echelon_mod",
     "factorize",
+    "krylov_invertible_mod",
     "lift_nullspace",
-    "minimal_polynomial_mod",
     "nullspace_mod",
     "prime_divisors",
     "rank_exact",
@@ -321,35 +321,32 @@ def rank_mod(rows, ncols: int, p: int) -> int:
     return len(echelon_mod(rows, ncols, p))
 
 
-def minimal_polynomial_mod(step, v: np.ndarray, p: int) -> list[int]:
-    """Coefficients c_0, ..., c_d, with c_d = 1, of the monic polynomial m
-    of least degree with m(T) v = 0 mod p, where step(u) returns T u mod p
-    as an int64 array: the first linear dependency of the Krylov sequence
-    v, T v, T^2 v, ...
+def krylov_invertible_mod(step, v: np.ndarray, p: int) -> bool:
+    """Whether T is invertible mod p on the Krylov space of v, where step(u)
+    returns T u mod p as an int64 array: whether the monic polynomial m of
+    least degree with m(T) v = 0 mod p has a nonzero constant term.
 
-    Each new vector is reduced against the normalized rows before it; every
-    row carries the combination of Krylov vectors it stands for, so the
-    vector that reduces to zero hands back the dependency itself.
+    Each new vector T^d v is reduced against the normalized rows before it;
+    every row carries only its coefficient on v, so the vector that reduces
+    to zero, the first dependency, hands back that constant term.
     """
-    pivots, rows, combos = [], [], []
+    pivots, rows, consts = [], [], []
     u = v % p
-    for d in count():
-        r = u.copy()
-        c = np.zeros(d + 1, dtype=np.int64)
-        c[d] = 1
-        for q, row, combo in zip(pivots, rows, combos):
+    while True:
+        r, c = u.copy(), 0 if rows else 1
+        for q, row, k in zip(pivots, rows, consts):
             f = int(r[q])
             if f:
                 r = (r - f * row) % p
-                c[: len(combo)] = (c[: len(combo)] - f * combo) % p
+                c = (c - f * k) % p
         nz = np.flatnonzero(r)
         if not nz.size:
-            return c.tolist()
+            return c != 0
         q = int(nz[0])
         s = pow(int(r[q]), p - 2, p)
         pivots.append(q)
         rows.append(r * s % p)
-        combos.append(c * s % p)
+        consts.append(c * s % p)
         u = step(u)
 
 

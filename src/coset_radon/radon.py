@@ -201,13 +201,10 @@ class InjectivityVerdict:
     method: str
 
 
-def build_system(
-    g: GroupTable, variant: str = "prime", subgroups=None
-) -> RadonSystem:
+def build_system(g: GroupTable, variant: str = "prime") -> RadonSystem:
     """The system of the chosen geodesic family: one coset per row, each
-    subgroup's cosets from one sorted gather of the table. subgroups, when
-    given, is the family as _family_subgroups(g, variant) lists it."""
-    subs = _family_subgroups(g, variant) if subgroups is None else subgroups
+    subgroup's cosets from one sorted gather of the table."""
+    subs = _family_subgroups(g, variant)
     sizes = [len(sub) for sub in subs]
     return RadonSystem(
         group=g,
@@ -314,7 +311,7 @@ def _unit_in_centre(g: GroupTable, subs) -> bool:
 
     delta_e = np.zeros(len(reps), dtype=np.int64)
     delta_e[0] = 1
-    return exactla.minimal_polynomial_mod(times_z, delta_e, exactla.P)[0] != 0
+    return exactla.krylov_invertible_mod(times_z, delta_e, exactla.P)
 
 
 def _centre_verdict(g: GroupTable, variant: str, subs) -> InjectivityVerdict | None:
@@ -347,24 +344,24 @@ def _matrix_verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
 
 def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
     """The verdict on a built system, with the kernel basis that settled it:
-    the centre first for a group system, then the matrix route."""
-    if sys.group is not None:
-        verdict = _centre_verdict(sys.group, sys.variant, sys.subgroups)
-        if verdict is not None:
-            return verdict, _NO_KERNEL
-    return _matrix_verdict(sys)
+    _group_verdict for a group system, the matrix route for a flow."""
+    if sys.group is None:
+        return _matrix_verdict(sys)
+    return _group_verdict(sys.group, sys.variant, sys)[:2]
 
 
 def _group_verdict(
-    g: GroupTable, variant: str
+    g: GroupTable, variant: str, sys: RadonSystem | None = None
 ) -> tuple[InjectivityVerdict, KernelBasis, RadonSystem | None]:
-    """_verdict on the system of g's family, plus that system, which is
-    built only when the centre leaves the verdict to the matrix route."""
-    subs = _family_subgroups(g, variant)
-    verdict = _centre_verdict(g, variant, subs)
+    """The verdict on g's family, the kernel basis that settled it, and the
+    family's system. The centre is asked first, on the family listed here;
+    when it does not certify, the matrix route runs on sys, a
+    build_system(g, variant) already in hand, or on one built now."""
+    verdict = _centre_verdict(g, variant, _family_subgroups(g, variant))
     if verdict is not None:
-        return verdict, _NO_KERNEL, None
-    sys = build_system(g, variant, subs)
+        return verdict, _NO_KERNEL, sys
+    if sys is None:
+        sys = build_system(g, variant)
     return (*_matrix_verdict(sys), sys)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -374,7 +375,7 @@ def test_fewer_rows_than_order_never_start_the_krylov_sequence(
 ):
     calls = []
     monkeypatch.setattr(
-        exactla, "minimal_polynomial_mod", lambda *args: calls.append(args) or [1]
+        exactla, "krylov_invertible_mod", lambda *args: calls.append(args) or True
     )
     g = groups.from_name(name)
     verdict = radon.is_injective(g, variant)
@@ -382,6 +383,18 @@ def test_fewer_rows_than_order_never_start_the_krylov_sequence(
     assert verdict.method == "exact-elimination" and calls == []
     radon.is_injective(groups.from_name("S4"), variant)
     assert len(calls) == 1  # the patch is reached when rows suffice
+
+
+def test_group_verdict_lists_its_family_from_the_group():
+    # the centre lists the family from (group, variant) and never reads a
+    # system's subgroups field: adding the trivial subgroup to Dic15's prime
+    # family makes its z a unit, yet the verdict stays the rows' own
+    g = groups.from_name("Dic15")
+    family = tuple(geodesics._family_subgroups(g, "prime"))
+    padded = family + (groups.SubgroupSet(elements=(0,)),)
+    assert radon._centre_verdict(g, "prime", padded) is not None
+    sys = dataclasses.replace(radon.build_system(g, "prime"), subgroups=padded)
+    assert radon.decide_system(sys) == (44, 16, "exact-elimination")
 
 
 def _kernel_oracle_systems():
