@@ -5,7 +5,7 @@ break into cycles that behave like geodesics. Groups provide one family of
 flows; the constant rule provides another with no group in sight.
 """
 
-from coset_radon import exactla, flows, groups, radon
+from coset_radon import flows, groups, radon
 from coset_radon.errors import FlowAxiomError
 from coset_radon.geodesics import cyclic_subgroups
 from coset_radon.groups import left_cosets
@@ -38,7 +38,7 @@ print(f"D4 orbit projections = cyclic-subgroup cosets: confirmed "
 for name in ("C6", "C12", "D4"):
     h = groups.from_name(name)
     fsys = flows.flow_radon_system(flows.group_flow(h))
-    frank = exactla.rank_exact(fsys.matrix, fsys.ncols)
+    frank = radon.decide_system(fsys)[0]
     prank = radon.is_injective(h).rank
     print(f"{name:4s} flow rank {frank:2d}  prime rank {prank:2d}")
 
@@ -49,7 +49,7 @@ for name in ("C6", "C12", "D4"):
 
 for m in (2, 3, 6, 10):
     sys = flows.flow_radon_system(flows.constant_flow(m))
-    rank = exactla.rank_exact(sys.matrix, sys.ncols)
+    rank = radon.decide_system(sys)[0]
     print(f"constant flow on {m:2d} points: rank {rank}/{m} "
           f"{'injective' if rank == m else 'noninjective'}")
 
@@ -59,4 +59,4 @@ klein = groups.from_name("C2xC2")
 assert flows.group_flow(klein).table == flows.constant_flow(4).table
 print("\nC2xC2 group flow IS the constant flow on 4 points")
 print(f"and it is injective: "
-      f"{exactla.rank_exact(flows.flow_radon_system(flows.group_flow(klein)).matrix, 4) == 4}")
+      f"{radon.decide_system(flows.flow_radon_system(flows.group_flow(klein)))[0] == 4}")

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals, plus one modular certificate.
 
-The modular path reduces an integer matrix over the field of one fixed
-prime P in int64 numpy arrays, CHUNK_ROWS rows at a time: each pivot
-updates only the block right of it and below it, in place, and that block
-is reduced mod P only once every 4,096 pivots, as often as int64 needs to
-stay exact. A full rank mod P is already a proof of full rational rank (a
-minor that is nonzero mod P is nonzero). A deficient echelon basis mod P
-also yields the kernel: nullspace_mod reduces it to the reduced echelon
-form of the kernel mod P, and lift_nullspace lifts each entry to a small
+The modular path brings an integer matrix to reduced row echelon form over
+the field of one fixed prime P, in int64 numpy arrays, CHUNK_ROWS rows at a
+time and in one Gauss-Jordan pass that pivots from the right: each pivot
+clears its column from every other row, updating only the block left of
+it, in place, and that block is reduced mod P only once every 4,096
+pivots, as often as int64 needs to stay exact. A full rank mod P is
+already a proof of full rational rank (a minor that is nonzero mod P is
+nonzero). A deficient basis mod P also yields the kernel with no second
+elimination: nullspace_mod reads the reduced echelon form of the kernel
+mod P straight off it, and lift_nullspace lifts each entry to a small
 integer or, by rational reconstruction, a fraction. The lift is only a
 candidate until the caller substitutes it into every row exactly.
 
@@ -34,9 +36,7 @@ __all__ = [
     "field_rref",
     "int_echelon",
     "is_prime",
-    "next_prime",
     "P",
-    "check_primes",
     "echelon_mod",
     "factorize",
     "krylov_invertible_mod",
@@ -200,23 +200,6 @@ def is_prime(n: int) -> bool:
     return factorize(n) == [(n, 1)]
 
 
-def next_prime(n: int) -> int:
-    k = max(2, n + 1)
-    while not is_prime(k):
-        k += 1
-    return k
-
-
-def check_primes(bound: int, count: int = 3) -> list[int]:
-    """The first `count` primes strictly above `bound`."""
-    out = []
-    p = bound
-    for _ in range(count):
-        p = next_prime(p)
-        out.append(p)
-    return out
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n by trial division: (prime, exponent) pairs,
     primes ascending; empty for n <= 1."""
@@ -246,61 +229,62 @@ CHUNK_ROWS = 2048
 # The one prime of every verdict's modular rank: the largest prime below
 # 2^25. A Cayley table of order 2^25 would need 2^50 cells, so P exceeds
 # every order that fits in memory and divides none of them; and
-# 2**62 // (P - 1)**2 == 4096, so _eliminate_mod reduces its trailing block
+# 2**62 // (P - 1)**2 == 4096, so _eliminate_mod reduces the block it updates
 # once every 4,096 pivots.
 P = 2**25 - 39
 
 
 def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the int64 array m to row echelon form mod p, in place, and
-    return its nonzero rows: unit pivots, zeros left of each pivot, entries
-    in [0, p).
+    """Reduce the int64 array m to reduced row echelon form mod p, pivoting
+    from the right, in one Gauss-Jordan pass in place, and return its
+    nonzero rows: each row's last nonzero entry is a unit pivot, every
+    other row is 0 in that column, and every entry is in [0, p).
 
-    At each pivot column only the trailing block right of it, in the rows
-    below, is updated; the block is left unreduced, and only the pivot
-    column (to find the rows it hits) and the pivot row (to normalize it)
-    are reduced on the spot. An update adds less than (p - 1)^2 in
-    magnitude, so the block is reduced once every `budget` pivots, which
-    keeps every entry inside int64 for any p < 2^31.
+    Columns are scanned last to first. At each pivot column only the block
+    left of it, in the rows the column hits, is updated; the block is left
+    unreduced, and only the pivot column (to find the rows it hits) and the
+    pivot row (to normalize it) are reduced on the spot. An update adds
+    less than (p - 1)^2 in magnitude, so the block is reduced once every
+    `budget` pivots, which keeps every entry inside int64 for any p < 2^31.
     """
     np.mod(m, p, out=m)
     nrows, ncols = m.shape
     budget = 2**62 // (p - 1) ** 2
     pending = 0
     r = 0
-    for c in range(ncols):
-        col = m[r:, c] % p
-        nz = np.flatnonzero(col)
+    for c in range(ncols - 1, -1, -1):
+        col = m[:, c] % p
+        nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
-        i = int(nz[0])
-        if i:
-            m[[r, r + i]] = m[[r + i, r]]
-            col[0], col[i] = col[i], 0
-        pivot = m[r, c:] % p
-        pivot = pivot * pow(int(pivot[0]), p - 2, p) % p
-        m[r, :c] = 0
-        m[r, c:] = pivot
-        below = col[1:]
-        hit = np.flatnonzero(below)
-        if hit.size == below.size:
-            m[r + 1 :, c + 1 :] -= np.multiply.outer(below, pivot[1:])
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            col[r], col[i] = col[i], col[r]
+        pivot = m[r, : c + 1] % p
+        pivot = pivot * pow(int(pivot[c]), p - 2, p) % p
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if hit.size == nrows - 1:
+            m[:, :c] -= np.multiply.outer(col, pivot[:c])
         elif hit.size:
-            rows = r + 1 + hit
-            m[rows, c + 1 :] -= np.multiply.outer(below[hit], pivot[1:])
+            m[hit, :c] -= np.multiply.outer(col[hit], pivot[:c])
+        m[:, c] = 0
+        m[r, : c + 1] = pivot
         pending += 1
         if pending == budget:
-            m[r + 1 :, c + 1 :] %= p
+            m[:, :c] %= p
             pending = 0
         r += 1
         if r == nrows:
             break
+    m[:r] %= p
     return m[:r]
 
 
 def echelon_mod(rows, ncols: int, p: int) -> np.ndarray:
-    """Row echelon basis of an integer matrix mod p, as _eliminate_mod
-    leaves it, with early stop at full rank.
+    """Reduced row echelon basis of an integer matrix mod p, pivoting from
+    the right, as _eliminate_mod leaves it, with early stop at full rank.
 
     Rows are read lazily, CHUNK_ROWS at a time, and only the chunks that
     are eliminated are converted to an array. A deficient basis is a copy,
@@ -354,39 +338,19 @@ def nullspace_mod(echelon: np.ndarray, p: int) -> np.ndarray:
     """Kernel basis mod p of the row space of an echelon_mod basis, in
     reduced row-echelon form, as an int64 array with entries in [0, p).
 
-    As in rational_nullspace, the row space is reduced from the right:
-    _eliminate_mod on the column-reversed basis, then back-substitution
-    above each pivot, gives rows R_q that are 1 at their pivot q, 0 at every
-    other pivot and zero right of q. Free column f then gives the row
-    e_f - sum_q R_q[f] e_q: 1 at f, 0 at the other free columns and zero left
-    of f. Back-substitution leaves its block unreduced for up to 4,096
-    pivots, as _eliminate_mod does.
+    The kernel is read straight off the basis: each row R_q is 1 at its
+    pivot q, 0 at every other pivot and zero right of q, so free column f
+    gives the row e_f - sum_q R_q[f] e_q: 1 at f, 0 at the other free
+    columns and zero left of f.
     """
-    rank, ncols = echelon.shape
-    rev = _eliminate_mod(echelon[:, ::-1].copy(), p)
-    lead = (rev != 0).argmax(axis=1)
-    budget = 2**62 // (p - 1) ** 2
-    pending = 0
-    for i in range(rank - 1, 0, -1):
-        c = lead[i]
-        pivot = rev[i, c:] % p
-        rev[i, c:] = pivot
-        col = rev[:i, c] % p
-        hit = np.flatnonzero(col)
-        if hit.size:
-            rev[hit, c:] -= np.multiply.outer(col[hit], pivot)
-        pending += 1
-        if pending == budget:
-            rev[:i] %= p
-            pending = 0
-    rev %= p
-    pivots = ncols - 1 - lead
+    ncols = echelon.shape[1]
+    pivots = ncols - 1 - (echelon[:, ::-1] != 0).argmax(axis=1)
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     out = np.zeros((len(free), ncols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
-    block = rev[:, ncols - 1 - free]
+    block = echelon[:, free]
     np.negative(block, out=block)
     block %= p
     out[:, pivots] = block.T

@@ -21,13 +21,14 @@ rank.
 
 Every other verdict (a flow, a group system with too few rows, a z that is
 no unit mod P) takes the matrix route: one elimination of the rows modulo
-exactla.P, whose full rank is already a proof of full rational rank. A
-system deficient mod P takes its kernel from that same echelon basis:
-reduced mod P, lifted to rationals and proven by exact integer
-substitution into every row. The lifted basis has n - rank_P independent
-vectors in reduced row-echelon form and rational rank is at least rank_P,
-so a lift that passes is the unique reduced kernel basis. A lift that fails
-falls back to the fraction-free integer elimination of
+exactla.P, whose full rank is already a proof of full rational rank. That
+elimination leaves the reduced echelon basis, pivoting from the right, so
+a system deficient mod P reads its kernel mod P straight off it, with no
+second elimination; the kernel is lifted to rationals and proven by exact
+integer substitution into every row. The lifted basis has n - rank_P
+independent vectors in reduced row-echelon form and rational rank is at
+least rank_P, so a lift that passes is the unique reduced kernel basis. A
+lift that fails falls back to the fraction-free integer elimination of
 exactla.rational_nullspace.
 """
 
@@ -328,7 +329,7 @@ def _centre_verdict(g: GroupTable, variant: str, subs) -> InjectivityVerdict | N
 def _matrix_verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
     """The verdict from the rows: one elimination mod exactla.P. A full rank
     there is the verdict, with an empty basis; otherwise the kernel comes
-    from that elimination's echelon basis, proven exactly."""
+    from that elimination's reduced echelon basis, proven exactly."""
     n = sys.ncols
     echelon = exactla.echelon_mod(_array_rows(sys), n, exactla.P)
     modular = len(echelon)

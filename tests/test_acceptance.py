@@ -13,6 +13,7 @@ from coset_radon import exactla, flows, geodesics, groups, radon, spectral, veri
 from coset_radon.errors import FlowAxiomError
 from coset_radon.geodesics import homomorphisms_cn
 from coset_radon.groups import left_cosets
+from primes import check_primes
 
 
 def _conclude(num: int, name: str, failures: list) -> None:
@@ -266,7 +267,7 @@ def test_criterion_12_oracle_agreement():
         for variant in ("prime", "maximal"):
             sys = radon.build_system(g, variant)
             exact = exactla.rank_exact(sys.matrix, sys.ncols)
-            for p in exactla.check_primes(sys.ncols, count=3):
+            for p in check_primes(sys.ncols, count=3):
                 modular = exactla.rank_mod(sys.matrix, sys.ncols, p)
                 if modular != exact:
                     failures.append((g.recipe, variant, p, exact, modular))

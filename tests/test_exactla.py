@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coset_radon import exactla
+from primes import check_primes, next_prime
 
 
 def test_int_echelon_known_rank():
@@ -89,16 +90,16 @@ def test_field_nullspace_matches_rational_path():
 
 def test_prime_helpers():
     assert [n for n in range(20) if exactla.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert exactla.next_prime(13) == 17
-    assert exactla.next_prime(1) == 2
-    assert exactla.check_primes(100, count=3) == [101, 103, 107]
+    assert next_prime(13) == 17
+    assert next_prime(1) == 2
+    assert check_primes(100, count=3) == [101, 103, 107]
 
 
 def test_certificate_prime_is_largest_below_2_to_25():
     assert exactla.P < 2**25
     assert exactla.is_prime(exactla.P)
-    assert exactla.next_prime(exactla.P) > 2**25
-    # _eliminate_mod reduces its trailing block once every 4,096 pivots
+    assert next_prime(exactla.P) > 2**25
+    # _eliminate_mod reduces the block it updates once every 4,096 pivots
     assert 2**62 // (exactla.P - 1) ** 2 == 4096
 
 
@@ -164,7 +165,7 @@ def test_deficient_echelon_basis_owns_its_data():
 @settings(max_examples=60, deadline=None)
 def test_modular_rank_never_exceeds_exact(rows):
     exact = exactla.rank_exact(rows, 4)
-    for p in exactla.check_primes(64, count=2):
+    for p in check_primes(64, count=2):
         assert exactla.rank_mod(rows, 4, p) <= exact
 
 
@@ -258,22 +259,23 @@ def test_rational_nullspace_matches_field_oracle(matrix):
     assert exactla.rational_nullspace(rows, n) == [tuple(v) for v in oracle]
 
 
-def _echelon_mod_oracle(rows, ncols, p):
-    """Plain Gaussian elimination mod p on Python ints: at each column the
-    first remaining row with a nonzero entry becomes the pivot row (swapped
-    up), is scaled to a leading 1 and cleared from every row below it."""
+def _rref_mod_oracle(rows, ncols, p):
+    """Plain Gauss-Jordan elimination mod p on Python ints, pivoting from
+    the right: at each column, last to first, the first remaining row with
+    a nonzero entry becomes the pivot row (swapped up), is scaled to a unit
+    pivot and cleared from every other row."""
     work = [[v % p for v in row] for row in rows]
     r = 0
-    for c in range(ncols):
+    for c in reversed(range(ncols)):
         i = next((i for i in range(r, len(work)) if work[i][c]), None)
         if i is None:
             continue
         work[r], work[i] = work[i], work[r]
         inv = pow(work[r][c], -1, p)
         work[r] = [v * inv % p for v in work[r]]
-        for k in range(r + 1, len(work)):
+        for k in range(len(work)):
             x = work[k][c]
-            if x:
+            if k != r and x:
                 work[k] = [(a - x * b) % p for a, b in zip(work[k], work[r])]
         r += 1
     return work[:r]
@@ -312,7 +314,7 @@ _DENSE_CASE = (
 @settings(max_examples=300, deadline=None)
 def test_modular_elimination_matches_plain_oracle(matrix):
     rows, n, p = matrix
-    oracle = _echelon_mod_oracle(rows, n, p)
+    oracle = _rref_mod_oracle(rows, n, p)
     assert exactla.rank_mod(rows, n, p) == len(oracle)
     if not rows:
         return
@@ -320,11 +322,13 @@ def test_modular_elimination_matches_plain_oracle(matrix):
     assert echelon.tolist() == oracle
     pivots = []
     for row in echelon.tolist():
-        lead = next(j for j, v in enumerate(row) if v)
-        assert row[lead] == 1 and not any(row[:lead])
+        piv = max(j for j, v in enumerate(row) if v)
+        assert row[piv] == 1 and not any(row[piv + 1 :])
         assert all(0 <= v < p for v in row)
-        pivots.append(lead)
-    assert pivots == sorted(set(pivots))
+        pivots.append(piv)
+    assert pivots == sorted(set(pivots), reverse=True)
+    for i, row in enumerate(echelon.tolist()):
+        assert [row[q] for k, q in enumerate(pivots) if k != i] == [0] * (len(pivots) - 1)
 
 
 @given(modular_matrices())

@@ -252,28 +252,38 @@ def test_method_reflects_certificate_path():
 )
 def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
     # one elimination over the system's rows, at P, except for S4, whose
-    # full rank the centre certifies with none; a deficient system takes
-    # its kernel from that echelon basis, with no integer elimination
+    # full rank the centre certifies with none; every system here fills one
+    # chunk, so that is one Gauss-Jordan pass, and a deficient system reads
+    # its kernel off the reduced basis it leaves, with no second pass and
+    # no integer elimination
     eliminations = 0 if name == "S4" else 1
-    primes, integer = [], []
+    primes, passes, integer = [], [], []
     echelon_mod, int_echelon = exactla.echelon_mod, exactla.int_echelon
+    eliminate = exactla._eliminate_mod
 
     def counting(rows, ncols, p):
         primes.append(p)
         return echelon_mod(rows, ncols, p)
+
+    def counting_pass(m, p):
+        passes.append(p)
+        return eliminate(m, p)
 
     def counting_int(rows, ncols):
         integer.append(ncols)
         return int_echelon(rows, ncols)
 
     monkeypatch.setattr(exactla, "echelon_mod", counting)
+    monkeypatch.setattr(exactla, "_eliminate_mod", counting_pass)
     monkeypatch.setattr(exactla, "int_echelon", counting_int)
     if kind == "group":
         sys = radon.build_system(groups.from_name(name), "prime")
     else:
         sys = flows.flow_radon_system(flows.constant_flow(name))
+    assert sys.nrows <= exactla.CHUNK_ROWS
     radon.decide_system(sys)
     assert primes == [exactla.P] * eliminations
+    assert passes == [exactla.P] * eliminations
     assert integer == []
 
 
