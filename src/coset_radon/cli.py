@@ -47,10 +47,10 @@ def _load_group(spec: str, loading: frozenset[str]) -> GroupTable:
     loading; a file that includes one of them is refused."""
     if spec.startswith("file:"):
         path = spec[len("file:") :]
+        data = read_json(path, GroupSpecError)
         real = os.path.realpath(path)
         if real in loading:
             raise GroupSpecError(f"{path} includes itself through a semidirect spec")
-        data = read_json(path, GroupSpecError)
         if isinstance(data, dict) and "semidirect" in data:
             sd = data["semidirect"]
             needed = {"normal", "acting", "action"}
@@ -67,10 +67,11 @@ def _load_group(spec: str, loading: frozenset[str]) -> GroupTable:
             table = data["table"]
             if not isinstance(table, list):
                 raise GroupSpecError(f"{path}: table must be a list of rows")
-            if "order" in data and data["order"] != len(table):
+            order = data.get("order", len(table))
+            if type(order) is not int or order != len(table):
                 raise GroupSpecError(
-                    f"{path} declares order {data['order']} "
-                    f"but the table has {len(table)} rows"
+                    f"{path}: order must be the int {len(table)}, the table's row "
+                    f"count, not {order!r}"
                 )
             return from_cayley_table(table)
         if isinstance(data, list):
@@ -382,8 +383,15 @@ def cmd_verify(args) -> int:
 # argument wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line, like every other input error."""
+
+    def error(self, message):
+        raise CosetRadonError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coset-radon",
         description="Exact injectivity analysis for coset-sum transforms "
         "on finite groups.",
@@ -459,15 +467,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except CosetRadonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc)
+        if len(text.splitlines()) > 1:  # quoted input held a line break
+            text = repr(text)[1:-1]
+        print(f"error: {text}", file=sys.stderr)
         return exc.exit_code
 
 

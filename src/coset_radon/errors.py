@@ -146,3 +146,5 @@ def read_json(path: str, error: type[CosetRadonError]):
         raise error(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise error(f"{path} nests its JSON too deeply to parse")
+    except ValueError as exc:  # a NUL in the path, or an int of too many digits
+        raise error(f"cannot read {path}: {exc}")

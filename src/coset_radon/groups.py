@@ -330,24 +330,9 @@ def make_dicyclic(n: int) -> GroupTable:
     return _build(_rotations_and_flips(2 * n, n), f"Dic{n}")
 
 
-def _perm_parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = p[cur]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
-def _perm_group(perms: list[tuple[int, ...]], recipe: str) -> GroupTable:
-    """Table of a list of permutations closed under p*q = p o q.
+def _perm_group(perms, recipe: str) -> GroupTable:
+    """Table of permutations, one per row of a list or array, closed under
+    p*q = p o q.
 
     A permutation of d letters is coded by reading its letters as base-d
     digits. The codes of the products p_i o p_j are built digit by digit
@@ -383,8 +368,12 @@ def make_alternating(n: int) -> GroupTable:
     if n < 1:
         raise InvalidOrderError(f"alternating degree must be >= 1, got {n}")
     _check_atoms_cap([("A", n)], f"A_{n}")
-    perms = sorted(p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0)
-    return _perm_group(perms, f"A{n}")
+    # itertools lists the permutations in lexicographic order, and a
+    # permutation is even when its inversion count is
+    perms = np.array(list(itertools.permutations(range(n))), dtype=_ID).reshape(-1, n)
+    i, j = np.triu_indices(n, 1)
+    even = (perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0
+    return _perm_group(perms[even], f"A{n}")
 
 
 def make_semidirect(
@@ -410,7 +399,9 @@ def make_semidirect(
             or set(map(type, phi)) - {int}
             or sorted(phi) != list(range(nn))
         ):
-            raise NotAutomorphismError(h, (-1, -1))
+            raise InvalidActionError(
+                f"action of element {h} is not a permutation of 0..{nn - 1}"
+            )
     phi = np.array(action, dtype=_ID)
     tn, th = normal.table, acting.table
     # phi_h(x*y) against phi_h(x)*phi_h(y), for every h at once
@@ -428,7 +419,7 @@ def make_semidirect(
     return _build(t.reshape(nn * nh, nn * nh), recipe)
 
 
-def from_cayley_table(raw, recipe: str | None = None) -> GroupTable:
+def from_cayley_table(raw) -> GroupTable:
     """Validate an arbitrary square table and wrap it as a group.
 
     If the two-sided identity is not element 0, ids 0 and the identity are
@@ -457,7 +448,7 @@ def from_cayley_table(raw, recipe: str | None = None) -> GroupTable:
     if not two_sided.any():
         raise MissingIdentityError("table has no two-sided identity element")
     e = int(np.argmax(two_sided))
-    label = recipe or f"table({n})"
+    label = f"table({n})"
     if e != 0:
         swap = ids.copy()
         swap[0], swap[e] = e, 0
@@ -713,7 +704,14 @@ def from_name(spec: str) -> GroupTable:
                 f"cannot parse {part.strip()!r} in {spec!r}; expected one of "
                 "Cn, Dn, Dicn, Sn, An"
             )
-        atoms.append((m.group(1), int(m.group(2))))
+        digits = m.group(2).lstrip("0") or "0"
+        try:
+            atoms.append((m.group(1), int(digits)))
+        except ValueError:  # more digits than int() reads, so past any cap
+            raise SizeLimitError(
+                f"{part.strip()[:12]}... has a {len(digits)}-digit parameter, "
+                f"above the cap of {max_group_order()}"
+            ) from None
     _check_atoms_cap(atoms, spec.strip())
     built = None
     for kind, k in atoms:

@@ -30,6 +30,10 @@ independent vectors in reduced row-echelon form and rational rank is at
 least rank_P, so a lift that passes is the unique reduced kernel basis. A
 lift that fails falls back to the fraction-free integer elimination of
 exactla.rational_nullspace.
+
+A kernel comes from its verdict's route: the empty basis when the centre
+or a full rank mod P certifies, else the matrix route's proven basis. A
+family is listed only by geodesics._family_subgroups; a system keeps rows.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .geodesics import _family_subgroups, _geodesics_for, homomorphisms_cn
 from .groups import (
     _BLOCK_CELLS,
     GroupTable,
-    SubgroupSet,
     _left_coset_array,
     _row_blocks,
     conjugacy_classes,
@@ -93,9 +96,9 @@ class RadonSystem:
     Row i sums f over indices[indptr[i]:indptr[i + 1]], a nonempty sorted
     multiset of columns: a coset for a geodesic, the points an orbit visits
     (with multiplicity) for a flow. Both arrays are read-only. A group
-    system also keeps its family's subgroups, whose cosets fill consecutive
-    blocks of rows; a flow system keeps each row's orbit start state in
-    starts. cells, matrix and rows are built from these on every access.
+    system's rows are the cosets of geodesics._family_subgroups(group,
+    variant), a block per subgroup; a flow system keeps each row's orbit
+    start state in starts. matrix and rows are built on every access.
     """
 
     group: GroupTable | None
@@ -103,7 +106,6 @@ class RadonSystem:
     indptr: np.ndarray
     indices: np.ndarray
     ncols: int
-    subgroups: tuple[SubgroupSet, ...] = ()
     starts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -116,12 +118,6 @@ class RadonSystem:
         return len(self.indptr) - 1
 
     @property
-    def cells(self) -> tuple[tuple[int, ...], ...]:
-        """Each row's sorted multiset of columns, as tuples."""
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """The dense integer matrix."""
         return tuple(tuple(row.tolist()) for row in _array_rows(self))
@@ -132,7 +128,9 @@ class RadonSystem:
         state of each row's orbit for a flow system."""
         if self.group is None:
             return tuple(map(tuple, self.starts.tolist()))
-        return tuple(_geodesics_for(self.group, self.subgroups))
+        return tuple(
+            _geodesics_for(self.group, _family_subgroups(self.group, self.variant))
+        )
 
 
 def _indptr(lengths) -> np.ndarray:
@@ -142,7 +140,7 @@ def _indptr(lengths) -> np.ndarray:
 
 def _array_rows(sys: RadonSystem):
     """The dense integer rows, one at a time, as int64 array views: entry j
-    counts j in the row's cells. They are scattered from a slice of indices
+    counts j in the row's columns. They are scattered from a slice of indices
     by one np.bincount per chunk of exactla.CHUNK_ROWS rows; a chunk is
     built only when its first row is read."""
     n, step = sys.ncols, exactla.CHUNK_ROWS
@@ -154,32 +152,20 @@ def _array_rows(sys: RadonSystem):
         yield from np.bincount(flat, minlength=k * n).reshape(k, n)
 
 
-def _row_sums(sys: RadonSystem, vectors) -> np.ndarray:
-    """Exact sums of each vector over each row's cells, one row of the
+def _row_sums(sys: RadonSystem, vectors: np.ndarray) -> np.ndarray:
+    """Exact sums of each vector over each row's columns, one row of the
     result per vector.
 
-    vectors is a list of vectors of Python numbers or a 2-D int64 array.
-    The sums run in int64 when every value is an int and the largest
-    magnitude times the longest row is below 2^63, which bounds every
-    partial sum; otherwise they run on Python objects.
+    vectors is a 2-D array, one vector per row: int64, or objects (Python
+    ints or Fractions), which are summed as they are. An int64 array whose
+    largest magnitude times the longest row reaches 2^63, past which a
+    partial sum could wrap, is summed on Python ints instead.
     """
     longest = int(np.diff(sys.indptr).max())
-    if isinstance(vectors, np.ndarray):
-        arr = vectors
-        if arr.size and int(np.abs(arr).max()) * longest >= 2**63:
-            arr = arr.astype(object)
-    else:
-        values = [v for vec in vectors for v in vec]
-        if (
-            all(type(v) is int for v in values)
-            and max(map(abs, values), default=0) * longest < 2**63
-        ):
-            arr = np.array(values, dtype=np.int64)
-        else:
-            arr = np.empty(len(values), dtype=object)
-            arr[:] = values
-        arr = arr.reshape(len(vectors), sys.ncols)
-    return np.add.reduceat(arr[:, sys.indices], sys.indptr[:-1], axis=1)
+    if vectors.dtype != object and vectors.size:
+        if int(np.abs(vectors).max()) * longest >= 2**63:
+            vectors = vectors.astype(object)
+    return np.add.reduceat(vectors[:, sys.indices], sys.indptr[:-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -213,7 +199,6 @@ def build_system(g: GroupTable, variant: str = "prime") -> RadonSystem:
         indptr=_indptr(np.repeat(sizes, [g.order // h for h in sizes])),
         indices=np.concatenate([_left_coset_array(g, sub).ravel() for sub in subs]),
         ncols=g.order,
-        subgroups=tuple(subs),
     )
 
 
@@ -222,14 +207,17 @@ def apply(sys: RadonSystem, f) -> tuple:
     values = list(f)
     if len(values) != sys.ncols:
         raise DimensionError(f"function has length {len(values)}, expected {sys.ncols}")
-    return tuple(_row_sums(sys, [values])[0].tolist())
+    arr = np.empty((1, sys.ncols), dtype=object)
+    arr[0] = values
+    return tuple(_row_sums(sys, arr)[0].tolist())
 
 
 def kernel(sys: RadonSystem) -> KernelBasis:
-    """Exact rational kernel in reduced row-echelon form. Each vector is
-    scaled to integers and summed back over every row's cells, so a
-    KernelBasis in hand is a certificate."""
-    return _kernel(sys, exactla.echelon_mod(_array_rows(sys), sys.ncols, exactla.P))
+    """Exact rational kernel in reduced row-echelon form, from the route of
+    the system's verdict: empty when the centre or a full rank mod
+    exactla.P certifies, else read off the elimination mod P and summed
+    back exactly over every row, so a KernelBasis in hand is a certificate."""
+    return _verdict(sys)[1]
 
 
 def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
@@ -245,14 +233,15 @@ def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
         vectors = exactla.rational_nullspace(
             (row.tolist() for row in _array_rows(sys)), sys.ncols
         )
-        if not _annihilates(sys, [_integer_multiple(vec) for vec in vectors]):
+        scaled = np.array([_integer_multiple(vec) for vec in vectors], dtype=object)
+        if not _annihilates(sys, scaled.reshape(-1, sys.ncols)):
             raise AssertionError("kernel vector fails exact annihilation check")
     return KernelBasis(vectors=tuple(vectors), dim=len(vectors))
 
 
 def _annihilates(sys: RadonSystem, scaled) -> bool:
-    """Whether every integer vector sums to 0 over every row's cells,
-    checked a block of vectors at a time."""
+    """Whether every integer vector, a row of the 2-D array scaled, sums to
+    0 over every row's columns, checked a block of vectors at a time."""
     step = max(1, _BLOCK_CELLS // len(sys.indices))
     return not any(
         _row_sums(sys, scaled[lo : lo + step]).any()
@@ -285,8 +274,11 @@ def _central_element(g: GroupTable, subs) -> np.ndarray:
     return np.bincount(np.concatenate([s.elements for s in subs]), minlength=g.order)
 
 
-def _unit_in_centre(g: GroupTable, subs) -> bool:
-    """Whether z = sum of 1_H over subs is a unit of F_P[G], P = exactla.P.
+def _centre_verdict(g: GroupTable, variant: str, subs) -> InjectivityVerdict | None:
+    """The modular-full-rank verdict when z = sum of 1_H over subs is a unit
+    of F_P[G], P = exactla.P, else None. rows is counted from the subgroup
+    sizes; fewer rows than |G| cannot give full rank, so such a family
+    never starts the Krylov sequence.
 
     z is a unit exactly when its minimal polynomial has a nonzero constant
     term, and that polynomial is the first dependency of the Krylov
@@ -295,6 +287,10 @@ def _unit_in_centre(g: GroupTable, subs) -> bool:
     support of z and every class representative r, a block of the support
     at a time.
     """
+    n = g.order
+    rows = sum(n // len(s) for s in subs)
+    if rows < n:
+        return None
     labels, reps = conjugacy_classes(g)
     z = _central_element(g, subs)
     support = np.flatnonzero(z)
@@ -305,23 +301,14 @@ def _unit_in_centre(g: GroupTable, subs) -> bool:
         # entries of v are below P < 2^25 and the weights sum to the sum of
         # |H|, a few times |G| at most, so every sum stays inside int64
         out = np.zeros(len(reps), dtype=np.int64)
-        for rows in blocks:
-            classes = labels[g.table[inv[rows, None], reps]]
-            out += (weight[rows] * v[classes]).sum(axis=0)
+        for block in blocks:
+            classes = labels[g.table[inv[block, None], reps]]
+            out += (weight[block] * v[classes]).sum(axis=0)
         return out % exactla.P
 
     delta_e = np.zeros(len(reps), dtype=np.int64)
     delta_e[0] = 1
-    return exactla.krylov_invertible_mod(times_z, delta_e, exactla.P)
-
-
-def _centre_verdict(g: GroupTable, variant: str, subs) -> InjectivityVerdict | None:
-    """The modular-full-rank verdict when z is a unit of F_P[G], else None.
-    rows is counted from the subgroup sizes; fewer rows than |G| cannot
-    give full rank, so such a family never starts the Krylov sequence."""
-    n = g.order
-    rows = sum(n // len(s) for s in subs)
-    if rows < n or not _unit_in_centre(g, subs):
+    if not exactla.krylov_invertible_mod(times_z, delta_e, exactla.P):
         return None
     return _make_verdict(n, variant, rows, n, "modular-full-rank")
 
@@ -396,8 +383,9 @@ def group_sum_from_radon(sys: RadonSystem, values) -> Fraction:
     vals = list(values)
     if len(vals) != sys.nrows:
         raise DimensionError(f"got {len(vals)} values for {sys.nrows} rows")
-    # the first block of rows holds the cosets of the first subgroup
-    return Fraction(sum(vals[: sys.ncols // len(sys.subgroups[0])]))
+    # the first block of rows holds the cosets of the first subgroup, each
+    # as long as the subgroup
+    return Fraction(sum(vals[: sys.ncols // int(sys.indptr[1])]))
 
 
 def _elementary_square_prime(g: GroupTable) -> int:

@@ -286,15 +286,18 @@ def suite_bound() -> SuiteReport:
     return _report("bound", cases)
 
 
-def suite_lemma_prime(
-    max_order: int = 24, max_n: int = 12, functions: int = 20, seed: int = 20260822
-) -> SuiteReport:
+# the composite lengths up to _LEMMA_MAX_N, each checked on _LEMMA_FUNCTIONS
+# random functions per group, drawn from _LEMMA_SEED ^ |G|
+_LEMMA_MAX_N, _LEMMA_FUNCTIONS, _LEMMA_SEED = 12, 20, 20260822
+
+
+def suite_lemma_prime(max_order: int = 24) -> SuiteReport:
     """Composite transforms reduce to prime data: the two-case consistency
     identity across every composite length and corpus group."""
     cases = []
-    composites = [n for n in range(4, max_n + 1) if not is_prime(n)]
+    composites = [n for n in range(4, _LEMMA_MAX_N + 1) if not is_prime(n)]
     for g in groups_upto(max_order):
-        fs = random_rational_functions(g.order, functions, seed ^ g.order)
+        fs = random_rational_functions(g.order, _LEMMA_FUNCTIONS, _LEMMA_SEED ^ g.order)
         for n in composites:
             ok = radon.composite_consistency(g, n, fs)
             cases.append(_case(f"{g.recipe} len={n}", "consistent", ok, "inconsistent"))

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coset_radon.cli import main
 
@@ -273,6 +278,12 @@ def test_astronomical_order_exits_3_with_one_line(capsys):
     assert err.count("\n") == 1 and "more than 2^19052" in err
 
 
+def test_factor_past_the_int_digit_limit_exits_3_with_one_line(capsys):
+    code, _, err = run(capsys, "group", "C" + "9" * 5000)
+    assert code == 3
+    assert err.count("\n") == 1 and "5000-digit parameter" in err
+
+
 def test_missing_subcommand_exits_nonzero(capsys):
     assert main([]) != 0
     capsys.readouterr()
@@ -295,6 +306,8 @@ def test_group_file_order_mismatch(capsys, tmp_path):
 # not UTF-8, and nested past the json module's recursion limit
 _UNDECODABLE = b"\xff\xfe{}"
 _DEEP = b"[" * 100_000 + b"]" * 100_000
+# an integer past the digits int() reads from a string
+_LONG_INT = b"[" + b"1" * 5000 + b"]"
 
 
 @pytest.mark.parametrize(
@@ -345,6 +358,13 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
         (["verify", "flows", "--max-order", "1"], None),
         (["verify", "spectral-abelian", "--max-order", "1"], None),
         (["verify", "products", "--max-order", "3"], None),
+        (["group", "file:{path}"], {"order": 2.0, "table": [[0, 1], [1, 0]]}),
+        (["group", "file:{path}"], {"order": True, "table": [[0]]}),
+        (["group", "file:{path}"], _LONG_INT),
+        (["group", "file:{missing}\x00"], None),
+        (["group", "file:{missing}\nx"], None),
+        (["group"], None),
+        (["verify", "abelian", "--max-order", "abc"], None),
     ],
     ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
          "missing-rep-file", "suite-with-no-cases", "table-not-a-list",
@@ -357,7 +377,10 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
          "matrix-csv-unwritable", "tolerance-nan", "tolerance-inf",
          "tolerance-negative", "rep-route-tolerance-nan", "maximal-max-order-0",
          "maximal-max-order-negative", "flows-max-order-1",
-         "spectral-abelian-max-order-1", "products-with-no-cases"],
+         "spectral-abelian-max-order-1", "products-with-no-cases",
+         "table-order-a-float", "table-order-a-boolean", "group-file-long-int",
+         "path-with-nul", "path-with-newline", "group-without-spec",
+         "max-order-not-an-int"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     path = tmp_path / "input.json"
@@ -385,7 +408,7 @@ def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
     from coset_radon import radon
 
     # the verdict computes the kernel from its own echelon basis, through
-    # radon._kernel, which the public radon.kernel wraps
+    # radon._kernel, which the public radon.kernel reaches by the same route
     calls = {"build_system": 0, "_kernel": 0}
 
     def counting(name):
@@ -435,3 +458,62 @@ def test_kernel_json_matches_the_json_encoder_byte_for_byte(capsys, name, dim):
     payload = json.loads(out)
     assert len(payload["kernel"]) == payload["kernel_dim"] == dim
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# --- the failure contract under fuzzed input ---------------------------------
+
+# the keys the group, flow and --rep readers look up, so that random objects
+# get past the first missing-key check
+_FILE_KEYS = (
+    "order", "table", "semidirect", "normal", "acting", "action", "size", "dim",
+    "images", "unitary", "0", "1",
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["C2", "C3", "S3", "file:"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_FILE_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+_SPECS = (
+    st.text()
+    | st.text(alphabet="CDSAicx0123456789 -:", max_size=12)
+    | st.text().map("file:".__add__)
+)
+
+
+def _contract_holds(argv):
+    """Run main with the order cap lowered to 64, and check the exit code,
+    the one stderr line of a failure and the absence of a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COSET_RADON_MAX_ORDER": "64"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "file:{path}"], ["flow", "file:{path}"], ["spectral", "C2", "--rep", "{path}"]],
+    ids=["group-file", "flow-file", "rep-file"],
+)
+@given(data=_JSON_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_files_keep_the_failure_contract(fuzz_file, argv, data):
+    fuzz_file.write_text(json.dumps(data))
+    _contract_holds([a.format(path=fuzz_file) for a in argv])
+
+
+@given(spec=_SPECS)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_group_specs_keep_the_failure_contract(spec):
+    _contract_holds(["group", spec])

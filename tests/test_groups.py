@@ -12,6 +12,7 @@ from coset_radon.errors import (
     AssociativityError,
     GroupSpecError,
     GroupValidationError,
+    InvalidActionError,
     InvalidOrderError,
     MissingIdentityError,
     NotAbelianError,
@@ -171,6 +172,20 @@ def test_semidirect_validates_action():
     bad[1] = [0, 2, 1, 3, 4, 5, 6]  # swaps 1 and 2: not an automorphism of C7
     with pytest.raises(NotAutomorphismError):
         groups.make_semidirect(c7, c3, bad)
+
+
+@pytest.mark.parametrize(
+    "row", [[0, 1, 2], [0, 1, 2, 3, 4, 5, 6.0], [0, 1, 1, 3, 4, 5, 6], "0123456"]
+)
+def test_semidirect_action_that_is_no_permutation(row):
+    # a short row, a non-int, a repeated id, not a list
+    c7, c3 = groups.make_cyclic(7), groups.make_cyclic(3)
+    action = [list(range(7)), row, list(range(7))]
+    with pytest.raises(InvalidActionError) as info:
+        groups.make_semidirect(c7, c3, action)
+    assert type(info.value) is InvalidActionError
+    assert "element 1 is not a permutation of 0..6" in str(info.value)
+    assert "(-1, -1)" not in str(info.value)
 
 
 def test_subgroup_helpers():

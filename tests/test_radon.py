@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -74,7 +73,8 @@ def test_apply_rejects_wrong_length():
 
 def test_flow_rows_carry_multiplicity():
     sys = _system("3-point", "flow")
-    assert sys.cells == ((0, 0, 1, 2), (1, 2))
+    assert sys.indptr.tolist() == [0, 4, 6]
+    assert sys.indices.tolist() == [0, 0, 1, 2, 1, 2]
     assert sys.matrix == ((2, 1, 1), (0, 1, 1))
 
 
@@ -82,8 +82,8 @@ def test_flow_rows_carry_multiplicity():
 def test_cells_agree_with_dense_matrix(name, variant):
     sys = _system(name, variant)
     dense = sys.matrix
-    assert [sum(row) for row in dense] == [len(cells) for cells in sys.cells]
-    # the int64 rows rank_mod reads, scattered from cells chunk by chunk
+    assert [sum(row) for row in dense] == np.diff(sys.indptr).tolist()
+    # the int64 rows rank_mod reads, scattered from indices chunk by chunk
     arrays = list(radon._array_rows(sys))
     assert all(row.dtype == np.int64 for row in arrays)
     assert [tuple(row.tolist()) for row in arrays] == list(dense)
@@ -152,7 +152,9 @@ def test_csr_system_matches_coset_tuples(monkeypatch):
             n = kind.order
         labels, cells = _reference(kind, variant)
         assert sys.nrows == len(cells)
-        assert sys.cells == tuple(cells)
+        bounds = sys.indptr.tolist()
+        slices = [tuple(sys.indices[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        assert slices == cells
         dense = tuple(tuple(Counter(c)[j] for j in range(n)) for c in cells)
         assert sys.matrix == dense
         assert [tuple(r.tolist()) for r in radon._array_rows(sys)] == list(dense)
@@ -207,7 +209,7 @@ def test_apply_and_kernel_check_are_exact_past_int64():
     assert radon.apply(sys, [2**70, 1, 3, -(2**70)]) == (2**70 + 3, 1 - 2**70)
     assert all(type(v) is int for v in radon.apply(sys, [1, 2, 3, 4]))
     # the kernel check sums a batch of vectors at once
-    batch = [[2**62, 0, 2**62, 0], [1, 2, 3, 4]]
+    batch = np.array([[2**62, 0, 2**62, 0], [1, 2, 3, 4]], dtype=np.int64)
     assert radon._row_sums(sys, batch).tolist() == [[2**63, 0], [4, 6]]
 
 
@@ -319,12 +321,31 @@ def test_gram_matrix_is_multiplication_by_the_central_element(name, variant):
     g = groups.from_name(name)
     sys = radon.build_system(g, variant)
     a = np.array(sys.matrix, dtype=np.int64)
-    z = radon._central_element(g, sys.subgroups)
+    z = radon._central_element(g, geodesics._family_subgroups(g, variant))
     quotients = g.table[np.array(g.inv)[:, None], np.arange(g.order)]  # a^-1 b
     assert np.array_equal(a.T @ a, z[quotients])
     # z is central: z(a^-1 b a) = z(b)
     conj = g.table[quotients, np.arange(g.order)[:, None]]
     assert np.array_equal(z[conj], np.broadcast_to(z, conj.shape))
+
+
+@pytest.mark.parametrize("name, variant", [("S4", "prime"), ("S6", "maximal")])
+def test_kernel_of_a_centre_certified_system_eliminates_nothing(
+    monkeypatch, name, variant
+):
+    # the kernel follows the verdict: z is a unit mod P, so the empty basis
+    # needs no pass over the rows
+    passes = []
+    eliminate = exactla._eliminate_mod
+
+    def counting_pass(m, p):
+        passes.append(p)
+        return eliminate(m, p)
+
+    monkeypatch.setattr(exactla, "_eliminate_mod", counting_pass)
+    sys = radon.build_system(groups.from_name(name), variant)
+    assert radon.kernel(sys) == radon.KernelBasis(vectors=(), dim=0)
+    assert passes == []
 
 
 def _centre_corpus():
@@ -393,18 +414,6 @@ def test_fewer_rows_than_order_never_start_the_krylov_sequence(
     assert verdict.method == "exact-elimination" and calls == []
     radon.is_injective(groups.from_name("S4"), variant)
     assert len(calls) == 1  # the patch is reached when rows suffice
-
-
-def test_group_verdict_lists_its_family_from_the_group():
-    # the centre lists the family from (group, variant) and never reads a
-    # system's subgroups field: adding the trivial subgroup to Dic15's prime
-    # family makes its z a unit, yet the verdict stays the rows' own
-    g = groups.from_name("Dic15")
-    family = tuple(geodesics._family_subgroups(g, "prime"))
-    padded = family + (groups.SubgroupSet(elements=(0,)),)
-    assert radon._centre_verdict(g, "prime", padded) is not None
-    sys = dataclasses.replace(radon.build_system(g, "prime"), subgroups=padded)
-    assert radon.decide_system(sys) == (44, 16, "exact-elimination")
 
 
 def _kernel_oracle_systems():
