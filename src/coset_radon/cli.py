@@ -98,11 +98,24 @@ def _dumps(payload: dict) -> str:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(_dumps(payload))
-    else:
-        for line in text_lines:
+    """Print the payload as JSON, or the text lines.
+
+    A reader that closes the pipe early (`| head -1`) ends the output, not
+    the command, which still returns its own exit code. Standard output is
+    then pointed at os.devnull, so the flush at exit cannot raise again.
+    """
+    try:
+        for line in [_dumps(payload)] if args.json else text_lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stream with no descriptor has nothing left to flush to
+        finally:
+            os.close(devnull)
 
 
 def _ms(t0: float) -> float:

@@ -201,12 +201,32 @@ def _check_associativity(t: np.ndarray, orders: np.ndarray) -> list[int]:
 
 def _close(t: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
     """Grow the mask reached, in place, until right multiplication by
-    every element of gens maps it into itself."""
-    frontier = np.flatnonzero(reached)
-    while frontier.size:
-        before = reached.copy()
-        reached[t[frontier[:, None], gens]] = True
-        frontier = np.flatnonzero(reached & ~before)
+    every element of gens maps it into itself.
+
+    Right multiplication by a is the permutation pi = t[:, a] of the ids,
+    and the mask is closed under it by squaring: R <- R | pi(R), then
+    pi <- pi o pi, until a round adds nothing. After j rounds R is the
+    union of pi^i(R0) for i < 2^j, so a generator of order d costs
+    O(log d) rounds. When round j adds nothing, R, the union for
+    i < s = 2^(j-1), holds pi^s(R0) as well, so pi(R) lies in R. The
+    generators take turns until none of them grows the mask. The least
+    closed superset of R0 is unique, so the mask is the one a
+    breadth-first walk reaches.
+    """
+    columns = [t[:, a] for a in gens]
+    idle = 0  # generators in a row under which the mask is closed
+    for pi in itertools.cycle(columns):
+        if idle == len(columns):
+            break
+        size, grew = np.count_nonzero(reached), False
+        while True:
+            reached[pi[reached]] = True
+            now = np.count_nonzero(reached)
+            if now == size:
+                break
+            size, grew = now, True
+            pi = pi[pi]
+        idle = 1 if grew else idle + 1  # a grown mask is closed under pi
 
 
 def _element_orders(t: np.ndarray) -> np.ndarray:
@@ -392,7 +412,11 @@ def make_semidirect(
     if not isinstance(action, (list, tuple)):
         raise InvalidActionError("the action must be a list of permutations")
     if len(action) != nh:
-        raise NotHomomorphismError((len(action), nh))
+        listed = f"{len(action)} permutation{'s' * (len(action) != 1)}"
+        raise InvalidActionError(
+            f"the action lists {listed}, but the acting group has "
+            f"{nh} element{'s' * (nh != 1)}"
+        )
     for h, phi in enumerate(action):
         if (
             not isinstance(phi, (list, tuple))

@@ -517,26 +517,46 @@ def composite_consistency(g: GroupTable, n: int, functions) -> bool:
     length n: either gamma^k is trivial and the length-n sum is m times the
     length-k sum along the same generator, or the length-n transform equals
     1/m times the length-m sums taken along gamma^k at the n shifted points.
-    Functions are rational vectors; each is rescaled to integers internally
-    so the comparisons stay exact and cheap. Vacuously true when no
+    Functions are rational vectors of length |G|; each is rescaled to
+    integers, so the comparisons stay exact and cheap, and the sums run in
+    int64 wherever a bound proves that exact. Vacuously true when no
     homomorphism of length n exists.
     """
     if n < 4 or exactla.is_prime(n):
         raise InvalidOrderError(f"composite length required, got {n}")
+    return _composite_check(g, n, _integer_columns(g, functions))
+
+
+def _integer_columns(g: GroupTable, functions) -> np.ndarray:
+    """The functions, each rescaled to integers by _integer_multiple, one
+    column per function: int64 when every value fits, else Python ints."""
+    scaled = []
+    for f in functions:
+        vals = [v if type(v) in (int, Fraction) else Fraction(v) for v in f]
+        if len(vals) != g.order:
+            raise DimensionError(f"function length {len(vals)}, expected {g.order}")
+        scaled.append(_integer_multiple(vals))
+    top = max((abs(v) for vec in scaled for v in vec), default=0)
+    dtype = np.int64 if top < 2**63 else object
+    return np.array(scaled, dtype=dtype).reshape(-1, g.order).T
+
+
+def _composite_check(g: GroupTable, n: int, values: np.ndarray) -> bool:
+    """composite_consistency on integer values, one column per function.
+
+    Every sum and multiple below is at most m*n times the largest
+    magnitude (the deepest sum adds m*n values), so int64 is exact while
+    that product stays below 2^63; past it the values are summed on
+    Python ints.
+    """
     m = exactla.factorize(n)[0][0]
     k = n // m
     homs = homomorphisms_cn(g, n)
     if not homs:
         return True
-    order = g.order
-    scaled = []
-    for f in functions:
-        vals = [v if type(v) in (int, Fraction) else Fraction(v) for v in f]
-        if len(vals) != order:
-            raise DimensionError(f"function length {len(vals)}, expected {order}")
-        scaled.append(_integer_multiple(vals))
-    # one column per function, of Python ints, so no sum can overflow
-    values = np.array(scaled, dtype=object).reshape(-1, order).T
+    if values.dtype != object and values.size:
+        if int(np.abs(values).max()) * m * n >= 2**63:
+            values = values.astype(object)
 
     def orbit_sums(vals, gen, length):
         """Row x of the result sums the rows x * gen^t of vals, t < length."""

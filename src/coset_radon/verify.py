@@ -114,17 +114,27 @@ def _prime_power_splits(p: int, e: int) -> list[list[int]]:
 
 
 def abelian_groups_upto(max_order: int) -> list[GroupTable]:
-    """One group per isomorphism class of abelian groups, orders 2..max."""
+    """One group per isomorphism class of abelian groups, orders 2..max.
+
+    The class with sorted prime-power factors f1 <= ... <= fk is the
+    left-associated product ((C_f1 x C_f2) x ...) x C_fk. Its prefix
+    f1..f(k-1) is the factor list of a class of smaller order, and C_fk is
+    one too, so each class is one product of two groups built before it:
+    one build per class.
+    """
     out = []
+    built: dict[tuple[int, ...], GroupTable] = {}
     for n in range(2, max_order + 1):
         per_prime = [_prime_power_splits(p, e) for p, e in factorize(n)]
 
         def rec(i: int, acc: list[int]):
             if i == len(per_prime):
-                factors = sorted(acc)
-                g = make_cyclic(factors[0])
-                for m in factors[1:]:
-                    g = make_direct_product(g, make_cyclic(m))
+                factors = tuple(sorted(acc))
+                if len(factors) == 1:
+                    g = make_cyclic(factors[0])
+                else:
+                    g = make_direct_product(built[factors[:-1]], built[factors[-1:]])
+                built[factors] = g
                 out.append(g)
                 return
             for split in per_prime[i]:
@@ -298,8 +308,9 @@ def suite_lemma_prime(max_order: int = 24) -> SuiteReport:
     composites = [n for n in range(4, _LEMMA_MAX_N + 1) if not is_prime(n)]
     for g in groups_upto(max_order):
         fs = random_rational_functions(g.order, _LEMMA_FUNCTIONS, _LEMMA_SEED ^ g.order)
+        values = radon._integer_columns(g, fs)  # scaled once for every length
         for n in composites:
-            ok = radon.composite_consistency(g, n, fs)
+            ok = radon._composite_check(g, n, values)
             cases.append(_case(f"{g.recipe} len={n}", "consistent", ok, "inconsistent"))
     return _report("lemma-prime", cases)
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -365,6 +367,8 @@ _LONG_INT = b"[" + b"1" * 5000 + b"]"
         (["group", "file:{missing}\nx"], None),
         (["group"], None),
         (["verify", "abelian", "--max-order", "abc"], None),
+        (["group", "file:{path}"],
+         {"semidirect": {"normal": "C7", "acting": "C3", "action": [[0, 1, 2, 3, 4, 5, 6]]}}),
     ],
     ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
          "missing-rep-file", "suite-with-no-cases", "table-not-a-list",
@@ -380,7 +384,7 @@ _LONG_INT = b"[" + b"1" * 5000 + b"]"
          "spectral-abelian-max-order-1", "products-with-no-cases",
          "table-order-a-float", "table-order-a-boolean", "group-file-long-int",
          "path-with-nul", "path-with-newline", "group-without-spec",
-         "max-order-not-an-int"],
+         "max-order-not-an-int", "action-of-the-wrong-length"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     path = tmp_path / "input.json"
@@ -394,6 +398,38 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert "(1, 3)" not in err  # no acting pair that does not exist
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["radon", "C6", "--json"], 0),
+    (["radon", "C6"], 0),
+    (["verify", "bound", "--json"], 0),
+], ids=["radon-json", "radon-text", "verify-json"])
+def test_closed_pipe_ends_output_not_the_command(capsys, argv, code):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert main(argv) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_leaves_no_traceback_in_a_child(tmp_path):
+    import coset_radon
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coset_radon.__file__)))
+    with open(tmp_path / "err.txt", "w+b") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "coset_radon.cli", "radon", "Dic63", "--kernel", "--json"],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        child.stdout.close()  # the reader is gone before the first write
+        assert child.wait(timeout=120) == 0
+        err.seek(0)
+        assert err.read() == b""
 
 
 @pytest.mark.parametrize("suite", ["catalog", "bound", "subgroup-monotone"])

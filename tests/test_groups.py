@@ -174,6 +174,18 @@ def test_semidirect_validates_action():
         groups.make_semidirect(c7, c3, bad)
 
 
+@pytest.mark.parametrize("rows,message", [
+    (1, "the action lists 1 permutation, but the acting group has 3 elements"),
+    (4, "the action lists 4 permutations, but the acting group has 3 elements"),
+])
+def test_semidirect_action_of_the_wrong_length(rows, message):
+    c7, c3 = groups.make_cyclic(7), groups.make_cyclic(3)
+    with pytest.raises(InvalidActionError) as info:
+        groups.make_semidirect(c7, c3, [list(range(7))] * rows)
+    assert type(info.value) is InvalidActionError
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "row", [[0, 1, 2], [0, 1, 2, 3, 4, 5, 6.0], [0, 1, 1, 3, 4, 5, 6], "0123456"]
 )
@@ -548,6 +560,47 @@ def test_generating_sequence_is_greedy_by_smallest_missing_id(corpus):
                         closed.add(y)
                         frontier.append(y)
         assert iso.generating_sequence(g) == gens, g.recipe
+
+
+def _bfs_close(t, reached, gens):
+    """A copy of the mask reached, grown by right multiplication by gens
+    one element at a time: the breadth-first oracle for groups._close."""
+    steps = [t[:, a].tolist() for a in gens]
+    seen = reached.copy()
+    frontier = np.flatnonzero(seen).tolist()
+    while frontier:
+        x = frontier.pop()
+        for step in steps:
+            y = step[x]
+            if not seen[y]:
+                seen[y] = True
+                frontier.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["C4096", "S5", "A6", "Dic15"])
+def test_close_by_squaring_matches_a_breadth_first_walk(spec):
+    g = groups.from_name(spec)
+    rng = np.random.default_rng(g.order)
+    for trial in range(12):
+        reached = rng.random(g.order) < rng.choice([0.0, 0.001, 0.05, 0.5])
+        reached[rng.integers(g.order)] |= trial % 2 == 0
+        gens = rng.integers(0, g.order, size=rng.integers(0, 4)).tolist()
+        want = _bfs_close(g.table, reached, gens)
+        groups._close(g.table, reached, gens)
+        assert np.array_equal(reached, want), (spec, trial, gens)
+
+
+def test_light_generators_match_the_breadth_first_closure(monkeypatch):
+    corpus = verify.groups_upto(48) + [groups.make_symmetric(5), groups.make_alternating(6)]
+
+    def bfs_in_place(t, reached, gens):
+        reached[:] = _bfs_close(t, reached, gens)
+
+    monkeypatch.setattr(groups, "_close", bfs_in_place)
+    for g in corpus:
+        gens = groups._check_associativity(g.table, np.array(g.elt_order))
+        assert tuple(gens) == g.generators, g.recipe
 
 
 def test_composite_consistency_is_exact_past_int64():

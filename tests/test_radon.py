@@ -644,6 +644,109 @@ def test_composite_consistency(name, n):
     assert radon.composite_consistency(g, n, fns)
 
 
+def _consistency_oracle(g, n, gen, functions):
+    """Both identities of composite_consistency along one generator, on
+    Fractions, one walk through the table at a time."""
+    m = exactla.factorize(n)[0][0]
+    k = n // m
+
+    def walk(x, a, length):  # x, x*a, ..., x*a^(length-1)
+        out = [x]
+        for _ in range(length - 1):
+            out.append(g.table.item(out[-1], a))
+        return out
+
+    gk = walk(0, gen, k + 1)[k]
+    for f in functions:
+        f = [Fraction(v) for v in f]
+        for x in range(g.order):
+            long_sum = sum(f[y] for y in walk(x, gen, n))
+            if gk == 0:
+                short = sum(f[y] for y in walk(x, gen, k))
+                if long_sum != m * short:
+                    return False
+            else:
+                nested = sum(f[z] for y in walk(x, gen, n) for z in walk(y, gk, m))
+                if long_sum != Fraction(nested, m):
+                    return False
+    return True
+
+
+def _both_paths(g, n, functions):
+    """composite_consistency on int64 sums where the bound allows them,
+    and the same check forced onto Python ints."""
+    values = radon._integer_columns(g, functions)
+    return (
+        radon.composite_consistency(g, n, functions),
+        radon._composite_check(g, n, values.astype(object)),
+    )
+
+
+def _near_bound(g, n, above):
+    """An integer function whose largest magnitude times m*n sits just
+    below 2^63, or just reaches it."""
+    m = exactla.factorize(n)[0][0]
+    top = (2**63 - 1) // (m * n) + above
+    rng = random.Random(top + g.order)
+    return [top, -top] + [rng.randint(-top, top) for _ in range(g.order - 2)]
+
+
+_ORACLE_CASES = [("C12", 4), ("C12", 6), ("C12", 12), ("D4", 4), ("D4", 6), ("Dic3", 4),
+                 ("Dic3", 6)]
+# the cases where some element order does not divide n
+_WRONG_ORDER_CASES = [("C12", 4), ("C12", 6), ("D4", 6), ("Dic3", 4), ("Dic3", 6)]
+
+
+@pytest.mark.parametrize("name,n", _ORACLE_CASES)
+def test_composite_consistency_paths_agree_with_fraction_oracle(name, n):
+    g = groups.from_name(name)
+    homs = geodesics.homomorphisms_cn(g, n)
+    assert homs
+    fns = _random_functions(g.order, 4, seed=7 * n + g.order)
+    fns += [_near_bound(g, n, above=0), _near_bound(g, n, above=1)]
+    for batch in (fns[:4], fns[4:5], fns[5:]):
+        want = all(_consistency_oracle(g, n, h.image_generator, batch) for h in homs)
+        assert want
+        assert _both_paths(g, n, batch) == (want, want)
+    assert radon._integer_columns(g, fns[4:5]).dtype == np.int64
+
+
+@pytest.mark.parametrize("name,n", _WRONG_ORDER_CASES)
+def test_composite_check_fails_along_a_generator_of_the_wrong_order(
+    monkeypatch, name, n
+):
+    # the identities are a theorem for every homomorphism C_n -> G, so only
+    # a generator whose order does not divide n can make them fail; such a
+    # generator shows that both paths can answer no
+    g = groups.from_name(name)
+    wrong = [x for x in range(1, g.order) if n % g.elt_order[x]]
+    fns = _random_functions(g.order, 3, seed=11 * n + g.order)
+    fns += [_near_bound(g, n, above=0), _near_bound(g, n, above=1)]
+    answers = set()
+    for x in wrong:
+        fake = [geodesics.Homomorphism(n, x)]
+        monkeypatch.setattr(radon, "homomorphisms_cn", lambda *args: fake)
+        for batch in (fns[:3], fns[3:4], fns[4:]):
+            want = _consistency_oracle(g, n, x, batch)
+            assert _both_paths(g, n, batch) == (want, want), x
+            answers.add(want)
+    assert False in answers
+
+
+def test_composite_check_leaves_int64_where_a_sum_could_wrap(monkeypatch):
+    # along the generator 1 of C12 with n = 6, 2*(length-6 sum) minus the
+    # nested sum is f(x) + f(x+1) + f(x+2) - f(x+6) - f(x+7) - f(x+8); for
+    # 2^62 times this sign pattern it is 0 or +-2^64, which wraps to 0 in
+    # int64, while the Python-int sums see the identity fail
+    g = groups.make_cyclic(12)
+    f = [2**62 * s for s in (-1, -1, -1, -1, -1, -1, -1, 1, 1, -1, 1, 1)]
+    assert radon._integer_columns(g, [f]).dtype == np.int64
+    fake = [geodesics.Homomorphism(6, 1)]
+    monkeypatch.setattr(radon, "homomorphisms_cn", lambda *args: fake)
+    assert not _consistency_oracle(g, 6, 1, [f])
+    assert _both_paths(g, 6, [f]) == (False, False)
+
+
 def test_composite_consistency_vacuous_without_homomorphisms():
     g = groups.make_cyclic(9)
     assert radon.composite_consistency(g, 4, _random_functions(9, 2, seed=1))

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from coset_radon import verify
+from coset_radon import groups, verify
 
 
 def test_abelian_class_counts():
@@ -14,6 +15,29 @@ def test_abelian_class_counts():
     assert by_order[12] == 2
     assert by_order[16] == 5
     assert by_order[15] == 1
+
+
+def test_abelian_classes_match_the_chain_of_cyclic_factors(monkeypatch):
+    builds = []
+    build = groups._build
+
+    def counting(t, recipe):
+        builds.append(recipe)
+        return build(t, recipe)
+
+    monkeypatch.setattr(groups, "_build", counting)
+    gs = verify.abelian_groups_upto(64)
+    assert len(gs) == len(builds) == 116  # one build per class
+    monkeypatch.undo()
+    for g in gs:
+        factors = [int(f) for f in g.recipe[1:].split("xC")]
+        assert factors == sorted(factors)
+        chain = groups.make_cyclic(factors[0])
+        for f in factors[1:]:
+            chain = groups.make_direct_product(chain, groups.make_cyclic(f))
+        assert chain.recipe == g.recipe
+        assert np.array_equal(chain.table, g.table), g.recipe
+        assert chain.generators == g.generators, g.recipe
 
 
 def test_groups_upto_contains_named_families():
