@@ -1,9 +1,21 @@
 """Finite groups as validated Cayley tables with dense 0-based element ids.
 
 The identity always sits at id 0. Constructors hand back immutable
-GroupTable records; every one of them runs the full axiom validation, so a
-GroupTable in hand is a genuine group. Associativity is proven at every
-order, by Light's test on a generating set.
+GroupTable records, and every one of them is proven a group, at every
+order, in three steps:
+
+1. 0 is a two-sided identity;
+2. every row holds a 0, so every element has a right inverse;
+3. Light's test passes on a generating set: (xa)y = x(ay) for every x, y
+   and every generator a.
+
+The elements that pass Light's test are closed under products in any
+magma, so step 3 makes the table associative. An associative table with an
+identity and right inverses is a group, and a group's table is a latin
+square, so the latin property is never checked on a table that is
+accepted. A rejected Cayley table is checked for it, so that its error
+names the first row or column that is not a permutation, as it would if
+that were checked first.
 
 A group holds exactly one multiplication table: GroupTable.table, a
 read-only C-contiguous int32 array with table[a, b] the id of a*b. It is
@@ -37,6 +49,7 @@ from .errors import (
     NotSubgroupError,
     SizeLimitError,
 )
+from .exactla import factorize
 
 DEFAULT_MAX_ORDER = 5040
 _ID = np.int32  # element ids of any table that fits in memory
@@ -153,6 +166,9 @@ def _row_blocks(n: int, width: int | None = None) -> list[slice]:
 
 
 def _check_latin(t: np.ndarray) -> None:
+    """Raise, naming the first row, then the first column, of t that is not
+    a permutation of the ids. Only rejected tables are checked: an accepted
+    one is a group, and a group's table is latin."""
     ids = np.arange(len(t))
     for rows in _row_blocks(len(t)):
         bad = np.flatnonzero((np.sort(t[rows], axis=1) != ids).any(axis=1))
@@ -173,12 +189,16 @@ def _check_associativity(t: np.ndarray, orders: np.ndarray) -> list[int]:
     Returns that generating set.
 
     The elements a with (xa)y = x(ay) for all x, y are closed under
-    products, so checking a generating set proves associativity. Closing
-    {0} under right multiplication by the checked generators reaches only
-    left-bracketed products of them. Each new generator lies outside the
-    subgroup reached so far, so there are at most log2(n) of them, and the
-    test costs O(n^2 log n). Taking an unreached element of largest order
-    as the next generator keeps the set small in practice.
+    products in any magma, so checking a generating set proves
+    associativity. Closing {0} under right multiplication by the checked
+    generators reaches only left-bracketed products of them. On a table
+    with identity 0 and a 0 in every row, each set R reached so far is a
+    group: right multiplication by a checked a is injective, since
+    (xa)a' = x(aa') = x for a right inverse a' of a. A new generator b lies
+    outside R, so Rb is disjoint from R and as large, and there are at most
+    log2(n) generators. The test costs O(n^2 log n). Taking an unreached
+    element of largest order as the next generator keeps the set small in
+    practice.
     """
     n = len(t)
     reached = np.zeros(n, dtype=bool)
@@ -203,8 +223,8 @@ def _close(t: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
     """Grow the mask reached, in place, until right multiplication by
     every element of gens maps it into itself.
 
-    Right multiplication by a is the permutation pi = t[:, a] of the ids,
-    and the mask is closed under it by squaring: R <- R | pi(R), then
+    Right multiplication by a is the map pi = t[:, a] of the ids, and the
+    mask is closed under it by squaring: R <- R | pi(R), then
     pi <- pi o pi, until a round adds nothing. After j rounds R is the
     union of pi^i(R0) for i < 2^j, so a generator of order d costs
     O(log d) rounds. When round j adds nothing, R, the union for
@@ -229,49 +249,59 @@ def _close(t: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
         idle = 1 if grew else idle + 1  # a grown mask is closed under pi
 
 
-def _element_orders(t: np.ndarray) -> np.ndarray:
-    """Least k >= 1 with (..((a*a)*a)..)*a = 0, k factors, for each a.
+def _powers(t: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """x[i]^k for every i at once (k >= 1), by squaring: O(log k) gathers."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else t[out, x]
+        k >>= 1
+        if not k:
+            return out
+        x = t[x, x]
 
-    Right multiplication by a permutes the elements of a latin square, so
-    these powers return to the identity 0 within n steps.
+
+def _element_orders(t: np.ndarray) -> np.ndarray:
+    """The order of every element, in O((w(n) + 1) log n) gathers, where
+    w(n) counts the distinct primes dividing the order n of the table.
+
+    For each prime power p^e exactly dividing n, b = a^(n/p^e) is raised
+    to p-th powers until it reaches 0: f steps make p^f the p-part of the
+    order of a. Powers by squaring are exact once the table is associative.
+    Until that is proven the values only steer the choice of generators in
+    Light's test, and on any table each of them is a divisor of n.
     """
-    orders = np.ones(len(t), dtype=np.int64)
-    active = np.arange(1, len(t))
-    power, k = active, 1
-    while active.size:
-        k += 1
-        power = t[power, active]
-        done = power == 0
-        orders[active[done]] = k
-        active, power = active[~done], power[~done]
+    n = len(t)
+    ids = np.arange(n, dtype=_ID)
+    orders = np.ones(n, dtype=np.int64)
+    for p, e in factorize(n):
+        b = _powers(t, ids, n // p**e)
+        for _ in range(e):
+            left = b != 0
+            if not left.any():
+                break
+            orders[left] *= p
+            b = _powers(t, b, p)
     return orders
 
 
 def _build(t: np.ndarray, recipe: str) -> GroupTable:
-    """Validate a table whose identity is already at id 0 and wrap it,
-    read-only, in a GroupTable.
+    """Prove that a table with values in 0..n-1 is a group with identity 0,
+    in the three steps of the module docstring, and wrap it, read-only, in
+    a GroupTable.
 
     Callers check the order cap before they allocate the table.
     """
     n = len(t)
-    _check_latin(t)
     ids = np.arange(n)
     if (t[0] != ids).any() or (t[:, 0] != ids).any():
         raise MissingIdentityError("element 0 is not a two-sided identity")
-    # powers are defined in any latin square with an identity; a loop fails
-    # on associativity before the inverse and Lagrange checks below
-    orders = _element_orders(t)
-    gens = _check_associativity(t, orders)
-    inv = np.argmin(t, axis=1)  # each row is a permutation, so 0 is its minimum
-    bad = np.flatnonzero(t[inv, ids] != 0)
+    inv = np.argmin(t, axis=1)  # where each row holds its least value
+    bad = np.flatnonzero(t[ids, inv] != 0)
     if bad.size:
         raise MissingInverseError(int(bad[0]))
-    bad = np.flatnonzero(n % orders)
-    if bad.size:
-        a = int(bad[0])
-        raise GroupValidationError(
-            f"element {a} has order {orders[a]}, which does not divide {n}"
-        )
+    orders = _element_orders(t)
+    gens = _check_associativity(t, orders)
     t = np.ascontiguousarray(t, dtype=_ID)
     t.setflags(write=False)
     return GroupTable(
@@ -354,23 +384,41 @@ def _perm_group(perms, recipe: str) -> GroupTable:
     """Table of permutations, one per row of a list or array, closed under
     p*q = p o q.
 
-    A permutation of d letters is coded by reading its letters as base-d
-    digits. The codes of the products p_i o p_j are built digit by digit
-    for a block of rows at a time and looked up.
+    Row g of the table lists the ids of g o p_j, so the row of g*s is
+    row(g)[row(s)], one gather. The rows are filled breadth first from the
+    identity, right multiplying by generators; each generator is the least
+    id not yet reached, and its row is read off the codes of its products:
+    a permutation of d letters is coded by reading its letters as base-d
+    digits.
     """
     p = np.array(perms, dtype=_ID)
     n, d = p.shape
+    place = d ** np.arange(d - 1, -1, -1)
     lookup = np.zeros(d**d, dtype=_ID)
-    lookup[p @ d ** np.arange(d - 1, -1, -1)] = np.arange(n, dtype=_ID)
-    letters = [np.ascontiguousarray(p[:, k]) for k in range(d)]
+    lookup[p @ place] = np.arange(n, dtype=_ID)
     t = np.empty((n, n), dtype=_ID)
-    for rows in _row_blocks(n):
-        left = p[rows]
-        code = left[:, letters[0]]  # digit k of p_i o p_j is p_i[p_j[k]]
-        for k in range(1, d):
-            code *= d
-            code += left[:, letters[k]]
-        t[rows] = lookup[code]
+    t[0] = np.arange(n)  # the identity comes first in both constructors
+    reached, seen = [0], bytearray(n)
+    seen[0] = True
+    gens: list[int] = []
+    while len(reached) < n:
+        s = seen.index(0)
+        t[s] = lookup[p[s][p] @ place]  # digit k of p_s o p_j is p_s[p_j[k]]
+        seen[s] = True
+        gens.append(s)
+        # the elements reached so far are closed under the older generators
+        old = len(reached)
+        reached.append(s)
+        i = 0
+        while i < len(reached):
+            row = t[reached[i]]
+            for a in gens if i >= old else (s,):
+                h = row.item(a)
+                if not seen[h]:
+                    seen[h] = True
+                    row.take(t[a], out=t[h])
+                    reached.append(h)
+            i += 1
     return _build(t, recipe)
 
 
@@ -455,8 +503,46 @@ def from_cayley_table(raw) -> GroupTable:
     if n < 1:
         raise InvalidOrderError("empty table")
     _check_cap(n, "table")
-    # every cell is checked before numpy converts anything, so floats,
-    # strings and JSON booleans are rejected, not coerced
+    cells = _table_cells(raw, n)
+    try:
+        e = _two_sided_identity(cells)
+        if e is None:
+            raise MissingIdentityError("table has no two-sided identity element")
+        label, t = f"table({n})", cells
+        if e != 0:
+            swap = np.arange(n, dtype=_ID)
+            swap[0], swap[e] = e, 0
+            t = swap[cells[np.ix_(swap, swap)]]
+            label += f"[id was {e}]"
+        return _build(t, label)
+    except GroupValidationError as exc:
+        _check_latin(cells)
+        if isinstance(exc, AssociativityError):
+            # a latin square: name the triple that generators taken by the
+            # orders of left-bracketed powers meet first
+            _check_associativity(t, _left_power_orders(t))
+        raise
+
+
+def _table_cells(raw: list | tuple, n: int) -> np.ndarray:
+    """The rows of raw as an int32 array, once each is a list of n ints in
+    0..n-1; otherwise an error names the first row that is not.
+
+    Every cell's type is checked before numpy converts anything, so floats,
+    strings and JSON booleans are rejected, not coerced. The range is
+    checked in numpy, and only a table that fails is walked row by row.
+    """
+    t = None
+    if all(
+        isinstance(r, (list, tuple)) and len(r) == n and set(map(type, r)) == {int}
+        for r in raw
+    ):
+        try:
+            t = np.array(raw, dtype=_ID)
+        except OverflowError:  # a cell past int32 is past n - 1 too
+            pass
+    if t is not None and t.min() >= 0 and t.max() < n:
+        return t
     for i, r in enumerate(raw):
         if not isinstance(r, (list, tuple)):
             raise GroupValidationError(f"row {i} is not a list")
@@ -465,20 +551,33 @@ def from_cayley_table(raw) -> GroupTable:
         if set(map(type, r)) != {int} or min(r) < 0 or max(r) >= n:
             v = next(v for v in r if type(v) is not int or not 0 <= v < n)
             raise GroupValidationError(f"row {i} holds {v!r}, outside 0..{n - 1}")
-    t = np.array(raw, dtype=_ID)
-    _check_latin(t)
-    ids = np.arange(n)
-    two_sided = (t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0)
-    if not two_sided.any():
-        raise MissingIdentityError("table has no two-sided identity element")
-    e = int(np.argmax(two_sided))
-    label = f"table({n})"
-    if e != 0:
-        swap = ids.copy()
-        swap[0], swap[e] = e, 0
-        t = swap[t[np.ix_(swap, swap)]].astype(_ID)
-        label += f"[id was {e}]"
-    return _build(t, label)
+    raise AssertionError("the fast check refused a table the walk accepts")
+
+
+def _left_power_orders(t: np.ndarray) -> np.ndarray:
+    """Least k >= 1 with (..((a*a)*a)..)*a = 0, k factors, for each a of a
+    latin square with identity 0, where right multiplication by a permutes
+    the ids, so these powers return to 0 within n steps."""
+    orders = np.ones(len(t), dtype=np.int64)
+    active = np.arange(1, len(t))
+    power, k = active, 1
+    while active.size:
+        k += 1
+        power = t[power, active]
+        done = power == 0
+        orders[active[done]] = k
+        active, power = active[~done], power[~done]
+    return orders
+
+
+def _two_sided_identity(t: np.ndarray) -> int | None:
+    """The least e with e*x = x = x*e for every x, or None. Any such e has
+    e*0 = 0 = 0*e, so only those few candidates are compared in full."""
+    ids = np.arange(len(t))
+    for e in np.flatnonzero((t[:, 0] == 0) & (t[0] == 0)).tolist():
+        if np.array_equal(t[e], ids) and np.array_equal(t[:, e], ids):
+            return e
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +711,10 @@ def quotient(g: GroupTable, sub: SubgroupSet) -> GroupTable:
 
 
 def is_abelian(g: GroupTable) -> bool:
-    """Whether the table is symmetric, compared a block of rows at a time."""
+    """Whether the generators Light's test found commute pairwise: they
+    generate the group, so then every pair of elements commutes."""
     t = g.table
-    return all(np.array_equal(t[rows], t[:, rows].T) for rows in _row_blocks(g.order))
+    return all(t[a, b] == t[b, a] for a, b in itertools.combinations(g.generators, 2))
 
 
 def is_cyclic(g: GroupTable) -> bool:
@@ -653,8 +753,26 @@ def _abelian_basis_inner(g: GroupTable) -> list[tuple[int, int]]:
 
 
 def invariant_factors(g: GroupTable) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... | d_k with product |G| (abelian only)."""
-    return [d for _, d in reversed(abelian_basis(g))]
+    """Invariant factors d_1 | d_2 | ... | d_k with product |G| (abelian only).
+
+    They are read off the census of element orders. If the p-part of G is
+    the sum of cyclic groups of orders p^e_i, the elements with x^(p^k) = e
+    number p^c_k with c_k = sum_i min(k, e_i), so c_k - c_(k-1) of the
+    e_i are at least k, and the largest c_k - c_(k-1) invariant factors
+    each take one more factor p.
+    """
+    if not is_abelian(g):
+        raise NotAbelianError(f"{g.recipe} is not abelian")
+    orders = np.array(g.elt_order)
+    factors: list[int] = []  # largest first
+    for p, e in factorize(g.order):
+        below = 0  # c_(k-1)
+        for k in range(1, e + 1):
+            c = round(math.log(np.count_nonzero(p**k % orders == 0), p))
+            factors += [1] * (c - below - len(factors))  # k = 1 adds the most
+            factors[: c - below] = [f * p for f in factors[: c - below]]
+            below = c
+    return factors[::-1]
 
 
 _ATOM_RE = re.compile(r"^(Dic|C|D|S|A)(\d+)$")

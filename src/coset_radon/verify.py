@@ -158,14 +158,18 @@ def groups_upto(max_order: int) -> list[GroupTable]:
     return [g for g in out if g.order <= max_order]
 
 
+# every value random_rational_functions can draw, built once
+_FRACTIONS = {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 8)}
+
+
 def random_rational_functions(n: int, count: int, seed: int) -> list[list[Fraction]]:
+    """count lists of n values a/b, with a drawn from -9..9 and then b from
+    1..7 by random.Random(seed)."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
-        )
-    return out
+    return [
+        [_FRACTIONS[rng.randint(-9, 9), rng.randint(1, 7)] for _ in range(n)]
+        for _ in range(count)
+    ]
 
 
 def _inj(g: GroupTable, variant: str = "prime") -> bool:

@@ -15,6 +15,7 @@ from coset_radon.errors import (
     InvalidActionError,
     InvalidOrderError,
     MissingIdentityError,
+    MissingInverseError,
     NotAbelianError,
     NotAutomorphismError,
     NotNormalError,
@@ -254,6 +255,15 @@ def test_invariant_factors_divisibility_chain():
         assert prod == g.order
 
 
+def test_invariant_factors_match_the_quotient_chain_of_abelian_basis():
+    gs = verify.abelian_groups_upto(64)
+    assert len(gs) == 116
+    for g in gs:
+        chain = [d for _, d in reversed(groups.abelian_basis(g))]
+        assert groups.invariant_factors(g) == chain, g.recipe
+    assert groups.invariant_factors(groups.make_trivial()) == []
+
+
 def test_from_name_grammar():
     assert groups.from_name("C6").order == 6
     assert groups.from_name("C2xC3").order == 6
@@ -468,6 +478,224 @@ def test_large_nonassociative_table_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the proof without the latin property: identity, a 0 in every row, Light
+
+
+def _is_group(t):
+    """Brute force on a table whose identity is 0: every triple associates
+    and every element has a two-sided inverse."""
+    n = len(t)
+    return all(
+        t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in itertools.product(range(n), repeat=3)
+    ) and all(any(t[a][b] == 0 == t[b][a] for b in range(n)) for a in range(n))
+
+
+def _old_order_error(t):
+    """(type, message) that a check of the latin property, then the
+    identity, then Light's test with generators chosen by the orders of
+    left-bracketed powers raises on a table whose identity is 0; None for
+    a group. Pure Python, one cell at a time."""
+    n = len(t)
+    ids = list(range(n))
+    for i in range(n):
+        if sorted(t[i]) != ids:
+            return GroupValidationError, f"row {i} of the table is not a permutation"
+    for j in range(n):
+        if sorted(r[j] for r in t) != ids:
+            return GroupValidationError, f"column {j} of the table is not a permutation"
+    orders = []
+    for a in range(n):
+        k, x = 1, a
+        while x != 0:
+            x, k = t[x][a], k + 1
+        orders.append(k)
+    reached, gens = {0}, []
+    while len(reached) < n:
+        a = max((x for x in ids if x not in reached), key=orders.__getitem__)
+        for x, y in itertools.product(ids, repeat=2):
+            if t[t[x][a]][y] != t[x][t[a][y]]:
+                return AssociativityError, f"associativity fails at triple ({x}, {a}, {y})"
+        gens.append(a)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for b in gens:
+                if t[x][b] not in reached:
+                    reached.add(t[x][b])
+                    frontier.append(t[x][b])
+    return None
+
+
+def _tables_with_identity_0():
+    """Every table on 0..n-1 with identity 0 for n <= 3, the reduced latin
+    squares of order 5, then seeded random tables of orders 4 to 6: cells
+    drawn freely, then with a 0 put into every row that lacks one, then
+    group tables relabelled with 0 fixed."""
+    for n in range(1, 4):
+        free = [(i, j) for i in range(1, n) for j in range(1, n)]
+        for cells in itertools.product(range(n), repeat=len(free)):
+            t = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+            for (i, j), v in zip(free, cells):
+                t[i][j] = v
+            yield t
+    yield from _reduced_latin_squares(5)
+    rng = np.random.default_rng(16)
+    groups_by_order = {4: ["C4", "C2xC2"], 5: ["C5"], 6: ["C6", "S3"]}
+    for n in (4, 5, 6):
+        for trial in range(300):
+            t = rng.integers(0, n, size=(n, n))
+            t[0], t[:, 0] = np.arange(n), np.arange(n)
+            if trial % 2:
+                for i in range(1, n):
+                    if 0 not in t[i]:
+                        t[i, rng.integers(1, n)] = 0
+            yield t.tolist()
+        for name in groups_by_order[n]:
+            g = groups.from_name(name).table
+            for _ in range(10):
+                relabel = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+                u = np.empty_like(g)
+                u[np.ix_(relabel, relabel)] = relabel[g]
+                yield u.tolist()
+
+
+def test_tables_are_accepted_iff_they_are_groups_and_rejected_as_before():
+    kinds = {"group": 0, "latin": 0, "not latin": 0, "a 0 in every row": 0}
+    for t in _tables_with_identity_0():
+        want = _old_order_error(t)
+        assert (want is None) == _is_group(t), t
+        if want is None:
+            kinds["group"] += 1
+            g = groups.from_cayley_table(t)
+            assert g.table.tolist() == t
+            continue
+        kinds["not latin" if "permutation" in want[1] else "latin"] += 1
+        kinds["a 0 in every row"] += "permutation" in want[1] and all(0 in r for r in t)
+        with pytest.raises(GroupValidationError) as info:
+            groups.from_cayley_table(t)
+        assert (type(info.value), str(info.value)) == want, t
+    assert min(kinds.values()) >= 20, kinds
+
+
+def _group_tables_with_a_repeated_cell():
+    """Group tables with one nonzero cell off row and column 0 overwritten
+    by another cell of its row: identity 0 and a 0 in every row remain,
+    the latin property does not."""
+    rng = np.random.default_rng(7)
+    for name in ("S3", "C6", "Dic3", "C2xC2xC2", "A4", "D5", "C3xS3"):
+        g = groups.from_name(name).table
+        n = len(g)
+        for _ in range(40):
+            t = g.copy()
+            x, y, z = rng.integers(1, n, size=3)
+            t[x, y] = t[x, z]
+            if y != z and g[x, y] != 0:
+                yield t
+
+
+def test_build_alone_rejects_tables_that_are_not_latin():
+    raised = set()
+    for t in _group_tables_with_a_repeated_cell():
+        with pytest.raises(GroupValidationError) as info:
+            groups._build(t, "broken")
+        raised.add(type(info.value))
+    for t in _tables_with_identity_0():
+        if not _is_group(t):
+            with pytest.raises(GroupValidationError) as info:
+                groups._build(np.array(t, dtype=np.int32), "broken")
+            raised.add(type(info.value))
+    assert raised == {AssociativityError, MissingInverseError}
+
+
+def test_each_generator_at_least_doubles_the_reached_set(monkeypatch):
+    # the log2(n) bound, on every table that reaches Light's test
+    close, grown = groups._close, []
+
+    def recording(t, reached, gens):
+        before = np.count_nonzero(reached)
+        close(t, reached, gens)
+        grown.append((before, np.count_nonzero(reached)))
+
+    monkeypatch.setattr(groups, "_close", recording)
+    tables = [np.array(t, dtype=np.int32) for t in _tables_with_identity_0()]
+    for t in tables + list(_group_tables_with_a_repeated_cell()):
+        try:
+            groups._build(t, "any")
+        except GroupValidationError:
+            pass
+    assert all(after >= 2 * before for before, after in grown)
+    assert sum(before > 1 for before, _ in grown) > 20
+    monkeypatch.undo()
+    bigger = [groups.from_name(s) for s in ("S6", "A7", "C2xC2xC2xC2xC2xC2xC2xC2")]
+    for g in verify.groups_upto(64) + bigger:
+        assert 2 ** len(g.generators) <= g.order, g.recipe
+
+
+@pytest.mark.parametrize(
+    "name", ["A6", "S5", "Dic15", "C360", "C2xC2xC2xC2xC2xC2", "C4xC6xC10", "D25"]
+)
+def test_element_orders_match_walks_to_the_identity(name):
+    g = groups.from_name(name)
+    t = g.table.tolist()
+    assert [len(_walk(t, x)) for x in range(g.order)] == list(g.elt_order)
+
+
+def test_accepted_tables_never_check_the_latin_property(monkeypatch):
+    def refuse(t):
+        raise AssertionError("an accepted table reached the latin check")
+
+    monkeypatch.setattr(groups, "_check_latin", refuse)
+    rng = np.random.default_rng(3)
+    for name in ("S4", "A5", "Dic5", "C2xC6", "D500"):
+        g = groups.from_name(name)
+        perm = rng.permutation(g.order)
+        relabelled = np.empty_like(g.table)
+        relabelled[np.ix_(perm, perm)] = perm[g.table]
+        h = groups.from_cayley_table(relabelled.tolist())
+        assert h.order == g.order and sorted(h.elt_order) == sorted(g.elt_order)
+    q = groups.quotient(groups.from_name("D6"), groups.subgroup_from_elements(
+        groups.from_name("D6"), [0, 2, 4]))
+    assert q.order == 4
+    # a rejected table still reaches it, before its own error is raised
+    with pytest.raises(AssertionError, match="latin check"):
+        groups.from_cayley_table([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+
+
+def _first_bad_row_message(raw):
+    """The message of the row-by-row walk over the cells of a square list
+    of rows, or None when every cell is an int in range."""
+    n = len(raw)
+    for i, r in enumerate(raw):
+        if not isinstance(r, (list, tuple)):
+            return f"row {i} is not a list"
+        if len(r) != n:
+            return f"row {i} has length {len(r)}, expected {n}"
+        for v in r:
+            if type(v) is not int or not 0 <= v < n:
+                return f"row {i} holds {v!r}, outside 0..{n - 1}"
+    return None
+
+
+_CELLS = st.integers(0, 3) | st.sampled_from(
+    [-1, 4, 2**31, 2**40, -(2**63), 2**70, 1.0, True, False, "1", None]
+)
+
+
+@given(rows=st.lists(
+    st.lists(_CELLS, min_size=3, max_size=5) | st.sampled_from([3, "row", (0, 1, 2, 3)]),
+    min_size=4, max_size=4,
+))
+@settings(max_examples=300, deadline=None)
+def test_cell_errors_name_the_first_bad_row(rows):
+    want = _first_bad_row_message(rows)
+    if want is None:
+        return
+    with pytest.raises(GroupValidationError) as info:
+        groups.from_cayley_table(rows)
+    assert str(info.value) == want
+
+
+# ---------------------------------------------------------------------------
 # array routes against pure-Python definitions on the table's rows
 
 
@@ -539,8 +767,13 @@ def test_normality_witness_and_quotients_match_definitions(corpus):
 
 
 def test_is_abelian_matches_definition(corpus):
+    # in these products the first two generators Light's test finds commute
+    late = [groups.from_name(name) for name in ("C2xC2xS3", "D4xC2", "Dic3xC2")]
+    for g in late:
+        a, b = g.generators[:2]
+        assert len(g.generators) == 3 and g.table[a, b] == g.table[b, a]
     kinds = set()
-    for g, t in corpus:
+    for g, t in corpus + [(g, g.table.tolist()) for g in late]:
         want = all(t[a][b] == t[b][a] for a in range(g.order) for b in range(g.order))
         assert groups.is_abelian(g) == want, g.recipe
         kinds.add(want)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -107,3 +110,17 @@ def test_suite_abelian_case_shape():
     assert all("factors" in c.expected or c.expected for c in report.cases)
     groups_seen = {c.group for c in report.cases}
     assert "C2xC2" in groups_seen or any("C2" in g for g in groups_seen)
+
+
+def test_random_rational_functions_draw_the_same_values():
+    def one_fraction_per_value(n, count, seed):
+        rng = random.Random(seed)
+        return [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            for _ in range(count)
+        ]
+
+    for n, count, seed in [(12, 20, 0), (48, 20, 7 ^ 48), (5, 3, 12345), (1, 1, 2**40)]:
+        got = verify.random_rational_functions(n, count, seed)
+        assert got == one_fraction_per_value(n, count, seed)
+        assert all(type(v) is Fraction for f in got for v in f)
