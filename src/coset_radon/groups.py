@@ -30,6 +30,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,12 +516,8 @@ def from_cayley_table(raw) -> GroupTable:
             t = swap[cells[np.ix_(swap, swap)]]
             label += f"[id was {e}]"
         return _build(t, label)
-    except GroupValidationError as exc:
+    except GroupValidationError:
         _check_latin(cells)
-        if isinstance(exc, AssociativityError):
-            # a latin square: name the triple that generators taken by the
-            # orders of left-bracketed powers meet first
-            _check_associativity(t, _left_power_orders(t))
         raise
 
 
@@ -530,44 +527,44 @@ def _table_cells(raw: list | tuple, n: int) -> np.ndarray:
 
     Every cell's type is checked before numpy converts anything, so floats,
     strings and JSON booleans are rejected, not coerced. The range is
-    checked in numpy, and only a table that fails is walked row by row.
+    checked in numpy, and only a table that fails is searched row by row.
     """
-    t = None
-    if all(
-        isinstance(r, (list, tuple)) and len(r) == n and set(map(type, r)) == {int}
-        for r in raw
-    ):
-        try:
-            t = np.array(raw, dtype=_ID)
-        except OverflowError:  # a cell past int32 is past n - 1 too
-            pass
-    if t is not None and t.min() >= 0 and t.max() < n:
-        return t
     for i, r in enumerate(raw):
+        if isinstance(r, (list, tuple)) and len(r) == n and set(map(type, r)) == {int}:
+            continue
+        # an earlier row holding an int out of range is named first
         if not isinstance(r, (list, tuple)):
-            raise GroupValidationError(f"row {i} is not a list")
-        if len(r) != n:
-            raise GroupValidationError(f"row {i} has length {len(r)}, expected {n}")
-        if set(map(type, r)) != {int} or min(r) < 0 or max(r) >= n:
-            v = next(v for v in r if type(v) is not int or not 0 <= v < n)
-            raise GroupValidationError(f"row {i} holds {v!r}, outside 0..{n - 1}")
-    raise AssertionError("the fast check refused a table the walk accepts")
+            error = GroupValidationError(f"row {i} is not a list")
+        elif len(r) != n:
+            error = GroupValidationError(f"row {i} has length {len(r)}, expected {n}")
+        else:
+            error = _cell_error(i, r, n)
+        raise _range_error(raw[:i], n) or error
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 wraps an int past int32 with only a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            t = np.array(raw, dtype=_ID)
+    except (OverflowError, DeprecationWarning):  # past int32 is past n - 1 too
+        raise _range_error(raw, n) from None
+    if t.min() < 0 or t.max() >= n:
+        raise _range_error(raw, n)
+    return t
 
 
-def _left_power_orders(t: np.ndarray) -> np.ndarray:
-    """Least k >= 1 with (..((a*a)*a)..)*a = 0, k factors, for each a of a
-    latin square with identity 0, where right multiplication by a permutes
-    the ids, so these powers return to 0 within n steps."""
-    orders = np.ones(len(t), dtype=np.int64)
-    active = np.arange(1, len(t))
-    power, k = active, 1
-    while active.size:
-        k += 1
-        power = t[power, active]
-        done = power == 0
-        orders[active[done]] = k
-        active, power = active[~done], power[~done]
-    return orders
+def _range_error(rows, n: int) -> GroupValidationError | None:
+    """The error for the first of rows, lists of ints, that holds a cell
+    outside 0..n-1, or None."""
+    for i, r in enumerate(rows):
+        if min(r) < 0 or max(r) >= n:
+            return _cell_error(i, r, n)
+    return None
+
+
+def _cell_error(i: int, r, n: int) -> GroupValidationError:
+    """The error naming the first cell of row i that is not an int in 0..n-1."""
+    v = next(v for v in r if type(v) is not int or not 0 <= v < n)
+    return GroupValidationError(f"row {i} holds {v!r}, outside 0..{n - 1}")
 
 
 def _two_sided_identity(t: np.ndarray) -> int | None:
