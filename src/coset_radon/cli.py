@@ -18,10 +18,11 @@ from itertools import chain
 from time import perf_counter
 
 from . import flows, geodesics, radon, spectral, verify
-from .errors import CosetRadonError, GroupSpecError, read_json
+from .errors import CosetRadonError, GroupSpecError, parse_json, read_file, read_json
 from .exactla import prime_divisors
 from .groups import (
     GroupTable,
+    _canonical_table,
     from_cayley_table,
     from_name,
     invariant_factors,
@@ -47,10 +48,15 @@ def _load_group(spec: str, loading: frozenset[str]) -> GroupTable:
     loading; a file that includes one of them is refused."""
     if spec.startswith("file:"):
         path = spec[len("file:") :]
-        data = read_json(path, GroupSpecError)
+        raw = read_file(path, GroupSpecError)
+        # a canonical table file is read without json, to the same outcome
+        cells = _canonical_table(raw)
+        data = parse_json(raw, path, GroupSpecError) if cells is None else None
         real = os.path.realpath(path)
         if real in loading:
             raise GroupSpecError(f"{path} includes itself through a semidirect spec")
+        if cells is not None:
+            return from_cayley_table(cells)
         if isinstance(data, dict) and "semidirect" in data:
             sd = data["semidirect"]
             needed = {"normal", "acting", "action"}

@@ -135,16 +135,35 @@ class RankDisagreementError(CosetRadonError):
 def read_json(path: str, error: type[CosetRadonError]):
     """The JSON value in the UTF-8 file at path. Every way the file can fail
     to be read or parsed raises error, with a one-line message."""
+    return parse_json(read_file(path, error), path, error)
+
+
+def read_file(path: str, error: type[CosetRadonError]) -> bytes:
+    """The bytes of the file at path; a file that cannot be read raises
+    error, with a one-line message."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise error(f"cannot read {path}: {exc}")
+
+
+def parse_json(raw: bytes, path: str, error: type[CosetRadonError]):
+    """The JSON value of raw, the UTF-8 bytes of the file at path, read as
+    a text-mode open would: CRLF and CR read as LF, so the positions in a
+    JSON error count characters as they did. A failure raises error, with
+    a one-line message."""
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise error(f"{path} nests its JSON too deeply to parse")
-    except ValueError as exc:  # a NUL in the path, or an int of too many digits
+    except ValueError as exc:  # an int of too many digits
         raise error(f"cannot read {path}: {exc}")

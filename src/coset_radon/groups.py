@@ -22,6 +22,13 @@ read-only C-contiguous int32 array with table[a, b] the id of a*b. It is
 built and validated as that array, and products, powers, cosets and
 quotients are array operations on it. Every value handed back to callers
 (cosets, subgroup elements, inverses, orders, powers) is a Python int.
+
+A table file in canonical form, {"table": [[...]]} or a bare [[...]] of
+plain nonnegative ints with no leading zero, at most as many digits as
+n - 1 has, and JSON whitespace only between tokens, is read by
+_canonical_table straight from its bytes into int32, with no JSON decode
+and no Python object per cell. Any other file is decoded by json; both
+routes give the same table, or the same error, for the same file.
 """
 
 from __future__ import annotations
@@ -324,9 +331,10 @@ def make_cyclic(n: int) -> GroupTable:
     if n < 1:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {n}")
     _check_cap(n, f"C{n}")
+    # row i is (i + j) mod n: the window at i of 0..n-1 written twice
     k = np.arange(n, dtype=_ID)
-    t = k[:, None] + k
-    t %= n
+    kk = np.concatenate([k, k])
+    t = np.lib.stride_tricks.sliding_window_view(kk, n)[:n].copy()
     return _build(t, f"C{n}")
 
 
@@ -492,19 +500,84 @@ def make_semidirect(
     return _build(t.reshape(nn * nh, nn * nh), recipe)
 
 
+_WS = b" \t\n\r"  # the whitespace JSON allows between tokens
+_TABLE_KEY = re.compile(rb'[ \t\n\r]*\{[ \t\n\r]*"table"[ \t\n\r]*:')
+
+
+def _canonical_table(raw: bytes) -> np.ndarray | None:
+    """The Cayley table in raw, the bytes of a file, as an n x n int32
+    array when the file is canonical; None for any other file.
+
+    A canonical file is {"table": [[...]]} or a bare [[...]] of n rows of n
+    cells, each a nonnegative int with no leading zero and at most as many
+    digits as n - 1. JSON whitespace may stand between tokens, but not
+    inside the key or a number. Every canonical file is valid JSON that
+    json reads as this same table, so the file gives what json.loads and
+    from_cayley_table give, built here with no Python object per cell. A
+    canonical file of more rows than the order cap raises SizeLimitError,
+    as from_cayley_table would, before any cell is parsed.
+    """
+    key = _TABLE_KEY.match(raw)
+    head, tail = (b'{"table":', b"}") if key else (b"", b"")
+    # all but the cells: the key, the brackets and the whitespace
+    skeleton = raw.translate(None, b"0123456789,")
+    bare = skeleton.translate(None, _WS)
+    n, odd = divmod(len(bare) - len(head) - len(tail) - 2, 2)
+    width = len(str(n - 1))  # 9 at most, so no cell reaches 2**31
+    if odd or n < 1 or width > 9 or bare != head + b"[[" + b"][" * (n - 1) + b"]]" + tail:
+        return None
+    spaced = len(bare) < len(skeleton)
+    compact = raw.translate(None, _WS) if spaced else raw
+    if not compact.startswith(head + b"[[") or not compact.endswith(b"]]" + tail):
+        return None
+    if spaced:
+        digit = np.frombuffer(raw, np.uint8) - np.uint8(ord("0")) < 10
+        if np.count_nonzero(digit[1:] < digit[:-1]) != n * n:
+            return None  # whitespace inside a number splits it in two
+    # n - 1 row breaks take every bracket between [[ and ]], so each row
+    # holds only digits and commas
+    rows = compact.split(b"],[")
+    rows[0] = rows[0][len(head) + 2 :]
+    rows[-1] = rows[-1][: len(rows[-1]) - len(tail) - 2]
+    if len(rows) != n or any(r.count(b",") != n - 1 for r in rows):
+        return None
+    flat = b",".join(rows)
+    del rows
+    # the cells with a comma added at each end, so each lies between two
+    c = np.frombuffer(b"," + flat + b",", np.uint8)
+    comma = c == ord(",")
+    digit = ~comma
+    wide = digit[width:].copy()  # wide[i]: c[i..i + width] are all digits
+    for k in range(1, width + 1):
+        wide &= digit[width - k : len(c) - k]
+    if (
+        (comma[1:] & comma[:-1]).any()  # an empty cell
+        or (comma[:-2] & (c[1:-1] == ord("0")) & digit[2:]).any()  # a leading 0
+        or wide.any()
+    ):
+        return None
+    del c, comma, digit, wide  # before the table is allocated
+    _check_cap(n, "table")
+    return np.fromstring(flat, dtype=_ID, sep=",").reshape(n, n)
+
+
 def from_cayley_table(raw) -> GroupTable:
     """Validate an arbitrary square table and wrap it as a group.
 
+    raw is a list of rows of ints, or a 2-D integer array such as
+    _canonical_table reads from a file; the array's dtype already proves
+    its cells are ints, so only their range is checked, and it is copied.
     If the two-sided identity is not element 0, ids 0 and the identity are
     swapped so the 0-at-identity convention holds.
     """
-    if not isinstance(raw, (list, tuple)):
+    is_array = isinstance(raw, np.ndarray) and raw.ndim == 2 and raw.dtype.kind in "iu"
+    if not is_array and not isinstance(raw, (list, tuple)):
         raise GroupValidationError("a Cayley table must be a list of rows")
     n = len(raw)
     if n < 1:
         raise InvalidOrderError("empty table")
     _check_cap(n, "table")
-    cells = _table_cells(raw, n)
+    cells = _array_cells(raw, n) if is_array else _table_cells(raw, n)
     try:
         e = _two_sided_identity(cells)
         if e is None:
@@ -550,6 +623,17 @@ def _table_cells(raw: list | tuple, n: int) -> np.ndarray:
     if t.min() < 0 or t.max() >= n:
         raise _range_error(raw, n)
     return t
+
+
+def _array_cells(raw: np.ndarray, n: int) -> np.ndarray:
+    """A copy of raw, a 2-D integer array of n rows, as int32, once it is
+    n x n with every cell in 0..n-1; otherwise the error of _table_cells
+    on its rows as lists."""
+    if raw.shape[1] != n:
+        raise GroupValidationError(f"row 0 has length {raw.shape[1]}, expected {n}")
+    if raw.min() < 0 or raw.max() >= n:
+        raise _range_error((r.tolist() for r in raw), n)
+    return raw.astype(_ID)
 
 
 def _range_error(rows, n: int) -> GroupValidationError | None:

@@ -31,6 +31,12 @@ def test_cyclic_orders():
     assert g.elt_order == (1, 6, 3, 2, 3, 6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 30, 5040])
+def test_cyclic_table_is_addition_mod_n(n):
+    i = np.arange(n)
+    assert np.array_equal(groups.make_cyclic(n).table, (i[:, None] + i) % n)
+
+
 def test_cyclic_rejects_nonpositive():
     with pytest.raises(InvalidOrderError):
         groups.make_cyclic(0)
