@@ -2,12 +2,16 @@
 
 The modular path brings an integer matrix to reduced row echelon form over
 the field of one fixed prime P, in int64 numpy arrays, CHUNK_ROWS rows at a
-time and in one Gauss-Jordan pass that pivots from the right: each pivot
-clears its column from every other row, updating only the block left of
-it, in place, and that block is reduced mod P only once every 4,096
-pivots, as often as int64 needs to stay exact. A full rank mod P is
-already a proof of full rational rank (a minor that is nonzero mod P is
-nonzero). A deficient basis mod P also yields the kernel with no second
+time, pivoting from the right. That basis is unique for the row space, so
+_eliminate_mod is free to take its pivots in rounds of independent ones,
+after LaMacchia and Odlyzko's structured elimination: each row's last
+nonzero column is known, each distinct last column offers one candidate
+row, and the round keeps the candidates that no other candidate touches.
+Their columns are cleared from every other row in one sparse update over
+the (row, pivot) pairs that hit, with each product reduced mod P before it
+is summed, so int64 stays exact for any prime below 2^31. A full rank mod
+P is already a proof of full rational rank (a minor that is nonzero mod P
+is nonzero). A deficient basis mod P also yields the kernel with no second
 elimination: nullspace_mod reads the reduced echelon form of the kernel
 mod P straight off it, and lift_nullspace lifts each entry to a small
 integer or, by rational reconstruction, a fraction. The lift is only a
@@ -226,60 +230,119 @@ def prime_divisors(n: int) -> list[int]:
 # rank_mod reads and eliminates this many rows at a time
 CHUNK_ROWS = 2048
 
+# bounds the temporaries of each pass over a table or a matrix
+_BLOCK_CELLS = 1 << 20
+
 # The one prime of every verdict's modular rank: the largest prime below
 # 2^25. A Cayley table of order 2^25 would need 2^50 cells, so P exceeds
-# every order that fits in memory and divides none of them; and
-# 2**62 // (P - 1)**2 == 4096, so _eliminate_mod reduces the block it updates
-# once every 4,096 pivots.
+# every order that fits in memory and divides none of them.
 P = 2**25 - 39
 
 
-def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the int64 array m to reduced row echelon form mod p, pivoting
-    from the right, in one Gauss-Jordan pass in place, and return its
-    nonzero rows: each row's last nonzero entry is a unit pivot, every
-    other row is 0 in that column, and every entry is in [0, p).
+def _last_nonzero(block: np.ndarray) -> np.ndarray:
+    """Column of each row's last nonzero entry, -1 for a zero row."""
+    rev = block[:, ::-1] != 0
+    last = block.shape[1] - 1 - rev.argmax(axis=1)
+    last[~rev.any(axis=1)] = -1
+    return last
 
-    Columns are scanned last to first. At each pivot column only the block
-    left of it, in the rows the column hits, is updated; the block is left
-    unreduced, and only the pivot column (to find the rows it hits) and the
-    pivot row (to normalize it) are reduced on the spot. An update adds
-    less than (p - 1)^2 in magnitude, so the block is reduced once every
-    `budget` pivots, which keeps every entry inside int64 for any p < 2^31.
+
+def _nonzero_at(
+    m: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for every nonzero m[rows[i], cols[k]], in order of i, where
+    rows is every row of m by default; read a block of rows at a time, each
+    block about _BLOCK_CELLS cells of m[rows][:, cols]."""
+    n = len(m) if rows is None else len(rows)
+    step = max(1, _BLOCK_CELLS // len(cols))
+    if n <= step:
+        return (m if rows is None else m[rows])[:, cols].nonzero()
+    parts = []
+    for lo in range(0, n, step):
+        block = m[lo : lo + step] if rows is None else m[rows[lo : lo + step]]
+        i, k = block[:, cols].nonzero()
+        parts.append((i + lo, k))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _eliminate_mod(m: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the int64 array m, in place, to reduced row echelon form mod
+    p, pivoting from the right, and return its nonzero rows as a fresh
+    array: each row's last nonzero entry is a unit pivot, every other row
+    is 0 in that column, every entry is in [0, p), and the pivots run
+    right to left. That basis is unique for the row space of m mod p, so
+    it does not depend on the order in which the pivots are taken.
+
+    Pivots are taken in rounds. Every live row (nonzero, and no pivot row
+    yet) has a known last nonzero column, and each distinct last column
+    takes one live row as its candidate. The round keeps the candidates at
+    whose column every other candidate is 0; the rightmost one always
+    qualifies, since every other candidate is zero right of its own
+    column, so each round makes progress. The kept rows are 0 at each
+    other's columns, so once each is scaled to a unit pivot they clear
+    their columns from every other row at once: one sparse update
+    subtracts, for each (row, pivot) pair that hits, f times the nonzero
+    entries of the pivot row. Each product is reduced mod p before it is
+    summed, so a cell stays above -p times the round's pivot count and
+    int64 is exact for any p < 2^31. The update touches no column right of
+    the pivot, so a row's last column moves only when a pivot cleared it,
+    and only those rows are scanned again.
     """
-    np.mod(m, p, out=m)
+    if not m.size:
+        return m[:0]
+    if m.min() < 0 or m.max() >= p:
+        np.mod(m, p, out=m)
     nrows, ncols = m.shape
-    budget = 2**62 // (p - 1) ** 2
-    pending = 0
-    r = 0
-    for c in range(ncols - 1, -1, -1):
-        col = m[:, c] % p
-        nz = np.flatnonzero(col[r:])
-        if nz.size == 0:
+    flat = m.reshape(-1)
+    last = _last_nonzero(m)  # -1 once a row is zero or a pivot row
+    pivot = np.full(nrows, -1)  # the column of each pivot row
+    owner = np.empty(ncols, dtype=np.int64)
+    inverse: dict[int, int] = {}
+    while (live := (last >= 0).nonzero()[0]).size:
+        # a repeated index keeps its last write, so each column's candidate
+        # is its first live row; any of them would do
+        owner.fill(-1)
+        owner[last[live[::-1]]] = live[::-1]
+        cols = (owner >= 0).nonzero()[0]
+        rows = owner[cols]
+        if cols.size > 1:
+            i, k = _nonzero_at(m, cols, rows)
+            keep = np.ones(cols.size, dtype=bool)
+            keep[k[i != k]] = False
+            rows, cols = rows[keep], cols[keep]
+        last[rows] = -1
+        pivot[rows] = cols
+        # scale the nonzero entries of each pivot row by its pivot's inverse
+        bk, bj = m[rows, : cols[-1] + 1].nonzero()
+        bcell = rows[bk] * ncols + bj
+        bval = flat[bcell]
+        lead = m[rows, cols].tolist()
+        if lead.count(1) < len(lead):
+            for x in set(lead).difference(inverse):
+                inverse[x] = pow(x, -1, p)
+            scale = np.array([inverse[x] for x in lead], dtype=np.int64)
+            bval = bval * scale[bk] % p
+            flat[bcell] = bval
+        # each other row r that is nonzero at a pivot column cols[k]
+        r, k = _nonzero_at(m, cols)
+        other = r != rows[k]
+        r, k = r[other], k[other]
+        if not r.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-            col[r], col[i] = col[i], col[r]
-        pivot = m[r, : c + 1] % p
-        pivot = pivot * pow(int(pivot[c]), p - 2, p) % p
-        col[r] = 0
-        hit = np.flatnonzero(col)
-        if hit.size == nrows - 1:
-            m[:, :c] -= np.multiply.outer(col, pivot[:c])
-        elif hit.size:
-            m[hit, :c] -= np.multiply.outer(col[hit], pivot[:c])
-        m[:, c] = 0
-        m[r, : c + 1] = pivot
-        pending += 1
-        if pending == budget:
-            m[:, :c] %= p
-            pending = 0
-        r += 1
-        if r == nrows:
-            break
-    m[:r] %= p
-    return m[:r]
+        # subtracts m[r, cols[k]] times each nonzero entry of pivot row k
+        f = flat[r * ncols + cols[k]]
+        count = np.bincount(bk, minlength=cols.size)
+        n = count[k]
+        ends = n.cumsum()
+        entry = np.arange(ends[-1]) + (count.cumsum()[k] - ends).repeat(n)
+        cell = r.repeat(n) * ncols + bj[entry]
+        np.subtract.at(flat, cell, f.repeat(n) * bval[entry] % p)
+        flat[cell] %= p
+        moved = r[last[r] == cols[k]]
+        if moved.size:
+            last[moved] = _last_nonzero(m[moved, : last[moved].max() + 1])
+    rows = (pivot >= 0).nonzero()[0]
+    return m[rows[pivot[rows].argsort()[::-1]]]
 
 
 def echelon_mod(rows, ncols: int, p: int) -> np.ndarray:
@@ -287,17 +350,19 @@ def echelon_mod(rows, ncols: int, p: int) -> np.ndarray:
     the right, as _eliminate_mod leaves it, with early stop at full rank.
 
     Rows are read lazily, CHUNK_ROWS at a time, and only the chunks that
-    are eliminated are converted to an array. A deficient basis is a copy,
-    so that while the caller takes its kernel it does not keep alive the
-    whole stacked array of the last chunk.
+    are eliminated are converted to an array. Each chunk is stacked under
+    the basis so far, which is dropped before the elimination starts; the
+    basis returned is a fresh array, so while the caller takes its kernel
+    it does not keep alive the stacked array of the last chunk.
     """
     rows = iter(rows)
     basis = np.zeros((0, ncols), dtype=np.int64)
     while chunk := list(islice(rows, CHUNK_ROWS)):
-        basis = _eliminate_mod(np.vstack([basis, *chunk], dtype=np.int64), p)
+        basis = np.vstack([basis, *chunk], dtype=np.int64)
+        basis = _eliminate_mod(basis, p)
         if basis.shape[0] == ncols:
-            return basis
-    return basis.copy()
+            break
+    return basis
 
 
 def rank_mod(rows, ncols: int, p: int) -> int:

@@ -57,11 +57,10 @@ from .errors import (
     NotSubgroupError,
     SizeLimitError,
 )
-from .exactla import factorize
+from .exactla import _BLOCK_CELLS, factorize
 
 DEFAULT_MAX_ORDER = 5040
 _ID = np.int32  # element ids of any table that fits in memory
-_BLOCK_CELLS = 1 << 20  # bounds the temporaries of each pass over a table
 
 __all__ = [
     "DEFAULT_MAX_ORDER",

@@ -191,7 +191,11 @@ class InjectivityVerdict:
 def build_system(g: GroupTable, variant: str = "prime") -> RadonSystem:
     """The system of the chosen geodesic family: one coset per row, each
     subgroup's cosets from one sorted gather of the table."""
-    subs = _family_subgroups(g, variant)
+    return _build_system(g, variant, _family_subgroups(g, variant))
+
+
+def _build_system(g: GroupTable, variant: str, subs) -> RadonSystem:
+    """build_system(g, variant), on its family subs already listed."""
     sizes = [len(sub) for sub in subs]
     return RadonSystem(
         group=g,
@@ -344,12 +348,14 @@ def _group_verdict(
     """The verdict on g's family, the kernel basis that settled it, and the
     family's system. The centre is asked first, on the family listed here;
     when it does not certify, the matrix route runs on sys, a
-    build_system(g, variant) already in hand, or on one built now."""
-    verdict = _centre_verdict(g, variant, _family_subgroups(g, variant))
+    build_system(g, variant) already in hand, or on one built now from the
+    same listing."""
+    subs = _family_subgroups(g, variant)
+    verdict = _centre_verdict(g, variant, subs)
     if verdict is not None:
         return verdict, _NO_KERNEL, sys
     if sys is None:
-        sys = build_system(g, variant)
+        sys = _build_system(g, variant, subs)
     return (*_matrix_verdict(sys), sys)
 
 

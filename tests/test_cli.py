@@ -443,9 +443,11 @@ def test_fixed_corpus_suite_refuses_max_order(capsys, suite):
 def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
     from coset_radon import radon
 
-    # the verdict computes the kernel from its own echelon basis, through
-    # radon._kernel, which the public radon.kernel reaches by the same route
-    calls = {"build_system": 0, "_kernel": 0}
+    # the verdict builds its system through radon._build_system, on the
+    # family it listed for the centre, and computes the kernel from its own
+    # echelon basis, through radon._kernel, which the public radon.kernel
+    # reaches by the same route
+    calls = {"_build_system": 0, "_kernel": 0}
 
     def counting(name):
         original = getattr(radon, name)
@@ -456,13 +458,13 @@ def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
 
         monkeypatch.setattr(radon, name, wrapper)
 
-    counting("build_system")
+    counting("_build_system")
     counting("_kernel")
     code, payload, _ = run_json(capsys, "radon", "Dic3", "--kernel")
     assert code == 0
     assert payload["method"] == "exact-elimination"
     assert len(payload["kernel"]) == payload["kernel_dim"] == 4
-    assert calls == {"build_system": 1, "_kernel": 1}
+    assert calls == {"_build_system": 1, "_kernel": 1}
 
 
 def test_json_key_sets_from_records(capsys):

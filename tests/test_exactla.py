@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from coset_radon import exactla
+from coset_radon import exactla, flows, groups, radon, verify
 from primes import check_primes, next_prime
 
 
@@ -99,7 +99,9 @@ def test_certificate_prime_is_largest_below_2_to_25():
     assert exactla.P < 2**25
     assert exactla.is_prime(exactla.P)
     assert next_prime(exactla.P) > 2**25
-    # _eliminate_mod reduces the block it updates once every 4,096 pivots
+    # P has 25 bits, so 4,096 products of two residues sum below 2^62;
+    # _eliminate_mod needs no such budget, since it reduces every product
+    # mod P before it is summed
     assert 2**62 // (exactla.P - 1) ** 2 == 4096
 
 
@@ -150,9 +152,11 @@ def test_deficient_echelon_basis_owns_its_data():
     deficient = exactla.echelon_mod([[1, 2]] * 3, 2, 101)
     assert deficient.shape == (1, 2)
     assert deficient.base is None and deficient.flags.owndata
-    # a full-rank basis is returned as elimination leaves it
+    # the rounds gather every basis, a full-rank or an empty one too
     full = exactla.echelon_mod([[1, 2], [3, 4], [5, 6]], 2, 101)
-    assert full.shape == (2, 2) and full.base is not None
+    assert full.shape == (2, 2) and full.base is None and full.flags.owndata
+    empty = exactla.echelon_mod([[0, 0]] * 3, 2, 101)
+    assert empty.shape == (0, 2) and empty.base is None
 
 
 @given(
@@ -281,12 +285,75 @@ def _rref_mod_oracle(rows, ncols, p):
     return work[:r]
 
 
+def _eliminate_mod_by_column(m, p):
+    """The reference for exactla._eliminate_mod: one Gauss-Jordan pass in
+    place, a pivot column at a time.
+
+    Columns are scanned last to first. At each pivot column only the block
+    left of it, in the rows the column hits, is updated; the block is left
+    unreduced, and only the pivot column (to find the rows it hits) and the
+    pivot row (to normalize it) are reduced on the spot. An update adds
+    less than (p - 1)^2 in magnitude, so the block is reduced once every
+    `budget` pivots, which keeps every entry inside int64 for any p < 2^31.
+    """
+    np.mod(m, p, out=m)
+    nrows, ncols = m.shape
+    budget = 2**62 // (p - 1) ** 2
+    pending = 0
+    r = 0
+    for c in range(ncols - 1, -1, -1):
+        col = m[:, c] % p
+        nz = np.flatnonzero(col[r:])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            col[r], col[i] = col[i], col[r]
+        pivot = m[r, : c + 1] % p
+        pivot = pivot * pow(int(pivot[c]), p - 2, p) % p
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if hit.size == nrows - 1:
+            m[:, :c] -= np.multiply.outer(col, pivot[:c])
+        elif hit.size:
+            m[hit, :c] -= np.multiply.outer(col[hit], pivot[:c])
+        m[:, c] = 0
+        m[r, : c + 1] = pivot
+        pending += 1
+        if pending == budget:
+            m[:, :c] %= p
+            pending = 0
+        r += 1
+        if r == nrows:
+            break
+    m[:r] %= p
+    return m[:r]
+
+
+def _same_basis(rows, p):
+    """Whether the rounds and the reference leave byte-identical bases."""
+    m = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    rounds = exactla._eliminate_mod(m.copy(), p)
+    reference = _eliminate_mod_by_column(m.copy(), p)
+    return rounds.shape == reference.shape and rounds.tobytes() == reference.tobytes()
+
+
 @st.composite
 def modular_matrices(draw):
-    """Integer matrices with negative entries, zero blocks and repeated
-    rows, beside a prime; 2^30 - 35 and 2^31 - 1 leave a budget of 4 and 1
-    pivots between reductions of the trailing block."""
+    """A prime beside either integer matrices with negative entries, zero
+    blocks and repeated rows, or 0/1 incidence rows of up to 60 x 40 with
+    repeats, like coset rows, whose rounds take many pivots each; at
+    2^31 - 1 every product of two residues is near 2^62."""
     p = draw(st.sampled_from([2, 3, 101, 2**30 - 35, 2**31 - 1]))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=40))
+        subsets = draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=50))
+        rows = [[int(j in s) for j in range(n)] for s in subsets]
+        if rows:
+            repeat = st.sampled_from(range(len(rows)))
+            rows += [list(rows[i]) for i in draw(st.lists(repeat, max_size=10))]
+        return rows, n, p
     n = draw(st.integers(min_value=1, max_value=16))
     entry = st.one_of(
         st.just(0),
@@ -299,8 +366,8 @@ def modular_matrices(draw):
     return rows, n, p
 
 
-# a dense 16 x 16 block at p = 2^31 - 1: without a reduction after every
-# pivot, its trailing entries overflow int64 within a few pivots
+# a dense 16 x 16 block at p = 2^31 - 1, where every product of two
+# residues is near 2^62
 _DENSE = random.Random(5)
 _DENSE_CASE = (
     [[_DENSE.randint(-(2**40), 2**40) for _ in range(16)] for _ in range(16)],
@@ -320,6 +387,7 @@ def test_modular_elimination_matches_plain_oracle(matrix):
         return
     echelon = exactla._eliminate_mod(np.array(rows, dtype=np.int64), p)
     assert echelon.tolist() == oracle
+    assert _same_basis(rows, p)
     pivots = []
     for row in echelon.tolist():
         piv = max(j for j, v in enumerate(row) if v)
@@ -329,6 +397,82 @@ def test_modular_elimination_matches_plain_oracle(matrix):
     assert pivots == sorted(set(pivots), reverse=True)
     for i, row in enumerate(echelon.tolist()):
         assert [row[q] for k, q in enumerate(pivots) if k != i] == [0] * (len(pivots) - 1)
+
+
+def _exact_kernel_systems():
+    """The prime (C96: maximal) systems of the noninjective groups whose
+    kernels the exact path proves, Dic63 also relabelled."""
+    for name, variant in [
+        ("C240", "prime"), ("Dic63", "prime"), ("Dic64", "prime"), ("C96", "maximal"),
+        ("C360", "prime"), ("C60", "prime"), ("Dic15", "prime"),
+    ]:
+        yield radon.build_system(groups.from_name(name), variant)
+    dic = groups.from_name("Dic63")
+    perm = list(range(dic.order))
+    random.Random(63).shuffle(perm)
+    table = [[0] * dic.order for _ in perm]
+    for a, row in enumerate(dic.table.tolist()):
+        for b, c in enumerate(row):
+            table[perm[a]][perm[b]] = perm[c]
+    yield radon.build_system(groups.from_cayley_table(table), "prime")
+
+
+def _corpus_systems():
+    for g in verify.groups_upto(24):
+        if g.order > 1:
+            for variant in radon.VARIANTS:
+                yield radon.build_system(g, variant)
+    yield from _exact_kernel_systems()
+    for m in range(2, 17):
+        yield flows.flow_radon_system(flows.constant_flow(m))
+    for g in verify.groups_upto(12):
+        yield flows.flow_radon_system(flows.group_flow(g))
+
+
+def test_rounds_match_the_column_reference_on_the_corpus():
+    # every system here fills one chunk, so that chunk is what echelon_mod
+    # hands to _eliminate_mod
+    count = 0
+    for sys in _corpus_systems():
+        assert sys.nrows <= exactla.CHUNK_ROWS
+        assert _same_basis(list(radon._array_rows(sys)), exactla.P), (sys.group, sys.variant)
+        count += 1
+    assert count > 100
+
+
+def test_gathers_in_many_blocks_leave_the_same_basis(monkeypatch):
+    # a block of 64 cells holds one row of a wide gather, or a few rows of a
+    # narrow one
+    monkeypatch.setattr(exactla, "_BLOCK_CELLS", 64)
+    for sys in _exact_kernel_systems():
+        assert _same_basis(list(radon._array_rows(sys)), exactla.P)
+
+
+def test_three_pivots_of_one_round_hit_one_row_at_the_largest_prime():
+    # rows 0-2 are the candidates at columns 3, 2 and 1, each 0 at the
+    # others' columns, so one round keeps all three; row 3 is their sum with
+    # factors p - 1 = -1, and all three hit it. Its column 0 must come to
+    # 3 - 3 (p - 1)^2 = 0 mod p, but three products near 2^62 summed before
+    # they are reduced pass 2^63
+    p = 2**31 - 1
+    q = p - 1
+    rows = [[q, 0, 0, 1], [q, 0, 1, 0], [q, 1, 0, 0], [3, q, q, q]]
+    echelon = exactla._eliminate_mod(np.array(rows, dtype=np.int64), p)
+    assert echelon.tolist() == _rref_mod_oracle(rows, 4, p)
+    assert echelon.tolist() == [[q, 0, 0, 1], [q, 0, 1, 0], [q, 1, 0, 0]]
+    assert _same_basis(rows, p)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0]], [[0, 0, 0]] * 3, [[0, 0, 0, 0]], [[5]], [[0, 2, 0, 4, 0]], [[-3, 0, 9, 0]]],
+)
+def test_all_zero_and_one_row_inputs(rows):
+    p, n = 7, len(rows[0])
+    oracle = _rref_mod_oracle(rows, n, p)
+    echelon = exactla._eliminate_mod(np.array(rows, dtype=np.int64), p)
+    assert echelon.shape == (len(oracle), n) and echelon.tolist() == oracle
+    assert _same_basis(rows, p)
 
 
 @given(modular_matrices())

@@ -289,6 +289,20 @@ def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
     assert integer == []
 
 
+@pytest.mark.parametrize(
+    "name, variant", [("Dic3", "prime"), ("C12", "maximal"), ("S4", "prime")]
+)
+def test_a_group_verdict_lists_its_family_once(monkeypatch, name, variant):
+    # the matrix route builds its system on the family the centre was asked on
+    listed, family = [], radon._family_subgroups
+    monkeypatch.setattr(
+        radon, "_family_subgroups", lambda g, v: listed.append(v) or family(g, v)
+    )
+    verdict = radon.is_injective(groups.from_name(name), variant)
+    assert verdict.injective == (name == "S4")
+    assert listed == [variant]
+
+
 def _verdict_oracle_systems():
     for g in verify.groups_upto(24):
         if g.order > 1:
