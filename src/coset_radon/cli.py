@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain
 from time import perf_counter
 
 from . import flows, geodesics, radon, spectral, verify
@@ -89,9 +88,10 @@ def _load_group(spec: str, loading: frozenset[str]) -> GroupTable:
 def _dumps(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2), written faster when
     the payload holds a "kernel": a list of nonempty rows of strings that
-    need no escaping, such as str(Fraction). Those rows are joined here, one
-    entry a line as indent=2 lays them out, and spliced in where the rest of
-    the payload, dumped by json, holds a marker."""
+    need no escaping, such as KernelBasis.entry_strings, the str() of each
+    distinct value gathered by the basis's integer codes. Those rows are
+    joined here, one entry a line as indent=2 lays them out, and spliced in
+    where the rest of the payload, dumped by json, holds a marker."""
     if "kernel" not in payload:
         return json.dumps(payload, sort_keys=True, indent=2)
     marker = "\0kernel\0"  # no recipe holds a NUL
@@ -211,14 +211,9 @@ def cmd_radon(args) -> int:
             raise CosetRadonError(f"cannot write {args.matrix_csv}: {exc}")
         lines.append(f"  matrix written to {args.matrix_csv}")
     if args.kernel:
-        # a lifted basis shares one Fraction object per distinct value, so
-        # each object is written once and looked up by identity, in C loops
-        entries = chain.from_iterable
-        shared = dict(zip(map(id, entries(kb.vectors)), entries(kb.vectors)))
-        text = {key: str(v) for key, v in shared.items()}.__getitem__
-        payload["kernel"] = [list(map(text, map(id, vec))) for vec in kb.vectors]
+        payload["kernel"] = kb.entry_strings()
         if not args.json:
-            lines.append(f"  kernel basis ({kb.dim} vectors):")
+            lines.append(f"  kernel basis ({kb.dim} vector{'s' * (kb.dim != 1)}):")
             lines.extend("    [" + ", ".join(vec) + "]" for vec in payload["kernel"])
     _emit(args, payload, lines)
     return 0

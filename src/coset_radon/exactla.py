@@ -13,9 +13,11 @@ is summed, so int64 stays exact for any prime below 2^31. A full rank mod
 P is already a proof of full rational rank (a minor that is nonzero mod P
 is nonzero). A deficient basis mod P also yields the kernel with no second
 elimination: nullspace_mod reads the reduced echelon form of the kernel
-mod P straight off it, and lift_nullspace lifts each entry to a small
-integer or, by rational reconstruction, a fraction. The lift is only a
-candidate until the caller substitutes it into every row exactly.
+mod P straight off it, and lift_nullspace lifts each distinct entry once,
+to a small integer or, by rational reconstruction, a fraction, and hands
+back the basis as integer codes into those distinct values, with no Python
+object per entry. The lift is only a candidate until the caller
+substitutes its int64 scaled vectors into every row exactly.
 
 rational_nullspace, the fallback when a lift fails and the test oracle,
 rests on one fraction-free integer elimination, int_echelon, with
@@ -440,17 +442,21 @@ def _reconstruct(x: int, p: int, bound: int) -> tuple[int, int] | None:
 
 def lift_nullspace(
     kernel: np.ndarray, p: int
-) -> tuple[list[tuple[Fraction, ...]], np.ndarray] | None:
-    """Lift a nullspace_mod basis to rational vectors, one candidate per row.
+) -> tuple[np.ndarray, tuple[Fraction, ...], np.ndarray] | None:
+    """Lift a nullspace_mod basis to rational vectors, one candidate per row,
+    given as integer codes into the distinct values it holds.
 
     With N = isqrt((p - 1) // 2), so that 2 N^2 < p (N = 4095 at P), a
     residue whose symmetric representative v has |v| <= N lifts to v; any
     other goes through _reconstruct with bound N. Each distinct value is
-    lifted, and made a Fraction, once. Returns the Fraction vectors and the
-    same vectors times the lcm of their denominators as an int64 array, or
-    None when a residue has no lift or a scaled entry could leave int64.
-    Nothing here is proven: the caller must check the integer vectors
-    against the matrix exactly.
+    lifted, and made a Fraction, once, and no Python object is made per
+    entry. Returns (codes, values, scaled): values is the tuple of the
+    distinct Fractions, ascending, codes is an array of kernel's shape in
+    the smallest unsigned dtype that indexes values, with the lifted entry
+    (i, j) = values[codes[i, j]], and scaled is each lifted vector times
+    the lcm of its denominators as an int64 array. None when a residue has
+    no lift or a scaled entry could leave int64. Nothing here is proven:
+    the caller must check scaled against the matrix exactly.
     """
     bound = math.isqrt((p - 1) // 2)
     # code c <= 2N stands for the integer c - N; later codes index the
@@ -468,16 +474,28 @@ def lift_nullspace(
         num = np.concatenate([num, [a for a, _ in pairs]])
         den = np.concatenate([den, [b for _, b in pairs]])
         code[big] = 2 * bound + 1 + where.ravel()
-    scaled = num[code]
+        del residues, where
     # a reconstructed value has a denominator above 1, since a residue
     # whose lift is an integer within [-N, N] is not big
-    for k in np.flatnonzero(big.any(axis=1)).tolist():
-        row_den = den[code[k]]
+    fractional = np.flatnonzero(big.any(axis=1)).tolist()
+    del big
+    # renumber the codes in use by ascending value, so that equal bases get
+    # equal codes, in the smallest dtype; the int64 codes are freed before
+    # scaled is made
+    used = np.flatnonzero(np.bincount(code.ravel(), minlength=len(num)))
+    values = [Fraction(a, b) for a, b in zip(num[used].tolist(), den[used].tolist())]
+    order = sorted(range(len(used)), key=values.__getitem__)
+    used = used[order]
+    recode = np.empty(len(num), dtype=np.min_scalar_type(max(len(used) - 1, 0)))
+    recode[used] = np.arange(len(used))
+    codes = recode[code]
+    del code
+    num, den = num[used], den[used]
+    scaled = num[codes]
+    for k in fractional:
+        row_den = den[codes[k]]
         lcm = math.lcm(*np.unique(row_den).tolist())
         if lcm * bound >= 2**63:
             return None
         scaled[k] *= lcm // row_den
-    table = np.empty(len(num), dtype=object)
-    for c in np.flatnonzero(np.bincount(code.ravel(), minlength=len(num))).tolist():
-        table[c] = Fraction(int(num[c]), int(den[c]))
-    return [tuple(table[row].tolist()) for row in code], scaled
+    return codes, tuple(values[i] for i in order), scaled

@@ -33,7 +33,12 @@ exactla.rational_nullspace.
 
 A kernel comes from its verdict's route: the empty basis when the centre
 or a full rank mod P certifies, else the matrix route's proven basis. A
-family is listed only by geodesics._family_subgroups; a system keeps rows.
+KernelBasis holds an integer code per entry into the distinct values the
+basis takes, as the lift finds them; the fallback and the empty basis are
+converted to the same form. Its Fraction vectors are built only when read,
+and its entry strings write each distinct value once. A family is listed
+only by geodesics._family_subgroups, or read back off a group system's
+rows; a system keeps rows.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +66,7 @@ from .geodesics import _family_subgroups, _geodesics_for, homomorphisms_cn
 from .groups import (
     _BLOCK_CELLS,
     GroupTable,
+    SubgroupSet,
     _left_coset_array,
     _row_blocks,
     conjugacy_classes,
@@ -168,12 +176,58 @@ def _row_sums(sys: RadonSystem, vectors: np.ndarray) -> np.ndarray:
     return np.add.reduceat(vectors[:, sys.indices], sys.indptr[:-1], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBasis:
-    """Kernel basis vectors in reduced row-echelon form, lowest terms."""
+    """Kernel basis vectors in reduced row-echelon form, lowest terms, held
+    as integer codes into the distinct values they take: entry j of vector
+    i is values[codes[i, j]].
 
-    vectors: tuple[tuple[Fraction, ...], ...]
-    dim: int
+    values is ascending and holds only values that occur, so two bases are
+    equal exactly when their codes and values are. vectors, the Fraction
+    tuples, is built on first access and then kept; entry_strings writes
+    each distinct value once.
+    """
+
+    codes: np.ndarray
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        self.codes.flags.writeable = False
+
+    @classmethod
+    def from_vectors(cls, vectors) -> KernelBasis:
+        """The basis of the given rational vectors, all of one length."""
+        values = sorted(map(Fraction, set(chain.from_iterable(vectors))))
+        index = {v: i for i, v in enumerate(values)}
+        codes = np.array(
+            [[index[v] for v in vec] for vec in vectors],
+            dtype=np.min_scalar_type(max(len(values) - 1, 0)),
+        )
+        width = len(vectors[0]) if vectors else 0
+        return cls(codes.reshape(len(vectors), width), tuple(values))
+
+    @property
+    def dim(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basis vectors as tuples of Fractions, one shared object per
+        distinct value."""
+        table = np.empty(len(self.values), dtype=object)
+        table[:] = self.values
+        return tuple(map(tuple, table[self.codes].tolist()))
+
+    def entry_strings(self) -> list[list[str]]:
+        """str() of every entry, one list per vector: each distinct value is
+        written once and gathered by the codes."""
+        text = np.array([str(v) for v in self.values], dtype=object)
+        return text[self.codes].tolist()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KernelBasis):
+            return NotImplemented
+        return self.values == other.values and np.array_equal(self.codes, other.codes)
 
 
 @dataclass(frozen=True)
@@ -231,16 +285,15 @@ def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
     exactla.rational_nullspace."""
     p = exactla.P
     lifted = exactla.lift_nullspace(exactla.nullspace_mod(echelon, p), p)
-    if lifted is not None and _annihilates(sys, lifted[1]):
-        vectors = lifted[0]
-    else:
-        vectors = exactla.rational_nullspace(
-            (row.tolist() for row in _array_rows(sys)), sys.ncols
-        )
-        scaled = np.array([_integer_multiple(vec) for vec in vectors], dtype=object)
-        if not _annihilates(sys, scaled.reshape(-1, sys.ncols)):
-            raise AssertionError("kernel vector fails exact annihilation check")
-    return KernelBasis(vectors=tuple(vectors), dim=len(vectors))
+    if lifted is not None and _annihilates(sys, lifted[2]):
+        return KernelBasis(*lifted[:2])
+    vectors = exactla.rational_nullspace(
+        (row.tolist() for row in _array_rows(sys)), sys.ncols
+    )
+    scaled = np.array([_integer_multiple(vec) for vec in vectors], dtype=object)
+    if not _annihilates(sys, scaled.reshape(-1, sys.ncols)):
+        raise AssertionError("kernel vector fails exact annihilation check")
+    return KernelBasis.from_vectors(vectors)
 
 
 def _annihilates(sys: RadonSystem, scaled) -> bool:
@@ -259,7 +312,7 @@ def _integer_multiple(vec) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in vec]
 
 
-_NO_KERNEL = KernelBasis(vectors=(), dim=0)
+_NO_KERNEL = KernelBasis.from_vectors(())
 
 
 def _make_verdict(
@@ -346,17 +399,29 @@ def _group_verdict(
     g: GroupTable, variant: str, sys: RadonSystem | None = None
 ) -> tuple[InjectivityVerdict, KernelBasis, RadonSystem | None]:
     """The verdict on g's family, the kernel basis that settled it, and the
-    family's system. The centre is asked first, on the family listed here;
-    when it does not certify, the matrix route runs on sys, a
-    build_system(g, variant) already in hand, or on one built now from the
-    same listing."""
-    subs = _family_subgroups(g, variant)
+    family's system. The centre is asked first, on the family read off sys,
+    a build_system(g, variant) already in hand, or else listed here; when
+    it does not certify, the matrix route runs on sys, or on a system built
+    now from that listing."""
+    subs = _family_subgroups(g, variant) if sys is None else _system_family(sys)
     verdict = _centre_verdict(g, variant, subs)
     if verdict is not None:
         return verdict, _NO_KERNEL, sys
     if sys is None:
         sys = _build_system(g, variant, subs)
     return (*_matrix_verdict(sys), sys)
+
+
+def _system_family(sys: RadonSystem) -> list[SubgroupSet]:
+    """The subgroups of a group system, read off its rows: a coset xH holds
+    e only when xH = H, so the rows whose first sorted column is 0, the
+    identity, are exactly the family's subgroups."""
+    starts = sys.indptr[:-1]
+    heads = np.flatnonzero(sys.indices[starts] == 0)
+    return [
+        SubgroupSet(tuple(sys.indices[a:b].tolist()))
+        for a, b in zip(starts[heads].tolist(), sys.indptr[heads + 1].tolist())
+    ]
 
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:

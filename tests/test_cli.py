@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
+from itertools import chain
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coset_radon.cli import main
+from coset_radon import exactla, radon, verify
+from coset_radon.cli import load_group, main
 
 
 def run(capsys, *argv):
@@ -496,6 +500,143 @@ def test_kernel_json_matches_the_json_encoder_byte_for_byte(capsys, name, dim):
     payload = json.loads(out)
     assert len(payload["kernel"]) == payload["kernel_dim"] == dim
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# --- kernel output against the formatter that read Fraction vectors ---------
+
+
+def _reference_kernel_rows(kb):
+    """The kernel's entry strings as the CLI once wrote them, from
+    kb.vectors: one str() per distinct Fraction object, each looked up by
+    identity."""
+    entries = chain.from_iterable
+    shared = dict(zip(map(id, entries(kb.vectors)), entries(kb.vectors)))
+    text = {key: str(v) for key, v in shared.items()}.__getitem__
+    return [list(map(text, map(id, vec))) for vec in kb.vectors]
+
+
+def _reference_outputs(spec, variant):
+    """The JSON, without elapsed_ms, and the text that `radon SPEC --variant
+    VARIANT --kernel` prints, written from a fresh verdict by the reference
+    formatter."""
+    g = load_group(spec)
+    verdict, kb, _ = radon._group_verdict(g, variant)
+    rows = _reference_kernel_rows(kb)
+    payload = {"group": g.recipe, **asdict(verdict), "kernel": rows}
+    lines = [
+        f"group {g.recipe} ({variant}): "
+        f"{'injective' if verdict.injective else 'noninjective'}",
+        f"  order {verdict.order}, rows {verdict.rows}, rank {verdict.rank}, "
+        f"kernel dim {verdict.kernel_dim} [{verdict.method}]",
+    ]
+    if verdict.frobenius_complement is not None:
+        lines.append(f"  frobenius complement: {verdict.frobenius_complement}")
+    lines.append(f"  kernel basis ({kb.dim} vector{'s' * (kb.dim != 1)}):")
+    lines.extend("    [" + ", ".join(vec) + "]" for vec in rows)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return text, "\n".join(lines) + "\n"
+
+
+def _kernel_outputs(capsys, spec, variant):
+    """What `radon SPEC --variant VARIANT --kernel` prints, as JSON with
+    the elapsed_ms line dropped and as text."""
+    argv = ["radon", spec, "--variant", variant, "--kernel"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert sum(line.startswith('  "elapsed_ms": ') for line in lines) == 1
+    out = "".join(line for line in lines if not line.startswith('  "elapsed_ms": '))
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    return out, text
+
+
+def _relabelled_file(tmp_path, name):
+    """A file: spec for a randomly relabelled table of the named group: its
+    element x renamed perm[x]."""
+    table = load_group(name).table
+    perm = np.random.default_rng(1).permutation(len(table))
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"table": out.tolist()}))
+    return f"file:{path}"
+
+
+def test_kernel_output_matches_the_reference_formatter(capsys, tmp_path):
+    specs = [g.recipe for g in verify.groups_upto(32) if g.order > 1]
+    cases = [(spec, variant) for spec in specs for variant in radon.VARIANTS]
+    cases.append((_relabelled_file(tmp_path, "Dic15"), "prime"))
+    deficient = 0
+    for spec, variant in cases:
+        expected = _reference_outputs(spec, variant)
+        assert _kernel_outputs(capsys, spec, variant) == expected
+        deficient += '"injective": false' in expected[0]
+    assert deficient > 50
+
+
+@pytest.mark.parametrize("name, variant", [("Dic15", "prime"), ("C12", "maximal")])
+def test_fallback_kernel_output_matches_the_reference_formatter(
+    capsys, monkeypatch, name, variant
+):
+    # a wrong lift is caught, and the output comes from rational_nullspace
+    expected = _reference_outputs(name, variant)
+    lift, nullspace, fallbacks = exactla.lift_nullspace, exactla.rational_nullspace, []
+
+    def wrong(kernel, p):
+        # the first entry of the first vector, and its scaled value, plus 1
+        codes, values, scaled = lift(kernel, p)
+        scaled[0, 0] += 1
+        values = (*values, values[codes[0, 0]] + 1)
+        codes[0, 0] = len(values) - 1
+        return codes, values, scaled
+
+    def counting(rows, ncols):
+        fallbacks.append(ncols)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(exactla, "lift_nullspace", wrong)
+    monkeypatch.setattr(exactla, "rational_nullspace", counting)
+    assert _kernel_outputs(capsys, name, variant) == expected
+    assert len(fallbacks) == 2  # once for the JSON run, once for the text
+
+
+def test_a_kernel_of_one_vector_is_singular_in_text(capsys):
+    _, out, _ = run(capsys, "radon", "C2", "--kernel")
+    assert "  kernel basis (1 vector):\n    [1, -1]\n" in out
+    _, out, _ = run(capsys, "radon", "C3", "--kernel")
+    assert "(2 vectors)" in out
+
+
+def test_a_verdict_without_a_kernel_builds_no_vectors(capsys, monkeypatch, tmp_path):
+    # only the zero-average cases of the maximal suite read a kernel's
+    # vectors; every other noninjective verdict leaves them unbuilt
+    kernels, reading, make, case = [], [], radon._kernel, verify._zero_average_cyclic_case
+
+    def recording(*args):
+        kernels.append((bool(reading), make(*args)))
+        return kernels[-1][1]
+
+    def zero_average(n):
+        reading.append(n)
+        try:
+            return case(n)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(radon, "_kernel", recording)
+    monkeypatch.setattr(verify, "_zero_average_cyclic_case", zero_average)
+    for argv in (
+        ["radon", "C360"],
+        ["radon", _relabelled_file(tmp_path, "Dic63"), "--json"],
+        ["radon", "C96", "--variant", "maximal"],
+        *(["verify", suite] for suite in verify.SUITES),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    unread = [kb for read, kb in kernels if not read]
+    assert len(unread) > 100 and all(kb.dim > 0 for kb in unread)
+    assert not any("vectors" in vars(kb) for kb in unread)
+    assert all("vectors" in vars(kb) for read, kb in kernels if read)
 
 
 # --- the failure contract under fuzzed input ---------------------------------

@@ -516,11 +516,11 @@ def _certified_lift(rows, n):
     lifted = exactla.lift_nullspace(exactla.nullspace_mod(echelon, p), p)
     if lifted is None:
         return None
-    vectors, scaled = lifted
+    codes, values, scaled = lifted
     for vec in scaled.tolist():
         if any(sum(a * b for a, b in zip(row, vec)) for row in rows):
             return None
-    return vectors
+    return [tuple(values[c] for c in row) for row in codes.tolist()]
 
 
 @st.composite
@@ -563,9 +563,21 @@ def test_lift_reconstructs_a_fractional_kernel():
     # the scaled copy is the vector times the lcm of its denominators
     p = exactla.P
     kernel = exactla.nullspace_mod(exactla.echelon_mod([[2, 0, 3]], 3, p), p)
-    vectors, scaled = exactla.lift_nullspace(kernel, p)
-    assert vectors == [(1, 0, Fraction(-2, 3)), (0, 1, 0)]
+    codes, values, scaled = exactla.lift_nullspace(kernel, p)
+    # the distinct values, ascending, and a code per entry into them
+    assert values == (Fraction(-2, 3), 0, 1)
+    assert codes.dtype == np.uint8 and codes.tolist() == [[2, 1, 0], [1, 2, 1]]
     assert scaled.dtype == np.int64 and scaled.tolist() == [[3, 0, -2], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("distinct, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_lift_codes_take_the_smallest_unsigned_dtype(distinct, dtype):
+    # the residues 0 .. distinct - 1 lift to themselves, one code each
+    kernel = np.arange(distinct, dtype=np.int64).repeat(2).reshape(2, distinct)
+    codes, values, scaled = exactla.lift_nullspace(kernel, exactla.P)
+    assert codes.dtype == dtype
+    assert values == tuple(range(distinct))
+    assert np.array_equal(codes, kernel) and np.array_equal(scaled, kernel)
 
 
 def test_kernel_entry_above_lift_bound_is_not_certified():

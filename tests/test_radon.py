@@ -358,7 +358,7 @@ def test_kernel_of_a_centre_certified_system_eliminates_nothing(
 
     monkeypatch.setattr(exactla, "_eliminate_mod", counting_pass)
     sys = radon.build_system(groups.from_name(name), variant)
-    assert radon.kernel(sys) == radon.KernelBasis(vectors=(), dim=0)
+    assert radon.kernel(sys) == radon.KernelBasis.from_vectors(())
     assert passes == []
 
 
@@ -496,12 +496,13 @@ def test_wrong_lift_is_caught_and_falls_back(monkeypatch, name):
     lift = exactla.lift_nullspace
 
     def wrong(kernel, p):
-        vectors, scaled = lift(kernel, p)
+        codes, values, scaled = lift(kernel, p)
         # move the last entry of the first vector: still a lifted vector of
         # the same shape, but no longer in the kernel
         scaled[0, -1] += 1
-        vectors[0] = vectors[0][:-1] + (vectors[0][-1] + 1,)
-        return vectors, scaled
+        values = (*values, values[codes[0, -1]] + 1)
+        codes[0, -1] = len(values) - 1
+        return codes, values, scaled
 
     monkeypatch.setattr(exactla, "lift_nullspace", wrong)
     calls, oracle = _counting_nullspace(monkeypatch)
@@ -802,3 +803,49 @@ def test_cyclic_noninjectivity_is_uniform(n):
     v = radon.is_injective(groups.make_cyclic(n))
     assert not v.injective
     assert v.frobenius_complement
+
+
+@pytest.mark.parametrize("name, variant", [("Dic3", "prime"), ("C12", "maximal")])
+def test_a_built_system_lists_its_family_once(monkeypatch, name, variant):
+    # decide_system and kernel read the family off the system's own rows
+    listed, family = [], geodesics._family_subgroups
+
+    def counting(g, v):
+        listed.append(v)
+        return family(g, v)
+
+    monkeypatch.setattr(geodesics, "_family_subgroups", counting)
+    monkeypatch.setattr(radon, "_family_subgroups", counting)
+    sys = radon.build_system(groups.from_name(name), variant)
+    assert radon.decide_system(sys)[1] > 0
+    assert radon.kernel(sys).dim > 0
+    assert listed == [variant]
+
+
+def test_the_family_read_off_a_system_is_the_listed_family():
+    for g in verify.groups_upto(24):
+        if g.order > 1:
+            for variant in radon.VARIANTS:
+                listed = geodesics._family_subgroups(g, variant)
+                read = radon._system_family(radon.build_system(g, variant))
+                assert sorted(s.elements for s in read) == sorted(
+                    tuple(s.elements) for s in listed
+                )
+
+
+def test_kernel_basis_builds_its_vectors_once_on_request():
+    sys = radon.build_system(groups.from_name("Dic3"), "prime")
+    kb = radon.kernel(sys)
+    assert "vectors" not in vars(kb)
+    assert kb.codes.dtype == np.uint8 and not kb.codes.flags.writeable
+    assert kb.values == (-1, 0, 1)
+    vectors = kb.vectors
+    assert kb.vectors is vectors
+    assert vectors == tuple(exactla.rational_nullspace(sys.matrix, sys.ncols))
+    assert kb.entry_strings() == [[str(v) for v in vec] for vec in vectors]
+    # codes into ascending distinct values are canonical, so equality needs
+    # no vectors
+    assert radon.KernelBasis.from_vectors(vectors) == kb
+    assert radon.KernelBasis.from_vectors(vectors[1:]) != kb
+    assert radon.KernelBasis.from_vectors([vec[::-1] for vec in vectors]) != kb
+    assert radon.KernelBasis.from_vectors(()).dim == 0
