@@ -2,7 +2,11 @@
 inspect spectra and flows, and run the regression suites.
 
 Exit codes: 0 computed, 1 suite failure, 2 input or validation error,
-3 size cap exceeded. JSON output is deterministic apart from elapsed_ms.
+3 size cap exceeded. JSON output is deterministic apart from elapsed_ms,
+the command's time from after parsing to just before output, so for radon
+it includes writing a --matrix-csv file and the --kernel strings. main
+builds its parser on the first call and reuses it, so it can be called
+repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from time import perf_counter
 
 from . import flows, geodesics, radon, spectral, verify
@@ -124,16 +129,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             os.close(devnull)
 
 
-def _ms(t0: float) -> float:
-    return round((perf_counter() - t0) * 1000, 3)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its record, which main times and emits
+
+_Record = tuple[dict, list[str], int]  # JSON payload, text lines, exit code
 
 
-def cmd_group(args) -> int:
-    t0 = perf_counter()
+def cmd_group(args) -> _Record:
     g = load_group(args.spec)
     abelian = is_abelian(g)
     payload = {
@@ -142,7 +144,6 @@ def cmd_group(args) -> int:
         "abelian": abelian,
         "cyclic": is_cyclic(g),
         "invariant_factors": invariant_factors(g) if abelian else None,
-        "elapsed_ms": _ms(t0),
     }
     lines = [
         f"group {g.recipe}: order {g.order}",
@@ -150,12 +151,10 @@ def cmd_group(args) -> int:
     ]
     if abelian:
         lines.append(f"  invariant factors: {payload['invariant_factors']}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_geodesics(args) -> int:
-    t0 = perf_counter()
+def cmd_geodesics(args) -> _Record:
     g = load_group(args.spec)
     if args.variant == "prime":
         geos = geodesics.prime_geodesics(g)
@@ -174,7 +173,6 @@ def cmd_geodesics(args) -> int:
             }
             for geo in geos
         ],
-        "elapsed_ms": _ms(t0),
     }
     lines = [f"group {g.recipe}: {len(geos)} {args.variant} geodesics"]
     for geo in geos:
@@ -182,15 +180,13 @@ def cmd_geodesics(args) -> int:
             f"  rep {geo.rep}: subgroup {list(geo.subgroup.elements)} "
             f"coset {list(geo.coset)}"
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_radon(args) -> int:
-    t0 = perf_counter()
+def cmd_radon(args) -> _Record:
     g = load_group(args.spec)
     verdict, kb, sys_ = radon._group_verdict(g, args.variant)
-    payload = {"group": g.recipe, **asdict(verdict), "elapsed_ms": _ms(t0)}
+    payload = {"group": g.recipe, **asdict(verdict)}
     lines = [
         f"group {g.recipe} ({args.variant}): "
         f"{'injective' if verdict.injective else 'noninjective'}",
@@ -215,8 +211,7 @@ def cmd_radon(args) -> int:
         if not args.json:
             lines.append(f"  kernel basis ({kb.dim} vector{'s' * (kb.dim != 1)}):")
             lines.extend("    [" + ", ".join(vec) + "]" for vec in payload["kernel"])
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
 def _spectral_abelian_payload(g: GroupTable, tolerance: float) -> tuple[dict, list]:
@@ -291,8 +286,7 @@ def _spectral_rep_payload(g: GroupTable, reps) -> tuple[dict, list]:
     return payload, lines
 
 
-def cmd_spectral(args) -> int:
-    t0 = perf_counter()
+def cmd_spectral(args) -> _Record:
     spectral._check_tolerance(args.tolerance)
     g = load_group(args.spec)
     if args.rep is None:
@@ -300,16 +294,12 @@ def cmd_spectral(args) -> int:
             raise GroupSpecError(
                 f"{g.recipe} is not abelian; supply --rep FILE or --rep builtin:q8"
             )
-        payload, lines = _spectral_abelian_payload(g, args.tolerance)
-    elif args.rep == "builtin:q8":
+        return *_spectral_abelian_payload(g, args.tolerance), 0
+    if args.rep == "builtin:q8":
         reps = spectral.quaternion_rep_set(g)
-        payload, lines = _spectral_rep_payload(g, reps)
     else:
-        rep = spectral.load_rep(args.rep, g)
-        payload, lines = _spectral_rep_payload(g, [rep])
-    payload["elapsed_ms"] = _ms(t0)
-    _emit(args, payload, lines)
-    return 0
+        reps = [spectral.load_rep(args.rep, g)]
+    return *_spectral_rep_payload(g, reps), 0
 
 
 def _load_flow(spec: str) -> flows.SuccessorFlow:
@@ -333,8 +323,7 @@ def _load_flow(spec: str) -> flows.SuccessorFlow:
     )
 
 
-def cmd_flow(args) -> int:
-    t0 = perf_counter()
+def cmd_flow(args) -> _Record:
     flow = _load_flow(args.spec)
     orbs = flows.flow_orbits(flow)
     nonstationary = [o for o in orbs if not o.stationary]
@@ -352,7 +341,6 @@ def cmd_flow(args) -> int:
         "kernel_dim": kernel_dim,
         "injective": kernel_dim == 0,
         "method": method,
-        "elapsed_ms": _ms(t0),
     }
     lines = [
         f"flow {flow.label} on {flow.size} points: {len(orbs)} orbits "
@@ -361,12 +349,10 @@ def cmd_flow(args) -> int:
         f"{kernel_dim} -> {'injective' if kernel_dim == 0 else 'noninjective'} "
         f"[{method}]",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_verify(args) -> int:
-    t0 = perf_counter()
+def cmd_verify(args) -> _Record:
     if args.suite not in verify.SUITES:
         raise GroupSpecError(
             f"unknown suite {args.suite!r}; choose from "
@@ -379,7 +365,6 @@ def cmd_verify(args) -> int:
         "failed": report.failed,
         "passed": report.passed,
         "cases": [{**asdict(c), "pass": c.passed} for c in report.cases],
-        "elapsed_ms": _ms(t0),
     }
     lines = [
         f"suite {report.suite}: {report.total - report.failed}/{report.total} "
@@ -389,8 +374,7 @@ def cmd_verify(args) -> int:
         if not c.passed:
             lines.append(f"  FAIL {c.group}: expected {c.expected!r}, "
                          f"got {c.computed!r}")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return payload, lines, 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +388,7 @@ class _Parser(argparse.ArgumentParser):
         raise CosetRadonError(f"{self.prog}: {message}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="coset-radon",
@@ -481,9 +466,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line: parse it, run its command, time it, emit its
+    record and return its exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        t0 = perf_counter()
+        payload, lines, code = args.func(args)
+        payload["elapsed_ms"] = round((perf_counter() - t0) * 1000, 3)
+        _emit(args, payload, lines)
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except CosetRadonError as exc:

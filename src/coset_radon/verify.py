@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from math import gcd
 
 from . import flows, geodesics, iso, radon, spectral
-from .errors import NoGeodesicsError, FlowAxiomError, InvalidOrderError
+from .errors import NoGeodesicsError, FlowAxiomError, InvalidOrderError, SizeLimitError
 from .exactla import factorize, field_rref, is_prime
 from .groups import (
     GroupTable,
@@ -28,6 +29,7 @@ from .groups import (
     make_dihedral,
     make_direct_product,
     make_symmetric,
+    max_group_order,
     quotient_with_projection,
 )
 
@@ -120,27 +122,24 @@ def abelian_groups_upto(max_order: int) -> list[GroupTable]:
     left-associated product ((C_f1 x C_f2) x ...) x C_fk. Its prefix
     f1..f(k-1) is the factor list of a class of smaller order, and C_fk is
     one too, so each class is one product of two groups built before it:
-    one build per class.
+    one build per class. A bound above the order cap is refused before any
+    group is built.
     """
+    cap = max_group_order()
+    if max_order > cap:
+        raise SizeLimitError(f"max order {max_order} is above the cap of {cap}")
     out = []
     built: dict[tuple[int, ...], GroupTable] = {}
     for n in range(2, max_order + 1):
         per_prime = [_prime_power_splits(p, e) for p, e in factorize(n)]
-
-        def rec(i: int, acc: list[int]):
-            if i == len(per_prime):
-                factors = tuple(sorted(acc))
-                if len(factors) == 1:
-                    g = make_cyclic(factors[0])
-                else:
-                    g = make_direct_product(built[factors[:-1]], built[factors[-1:]])
-                built[factors] = g
-                out.append(g)
-                return
-            for split in per_prime[i]:
-                rec(i + 1, acc + split)
-
-        rec(0, [])
+        for splits in product(*per_prime):
+            factors = tuple(sorted(chain.from_iterable(splits)))
+            if len(factors) == 1:
+                g = make_cyclic(factors[0])
+            else:
+                g = make_direct_product(built[factors[:-1]], built[factors[-1:]])
+            built[factors] = g
+            out.append(g)
     return out
 
 

@@ -2,9 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import chain
 from unittest import mock
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coset_radon import exactla, radon, verify
+from coset_radon import cli, exactla, groups, radon, verify
 from coset_radon.cli import load_group, main
 
 
@@ -472,24 +473,142 @@ def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
 
 
 def test_json_key_sets_from_records(capsys):
-    # these payload fields are read off InjectivityVerdict, SuiteCase and
-    # FixedSpaceReport, so a field added to one of them shows up here
+    # the radon, case and dichotomy fields are read off InjectivityVerdict,
+    # SuiteCase and FixedSpaceReport, so a field added to one of them shows
+    # up here; main adds elapsed_ms to every command's payload, once
     verdict = {
         "group", "variant", "order", "rows", "rank", "kernel_dim", "injective",
         "frobenius_complement", "method", "elapsed_ms",
     }
-    _, payload, _ = run_json(capsys, "radon", "Dic3")
-    assert set(payload) == verdict
-    _, payload, _ = run_json(capsys, "radon", "Dic3", "--kernel")
-    assert set(payload) == verdict | {"kernel"}
-    _, payload, _ = run_json(capsys, "verify", "catalog")
-    assert payload["cases"]
-    for case in payload["cases"]:
+    keys = {
+        ("group", "D4"): {
+            "group", "order", "abelian", "cyclic", "invariant_factors", "elapsed_ms",
+        },
+        ("geodesics", "C6"): {
+            "group", "order", "variant", "count", "geodesics", "elapsed_ms",
+        },
+        ("radon", "Dic3"): verdict,
+        ("radon", "Dic3", "--kernel"): verdict | {"kernel"},
+        ("spectral", "C6"): {
+            "group", "order", "factors", "exponent", "characters", "faithful_count",
+            "faithful_indices", "kernel_dim", "kernel_matches_faithful",
+            "char_sum_exact", "fourier_ok", "plancherel_defect", "tolerance",
+            "elapsed_ms",
+        },
+        ("spectral", "Dic2", "--rep", "builtin:q8"): {
+            "group", "order", "rep_dims", "char_sum_exact", "projections_ok",
+            "dichotomies", "kernel_dim", "predicted_kernel_dim", "elapsed_ms",
+        },
+        ("flow", "group:C6"): {
+            "flow", "size", "orbits", "stationary", "periods", "projections", "rows",
+            "rank", "kernel_dim", "injective", "method", "elapsed_ms",
+        },
+        ("verify", "catalog"): {
+            "suite", "total", "failed", "passed", "cases", "elapsed_ms",
+        },
+    }
+    payloads = {}
+    for argv, expected in keys.items():
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out.count('"elapsed_ms"') == 1, argv
+        payloads[argv] = json.loads(out)
+        assert set(payloads[argv]) == expected, argv
+    cases = payloads["verify", "catalog"]["cases"]
+    assert cases
+    for case in cases:
         assert set(case) == {"group", "expected", "computed", "pass"}
-    _, payload, _ = run_json(capsys, "spectral", "Dic2", "--rep", "builtin:q8")
-    assert len(payload["dichotomies"]) == 5
-    for report in payload["dichotomies"]:
+    reports = payloads["spectral", "Dic2", "--rep", "builtin:q8"]["dichotomies"]
+    assert len(reports) == 5
+    for report in reports:
         assert set(report) == {"dim", "fixed_span_dim", "kernel_dim", "dichotomy_ok"}
+
+
+def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
+    builds = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert run(capsys, "group", "C2")[0] == 0
+    assert run(capsys, "radon", "C3", "--json")[0] == 0
+    assert builds.count("coset-radon") <= 1
+
+
+# text and JSON output of one or more queries per command, frozen from the
+# CLI; a deliberate change of output regenerates tests/cli_outputs.json
+with open(os.path.join(os.path.dirname(__file__), "cli_outputs.json"), encoding="utf-8") as fh:
+    _FROZEN = json.load(fh)
+
+# the Plancherel defect is a float sum over numpy's complex roots of unity,
+# whose last bits may differ between platforms; every other value is exact
+_PLANCHEREL = re.compile(r'("plancherel_defect": |plancherel defect )[^,)\n]+')
+
+
+@pytest.mark.parametrize("query", sorted(_FROZEN))
+def test_output_matches_the_frozen_output(capsys, query):
+    argv = query.split()
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert sum(line.startswith('  "elapsed_ms": ') for line in lines) == 1
+    out = "".join(line for line in lines if not line.startswith('  "elapsed_ms": '))
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    frozen = _FROZEN[query]
+    assert _PLANCHEREL.sub(r"\1*", out) == _PLANCHEREL.sub(r"\1*", frozen["json"])
+    assert _PLANCHEREL.sub(r"\1*", text) == _PLANCHEREL.sub(r"\1*", frozen["text"])
+
+
+def test_a_failing_suite_exits_1(capsys, monkeypatch):
+    catalog = verify.SUITES["catalog"]
+    report = catalog()
+    first, *rest = report.cases
+
+    def one_case_wrong():
+        wrong = replace(first, computed="wrong")
+        return replace(report, cases=(wrong, *rest))
+
+    monkeypatch.setitem(verify.SUITES, "catalog", one_case_wrong)
+    n = report.total
+    code, out, err = run(capsys, "verify", "catalog")
+    assert (code, err) == (1, "")
+    assert out == (
+        f"suite catalog: {n - 1}/{n} cases passed\n"
+        f"  FAIL {first.group}: expected {first.expected!r}, got 'wrong'\n"
+    )
+    code, payload, err = run_json(capsys, "verify", "catalog")
+    assert (code, err) == (1, "")
+    assert payload["passed"] is False
+    assert (payload["failed"], payload["total"]) == (1, n)
+    assert [c["pass"] for c in payload["cases"]] == [False] + [True] * (n - 1)
+
+
+@pytest.mark.parametrize("suite", ["abelian", "lemma-prime", "spectral-abelian", "flows"])
+def test_sweep_bound_above_the_cap_exits_3_before_any_build(capsys, monkeypatch, suite):
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", "200")
+    builds, build = [], groups._build
+
+    def counting(t, recipe):
+        builds.append(recipe)
+        return build(t, recipe)
+
+    monkeypatch.setattr(groups, "_build", counting)
+    code, out, err = run(capsys, "verify", suite, "--max-order", "100000")
+    assert (code, out, builds) == (3, "", [])
+    assert err == "error: max order 100000 is above the cap of 200\n"
+
+
+@pytest.mark.parametrize("suite", ["products", "maximal"])
+def test_fixed_list_suites_take_a_bound_above_the_cap(capsys, monkeypatch, suite):
+    # these suites only filter a fixed list of groups by the bound, so a
+    # bound above the cap is no error
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", "200")
+    code, payload, _ = run_json(capsys, "verify", suite, "--max-order", "100000")
+    assert code == 0 and payload["passed"] is True
 
 
 @pytest.mark.parametrize("name, dim", [("S4", 0), ("C2", 1), ("C240", 64)])
