@@ -18,17 +18,22 @@ names the first row or column that is not a permutation, as it would if
 that were checked first.
 
 A group holds exactly one multiplication table: GroupTable.table, a
-read-only C-contiguous int32 array with table[a, b] the id of a*b. It is
+read-only C-contiguous uint16 array with table[a, b] the id of a*b. It is
 built and validated as that array, and products, powers, cosets and
 quotients are array operations on it. Every value handed back to callers
 (cosets, subgroup elements, inverses, orders, powers) is a Python int.
+uint16 holds every id of a table that fits in memory: at order 65,536 the
+table already takes 8.6 GB, so max_group_order() never exceeds that.
 
 A table file in canonical form, {"table": [[...]]} or a bare [[...]] of
 plain nonnegative ints with no leading zero, at most as many digits as
 n - 1 has, and JSON whitespace only between tokens, is read by
 _canonical_table straight from its bytes into int32, with no JSON decode
 and no Python object per cell. Any other file is decoded by json; both
-routes give the same table, or the same error, for the same file.
+routes give the same table, or the same error, for the same file. Both
+parse into int32, wide enough for any cell of up to 9 digits, and narrow
+to uint16 only once every cell is known to lie in 0..n-1, so a cell of
+65,536 or more is refused, not wrapped into range.
 """
 
 from __future__ import annotations
@@ -60,11 +65,12 @@ from .errors import (
 from .exactla import _BLOCK_CELLS, factorize
 
 DEFAULT_MAX_ORDER = 5040
-_ID = np.int32  # element ids of any table that fits in memory
+MAX_TABLE_ORDER = 65536  # the most ids uint16 holds
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
     "GroupTable",
+    "MAX_TABLE_ORDER",
     "SubgroupSet",
     "abelian_basis",
     "conjugacy_classes",
@@ -92,7 +98,8 @@ __all__ = [
 
 
 def max_group_order() -> int:
-    """Active order cap; the COSET_RADON_MAX_ORDER env var overrides it."""
+    """Active order cap; the COSET_RADON_MAX_ORDER env var overrides it,
+    up to MAX_TABLE_ORDER, the most a uint16 table can label."""
     raw = os.environ.get("COSET_RADON_MAX_ORDER")
     if raw is None:
         return DEFAULT_MAX_ORDER
@@ -104,12 +111,12 @@ def max_group_order() -> int:
         ) from None
     if cap < 1:
         raise InvalidOrderError(f"COSET_RADON_MAX_ORDER must be positive, got {cap}")
-    return cap
+    return min(cap, MAX_TABLE_ORDER)
 
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:
-    """A validated group: its read-only int32 Cayley table plus cached
+    """A validated group: its read-only uint16 Cayley table plus cached
     per-element data (inverses and element orders, as Python ints) and the
     generating set on which Light's test proved associativity."""
 
@@ -279,7 +286,7 @@ def _element_orders(t: np.ndarray) -> np.ndarray:
     Light's test, and on any table each of them is a divisor of n.
     """
     n = len(t)
-    ids = np.arange(n, dtype=_ID)
+    ids = np.arange(n, dtype=np.uint16)
     orders = np.ones(n, dtype=np.int64)
     for p, e in factorize(n):
         b = _powers(t, ids, n // p**e)
@@ -309,7 +316,7 @@ def _build(t: np.ndarray, recipe: str) -> GroupTable:
         raise MissingInverseError(int(bad[0]))
     orders = _element_orders(t)
     gens = _check_associativity(t, orders)
-    t = np.ascontiguousarray(t, dtype=_ID)
+    t = np.ascontiguousarray(t, dtype=np.uint16)
     t.setflags(write=False)
     return GroupTable(
         order=n,
@@ -331,7 +338,7 @@ def make_cyclic(n: int) -> GroupTable:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {n}")
     _check_cap(n, f"C{n}")
     # row i is (i + j) mod n: the window at i of 0..n-1 written twice
-    k = np.arange(n, dtype=_ID)
+    k = np.arange(n, dtype=np.uint16)
     kk = np.concatenate([k, k])
     t = np.lib.stride_tricks.sliding_window_view(kk, n)[:n].copy()
     return _build(t, f"C{n}")
@@ -346,9 +353,18 @@ def make_direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     n1, n2 = g1.order, g2.order
     recipe = f"{g1.recipe}x{g2.recipe}"
     _check_cap(n1 * n2, recipe)
-    # axes (a1, a2, b1, b2) of the product (a1*n2 + a2) * (b1*n2 + b2)
-    t = g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]
+    # axes (a1, a2, b1, b2) of the product (a1*n2 + a2) * (b1*n2 + b2); each
+    # id is below n1*n2 <= MAX_TABLE_ORDER, so the uint16 sum cannot wrap
+    high = _scaled_ids(n1, n2)[g1.table]
+    t = high[:, None, :, None] + g2.table[None, :, None, :]
     return _build(t.reshape(n1 * n2, n1 * n2), recipe)
+
+
+def _scaled_ids(n: int, step: int) -> np.ndarray:
+    """a * step for every id a < n, as uint16, multiplied in int64, since
+    step itself may be 65,536 (C1 x C65536); n * step must be at most
+    MAX_TABLE_ORDER, so each product fits."""
+    return (np.arange(n) * step).astype(np.uint16)
 
 
 def _rotations_and_flips(m: int, fold: int) -> np.ndarray:
@@ -356,12 +372,12 @@ def _rotations_and_flips(m: int, fold: int) -> np.ndarray:
 
     The element s^f r^k has id f*m + k.
     """
-    k = np.arange(m, dtype=_ID)
+    k = np.arange(m, dtype=np.uint16)  # every sum below is below 2m <= 65,536
     add = k[:, None] + k  # r^k1 r^k2
     add %= m
-    sub = k - k[:, None]  # r^k1 s r^k2 = s r^(k2 - k1)
+    sub = (k + m) - k[:, None]  # r^k1 s r^k2 = s r^(k2 - k1), kept positive
     sub %= m
-    t = np.empty((2 * m, 2 * m), dtype=_ID)
+    t = np.empty((2 * m, 2 * m), dtype=np.uint16)
     t[:m, :m] = add
     t[m:, :m] = add + m
     t[:m, m:] = sub + m
@@ -399,12 +415,12 @@ def _perm_group(perms, recipe: str) -> GroupTable:
     a permutation of d letters is coded by reading its letters as base-d
     digits.
     """
-    p = np.array(perms, dtype=_ID)
+    p = np.array(perms, dtype=np.uint16)
     n, d = p.shape
     place = d ** np.arange(d - 1, -1, -1)
-    lookup = np.zeros(d**d, dtype=_ID)
-    lookup[p @ place] = np.arange(n, dtype=_ID)
-    t = np.empty((n, n), dtype=_ID)
+    lookup = np.zeros(d**d, dtype=np.uint16)
+    lookup[p @ place] = np.arange(n, dtype=np.uint16)
+    t = np.empty((n, n), dtype=np.uint16)
     t[0] = np.arange(n)  # the identity comes first in both constructors
     reached, seen = [0], bytearray(n)
     seen[0] = True
@@ -446,7 +462,8 @@ def make_alternating(n: int) -> GroupTable:
     _check_atoms_cap([("A", n)], f"A_{n}")
     # itertools lists the permutations in lexicographic order, and a
     # permutation is even when its inversion count is
-    perms = np.array(list(itertools.permutations(range(n))), dtype=_ID).reshape(-1, n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint16)
+    perms = perms.reshape(-1, n)
     i, j = np.triu_indices(n, 1)
     even = (perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0
     return _perm_group(perms[even], f"A{n}")
@@ -482,7 +499,7 @@ def make_semidirect(
             raise InvalidActionError(
                 f"action of element {h} is not a permutation of 0..{nn - 1}"
             )
-    phi = np.array(action, dtype=_ID)
+    phi = np.array(action, dtype=np.uint16)
     tn, th = normal.table, acting.table
     # phi_h(x*y) against phi_h(x)*phi_h(y), for every h at once
     bad = np.argwhere(phi[:, tn] != tn[phi[:, :, None], phi[:, None, :]])
@@ -493,9 +510,10 @@ def make_semidirect(
     bad = np.argwhere(phi[th] != phi[:, phi])
     if bad.size:
         raise NotHomomorphismError((int(bad[0][0]), int(bad[0][1])))
-    # axes (n1, h1, n2, h2): (n1, h1)*(n2, h2) = (n1 * phi_h1(n2), h1*h2)
-    left = tn[np.arange(nn)[:, None, None], phi[None, :, :]]
-    t = left[:, :, :, None] * nh + th[None, :, None, :]
+    # axes (n1, h1, n2, h2): (n1, h1)*(n2, h2) = (n1 * phi_h1(n2), h1*h2),
+    # with id (n1 * phi_h1(n2)) * nh + h1*h2, as in make_direct_product
+    left = _scaled_ids(nn, nh)[tn][np.arange(nn)[:, None, None], phi[None, :, :]]
+    t = left[:, :, :, None] + th[None, :, None, :]
     return _build(t.reshape(nn * nh, nn * nh), recipe)
 
 
@@ -505,7 +523,9 @@ _TABLE_KEY = re.compile(rb'[ \t\n\r]*\{[ \t\n\r]*"table"[ \t\n\r]*:')
 
 def _canonical_table(raw: bytes) -> np.ndarray | None:
     """The Cayley table in raw, the bytes of a file, as an n x n int32
-    array when the file is canonical; None for any other file.
+    array when the file is canonical; None for any other file. Its cells
+    are not yet range-checked: from_cayley_table narrows the array to
+    uint16 once they are.
 
     A canonical file is {"table": [[...]]} or a bare [[...]] of n rows of n
     cells, each a nonnegative int with no leading zero and at most as many
@@ -557,7 +577,7 @@ def _canonical_table(raw: bytes) -> np.ndarray | None:
         return None
     del c, comma, digit, wide  # before the table is allocated
     _check_cap(n, "table")
-    return np.fromstring(flat, dtype=_ID, sep=",").reshape(n, n)
+    return np.fromstring(flat, dtype=np.int32, sep=",").reshape(n, n)
 
 
 def from_cayley_table(raw) -> GroupTable:
@@ -565,7 +585,8 @@ def from_cayley_table(raw) -> GroupTable:
 
     raw is a list of rows of ints, or a 2-D integer array such as
     _canonical_table reads from a file; the array's dtype already proves
-    its cells are ints, so only their range is checked, and it is copied.
+    its cells are ints, so only their range is checked, and it is copied
+    as uint16.
     If the two-sided identity is not element 0, ids 0 and the identity are
     swapped so the 0-at-identity convention holds.
     """
@@ -583,7 +604,7 @@ def from_cayley_table(raw) -> GroupTable:
             raise MissingIdentityError("table has no two-sided identity element")
         label, t = f"table({n})", cells
         if e != 0:
-            swap = np.arange(n, dtype=_ID)
+            swap = np.arange(n, dtype=np.uint16)
             swap[0], swap[e] = e, 0
             t = swap[cells[np.ix_(swap, swap)]]
             label += f"[id was {e}]"
@@ -594,12 +615,13 @@ def from_cayley_table(raw) -> GroupTable:
 
 
 def _table_cells(raw: list | tuple, n: int) -> np.ndarray:
-    """The rows of raw as an int32 array, once each is a list of n ints in
+    """The rows of raw as a uint16 array, once each is a list of n ints in
     0..n-1; otherwise an error names the first row that is not.
 
     Every cell's type is checked before numpy converts anything, so floats,
-    strings and JSON booleans are rejected, not coerced. The range is
-    checked in numpy, and only a table that fails is searched row by row.
+    strings and JSON booleans are rejected, not coerced. The cells are read
+    into int32 and their range is checked there, so a cell past uint16 is
+    refused, not wrapped; only a table that fails is searched row by row.
     """
     for i, r in enumerate(raw):
         if isinstance(r, (list, tuple)) and len(r) == n and set(map(type, r)) == {int}:
@@ -616,23 +638,24 @@ def _table_cells(raw: list | tuple, n: int) -> np.ndarray:
         with warnings.catch_warnings():
             # numpy < 2 wraps an int past int32 with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            t = np.array(raw, dtype=_ID)
+            t = np.array(raw, dtype=np.int32)
     except (OverflowError, DeprecationWarning):  # past int32 is past n - 1 too
         raise _range_error(raw, n) from None
     if t.min() < 0 or t.max() >= n:
         raise _range_error(raw, n)
-    return t
+    return t.astype(np.uint16)
 
 
 def _array_cells(raw: np.ndarray, n: int) -> np.ndarray:
-    """A copy of raw, a 2-D integer array of n rows, as int32, once it is
+    """A copy of raw, a 2-D integer array of n rows, as uint16, once it is
     n x n with every cell in 0..n-1; otherwise the error of _table_cells
-    on its rows as lists."""
+    on its rows as lists. The range is checked on raw's own dtype, before
+    the copy narrows it."""
     if raw.shape[1] != n:
         raise GroupValidationError(f"row 0 has length {raw.shape[1]}, expected {n}")
     if raw.min() < 0 or raw.max() >= n:
         raise _range_error((r.tolist() for r in raw), n)
-    return raw.astype(_ID)
+    return raw.astype(np.uint16)
 
 
 def _range_error(rows, n: int) -> GroupValidationError | None:
@@ -697,7 +720,7 @@ def subgroup_from_elements(g: GroupTable, elems) -> SubgroupSet:
 
 
 def _left_coset_array(g: GroupTable, sub: SubgroupSet) -> np.ndarray:
-    """The left cosets of H as one int32 array, |G|/|H| rows of |H|: each
+    """The left cosets of H as one uint16 array, |G|/|H| rows of |H|: each
     row sorted, rows ordered by their minimal member.
 
     Row x of the sorted gather table[:, H] is the coset xH, and it is kept
@@ -775,8 +798,8 @@ def quotient_with_projection(
     if witness is not None:
         raise NotNormalError(witness)
     cosets = _left_coset_array(g, sub)  # by minimal member; identity coset first
-    proj = np.empty(g.order, dtype=_ID)
-    proj[cosets] = np.arange(len(cosets), dtype=_ID)[:, None]
+    proj = np.empty(g.order, dtype=np.uint16)
+    proj[cosets] = np.arange(len(cosets), dtype=np.uint16)[:, None]
     reps = cosets[:, 0]
     q = _build(proj[g.table[np.ix_(reps, reps)]], f"{g.recipe}/<order {len(sub)}>")
     return q, tuple(proj.tolist())

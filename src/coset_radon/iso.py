@@ -8,6 +8,7 @@ groups handled here.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -34,7 +35,7 @@ def generating_sequence(g: GroupTable) -> list[int]:
 
 
 def _extend_hom(
-    h: GroupTable, g: GroupTable, gens: list[int], images: list[int]
+    h: GroupTable, g: GroupTable, gens: list[int], images: tuple[int, ...]
 ) -> list[int] | None:
     """Grow {gens -> images} into a full homomorphism h -> g, or None."""
     phi = [-1] * h.order
@@ -77,20 +78,11 @@ def _search(h: GroupTable, g: GroupTable, injective: bool) -> list[int] | None:
         if not pool:
             return None
         candidates.append(pool)
-
-    def rec(k: int, chosen: list[int]):
-        if k == len(gens):
-            phi = _extend_hom(h, g, gens, chosen)
-            if phi is not None and (not injective or len(set(phi)) == h.order):
-                return phi
-            return None
-        for img in candidates[k]:
-            got = rec(k + 1, chosen + [img])
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, [])
+    for chosen in itertools.product(*candidates):
+        phi = _extend_hom(h, g, gens, chosen)
+        if phi is not None and (not injective or len(set(phi)) == h.order):
+            return phi
+    return None
 
 
 def find_embedding(h: GroupTable, g: GroupTable) -> list[int] | None:

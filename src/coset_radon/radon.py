@@ -105,8 +105,9 @@ class RadonSystem:
     multiset of columns: a coset for a geodesic, the points an orbit visits
     (with multiplicity) for a flow. Both arrays are read-only. A group
     system's rows are the cosets of geodesics._family_subgroups(group,
-    variant), a block per subgroup; a flow system keeps each row's orbit
-    start state in starts. matrix and rows are built on every access.
+    variant), a block per subgroup, and its indices are uint16 ids, as in
+    the Cayley table; a flow system's are int32, and it keeps each row's
+    orbit start state in starts. matrix and rows are built on every access.
     """
 
     group: GroupTable | None

@@ -99,20 +99,26 @@ def _report(name: str, cases: list[SuiteCase]) -> SuiteReport:
 
 
 def _prime_power_splits(p: int, e: int) -> list[list[int]]:
-    """All multisets of p-power orders with exponents summing to e."""
+    """All multisets of p-power orders with exponents summing to e, each
+    largest first, in reverse lexicographic order of the exponents.
+
+    The exponents walk the partitions of e: the next one drops the trailing
+    1s, lowers the last part left by one, to k, and refills what the
+    dropped parts held with parts of at most k.
+    """
     out = []
-
-    def rec(remaining: int, largest: int, acc: list[int]):
-        if remaining == 0:
-            out.append(list(acc))
-            return
-        for k in range(min(remaining, largest), 0, -1):
-            acc.append(p**k)
-            rec(remaining - k, k, acc)
-            acc.pop()
-
-    rec(e, e, [])
-    return out
+    parts = [e]
+    while True:
+        out.append([p**k for k in parts])
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return out
+        k = parts.pop() - 1
+        q, r = divmod(ones + k + 1, k)
+        parts += [k] * q + [r] * (r > 0)
 
 
 def abelian_groups_upto(max_order: int) -> list[GroupTable]:

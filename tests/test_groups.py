@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -865,15 +866,122 @@ def test_composite_consistency_is_exact_past_int64():
 # one read-only table, and Python ints everywhere it leaks out
 
 
-def test_table_is_one_read_only_int32_array():
-    g = groups.from_name("S4")
-    assert g.table.dtype == np.int32 and g.table.flags.c_contiguous
-    assert g.table.shape == (24, 24)
+def _holomorph_c19() -> groups.GroupTable:
+    # C19 x| C18, h acting as multiplication by 2^h, 2 a primitive root mod 19
+    action = [[pow(2, h, 19) * x % 19 for x in range(19)] for h in range(18)]
+    return groups.make_semidirect(groups.make_cyclic(19), groups.make_cyclic(18), action)
+
+
+def _file_group(tmp_path, payload) -> groups.GroupTable:
+    from coset_radon import cli
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload))
+    return cli.load_group(f"file:{path}")
+
+
+_S3 = groups.make_symmetric(3).table.tolist()
+
+_ROUTES = {
+    "C": lambda _: groups.from_name("C300"),
+    "D": lambda _: groups.from_name("D150"),
+    "Dic": lambda _: groups.from_name("Dic75"),
+    "S": lambda _: groups.from_name("S5"),
+    "A": lambda _: groups.from_name("A5"),
+    "product": lambda _: groups.from_name("C17xC19"),
+    "semidirect": lambda _: _holomorph_c19(),
+    "quotient": lambda _: groups.quotient(
+        groups.make_symmetric(4),
+        groups.subgroup_from_elements(groups.make_symmetric(4), [0, 7, 16, 23]),
+    ),
+    "canonical-file": lambda tmp: _file_group(tmp, {"table": _S3}),
+    "json-file": lambda tmp: _file_group(tmp, {"order": 6, "table": _S3}),
+    "list": lambda _: groups.from_cayley_table(_S3),
+    "int64-array": lambda _: groups.from_cayley_table(np.array(_S3, dtype=np.int64)),
+    "identity-not-0": lambda _: groups.from_cayley_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_every_route_gives_one_read_only_uint16_table(route, tmp_path):
+    g = _ROUTES[route](tmp_path)
+    assert g.table.dtype == np.uint16 and g.table.flags.c_contiguous
+    assert g.table.shape == (g.order, g.order)
     with pytest.raises(ValueError):
         g.table[0, 0] = 1
-    q = groups.quotient(g, groups.subgroup_from_elements(g, [0, 7, 16, 23]))
-    with pytest.raises(ValueError):
-        q.table[0, 0] = 1
+    if route == "identity-not-0":
+        assert g.recipe == "table(3)[id was 2]"
+
+
+def _product_reference(t1: list, t2: list) -> list[list[int]]:
+    n1, n2 = len(t1), len(t2)
+    return [
+        [t1[a1][b1] * n2 + t2[a2][b2] for b1 in range(n1) for b2 in range(n2)]
+        for a1 in range(n1)
+        for a2 in range(n2)
+    ]
+
+
+@pytest.mark.parametrize("left, right", [("C17", "C19"), ("D10", "Dic5"), ("C2", "C300")])
+def test_products_past_255_match_the_definition(left, right):
+    g1, g2 = groups.from_name(left), groups.from_name(right)
+    want = _product_reference(g1.table.tolist(), g2.table.tolist())
+    assert groups.make_direct_product(g1, g2).table.tolist() == want
+
+
+def test_semidirect_past_255_matches_the_definition():
+    tn = groups.make_cyclic(19).table.tolist()
+    th = groups.make_cyclic(18).table.tolist()
+    phi = [[pow(2, h, 19) * x % 19 for x in range(19)] for h in range(18)]
+    want = [
+        [tn[n1][phi[h1][n2]] * 18 + th[h1][h2] for n2 in range(19) for h2 in range(18)]
+        for n1 in range(19)
+        for h1 in range(18)
+    ]
+    assert _holomorph_c19().table.tolist() == want
+
+
+def test_scaled_ids_reach_the_largest_multiplier():
+    # C1 x C65536 and C2 x C32768 scale ids by a step uint16 cannot hold
+    assert groups._scaled_ids(1, 65536).tolist() == [0]
+    assert groups._scaled_ids(2, 32768).tolist() == [0, 32768]
+    assert groups._scaled_ids(3, 21845).dtype == np.uint16
+
+
+@pytest.mark.parametrize("cell", [70000, 65536, 65537])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, None])
+def test_cells_past_uint16_are_out_of_range_not_wrapped(cell, dtype):
+    # 65536 and 65537 would wrap to 0 and 1, the cells of C2
+    raw = [[0, 1], [1, cell]]
+    if dtype is not None:
+        raw = np.array(raw, dtype=dtype)
+    with pytest.raises(GroupValidationError, match=rf"^row 1 holds {cell}, outside 0\.\.1$"):
+        groups.from_cayley_table(raw)
+
+
+def test_cap_never_passes_the_uint16_ceiling(monkeypatch):
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", "100000")
+    assert groups.max_group_order() == groups.MAX_TABLE_ORDER == 65536
+    groups._check_cap(65536, "C65536")
+    want = "^C65537 has order 65537, above the cap of 65536$"
+    with pytest.raises(SizeLimitError, match=want):
+        groups._check_cap(65537, "C65537")
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", "1000")
+    assert groups.max_group_order() == 1000
+
+
+def test_order_past_the_ceiling_is_refused_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap was checked")
+
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", "100000")
+    for name in ("arange", "array", "empty", "zeros", "ones", "concatenate"):
+        monkeypatch.setattr(groups.np, name, refuse)
+    for spec in ("C65537", "D32769", "C2xC32769", "S9"):
+        with pytest.raises(SizeLimitError, match="above the cap of 65536$"):
+            groups.from_name(spec)
+    with pytest.raises(SizeLimitError, match="above the cap of 65536$"):
+        groups.from_cayley_table([[0]] * 65537)
 
 
 def test_values_leaving_the_package_are_python_ints():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from coset_radon import groups, iso
@@ -80,3 +82,20 @@ def test_dic3_embeds_its_center_not_klein():
     g = groups.make_dicyclic(3)
     assert iso.find_embedding(groups.make_cyclic(2), g) is not None
     assert iso.find_embedding(groups.from_name("C2xC2"), g) is None
+
+
+def test_find_embedding_leaves_no_cyclic_garbage():
+    # groups held by nothing else, so that a cycle is all that keeps them
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        s4 = groups.make_symmetric(4)
+        assert iso.find_embedding(groups.make_cyclic(3), s4)
+        assert iso.find_embedding(groups.make_dicyclic(2), s4) is None
+        del s4
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, groups.GroupTable)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

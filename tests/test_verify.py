@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -124,3 +125,18 @@ def test_random_rational_functions_draw_the_same_values():
         got = verify.random_rational_functions(n, count, seed)
         assert got == one_fraction_per_value(n, count, seed)
         assert all(type(v) is Fraction for f in got for v in f)
+
+
+def test_prime_power_splits_in_order_and_without_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        splits = verify._prime_power_splits(2, 4)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert splits == [[16], [8, 2], [4, 4], [4, 2, 2], [2, 2, 2, 2]]
+    assert found == 0
+    assert [len(verify._prime_power_splits(3, e)) for e in range(1, 9)] == [
+        1, 2, 3, 5, 7, 11, 15, 22
+    ]
