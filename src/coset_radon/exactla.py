@@ -457,17 +457,22 @@ def lift_nullspace(
     the lcm of its denominators as an int64 array. None when a residue has
     no lift or a scaled entry could leave int64. Nothing here is proven:
     the caller must check scaled against the matrix exactly.
+
+    kernel, an int64 array, is consumed: its buffer holds the int64 codes
+    and then becomes scaled, so that no other array of its size and dtype
+    is made. Pass a copy to keep it.
     """
     bound = math.isqrt((p - 1) // 2)
     # code c <= 2N stands for the integer c - N; later codes index the
     # fractions reconstructed from the residues outside [-N, N]
-    code = kernel + bound
-    code[kernel > p // 2] -= p
+    code = kernel
+    code += bound
+    code[code > p // 2 + bound] -= p  # the residues above p // 2
     big = (code < 0) | (code > 2 * bound)
     num = np.arange(-bound, bound + 1, dtype=np.int64)
     den = np.ones_like(num)
     if big.any():
-        residues, where = np.unique(kernel[big], return_inverse=True)
+        residues, where = np.unique((code[big] - bound) % p, return_inverse=True)
         pairs = [_reconstruct(x, p, bound) for x in residues.tolist()]
         if None in pairs:
             return None
@@ -478,10 +483,8 @@ def lift_nullspace(
     # a reconstructed value has a denominator above 1, since a residue
     # whose lift is an integer within [-N, N] is not big
     fractional = np.flatnonzero(big.any(axis=1)).tolist()
-    del big
     # renumber the codes in use by ascending value, so that equal bases get
-    # equal codes, in the smallest dtype; the int64 codes are freed before
-    # scaled is made
+    # equal codes, in the smallest dtype
     used = np.flatnonzero(np.bincount(code.ravel(), minlength=len(num)))
     values = [Fraction(a, b) for a, b in zip(num[used].tolist(), den[used].tolist())]
     order = sorted(range(len(used)), key=values.__getitem__)
@@ -489,9 +492,15 @@ def lift_nullspace(
     recode = np.empty(len(num), dtype=np.min_scalar_type(max(len(used) - 1, 0)))
     recode[used] = np.arange(len(used))
     codes = recode[code]
-    del code
-    num, den = num[used], den[used]
-    scaled = num[codes]
+    # scaled is written over code with no gather the size of the kernel: an
+    # integer's code less N is the integer, and each reconstructed
+    # numerator goes back where its code stood
+    scaled = code
+    numerators = num[scaled[big]]
+    scaled -= bound
+    scaled[big] = numerators
+    del big, numerators
+    den = den[used]
     for k in fractional:
         row_den = den[codes[k]]
         lcm = math.lcm(*np.unique(row_den).tolist())

@@ -350,14 +350,25 @@ def make_trivial() -> GroupTable:
 
 def make_direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """G1 x G2 with id encoding a*|G2| + b."""
-    n1, n2 = g1.order, g2.order
     recipe = f"{g1.recipe}x{g2.recipe}"
-    _check_cap(n1 * n2, recipe)
-    # axes (a1, a2, b1, b2) of the product (a1*n2 + a2) * (b1*n2 + b2); each
-    # id is below n1*n2 <= MAX_TABLE_ORDER, so the uint16 sum cannot wrap
-    high = _scaled_ids(n1, n2)[g1.table]
-    t = high[:, None, :, None] + g2.table[None, :, None, :]
-    return _build(t.reshape(n1 * n2, n1 * n2), recipe)
+    _check_cap(g1.order * g2.order, recipe)
+    return _build(_product_table([g1.table, g2.table]), recipe)
+
+
+def _product_table(tables: list[np.ndarray]) -> np.ndarray:
+    """The table of the left-associated direct product of tables, unproven:
+    the element (a1, a2, ..., ak) has the mixed-radix id
+    ((a1*n2 + a2)*n3 + ...)*nk + ak. The orders multiply to at most
+    MAX_TABLE_ORDER."""
+    t = tables[0]
+    for t2 in tables[1:]:
+        n1, n2 = len(t), len(t2)
+        # axes (a1, a2, b1, b2) of the product (a1*n2 + a2) * (b1*n2 + b2);
+        # each id is below n1*n2 <= MAX_TABLE_ORDER, so the uint16 sum
+        # cannot wrap
+        high = _scaled_ids(n1, n2)[t]
+        t = (high[:, None, :, None] + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    return t
 
 
 def _scaled_ids(n: int, step: int) -> np.ndarray:
@@ -404,46 +415,65 @@ def make_dicyclic(n: int) -> GroupTable:
     return _build(_rotations_and_flips(2 * n, n), f"Dic{n}")
 
 
-def _perm_group(perms, recipe: str) -> GroupTable:
-    """Table of permutations, one per row of a list or array, closed under
-    p*q = p o q.
+def _perm_table(p: np.ndarray) -> np.ndarray:
+    """Table of the permutations in the rows of the uint16 array p, closed
+    under p*q = p o q, unproven; the identity is the first row, as it is in
+    lexicographic order. Its temporaries die before the table is proven.
 
     Row g of the table lists the ids of g o p_j, so the row of g*s is
-    row(g)[row(s)], one gather. The rows are filled breadth first from the
-    identity, right multiplying by generators; each generator is the least
-    id not yet reached, and its row is read off the codes of its products:
-    a permutation of d letters is coded by reading its letters as base-d
-    digits.
+    row(g)[row(s)], one gather. Generators are taken one at a time, each
+    the least id not yet reached, and its row is read off the codes of its
+    products: a permutation of d letters is coded by reading its letters
+    as base-d digits. The ids reached before a generator s form a subgroup
+    R whose rows are filled, and <R, s> is the union of the right cosets
+    Rz, found breadth first from R by right multiplying by the generators.
+    Row rz is row(r)[row(z)], so a new coset is filled by one take of R's
+    rows through row(z), in blocks of rows; column 0 of those rows, rz
+    times the identity, names them.
     """
-    p = np.array(perms, dtype=np.uint16)
     n, d = p.shape
     place = d ** np.arange(d - 1, -1, -1)
     lookup = np.zeros(d**d, dtype=np.uint16)
     lookup[p @ place] = np.arange(n, dtype=np.uint16)
     t = np.empty((n, n), dtype=np.uint16)
-    t[0] = np.arange(n)  # the identity comes first in both constructors
+    t[0] = np.arange(n)
+    # a sixteenth of _BLOCK_CELLS keeps each of a coset fill's two
+    # temporaries under 128 KiB: blocks of _BLOCK_CELLS cells made them
+    # 1.8 MB each on A7 and raised the peak RSS of a build of A7 by 0.7 MB
+    step = max(1, _BLOCK_CELLS // 16 // n)
     reached, seen = [0], bytearray(n)
     seen[0] = True
     gens: list[int] = []
     while len(reached) < n:
+        sub = np.array(reached)  # R, closed under the older generators
         s = seen.index(0)
         t[s] = lookup[p[s][p] @ place]  # digit k of p_s o p_j is p_s[p_j[k]]
-        seen[s] = True
         gens.append(s)
-        # the elements reached so far are closed under the older generators
-        old = len(reached)
-        reached.append(s)
-        i = 0
-        while i < len(reached):
-            row = t[reached[i]]
-            for a in gens if i >= old else (s,):
-                h = row.item(a)
-                if not seen[h]:
-                    seen[h] = True
-                    row.take(t[a], out=t[h])
-                    reached.append(h)
-            i += 1
-    return _build(t, recipe)
+        reps = [0]  # an id in each coset reached; s is reached as 0*s
+        for y in reps:
+            row_y = t[y]
+            for a in gens:
+                z = row_y.item(a)
+                if seen[z]:
+                    continue  # seen holds whole cosets, so Rz is filled
+                row = row_y.take(t[a])
+                for lo in range(0, len(sub), step):
+                    rows = t.take(sub[lo : lo + step], axis=0).take(row, axis=1)
+                    coset = rows[:, 0]  # column 0 is r*z*e = r*z
+                    t[coset] = rows
+                    coset = coset.tolist()
+                    for h in coset:
+                        seen[h] = True
+                    reached += coset
+                reps.append(z)
+    return t
+
+
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1, one per row, in lexicographic order, the
+    order in which itertools lists them."""
+    cells = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(cells, dtype=np.uint16, count=math.factorial(n) * n).reshape(-1, n)
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -451,8 +481,7 @@ def make_symmetric(n: int) -> GroupTable:
     if n < 1:
         raise InvalidOrderError(f"symmetric degree must be >= 1, got {n}")
     _check_atoms_cap([("S", n)], f"S_{n}")
-    perms = sorted(itertools.permutations(range(n)))
-    return _perm_group(perms, f"S{n}")
+    return _build(_perm_table(_permutations(n)), f"S{n}")
 
 
 def make_alternating(n: int) -> GroupTable:
@@ -460,13 +489,11 @@ def make_alternating(n: int) -> GroupTable:
     if n < 1:
         raise InvalidOrderError(f"alternating degree must be >= 1, got {n}")
     _check_atoms_cap([("A", n)], f"A_{n}")
-    # itertools lists the permutations in lexicographic order, and a
-    # permutation is even when its inversion count is
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint16)
-    perms = perms.reshape(-1, n)
+    # a permutation is even when its inversion count is
+    perms = _permutations(n)
     i, j = np.triu_indices(n, 1)
     even = (perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0
-    return _perm_group(perms[even], f"A{n}")
+    return _build(_perm_table(perms[even]), f"A{n}")
 
 
 def make_semidirect(
@@ -534,7 +561,9 @@ def _canonical_table(raw: bytes) -> np.ndarray | None:
     json reads as this same table, so the file gives what json.loads and
     from_cayley_table give, built here with no Python object per cell. A
     canonical file of more rows than the order cap raises SizeLimitError,
-    as from_cayley_table would, before any cell is parsed.
+    as from_cayley_table would, before any cell is parsed. The byte checks
+    run over blocks of _BLOCK_CELLS bytes, so none of their masks is the
+    size of the file.
     """
     key = _TABLE_KEY.match(raw)
     head, tail = (b'{"table":', b"}") if key else (b"", b"")
@@ -550,8 +579,13 @@ def _canonical_table(raw: bytes) -> np.ndarray | None:
     if not compact.startswith(head + b"[[") or not compact.endswith(b"]]" + tail):
         return None
     if spaced:
-        digit = np.frombuffer(raw, np.uint8) - np.uint8(ord("0")) < 10
-        if np.count_nonzero(digit[1:] < digit[:-1]) != n * n:
+        # the ends of the digit runs, counted once each: a view of
+        # _BLOCK_CELLS + 1 bytes holds the _BLOCK_CELLS pairs that start in it
+        runs = 0
+        for v in _byte_blocks(raw, 1):
+            digit = v - np.uint8(ord("0")) < 10
+            runs += np.count_nonzero(digit[1:] < digit[:-1])
+        if runs != n * n:
             return None  # whitespace inside a number splits it in two
     # n - 1 row breaks take every bracket between [[ and ]], so each row
     # holds only digits and commas
@@ -562,22 +596,46 @@ def _canonical_table(raw: bytes) -> np.ndarray | None:
         return None
     flat = b",".join(rows)
     del rows
-    # the cells with a comma added at each end, so each lies between two
-    c = np.frombuffer(b"," + flat + b",", np.uint8)
-    comma = c == ord(",")
-    digit = ~comma
-    wide = digit[width:].copy()  # wide[i]: c[i..i + width] are all digits
-    for k in range(1, width + 1):
-        wide &= digit[width - k : len(c) - k]
-    if (
-        (comma[1:] & comma[:-1]).any()  # an empty cell
-        or (comma[:-2] & (c[1:-1] == ord("0")) & digit[2:]).any()  # a leading 0
-        or wide.any()
-    ):
+    if _bad_cells(flat, width):
         return None
-    del c, comma, digit, wide  # before the table is allocated
     _check_cap(n, "table")
     return np.fromstring(flat, dtype=np.int32, sep=",").reshape(n, n)
+
+
+def _byte_blocks(data: bytes, overlap: int):
+    """Read-only uint8 views of data, one starting every _BLOCK_CELLS bytes,
+    each running overlap bytes into the next, so that every window of up
+    to overlap + 1 bytes lies whole in the view where it starts."""
+    c = np.frombuffer(data, np.uint8)
+    for lo in range(0, len(c), _BLOCK_CELLS):
+        yield c[lo : lo + _BLOCK_CELLS + overlap]
+
+
+def _bad_cells(flat: bytes, width: int) -> bool:
+    """Whether flat, the cells of a table joined by commas, holds an empty
+    cell, a number with a leading zero or a number of more than width
+    digits. flat holds only digits and commas. The masks run over
+    _byte_blocks with width + 1 bytes of overlap, so that their
+    temporaries stay within a few blocks; the ends are checked on their
+    own, since no comma stands before the first cell or after the last."""
+    comma, zero = ord(","), ord("0")
+    if not flat or flat[0] == comma or flat[-1] == comma:
+        return True  # an empty first or last cell
+    if flat[0] == zero and flat[1:2] not in (b"", b","):
+        return True  # a leading 0 in the first cell
+    for v in _byte_blocks(flat, width + 1):
+        sep = v == comma
+        digit = ~sep
+        if (sep[:-1] & sep[1:]).any():  # an empty cell
+            return True
+        if (sep[:-2] & (v[1:-1] == zero) & digit[2:]).any():  # a leading 0
+            return True
+        wide = digit[width:].copy()  # wide[i]: v[i..i + width] are all digits
+        for k in range(1, width + 1):
+            wide &= digit[width - k : len(v) - k]
+        if wide.any():
+            return True
+    return False
 
 
 def from_cayley_table(raw) -> GroupTable:
@@ -587,8 +645,11 @@ def from_cayley_table(raw) -> GroupTable:
     _canonical_table reads from a file; the array's dtype already proves
     its cells are ints, so only their range is checked, and it is copied
     as uint16.
-    If the two-sided identity is not element 0, ids 0 and the identity are
-    swapped so the 0-at-identity convention holds.
+    If the two-sided identity e is not element 0, ids 0 and e are swapped
+    so the 0-at-identity convention holds: a copy of the cells is mapped
+    through the swap, and its rows 0 and e, then its columns 0 and e, are
+    exchanged. The cells themselves stay as read, for _check_latin to word
+    a rejection.
     """
     is_array = isinstance(raw, np.ndarray) and raw.ndim == 2 and raw.dtype.kind in "iu"
     if not is_array and not isinstance(raw, (list, tuple)):
@@ -606,7 +667,9 @@ def from_cayley_table(raw) -> GroupTable:
         if e != 0:
             swap = np.arange(n, dtype=np.uint16)
             swap[0], swap[e] = e, 0
-            t = swap[cells[np.ix_(swap, swap)]]
+            t = swap[cells]
+            t[[0, e]] = t[[e, 0]]
+            t[:, [0, e]] = t[:, [e, 0]]
             label += f"[id was {e}]"
         return _build(t, label)
     except GroupValidationError:
@@ -934,10 +997,13 @@ def _check_atoms_cap(atoms: list[tuple[str, int]], what: str) -> None:
 
 def from_name(spec: str) -> GroupTable:
     """Build a group from a short expression: atoms C/D/Dic/S/A followed by
-    a number, combined left-associatively with x for direct products.
+    a number, joined by x for direct products.
 
     The order of the whole expression is checked against the cap before
-    any factor is built."""
+    any factor is built. Each distinct atom is built, and proven, once; a
+    product is then one table, written in one left-associated mixed-radix
+    pass over the atoms' tables (the ids and recipe of folding
+    make_direct_product over them) and proven once by _build."""
     parts = spec.strip().split("x")
     if not parts or any(not p for p in parts):
         raise GroupSpecError(f"cannot parse group expression {spec!r}")
@@ -958,8 +1024,9 @@ def from_name(spec: str) -> GroupTable:
                 f"above the cap of {max_group_order()}"
             ) from None
     _check_atoms_cap(atoms, spec.strip())
-    built = None
-    for kind, k in atoms:
-        g = _ATOM_MAKERS[kind](k)
-        built = g if built is None else make_direct_product(built, g)
-    return built
+    made = {atom: _ATOM_MAKERS[atom[0]](atom[1]) for atom in dict.fromkeys(atoms)}
+    factors = [made[atom] for atom in atoms]
+    if len(factors) == 1:
+        return factors[0]
+    recipe = "x".join(g.recipe for g in factors)
+    return _build(_product_table([g.table for g in factors]), recipe)

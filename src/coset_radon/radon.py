@@ -285,6 +285,7 @@ def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
     fails or does not annihilate every row exactly,
     exactla.rational_nullspace."""
     p = exactla.P
+    # the lift writes over the kernel mod P it is given, so it gets a fresh one
     lifted = exactla.lift_nullspace(exactla.nullspace_mod(echelon, p), p)
     if lifted is not None and _annihilates(sys, lifted[2]):
         return KernelBasis(*lifted[:2])

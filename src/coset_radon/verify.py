@@ -163,18 +163,30 @@ def groups_upto(max_order: int) -> list[GroupTable]:
     return [g for g in out if g.order <= max_order]
 
 
-# every value random_rational_functions can draw, built once
-_FRACTIONS = {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 8)}
+# every value random_rational_functions can draw, by its two draws:
+# _FRACTIONS[a + 9][b - 1] is a/b
+_FRACTIONS = [[Fraction(a, b) for b in range(1, 8)] for a in range(-9, 10)]
 
 
 def random_rational_functions(n: int, count: int, seed: int) -> list[list[Fraction]]:
     """count lists of n values a/b, with a drawn from -9..9 and then b from
-    1..7 by random.Random(seed)."""
-    rng = random.Random(seed)
-    return [
-        [_FRACTIONS[rng.randint(-9, 9), rng.randint(1, 7)] for _ in range(n)]
-        for _ in range(count)
-    ]
+    1..7 by random.Random(seed), as rng.randint(-9, 9) and rng.randint(1, 7)
+    would draw them: a + 9 is the first draw of 5 random bits that is below
+    19, and b - 1 the first draw of 3 random bits that is below 7."""
+    bits = random.Random(seed).getrandbits
+    out = []
+    for _ in range(count):
+        f = []
+        for _ in range(n):
+            a = bits(5)
+            while a >= 19:
+                a = bits(5)
+            b = bits(3)
+            while b == 7:
+                b = bits(3)
+            f.append(_FRACTIONS[a][b])
+        out.append(f)
+    return out
 
 
 def _inj(g: GroupTable, variant: str = "prime") -> bool:

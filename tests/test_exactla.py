@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -574,10 +576,87 @@ def test_lift_reconstructs_a_fractional_kernel():
 def test_lift_codes_take_the_smallest_unsigned_dtype(distinct, dtype):
     # the residues 0 .. distinct - 1 lift to themselves, one code each
     kernel = np.arange(distinct, dtype=np.int64).repeat(2).reshape(2, distinct)
-    codes, values, scaled = exactla.lift_nullspace(kernel, exactla.P)
+    codes, values, scaled = exactla.lift_nullspace(kernel.copy(), exactla.P)
     assert codes.dtype == dtype
     assert values == tuple(range(distinct))
     assert np.array_equal(codes, kernel) and np.array_equal(scaled, kernel)
+
+
+def _lift_with_fresh_arrays(kernel, p):
+    """lift_nullspace as it was before it wrote over its input: code and
+    scaled are arrays of their own, and kernel is left as it is."""
+    bound = math.isqrt((p - 1) // 2)
+    code = kernel + bound
+    code[kernel > p // 2] -= p
+    big = (code < 0) | (code > 2 * bound)
+    num = np.arange(-bound, bound + 1, dtype=np.int64)
+    den = np.ones_like(num)
+    if big.any():
+        residues, where = np.unique(kernel[big], return_inverse=True)
+        pairs = [exactla._reconstruct(x, p, bound) for x in residues.tolist()]
+        if None in pairs:
+            return None
+        num = np.concatenate([num, [a for a, _ in pairs]])
+        den = np.concatenate([den, [b for _, b in pairs]])
+        code[big] = 2 * bound + 1 + where.ravel()
+    fractional = np.flatnonzero(big.any(axis=1)).tolist()
+    used = np.flatnonzero(np.bincount(code.ravel(), minlength=len(num)))
+    values = [Fraction(a, b) for a, b in zip(num[used].tolist(), den[used].tolist())]
+    order = sorted(range(len(used)), key=values.__getitem__)
+    used = used[order]
+    recode = np.empty(len(num), dtype=np.min_scalar_type(max(len(used) - 1, 0)))
+    recode[used] = np.arange(len(used))
+    codes = recode[code]
+    num, den = num[used], den[used]
+    scaled = num[codes]
+    for k in fractional:
+        row_den = den[codes[k]]
+        lcm = math.lcm(*np.unique(row_den).tolist())
+        if lcm * bound >= 2**63:
+            return None
+        scaled[k] *= lcm // row_den
+    return codes, tuple(values[i] for i in order), scaled
+
+
+@given(lift_matrices())
+@example(([[1, 2]], 2))
+@example(([[2, 0, 3]], 3))
+@example(([[4096, 1], [0, 0]], 2))
+@settings(max_examples=200, deadline=None)
+def test_lift_in_place_matches_fresh_arrays(matrix):
+    rows, n = matrix
+    p = exactla.P
+    kernel = exactla.nullspace_mod(exactla.echelon_mod(rows, n, p), p)
+    want = _lift_with_fresh_arrays(kernel, p)
+    mine = kernel.copy()
+    got = exactla.lift_nullspace(mine, p)
+    if want is None:
+        assert got is None
+        return
+    codes, values, scaled = got
+    assert values == want[1]
+    assert codes.dtype == want[0].dtype and np.array_equal(codes, want[0])
+    assert scaled.dtype == np.int64 and np.array_equal(scaled, want[2])
+    assert scaled is mine  # written over the kernel it was given
+
+
+def test_lift_peak_memory_on_a_wide_kernel():
+    # the kernel of C1000's maximal system, one row of ones: 999 x 1,000
+    # int64, 8.0 MB. With code and scaled arrays of their own the lift
+    # peaked 10.0 MB above its input; written over it, 2.1 MB: the masks
+    # and the codes, a byte an entry each
+    n, p = 1000, exactla.P
+    kernel = exactla.nullspace_mod(np.ones((1, n), dtype=np.int64), p)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        codes, values, scaled = exactla.lift_nullspace(kernel, p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert values == (-1, 0, 1) and codes.dtype == np.uint8
+    assert scaled is kernel and scaled[5, 5] == 1 and scaled[5, n - 1] == -1
+    assert peak <= 0.4 * kernel.nbytes, peak
 
 
 def test_kernel_entry_above_lift_bound_is_not_certified():

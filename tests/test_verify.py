@@ -121,7 +121,9 @@ def test_random_rational_functions_draw_the_same_values():
             for _ in range(count)
         ]
 
-    for n, count, seed in [(12, 20, 0), (48, 20, 7 ^ 48), (5, 3, 12345), (1, 1, 2**40)]:
+    cases = [(12, 20, 0), (48, 20, 7 ^ 48), (5, 3, 12345), (1, 1, 2**40)]
+    cases += [(1, 30, 9), (4, 0, 5), (3, 4, 2**64 + 3)]
+    for n, count, seed in cases:
         got = verify.random_rational_functions(n, count, seed)
         assert got == one_fraction_per_value(n, count, seed)
         assert all(type(v) is Fraction for f in got for v in f)
