@@ -16,7 +16,7 @@ class CosetRadonError(Exception):
 
 
 class InvalidOrderError(CosetRadonError):
-    """A size or modulus parameter is out of range."""
+    """A size, modulus or element id parameter is out of range."""
 
 
 class SizeLimitError(CosetRadonError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOrderError, InvalidVariantError, NoGeodesicsError
-from .groups import GroupTable, SubgroupSet, cyclic_subgroup, left_cosets
+from .groups import GroupTable, SubgroupSet, _element_id, cyclic_subgroup, left_cosets
 
 __all__ = [
     "Geodesic",
@@ -132,4 +132,4 @@ def composite_orbit(g: GroupTable, hom: Homomorphism, x: int) -> tuple[int, ...]
     Each member of the coset x*<gen> shows up n / |<gen>| times.
     """
     steps = g.powers(hom.image_generator, hom.domain_order)
-    return tuple(sorted(g.table[x, steps].tolist()))
+    return tuple(sorted(g.table[_element_id(g, x), steps].tolist()))

@@ -332,16 +332,19 @@ def _build(t: np.ndarray, recipe: str) -> GroupTable:
 # constructors
 
 
+def _cyclic_window(n: int) -> np.ndarray:
+    """The read-only uint16 table of (i + j) mod n: row i is the window at
+    i of 0..n-1 written twice."""
+    k = np.arange(n, dtype=np.uint16)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([k, k]), n)[:n]
+
+
 def make_cyclic(n: int) -> GroupTable:
     """C_n with addition mod n."""
     if n < 1:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {n}")
     _check_cap(n, f"C{n}")
-    # row i is (i + j) mod n: the window at i of 0..n-1 written twice
-    k = np.arange(n, dtype=np.uint16)
-    kk = np.concatenate([k, k])
-    t = np.lib.stride_tricks.sliding_window_view(kk, n)[:n].copy()
-    return _build(t, f"C{n}")
+    return _build(_cyclic_window(n).copy(), f"C{n}")
 
 
 def make_trivial() -> GroupTable:
@@ -381,20 +384,16 @@ def _scaled_ids(n: int, step: int) -> np.ndarray:
 def _rotations_and_flips(m: int, fold: int) -> np.ndarray:
     """Table of <r, s | r^m = 1, s^2 = r^fold, r^k s = s r^-k>.
 
-    The element s^f r^k has id f*m + k.
+    The element s^f r^k has id f*m + k. Each block gathers rows of add,
+    add[a, k2] = r^(a + k2), plus m where s remains; ids stay below 2m.
     """
-    k = np.arange(m, dtype=np.uint16)  # every sum below is below 2m <= 65,536
-    add = k[:, None] + k  # r^k1 r^k2
-    add %= m
-    sub = (k + m) - k[:, None]  # r^k1 s r^k2 = s r^(k2 - k1), kept positive
-    sub %= m
+    add = _cyclic_window(m)  # r^k1 r^k2
+    k = np.arange(m)
     t = np.empty((2 * m, 2 * m), dtype=np.uint16)
     t[:m, :m] = add
     t[m:, :m] = add + m
-    t[:m, m:] = sub + m
-    sub += fold  # s r^k1 s r^k2 = s^2 r^(k2 - k1)
-    sub %= m
-    t[m:, m:] = sub
+    t[:m, m:] = add[-k % m] + m  # r^k1 s r^k2 = s r^(k2 - k1)
+    t[m:, m:] = add[(fold - k) % m]  # s r^k1 s r^k2 = s^2 r^(k2 - k1)
     return t
 
 
@@ -750,18 +749,25 @@ def _two_sided_identity(t: np.ndarray) -> int | None:
 # subgroups, cosets, quotients
 
 
+def _element_id(g: GroupTable, x) -> int:
+    """x, refused unless it is an element id of g: a non-bool int in 0..|G|-1."""
+    if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < g.order:
+        raise InvalidOrderError(f"{x!r} is not an element id 0..{g.order - 1}")
+    return x
+
+
 def cyclic_subgroup(g: GroupTable, x: int) -> SubgroupSet:
     """The subgroup generated by a single element."""
-    return SubgroupSet(tuple(sorted(g.powers(x))), generator=x)
+    return SubgroupSet(tuple(sorted(g.powers(_element_id(g, x)))), generator=x)
 
 
 def subgroup_from_elements(g: GroupTable, elems) -> SubgroupSet:
-    """Check closure, identity and inverses, then wrap the set.
+    """Check element ids, closure, identity and inverses, then wrap the set.
 
     A failure names the first element, in sorted order, whose inverse is
     missing or whose products escape the set.
     """
-    got = sorted(set(elems))
+    got = sorted({_element_id(g, x) for x in elems})
     if 0 not in got:
         raise NotSubgroupError("subgroup must contain the identity 0")
     h = np.array(got)

@@ -64,23 +64,22 @@ def _extend_hom(
     return phi
 
 
-def _search(h: GroupTable, g: GroupTable, injective: bool) -> list[int] | None:
+def _search(h: GroupTable, g: GroupTable) -> list[int] | None:
+    """An injective homomorphism h -> g as an image list, or None: each
+    generator of h goes to an element of g of the same order."""
     gens = generating_sequence(h)
     if not gens:
         return [0] if g.order >= 1 else None
     candidates = []
     for gen in gens:
         d = h.elt_order[gen]
-        if injective:
-            pool = [x for x in range(g.order) if g.elt_order[x] == d]
-        else:
-            pool = [x for x in range(g.order) if d % g.elt_order[x] == 0]
+        pool = [x for x in range(g.order) if g.elt_order[x] == d]
         if not pool:
             return None
         candidates.append(pool)
     for chosen in itertools.product(*candidates):
         phi = _extend_hom(h, g, gens, chosen)
-        if phi is not None and (not injective or len(set(phi)) == h.order):
+        if phi is not None and len(set(phi)) == h.order:
             return phi
     return None
 
@@ -89,7 +88,7 @@ def find_embedding(h: GroupTable, g: GroupTable) -> list[int] | None:
     """An injective homomorphism h -> g as an image list, or None."""
     if g.order % h.order != 0:
         return None
-    return _search(h, g, injective=True)
+    return _search(h, g)
 
 
 def find_isomorphism(g: GroupTable, h: GroupTable) -> list[int] | None:
@@ -97,7 +96,7 @@ def find_isomorphism(g: GroupTable, h: GroupTable) -> list[int] | None:
         return None
     if Counter(g.elt_order) != Counter(h.elt_order):
         return None
-    return _search(g, h, injective=True)
+    return _search(g, h)
 
 
 def are_isomorphic(g: GroupTable, h: GroupTable) -> bool:

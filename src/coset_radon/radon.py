@@ -37,14 +37,14 @@ KernelBasis holds an integer code per entry into the distinct values the
 basis takes, as the lift finds them; the fallback and the empty basis are
 converted to the same form. Its Fraction vectors are built only when read,
 and its entry strings write each distinct value once. A family is listed
-only by geodesics._family_subgroups, or read back off a group system's
-rows; a system keeps rows.
+only by geodesics._family_subgroups and held by the system build_system
+makes on it; any other system is answered from its rows alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -67,6 +67,7 @@ from .groups import (
     _BLOCK_CELLS,
     GroupTable,
     SubgroupSet,
+    _element_id,
     _left_coset_array,
     _row_blocks,
     conjugacy_classes,
@@ -104,10 +105,15 @@ class RadonSystem:
     Row i sums f over indices[indptr[i]:indptr[i + 1]], a nonempty sorted
     multiset of columns: a coset for a geodesic, the points an orbit visits
     (with multiplicity) for a flow. Both arrays are read-only. A group
-    system's rows are the cosets of geodesics._family_subgroups(group,
-    variant), a block per subgroup, and its indices are uint16 ids, as in
-    the Cayley table; a flow system's are int32, and it keeps each row's
-    orbit start state in starts. matrix and rows are built on every access.
+    system's indices are uint16 ids, as in the Cayley table; a flow
+    system's are int32, and it keeps each row's orbit start state in
+    starts. matrix and rows are built on every access.
+
+    family is the tuple of subgroups build_system listed, whose cosets are
+    the rows, a block per subgroup. Only build_system sets it: it is no
+    constructor argument, and dataclasses.replace drops it. Any system
+    without one (a flow, or a group system built by hand) is answered from
+    its rows alone.
     """
 
     group: GroupTable | None
@@ -116,6 +122,7 @@ class RadonSystem:
     indices: np.ndarray
     ncols: int
     starts: np.ndarray | None = None
+    family: tuple[SubgroupSet, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for arr in (self.indptr, self.indices, self.starts):
@@ -137,9 +144,9 @@ class RadonSystem:
         state of each row's orbit for a flow system."""
         if self.group is None:
             return tuple(map(tuple, self.starts.tolist()))
-        return tuple(
-            _geodesics_for(self.group, _family_subgroups(self.group, self.variant))
-        )
+        if self.family is None:
+            raise InvalidVariantError("only a system build_system made has geodesics")
+        return tuple(_geodesics_for(self.group, self.family))
 
 
 def _indptr(lengths) -> np.ndarray:
@@ -252,13 +259,15 @@ def build_system(g: GroupTable, variant: str = "prime") -> RadonSystem:
 def _build_system(g: GroupTable, variant: str, subs) -> RadonSystem:
     """build_system(g, variant), on its family subs already listed."""
     sizes = [len(sub) for sub in subs]
-    return RadonSystem(
+    sys = RadonSystem(
         group=g,
         variant=variant,
         indptr=_indptr(np.repeat(sizes, [g.order // h for h in sizes])),
         indices=np.concatenate([_left_coset_array(g, sub).ravel() for sub in subs]),
         ncols=g.order,
     )
+    object.__setattr__(sys, "family", tuple(subs))
+    return sys
 
 
 def apply(sys: RadonSystem, f) -> tuple:
@@ -273,9 +282,10 @@ def apply(sys: RadonSystem, f) -> tuple:
 
 def kernel(sys: RadonSystem) -> KernelBasis:
     """Exact rational kernel in reduced row-echelon form, from the route of
-    the system's verdict: empty when the centre or a full rank mod
-    exactla.P certifies, else read off the elimination mod P and summed
-    back exactly over every row, so a KernelBasis in hand is a certificate."""
+    the system's verdict: empty when the centre of the family build_system
+    left on it or a full rank mod exactla.P certifies, else read off the
+    elimination mod P and summed back exactly over every row, so a
+    KernelBasis in hand is a certificate."""
     return _verdict(sys)[1]
 
 
@@ -390,46 +400,31 @@ def _matrix_verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
 
 
 def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
-    """The verdict on a built system, with the kernel basis that settled it:
-    _group_verdict for a group system, the matrix route for a flow."""
-    if sys.group is None:
-        return _matrix_verdict(sys)
-    return _group_verdict(sys.group, sys.variant, sys)[:2]
+    """The verdict on a system, with the kernel basis that settled it: the
+    centre of its family when that certifies, else the matrix route."""
+    verdict = sys.family and _centre_verdict(sys.group, sys.variant, sys.family)
+    return (verdict, _NO_KERNEL) if verdict else _matrix_verdict(sys)
 
 
 def _group_verdict(
-    g: GroupTable, variant: str, sys: RadonSystem | None = None
+    g: GroupTable, variant: str
 ) -> tuple[InjectivityVerdict, KernelBasis, RadonSystem | None]:
     """The verdict on g's family, the kernel basis that settled it, and the
-    family's system. The centre is asked first, on the family read off sys,
-    a build_system(g, variant) already in hand, or else listed here; when
-    it does not certify, the matrix route runs on sys, or on a system built
-    now from that listing."""
-    subs = _family_subgroups(g, variant) if sys is None else _system_family(sys)
+    family's system, or None when the centre certified before any row was
+    built; the matrix route runs on a system built on the family the
+    centre was asked on."""
+    subs = _family_subgroups(g, variant)
     verdict = _centre_verdict(g, variant, subs)
     if verdict is not None:
-        return verdict, _NO_KERNEL, sys
-    if sys is None:
-        sys = _build_system(g, variant, subs)
+        return verdict, _NO_KERNEL, None
+    sys = _build_system(g, variant, subs)
     return (*_matrix_verdict(sys), sys)
 
 
-def _system_family(sys: RadonSystem) -> list[SubgroupSet]:
-    """The subgroups of a group system, read off its rows: a coset xH holds
-    e only when xH = H, so the rows whose first sorted column is 0, the
-    identity, are exactly the family's subgroups."""
-    starts = sys.indptr[:-1]
-    heads = np.flatnonzero(sys.indices[starts] == 0)
-    return [
-        SubgroupSet(tuple(sys.indices[a:b].tolist()))
-        for a, b in zip(starts[heads].tolist(), sys.indptr[heads + 1].tolist())
-    ]
-
-
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
-    """(rank, kernel_dim, method): a unit in the centre or a full rank mod
-    exactla.P certifies full rational rank; otherwise the exactly proven
-    kernel settles the rank."""
+    """(rank, kernel_dim, method): a unit in the centre of the system's
+    family, if it holds one, or a full rank mod exactla.P certifies full
+    rational rank; otherwise the exactly proven kernel settles the rank."""
     v = _verdict(sys)[0]
     return v.rank, v.kernel_dim, v.method
 
@@ -449,16 +444,15 @@ def group_sum_from_radon(sys: RadonSystem, values) -> Fraction:
 
     The cosets of any one subgroup partition the group, so summing that
     subgroup's rows gives the plain sum of f. (In point-indexed form this is
-    the 1/n-weighted identity; deduplicated rows absorb the factor n.)
+    the 1/n-weighted identity; deduplicated rows absorb the factor n.) The
+    first subgroup of a built system's family gives the first block.
     """
-    if sys.variant not in VARIANTS:
-        raise InvalidVariantError("group sum needs a geodesic system")
+    if sys.family is None:
+        raise InvalidVariantError("group sum needs a system build_system made")
     vals = list(values)
     if len(vals) != sys.nrows:
         raise DimensionError(f"got {len(vals)} values for {sys.nrows} rows")
-    # the first block of rows holds the cosets of the first subgroup, each
-    # as long as the subgroup
-    return Fraction(sum(vals[: sys.ncols // int(sys.indptr[1])]))
+    return Fraction(sum(vals[: sys.ncols // len(sys.family[0])]))
 
 
 def _elementary_square_prime(g: GroupTable) -> int:
@@ -478,19 +472,16 @@ def reconstruct_cpxcp(sys: RadonSystem, values, x: int) -> Fraction:
     With rows deduplicated to one per coset, each of the p+1 subgroup
     directions contributes its coset through x once; those sums count f(x)
     p+1 times and everything else once, so subtracting the total mass and
-    dividing by p isolates f(x).
+    dividing by p isolates f(x), on the prime system build_system made.
     """
-    if sys.variant != "prime":
-        raise InvalidVariantError("reconstruction is defined on the prime system")
-    g = sys.group
-    p = _elementary_square_prime(g)
+    if sys.variant != "prime" or sys.family is None:
+        raise InvalidVariantError("reconstruction needs build_system's prime system")
+    p = _elementary_square_prime(sys.group)
     vals = list(values)
-    if len(vals) != sys.nrows:
-        raise DimensionError(f"got {len(vals)} values for {sys.nrows} rows")
-    hits = np.searchsorted(sys.indptr, np.flatnonzero(sys.indices == x), "right") - 1
-    through_x = sum(vals[i] for i in hits.tolist())
-    total = group_sum_from_radon(sys, vals)
-    return (Fraction(through_x) - total) / p
+    total = group_sum_from_radon(sys, vals)  # one value per row, checked
+    through_x = np.flatnonzero(sys.indices == _element_id(sys.group, x))
+    hits = np.searchsorted(sys.indptr, through_x, "right") - 1
+    return (Fraction(sum(vals[i] for i in hits.tolist())) - total) / p
 
 
 def reconstruct_all(sys: RadonSystem, values) -> tuple[Fraction, ...]:

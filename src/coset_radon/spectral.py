@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -274,22 +275,16 @@ def plancherel_defect(ct: CharacterTable, f) -> float:
     return abs(lhs - rhs)
 
 
+@cache
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    if n in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[n]
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _divmod_monic(poly, _cyclotomic(d))
             if any(rem):
                 raise AssertionError("nonzero remainder in cyclotomic division")
-    out = tuple(poly)
-    _CYCLOTOMIC_CACHE[n] = out
-    return out
-
-
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
+    return tuple(poly)
 
 
 def _divmod_monic(num, den) -> tuple[list[int], list[int]]:

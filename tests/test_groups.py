@@ -220,6 +220,46 @@ def test_subgroup_helpers():
         groups.subgroup_from_elements(g, [0, 1, 2])
 
 
+def _c3xc3_reconstruction(x):
+    sys = radon.build_system(groups.from_name("C3xC3"), "prime")
+    return radon.reconstruct_cpxcp(sys, radon.apply(sys, range(9)), x)
+
+
+def _c3xc3_orbit(x):
+    return geodesics.composite_orbit(
+        groups.from_name("C3xC3"), geodesics.Homomorphism(3, 1), x
+    )
+
+
+def _c4_subgroup(x):
+    return groups.cyclic_subgroup(groups.make_cyclic(4), x)
+
+
+def _c4_set(x):
+    return groups.subgroup_from_elements(groups.make_cyclic(4), [0, 2, x])
+
+
+@pytest.mark.parametrize(
+    "call, x",
+    [
+        (call, x)
+        for call, n in [
+            (_c3xc3_reconstruction, 9),
+            (_c3xc3_orbit, 9),
+            (_c4_subgroup, 4),
+            (_c4_set, 4),
+        ]
+        for x in (n, -1, 10**9, True, 2.0, "1", None)
+    ]
+    + [(_c4_set, 7)],
+)
+def test_public_entry_points_refuse_a_bad_element_id(call, x):
+    with pytest.raises(InvalidOrderError) as info:
+        call(x)
+    message = str(info.value)
+    assert len(message.splitlines()) == 1 and repr(x) in message
+
+
 def test_quotient_of_dihedral_by_rotations():
     d4 = groups.make_dihedral(4)
     rot = groups.subgroup_from_elements(d4, [0, 1, 2, 3])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -822,15 +823,85 @@ def test_a_built_system_lists_its_family_once(monkeypatch, name, variant):
     assert listed == [variant]
 
 
-def test_the_family_read_off_a_system_is_the_listed_family():
+def test_a_built_system_holds_the_listed_family():
     for g in verify.groups_upto(24):
         if g.order > 1:
             for variant in radon.VARIANTS:
                 listed = geodesics._family_subgroups(g, variant)
-                read = radon._system_family(radon.build_system(g, variant))
-                assert sorted(s.elements for s in read) == sorted(
-                    tuple(s.elements) for s in listed
-                )
+                assert radon.build_system(g, variant).family == tuple(listed)
+
+
+def test_only_build_system_sets_a_family():
+    g = groups.from_name("C2xC2")
+    built = radon.build_system(g, "prime")
+    with pytest.raises(TypeError):
+        radon.RadonSystem(
+            group=g, variant="prime", indptr=built.indptr, indices=built.indices,
+            ncols=4, family=built.family,
+        )
+    with pytest.raises(AttributeError):
+        built.family = None
+    assert "family" not in repr(built)
+    copy = dataclasses.replace(built)
+    assert copy.family is None
+    assert radon.decide_system(copy) == radon.decide_system(built)
+    assert flows.flow_radon_system(flows.constant_flow(4)).family is None
+
+
+def _hand_group_system(g, rows):
+    """A prime group system of g on the given sorted cosets, not built by
+    build_system, so it holds no family."""
+    return radon.RadonSystem(
+        group=g,
+        variant="prime",
+        indptr=radon._indptr([len(row) for row in rows]),
+        indices=np.array([j for row in rows for j in row], dtype=np.uint16),
+        ncols=g.order,
+    )
+
+
+def _subgroup_rows(g):
+    return [s.elements for s in geodesics._family_subgroups(g, "prime")]
+
+
+def test_a_hand_built_group_system_is_answered_from_its_rows():
+    # the three subgroup rows of C2xC2 meet at the identity only: rank 3,
+    # although the centre of those three subgroups is a unit
+    g = groups.from_name("C2xC2")
+    sys = _hand_group_system(g, _subgroup_rows(g))
+    assert sys.family is None
+    assert radon.decide_system(sys) == (3, 1, "exact-elimination")
+    assert radon.kernel(sys).vectors == ((1, -1, -1, -1),)
+    assert exactla.rank_exact(sys.matrix, 4) == 3
+    with pytest.raises(InvalidVariantError):
+        sys.rows
+    values = radon.apply(sys, [1, 2, 3, 4])
+    with pytest.raises(InvalidVariantError):
+        radon.group_sum_from_radon(sys, values)
+    with pytest.raises(InvalidVariantError):
+        radon.reconstruct_cpxcp(sys, values, 0)
+    with pytest.raises(InvalidVariantError):
+        radon.reconstruct_all(sys, values)
+
+
+def test_hand_built_coset_subsets_get_their_exact_rank():
+    # random sets of C3xC3's coset rows, always with the four subgroups
+    g = groups.from_name("C3xC3")
+    heads = _subgroup_rows(g)
+    others = [
+        row for row in (geo.coset for geo in geodesics.prime_geodesics(g))
+        if row not in heads
+    ]
+    rng = random.Random(23)
+    ranks = Counter()
+    for _ in range(60):
+        rows = heads + rng.sample(others, rng.randint(0, len(others)))
+        sys = _hand_group_system(g, sorted(rows))
+        rank, dim, _ = radon.decide_system(sys)
+        assert rank == exactla.rank_exact(sys.matrix, 9)
+        assert radon.kernel(sys).dim == dim == 9 - rank
+        ranks[rank] += 1
+    assert len(ranks) > 1
 
 
 def test_kernel_basis_builds_its_vectors_once_on_request():

@@ -157,6 +157,51 @@ def test_permutations_come_in_lexicographic_order():
 
 
 # ---------------------------------------------------------------------------
+# cyclic, dihedral and dicyclic tables: rows of one window table
+
+
+def _with_remainders(m: int, fold: int) -> np.ndarray:
+    """The table of _rotations_and_flips from two % passes over m x m sums:
+    the construction the window rows replaced."""
+    k = np.arange(m, dtype=np.uint16)
+    add = k[:, None] + k
+    add %= m
+    sub = (k + m) - k[:, None]
+    sub %= m
+    t = np.empty((2 * m, 2 * m), dtype=np.uint16)
+    t[:m, :m] = add
+    t[m:, :m] = add + m
+    t[:m, m:] = sub + m
+    sub += fold
+    sub %= m
+    t[m:, m:] = sub
+    return t
+
+
+@pytest.mark.parametrize(
+    "m, folds",
+    [(m, range(m)) for m in range(1, 24)]
+    + [(m, sorted({0, m // 2})) for m in range(24, 60)]
+    + [(2520, [0, 1260])],
+)
+def test_rotations_and_flips_match_the_remainder_passes(m, folds):
+    for fold in folds:
+        got = groups._rotations_and_flips(m, fold)
+        assert got.dtype == np.uint16
+        assert got.tobytes() == _with_remainders(m, fold).tobytes(), (m, fold)
+
+
+@pytest.mark.parametrize("n", [*range(1, 60), 2520])
+def test_cyclic_window_is_addition_mod_n(n):
+    k = np.arange(n)
+    want = ((k[:, None] + k) % n).astype(np.uint16)
+    got = groups._cyclic_window(n)
+    assert got.dtype == np.uint16 and got.tobytes() == want.tobytes()
+    if n < 60:
+        assert groups.make_cyclic(n).table.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # a table whose identity is not 0: one gather and two swaps
 
 
