@@ -780,11 +780,7 @@ def subgroup_from_elements(g: GroupTable, elems) -> SubgroupSet:
             raise NotSubgroupError(f"inverse of {got[i]} is missing from the set")
         b = got[np.argmin(closed[i])]
         raise NotSubgroupError(f"set is not closed: {got[i]}*{b} escapes it")
-    generator = None
-    for x in got:
-        if g.elt_order[x] == len(got):
-            generator = x
-            break
+    generator = next((x for x in got if g.elt_order[x] == len(got)), None)
     return SubgroupSet(tuple(got), generator=generator)
 
 
@@ -894,33 +890,30 @@ def is_cyclic(g: GroupTable) -> bool:
 
 
 def abelian_basis(g: GroupTable) -> list[tuple[int, int]]:
-    """Generators (element, order) splitting an abelian group into cyclics.
+    """Generators (element, order) splitting an abelian group into cyclics,
+    orders the invariant factors largest first (each divides the previous).
 
-    Orders come out as a divisibility chain d_1 >= d_2 >= ... (each dividing
-    the previous), found by repeatedly splitting off an element of maximal
-    order and lifting the basis of the quotient back up.
+    One greedy pass: for each factor d, the generator is the least y of
+    order d whose powers y^(d/p), p a prime dividing d, all lie outside the
+    span H chosen so far, i.e. <y> meets H only at e. If H is a summand
+    whose complement has the factors left, d is the exponent of G/H, and
+    that complement holds such a y. Then y + H has order d, the exponent
+    of G/H, so <y + H> is a summand of G/H: H + <y> is direct, again a
+    summand, and its complement has the factors left after d.
     """
-    if not is_abelian(g):
-        raise NotAbelianError(f"{g.recipe} is not abelian")
-    return _abelian_basis_inner(g)
-
-
-def _abelian_basis_inner(g: GroupTable) -> list[tuple[int, int]]:
-    if g.order == 1:
-        return []
-    d = max(g.elt_order)
-    x = g.elt_order.index(d)
-    powers = g.powers(x)
-    log = {p: k for k, p in enumerate(powers)}
-    q, proj = quotient_with_projection(g, SubgroupSet(tuple(sorted(powers)), x))
-    out = [(x, d)]
-    for yq, m in _abelian_basis_inner(q):
-        y = proj.index(yq)
-        s = log[g.power(y, m)]
-        # max order of x makes s a multiple of m, so the lift lands on order m
-        if s % m != 0:
-            raise GroupValidationError("abelian basis lift failed; table is corrupt")
-        out.append((g.table.item(y, powers[-(s // m) % d]), m))
+    factors = invariant_factors(g)  # refuses a nonabelian group
+    t, orders = g.table, np.array(g.elt_order)
+    span = np.zeros(g.order, dtype=bool)
+    span[0] = True
+    out = []
+    for d in reversed(factors):
+        ys = np.flatnonzero(orders == d)
+        free = np.ones(len(ys), dtype=bool)
+        for p, _ in factorize(d):
+            free &= ~span[_powers(t, ys, d // p)]
+        y = int(ys[np.argmax(free)])
+        span[t[np.flatnonzero(span)[:, None], g.powers(y)]] = True
+        out.append((y, d))
     return out
 
 
@@ -947,7 +940,7 @@ def invariant_factors(g: GroupTable) -> list[int]:
     return factors[::-1]
 
 
-_ATOM_RE = re.compile(r"^(Dic|C|D|S|A)(\d+)$")
+_ATOM_RE = re.compile(r"(Dic|C|D|S|A)([0-9]+)")
 
 _ATOM_MAKERS = {
     "C": make_cyclic,
@@ -1001,9 +994,21 @@ def _check_atoms_cap(atoms: list[tuple[str, int]], what: str) -> None:
     _check_cap(order, what)
 
 
+def _spec_int(digits: str, what: str) -> int:
+    """The int a spec's ASCII digits spell; more than int() reads is past any cap."""
+    digits = digits.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:
+        raise SizeLimitError(
+            f"{what[:12]}... has a {len(digits)}-digit parameter, "
+            f"above the cap of {max_group_order()}"
+        ) from None
+
+
 def from_name(spec: str) -> GroupTable:
     """Build a group from a short expression: atoms C/D/Dic/S/A followed by
-    a number, joined by x for direct products.
+    a number in ASCII digits, joined by x for direct products.
 
     The order of the whole expression is checked against the cap before
     any factor is built. Each distinct atom is built, and proven, once; a
@@ -1015,20 +1020,13 @@ def from_name(spec: str) -> GroupTable:
         raise GroupSpecError(f"cannot parse group expression {spec!r}")
     atoms = []
     for part in parts:
-        m = _ATOM_RE.match(part.strip())
+        m = _ATOM_RE.fullmatch(part.strip())
         if m is None:
             raise GroupSpecError(
                 f"cannot parse {part.strip()!r} in {spec!r}; expected one of "
                 "Cn, Dn, Dicn, Sn, An"
             )
-        digits = m.group(2).lstrip("0") or "0"
-        try:
-            atoms.append((m.group(1), int(digits)))
-        except ValueError:  # more digits than int() reads, so past any cap
-            raise SizeLimitError(
-                f"{part.strip()[:12]}... has a {len(digits)}-digit parameter, "
-                f"above the cap of {max_group_order()}"
-            ) from None
+        atoms.append((m.group(1), _spec_int(m.group(2), part.strip())))
     _check_atoms_cap(atoms, spec.strip())
     made = {atom: _ATOM_MAKERS[atom[0]](atom[1]) for atom in dict.fromkeys(atoms)}
     factors = [made[atom] for atom in atoms]

@@ -177,7 +177,7 @@ def _row_sums(sys: RadonSystem, vectors: np.ndarray) -> np.ndarray:
     largest magnitude times the longest row reaches 2^63, past which a
     partial sum could wrap, is summed on Python ints instead.
     """
-    longest = int(np.diff(sys.indptr).max())
+    longest = int(np.diff(sys.indptr).max(initial=0))
     if vectors.dtype != object and vectors.size:
         if int(np.abs(vectors).max()) * longest >= 2**63:
             vectors = vectors.astype(object)
@@ -311,7 +311,7 @@ def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
 def _annihilates(sys: RadonSystem, scaled) -> bool:
     """Whether every integer vector, a row of the 2-D array scaled, sums to
     0 over every row's columns, checked a block of vectors at a time."""
-    step = max(1, _BLOCK_CELLS // len(sys.indices))
+    step = max(1, _BLOCK_CELLS // max(1, len(sys.indices)))
     return not any(
         _row_sums(sys, scaled[lo : lo + step]).any()
         for lo in range(0, len(scaled), step)
@@ -505,17 +505,9 @@ def kernel_witness_cyclic(g: GroupTable) -> tuple[Fraction, ...]:
     factors = [(p, p**e) for p, e in exactla.factorize(n)]
     witness = [Fraction(0)] * n
     for t, cur in enumerate(g.powers(gen)):
-        val = 1
-        for p, q in factors:
-            res = t % q
-            if res == 0:
-                pass
-            elif res == q // p:
-                val = -val
-            else:
-                val = 0
-                break
-        witness[cur] = Fraction(val)
+        # the factor for q is 1 where t = 0, -1 where t = q/p, else 0 (mod q)
+        signs = ({0: 1, q // p: -1}.get(t % q, 0) for p, q in factors)
+        witness[cur] = Fraction(math.prod(signs))
     if all(v == 0 for v in witness):
         raise AssertionError("cyclic witness degenerated to zero")
     image = apply(build_system(g, "prime"), witness)
@@ -540,10 +532,8 @@ def kernel_witness_product(
     if len(v1) != g1.order or len(v2) != g2.order:
         raise DimensionError("witness lengths must match the factor orders")
     product = make_direct_product(g1, g2)
-    witness = [Fraction(0)] * product.order
-    for i1, a in enumerate(v1):
-        for i2, b in enumerate(v2):
-            witness[i1 * g2.order + i2] = Fraction(a) * Fraction(b)
+    # the element (i1, i2) of the product has id i1 * |G2| + i2
+    witness = [Fraction(a) * Fraction(b) for a in v1 for b in v2]
     image = apply(build_system(product, "prime"), witness)
     if any(image):
         raise AssertionError("product witness fails annihilation check")

@@ -36,7 +36,7 @@ from .errors import (
     read_json,
 )
 from .geodesics import Homomorphism, homomorphisms_cn
-from .groups import GroupTable, _row_blocks, abelian_basis, is_abelian
+from .groups import GroupTable, _element_id, _row_blocks, abelian_basis, is_abelian
 
 __all__ = [
     "CharacterTable",
@@ -227,7 +227,8 @@ def characters(g: GroupTable) -> CharacterTable:
 
 
 def char_value(ct: CharacterTable, char_index: int, x: int) -> complex:
-    e = int(ct.value_exponents[char_index, x])
+    (i,) = _character_indices(ct, [char_index])
+    e = int(ct.value_exponents[i, _element_id(ct.group, x)])
     return cmath.exp(2j * cmath.pi * e / ct.exponent)
 
 
@@ -313,11 +314,10 @@ def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
     Elements with the same counts share one division; for the full table
     the counts depend only on the element's order.
     """
-    n, order, count = ct.group.order, ct.exponent, len(ct.characters)
-    idx = list(range(count) if indices is None else indices)
-    bad = [i for i in idx if not 0 <= i < count]
-    if bad:
-        raise DimensionError(f"character index {bad[0]} is outside 0..{count - 1}")
+    n, order = ct.group.order, ct.exponent
+    idx = _character_indices(
+        ct, range(len(ct.characters)) if indices is None else indices
+    )
     # every character is 1 at the identity, so the sum there is len(idx)
     if len(idx) != n:
         return False
@@ -340,6 +340,16 @@ def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
     return True
 
 
+def _character_indices(ct: CharacterTable, indices) -> list[int]:
+    """indices as a list, each a position in ct.characters, or DimensionError."""
+    count = len(ct.characters)
+    idx = list(indices)
+    bad = [i for i in idx if not 0 <= i < count]
+    if bad:
+        raise DimensionError(f"character index {bad[0]} is outside 0..{count - 1}")
+    return idx
+
+
 def _check_tolerance(tolerance: float) -> None:
     """Refuse a tolerance no comparison can use: every difference is within
     NaN or infinity, and none is within a negative bound."""
@@ -359,10 +369,8 @@ def fourier_radon_check(
     _check_tolerance(tolerance)
     if ct is None:
         ct = characters(g)
+    fhat = np.array(dft(ct, f))  # refuses f unless it has |G| values
     vals = np.array([complex(v) for v in f], dtype=complex)
-    if len(vals) != g.order:
-        raise DimensionError(f"function length {len(vals)}, expected {g.order}")
-    fhat = np.array(dft(ct, f))
     roots = _roots(ct)
     for p in exactla.prime_divisors(g.order):
         for hom in homomorphisms_cn(g, p):
@@ -442,10 +450,15 @@ class GeodesicSumMatrix:
     dim: int
 
 
-def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSumMatrix:
+def _images(g: GroupTable, rep: MatrixRep) -> np.ndarray:
+    """rep.images, refused unless rep belongs to a group of g's order."""
     if rep.group_order != g.order:
         raise DimensionError("representation belongs to a different group order")
-    total = rep.images[g.powers(hom.image_generator, hom.domain_order)].sum(axis=0)
+    return rep.images
+
+
+def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSumMatrix:
+    total = _images(g, rep)[g.powers(hom.image_generator, hom.domain_order)].sum(axis=0)
     if rep.declared_unitary:
         assert np.array_equal(total.conj().T, total), "geodesic sum is not self-adjoint"
         back = g.powers(g.inv[hom.image_generator], hom.domain_order)
@@ -521,14 +534,14 @@ def char_sum_check(g: GroupTable, reps) -> bool:
     """
     want = np.zeros(g.order, dtype=object)
     want[0] = g.order
-    acc = sum(rep.images.trace(axis1=1, axis2=2) * rep.dim for rep in reps)
+    acc = sum(_images(g, rep).trace(axis1=1, axis2=2) * rep.dim for rep in reps)
     return np.array_equal(acc, want)
 
 
 def matrix_coefficient_vectors(g: GroupTable, rep: MatrixRep) -> list[tuple]:
     """The dim^2 functions x -> rho(x^-1)[i][j] as exact vectors on G,
     ordered by (i, j)."""
-    coeffs = rep.images[list(g.inv)].reshape(g.order, rep.dim**2).T
+    coeffs = _images(g, rep)[list(g.inv)].reshape(g.order, rep.dim**2).T
     return [tuple(vec) for vec in coeffs.tolist()]
 
 

@@ -15,7 +15,8 @@ from itertools import chain, product
 from math import gcd
 
 from . import flows, geodesics, iso, radon, spectral
-from .errors import NoGeodesicsError, FlowAxiomError, InvalidOrderError, SizeLimitError
+from .errors import FlowAxiomError, GroupSpecError, InvalidOrderError
+from .errors import NoGeodesicsError, SizeLimitError
 from .exactla import factorize, field_rref, is_prime
 from .groups import (
     GroupTable,
@@ -625,6 +626,10 @@ def run_suite(name: str, max_order: int | None = None) -> SuiteReport:
     has a fixed corpus, when it is below 2 (the smallest nontrivial group)
     or when it leaves the suite no cases, so a bound is never dropped
     silently and an empty suite can never pass."""
+    if name not in SUITES:
+        raise GroupSpecError(
+            f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
+        )
     fn = SUITES[name]
     if max_order is None:
         report = fn()

@@ -257,6 +257,22 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "C\u0663"), ("group", "C\uff13"), ("group", "D\u00b2"),
+    ("flow", "constant:1_0"), ("flow", "constant:+5"), ("flow", "constant:\u0665"),
+    ("flow", "constant: 5"), ("flow", "constant:5 "), ("flow", "constant:"),
+])
+def test_specs_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_specs_keep_leading_zeros(capsys):
+    assert run_json(capsys, "group", "C003")[1]["order"] == 3
+    assert run_json(capsys, "flow", "constant:005")[1]["size"] == 5
+
+
 def test_unparseable_group_exits_2(capsys):
     code, _, err = run(capsys, "radon", "Qx")
     assert code == 2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coset_radon import geodesics, groups, iso, radon, verify
+from coset_radon import cli, geodesics, groups, iso, radon, verify
 from coset_radon.errors import (
     AssociativityError,
     GroupSpecError,
@@ -303,13 +303,91 @@ def test_invariant_factors_divisibility_chain():
         assert prod == g.order
 
 
+def _quotient_chain_basis(g):
+    """The abelian basis the quotient recursion found: split off the least
+    element x of largest order d, find the basis of G/<x> the same way, and
+    lift each quotient generator y of order m to y * x^-(s/m), where
+    y^m = x^s. Kept as the oracle of the greedy census pass."""
+    if g.order == 1:
+        return []
+    d = max(g.elt_order)
+    x = g.elt_order.index(d)
+    powers = g.powers(x)
+    log = {p: k for k, p in enumerate(powers)}
+    q, proj = groups.quotient_with_projection(
+        g, groups.SubgroupSet(tuple(sorted(powers)), x)
+    )
+    out = [(x, d)]
+    for yq, m in _quotient_chain_basis(q):
+        y = proj.index(yq)
+        s = log[g.power(y, m)]
+        assert s % m == 0  # the maximal order of x makes s a multiple of m
+        out.append((g.table.item(y, powers[-(s // m) % d]), m))
+    return out
+
+
+_ABELIAN_CORPUS = verify.abelian_groups_upto(64)
+_BIG_ABELIAN = [
+    "C5040", "x".join(["C2"] * 12), "C12xC12", "C2xC4xC3xC5", "C4xC4xC2",
+    "C8xC4xC2", "C6xC6xC6", "C9xC3xC3", "C30xC30",
+]
+
+
 def test_invariant_factors_match_the_quotient_chain_of_abelian_basis():
-    gs = verify.abelian_groups_upto(64)
-    assert len(gs) == 116
-    for g in gs:
-        chain = [d for _, d in reversed(groups.abelian_basis(g))]
+    assert len(_ABELIAN_CORPUS) == 116
+    for g in _ABELIAN_CORPUS:
+        chain = [d for _, d in reversed(_quotient_chain_basis(g))]
         assert groups.invariant_factors(g) == chain, g.recipe
     assert groups.invariant_factors(groups.make_trivial()) == []
+
+
+def test_abelian_basis_is_the_quotient_chain_basis_on_named_groups():
+    gs = _ABELIAN_CORPUS + [groups.from_name(name) for name in _BIG_ABELIAN]
+    assert len(gs) == 125
+    for g in gs:
+        assert groups.abelian_basis(g) == _quotient_chain_basis(g), g.recipe
+    assert groups.abelian_basis(groups.make_trivial()) == []
+
+
+def _relabelled(g, rng):
+    """g rebuilt from its table with element x renamed perm[x]."""
+    perm = rng.permutation(g.order)
+    out = np.empty((g.order, g.order), dtype=np.int64)
+    out[np.ix_(perm, perm)] = perm[g.table]
+    return groups.from_cayley_table(out)
+
+
+def test_abelian_basis_of_a_relabelled_table_is_a_basis_with_the_census_orders():
+    rng = np.random.default_rng(7)
+    other = 0  # tables on which the quotient chain chose another basis
+    for g in _ABELIAN_CORPUS + [groups.from_name("C4xC4xC2")]:
+        h = _relabelled(g, rng)
+        basis = groups.abelian_basis(h)
+        other += basis != _quotient_chain_basis(h)
+        assert [d for _, d in basis] == groups.invariant_factors(h)[::-1]
+        # the products of basis powers are every element, each exactly once
+        elts = np.zeros(1, dtype=np.intp)
+        for x, d in basis:
+            elts = h.table[elts[:, None], h.powers(x, d)].ravel()
+        assert sorted(elts.tolist()) == list(range(h.order)), g.recipe
+        got, want = (cli._spectral_abelian_payload(k, 1e-9)[0] for k in (h, g))
+        for key in ("group", "plancherel_defect"):
+            del got[key], want[key]
+        assert got == want, g.recipe
+    assert other > 0  # 23 of the 117 with this seed
+
+
+def test_abelian_basis_builds_no_quotient_and_proves_no_table(monkeypatch):
+    gs = _ABELIAN_CORPUS + [groups.from_name(n) for n in ("C5040", _BIG_ABELIAN[1])]
+
+    def refuse(*args):
+        raise AssertionError("abelian_basis built a group")
+
+    monkeypatch.setattr(groups, "quotient_with_projection", refuse)
+    monkeypatch.setattr(groups, "_build", refuse)
+    for g in gs:
+        orders = [d for _, d in groups.abelian_basis(g)]
+        assert orders == groups.invariant_factors(g)[::-1]
 
 
 def test_from_name_grammar():

@@ -904,6 +904,16 @@ def test_hand_built_coset_subsets_get_their_exact_rank():
     assert len(ranks) > 1
 
 
+def test_a_hand_built_system_without_rows_has_every_function_in_its_kernel():
+    sys = _hand_group_system(groups.make_cyclic(4), [])
+    assert sys.nrows == 0
+    assert radon.decide_system(sys) == (0, 4, "exact-elimination")
+    assert radon.kernel(sys).vectors == tuple(
+        tuple(int(i == j) for j in range(4)) for i in range(4)
+    )
+    assert radon.apply(sys, [1, 2, 3, 4]) == ()
+
+
 def test_kernel_basis_builds_its_vectors_once_on_request():
     sys = radon.build_system(groups.from_name("Dic3"), "prime")
     kb = radon.kernel(sys)

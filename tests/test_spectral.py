@@ -9,6 +9,7 @@ from coset_radon import exactla, groups, radon, spectral, verify
 from coset_radon.errors import (
     CosetRadonError,
     DimensionError,
+    InvalidOrderError,
     InvalidRepresentationError,
     UnsupportedGroupError,
     UnsupportedRepresentationError,
@@ -517,3 +518,31 @@ def test_array_forms_refuse_writes(q8, q8_reps):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+
+_C4 = groups.make_cyclic(4)
+_Q8_REPS = spectral.quaternion_rep_set(groups.make_dicyclic(2))
+_FOREIGN_REP = "representation belongs to a different group order"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda ct: spectral.char_value(ct, -1, 0), DimensionError,
+                 "character index -1 is outside 0..3", id="char-index--1"),
+    pytest.param(lambda ct: spectral.char_value(ct, 4, 0), DimensionError,
+                 "character index 4 is outside 0..3", id="char-index-4"),
+    pytest.param(lambda ct: spectral.char_value(ct, 0, -1), InvalidOrderError,
+                 "-1 is not an element id 0..3", id="element--1"),
+    pytest.param(lambda ct: spectral.char_value(ct, 0, 4), InvalidOrderError,
+                 "4 is not an element id 0..3", id="element-4"),
+    pytest.param(lambda ct: spectral.matrix_coefficient_vectors(_C4, _Q8_REPS[-1]),
+                 DimensionError, _FOREIGN_REP, id="coefficients-on-C4"),
+    pytest.param(lambda ct: spectral.matrix_coefficient_vectors(
+                     groups.make_cyclic(16), _Q8_REPS[-1]),
+                 DimensionError, _FOREIGN_REP, id="coefficients-on-C16"),
+    pytest.param(lambda ct: spectral.char_sum_check(_C4, _Q8_REPS),
+                 DimensionError, _FOREIGN_REP, id="char-sum-on-C4"),
+])
+def test_spectral_entry_points_refuse_foreign_reps_and_ids(call, error, message):
+    with pytest.raises(error) as err:
+        call(spectral.characters(_C4))
+    assert str(err.value) == message

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coset_radon import groups, verify
+from coset_radon.errors import GroupSpecError
 
 
 def test_abelian_class_counts():
@@ -85,8 +86,11 @@ def test_report_orders_cases_canonically():
 
 
 def test_run_suite_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(GroupSpecError) as err:
         verify.run_suite("nonsense")
+    assert str(err.value) == (
+        f"unknown suite 'nonsense'; choose from {', '.join(sorted(verify.SUITES))}"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
