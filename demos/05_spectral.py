@@ -26,9 +26,10 @@ for name in ("C6", "C9", "C12", "C2xC4", "C3xC3"):
 
 # --- exact completeness ----------------------------------------------------------
 # Summing all characters gives |G| at the identity and 0 elsewhere. The
-# zero side is a sum of roots of unity, decided exactly by divisibility of
-# the counting polynomial by the cyclotomic polynomial. Dropping even one
-# character breaks it.
+# zero side is a sum of roots of unity, decided exactly from the counts of
+# its exponents: laid out by the Chinese remainder theorem on one axis per
+# prime of the group's exponent, they must leave nothing after differencing
+# along every prime axis. Dropping even one character breaks it.
 
 ct = spectral.characters(groups.make_cyclic(6))
 print(f"\nfull table completeness: {spectral.char_sum_check_characters(ct)}")

@@ -6,13 +6,13 @@ d_1 | ... | d_k and exponent L, a character is a tuple (c_1, ..., c_k) and
 its value at x is the L-th root of unity with exponent sum(c_i * x_i * L/d_i)
 mod L. CharacterTable.value_exponents holds every such exponent as one int64
 array indexed [character, element], so every identity is checkable in
-integer arithmetic; floats only appear in the numeric DFT, whose sums run in
-element order. A matrix representation holds its images as one
-(|G|, d, d) object array of exact complex rationals (GaussianRational),
-enough for the quaternion group's 2-dimensional representation and all
-permutation-style examples: products, sums, conjugate transposes and traces
-are numpy operations on those exact entries, and ranks and kernels go
-through exactla.field_rref.
+integer arithmetic, sums of roots of unity by CRT differences (_vanishing);
+floats only appear in the numeric DFT, whose sums run in element order. A
+matrix representation holds its images as one (|G|, d, d) object array of
+exact complex rationals (GaussianRational), enough for the quaternion
+group's 2-dimensional representation and all permutation-style examples:
+products, sums, conjugate transposes and traces are numpy operations on
+those exact entries, and ranks and kernels go through exactla.field_rref.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .groups import GroupTable, _element_id, _row_blocks, abelian_basis, is_abel
 __all__ = [
     "CharacterTable",
     "FixedSpaceReport",
+    "ForeignCharacterTableError",
     "GaussianRational",
     "GeodesicSumMatrix",
     "MatrixRep",
@@ -191,6 +191,10 @@ class CharacterTable:
     value_exponents: np.ndarray  # read-only int64, [char, element]
 
 
+class ForeignCharacterTableError(CosetRadonError):
+    """A character table was passed along with a group it was not built for."""
+
+
 def characters(g: GroupTable) -> CharacterTable:
     """Character table of an abelian group; trivial character comes first."""
     if not is_abelian(g):
@@ -270,49 +274,47 @@ def dft(ct: CharacterTable, f) -> list[complex]:
 
 def plancherel_defect(ct: CharacterTable, f) -> float:
     """| (1/|G|) sum |f^(chi)|^2  -  sum |f(x)|^2 |, numerically."""
+    f = list(f)
     coeffs = dft(ct, f)
     lhs = sum(abs(c) ** 2 for c in coeffs) / ct.group.order
     rhs = sum(abs(complex(v)) ** 2 for v in f)
     return abs(lhs - rhs)
 
 
-@cache
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _divmod_monic(poly, _cyclotomic(d))
-            if any(rem):
-                raise AssertionError("nonzero remainder in cyclotomic division")
-    return tuple(poly)
+def _vanishing(counts: np.ndarray, L: int) -> np.ndarray:
+    """Per row of counts, whether sum_k counts[k] * zeta_L^k is 0, exactly.
 
-
-def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of integer polynomials, low degree first, for a
-    monic divisor den; the remainder has len(den) - 1 coefficients."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j, dv in enumerate(den):
-                num[i - dd + j] -= c * dv
-    return out, num[:dd]
+    Write L = M R with R = rad(L) = p_1 ... p_r, and k = t M + j. zeta_L has
+    degree phi(L) = M phi(R) over Q, so x^M - zeta_R is its minimal polynomial
+    over Q(zeta_R): the sum vanishes iff every S_j = sum_t counts[t M + j]
+    zeta_R^t does. On the CRT digits t_i = t mod p_i, zeta_R^t is the product
+    of the zeta_{p_i}^(u_i t_i), u_i a unit mod p_i. For R = p R', zeta_p has
+    degree p - 1 over Q(zeta_R'), so sum_a zeta_p^(u a) T_a with every T_a in
+    Q(zeta_R') vanishes iff all T_a are equal: by induction on r, iff taking
+    differences of neighbouring slices along every prime axis leaves zeros.
+    Each difference at most doubles an entry, so entries stay below 2^r times
+    the largest count and int64 is exact.
+    """
+    primes = exactla.prime_divisors(L)
+    rad = math.prod(primes)
+    digits = [np.arange(rad) % p for p in primes]
+    # t in the C order of its digit tuples (t mod p_1, ..., t mod p_r)
+    by_digits = np.argsort(np.ravel_multi_index(digits, primes))
+    cube = counts.reshape(len(counts), rad, L // rad)[:, by_digits]
+    cube = cube.reshape(len(counts), *primes, L // rad)
+    for axis in range(1, len(primes) + 1):
+        cube = np.diff(cube, axis=axis)
+    return ~cube.reshape(len(counts), -1).any(axis=1)
 
 
 def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
     """sum over the listed characters of chi(x): |G| at identity, 0 elsewhere.
 
-    indices are positions in ct.characters; one outside that range raises
-    DimensionError. For the full table this is the completeness identity;
-    passing a proper subset should make it fail. Exact at every x: the value is a sum of
-    roots of unity, which vanishes iff the polynomial that counts the
-    exponents at x is divisible by the exponent-th cyclotomic polynomial.
-    Elements with the same counts share one division; for the full table
-    the counts depend only on the element's order.
+    indices are positions in ct.characters; anything but an int in that
+    range raises DimensionError. For the full table this is the
+    completeness identity; passing a proper subset should make it fail.
+    Exact at every x: the value is a sum of roots of unity, and _vanishing
+    decides it from the counts of the listed characters' exponents at x.
     """
     n, order = ct.group.order, ct.exponent
     idx = _character_indices(
@@ -321,8 +323,6 @@ def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
     # every character is 1 at the identity, so the sum there is len(idx)
     if len(idx) != n:
         return False
-    cyclotomic = _cyclotomic(order)
-    divided = set()
     for cols in _row_blocks(n - 1, n):
         exps = ct.value_exponents[:, 1:][:, cols][idx].T
         width = len(exps)
@@ -331,12 +331,8 @@ def char_sum_check_characters(ct: CharacterTable, indices=None) -> bool:
             (exps + order * np.arange(width)[:, None]).ravel(),
             minlength=width * order,
         ).reshape(width, order)
-        for vec in counts:
-            key = vec.tobytes()
-            if key not in divided:
-                if any(_divmod_monic(vec.tolist(), cyclotomic)[1]):
-                    return False
-                divided.add(key)
+        if not _vanishing(counts, order).all():
+            return False
     return True
 
 
@@ -344,9 +340,11 @@ def _character_indices(ct: CharacterTable, indices) -> list[int]:
     """indices as a list, each a position in ct.characters, or DimensionError."""
     count = len(ct.characters)
     idx = list(indices)
-    bad = [i for i in idx if not 0 <= i < count]
-    if bad:
-        raise DimensionError(f"character index {bad[0]} is outside 0..{count - 1}")
+    for i in idx:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise DimensionError(f"character index {i!r} is not an int")
+        if not 0 <= i < count:
+            raise DimensionError(f"character index {i} is outside 0..{count - 1}")
     return idx
 
 
@@ -364,13 +362,16 @@ def fourier_radon_check(
 
     For every prime p dividing |G| and homomorphism gamma of length p, the
     Fourier coefficient of x -> sum_t f(x gamma(t)) at chi must be
-    f^(chi) * sum_t chi(gamma(t)).
+    f^(chi) * sum_t chi(gamma(t)). A ct built for another group raises
+    ForeignCharacterTableError.
     """
     _check_tolerance(tolerance)
     if ct is None:
         ct = characters(g)
-    fhat = np.array(dft(ct, f))  # refuses f unless it has |G| values
+    elif ct.group is not g:
+        raise ForeignCharacterTableError("character table belongs to another group")
     vals = np.array([complex(v) for v in f], dtype=complex)
+    fhat = np.array(dft(ct, vals))  # refuses f unless it has |G| values
     roots = _roots(ct)
     for p in exactla.prime_divisors(g.order):
         for hom in homomorphisms_cn(g, p):

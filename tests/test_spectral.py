@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -123,13 +124,72 @@ def test_faithful_count_matches_kernel_dim():
 
 
 # --- exact root-of-unity sums -------------------------------------------------
+# The reference decides a sum of L-th roots of unity by dividing the
+# polynomial that counts its exponents by the L-th cyclotomic polynomial.
+
+
+@cache
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _divmod_monic(poly, _cyclotomic(d))
+            if any(rem):
+                raise AssertionError("nonzero remainder in cyclotomic division")
+    return tuple(poly)
+
+
+def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of integer polynomials, low degree first, for a
+    monic divisor den; the remainder has len(den) - 1 coefficients."""
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        out[i - dd] = c
+        if c:
+            for j, dv in enumerate(den):
+                num[i - dd + j] -= c * dv
+    return out, num[:dd]
 
 
 def test_cyclotomic_polynomials():
-    assert spectral._cyclotomic(1) == (-1, 1)
-    assert spectral._cyclotomic(2) == (1, 1)
-    assert spectral._cyclotomic(6) == (1, -1, 1)
-    assert spectral._cyclotomic(12) == (1, 0, -1, 0, 1)
+    assert _cyclotomic(1) == (-1, 1)
+    assert _cyclotomic(2) == (1, 1)
+    assert _cyclotomic(6) == (1, -1, 1)
+    assert _cyclotomic(12) == (1, 0, -1, 0, 1)
+
+
+def _count_vectors(L: int) -> list[list[int]]:
+    """The zero vector, two random count vectors, two vanishing ones (each a
+    sum of cosets of prime-order subgroups of Z/L) and each of those two
+    with one more exponent counted, which no longer vanishes."""
+    rng = random.Random(L)
+    out = [[0] * L] + [[rng.randrange(3) for _ in range(L)] for _ in range(2)]
+    primes = exactla.prime_divisors(L)
+    for _ in range(2 if primes else 0):
+        vec = [0] * L
+        for _ in range(3):
+            step = L // rng.choice(primes)
+            mult = rng.randint(1, 3)
+            for k in range(rng.randrange(step), L, step):
+                vec[k] += mult
+        bumped = list(vec)
+        bumped[rng.randrange(L)] += 1
+        out += [vec, bumped]
+    return out
+
+
+@pytest.mark.parametrize("L", [*range(1, 101), 2520, 5040])
+def test_vanishing_matches_cyclotomic_division(L):
+    vectors = _count_vectors(L)
+    want = [not any(_divmod_monic(v, _cyclotomic(L))[1]) for v in vectors]
+    assert set(want) == {True, False}
+    got = spectral._vanishing(np.array(vectors, dtype=np.int64), L)
+    assert got.dtype == bool
+    assert got.tolist() == want
 
 
 def test_completeness_of_full_character_table():
@@ -161,12 +221,12 @@ def _char_sum_per_element(ct, indices) -> bool:
     n, order = ct.group.order, ct.exponent
     if len(indices) != n:
         return False
-    cyclotomic = spectral._cyclotomic(order)
+    cyclotomic = _cyclotomic(order)
     for x in range(1, n):
         counts = [0] * order
         for i in indices:
             counts[int(ct.value_exponents[i, x])] += 1
-        if any(spectral._divmod_monic(counts, cyclotomic)[1]):
+        if any(_divmod_monic(counts, cyclotomic)[1]):
             return False
     return True
 
@@ -208,6 +268,16 @@ def test_dft_length_check():
     ct = spectral.characters(groups.make_cyclic(4))
     with pytest.raises(DimensionError):
         spectral.dft(ct, [1, 2, 3])
+
+
+def test_plancherel_and_fourier_check_read_an_iterator_once():
+    g = groups.make_cyclic(6)
+    ct = spectral.characters(g)
+    f = [1, 2, 0, -1, 3, 5]
+    assert spectral.plancherel_defect(ct, iter(f)) == spectral.plancherel_defect(ct, f)
+    assert spectral.plancherel_defect(ct, iter(f)) < 1e-9
+    assert spectral.fourier_radon_check(g, iter(f)) == spectral.fourier_radon_check(g, f)
+    assert spectral.fourier_radon_check(g, iter(f), ct=ct)
 
 
 def test_plancherel_defect_small():
@@ -523,6 +593,7 @@ def test_array_forms_refuse_writes(q8, q8_reps):
 _C4 = groups.make_cyclic(4)
 _Q8_REPS = spectral.quaternion_rep_set(groups.make_dicyclic(2))
 _FOREIGN_REP = "representation belongs to a different group order"
+_FOREIGN_TABLE = "character table belongs to another group"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -530,6 +601,25 @@ _FOREIGN_REP = "representation belongs to a different group order"
                  "character index -1 is outside 0..3", id="char-index--1"),
     pytest.param(lambda ct: spectral.char_value(ct, 4, 0), DimensionError,
                  "character index 4 is outside 0..3", id="char-index-4"),
+    pytest.param(lambda ct: spectral.char_value(ct, True, 1), DimensionError,
+                 "character index True is not an int", id="char-index-True"),
+    pytest.param(lambda ct: spectral.char_value(ct, 1.5, 1), DimensionError,
+                 "character index 1.5 is not an int", id="char-index-1.5"),
+    pytest.param(lambda ct: spectral.char_value(ct, "1", 1), DimensionError,
+                 "character index '1' is not an int", id="char-index-str"),
+    pytest.param(lambda ct: spectral.char_sum_check_characters(ct, [True, 1, 2, 3]),
+                 DimensionError, "character index True is not an int",
+                 id="char-sum-index-True"),
+    # a table of C4 passed with a group of the same order: another group,
+    # or another build of C4
+    pytest.param(lambda ct: spectral.fourier_radon_check(
+                     groups.from_name("C2xC2"), [1, 2, 3, 4], ct=ct),
+                 spectral.ForeignCharacterTableError, _FOREIGN_TABLE,
+                 id="fourier-on-C2xC2"),
+    pytest.param(lambda ct: spectral.fourier_radon_check(
+                     groups.make_cyclic(4), [1, 2, 3, 4], ct=ct),
+                 spectral.ForeignCharacterTableError, _FOREIGN_TABLE,
+                 id="fourier-on-another-C4"),
     pytest.param(lambda ct: spectral.char_value(ct, 0, -1), InvalidOrderError,
                  "-1 is not an element id 0..3", id="element--1"),
     pytest.param(lambda ct: spectral.char_value(ct, 0, 4), InvalidOrderError,
