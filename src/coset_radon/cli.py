@@ -24,7 +24,6 @@ from time import perf_counter
 
 from . import flows, geodesics, radon, spectral, verify
 from .errors import CosetRadonError, GroupSpecError, parse_json, read_file, read_json
-from .exactla import prime_divisors
 from .groups import (
     GroupTable,
     _canonical_table,
@@ -253,12 +252,10 @@ def _spectral_abelian_payload(g: GroupTable, tolerance: float) -> tuple[dict, li
 
 def _spectral_rep_payload(g: GroupTable, reps) -> tuple[dict, list]:
     """The rep-based checks, all exact, so no tolerance applies."""
-    projections_ok = True
-    for rep in reps:
-        for p in prime_divisors(g.order):
-            for hom in geodesics.homomorphisms_cn(g, p):
-                if not spectral.check_projection(g, rep, hom):
-                    projections_ok = False
+    homs = spectral._prime_homomorphisms(g)
+    projections_ok = all(
+        spectral.check_projection(g, rep, hom) for rep in reps for hom in homs
+    )
     reports = [spectral.fixed_space_analysis(g, rep) for rep in reps]
     verdict = radon.is_injective(g)
     predicted = sum(r.kernel_dim * rep.dim for r, rep in zip(reports, reps))

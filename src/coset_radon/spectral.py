@@ -13,6 +13,11 @@ exact complex rationals (GaussianRational), enough for the quaternion
 group's 2-dimensional representation and all permutation-style examples:
 products, sums, conjugate transposes and traces are numpy operations on
 those exact entries, and ranks and kernels go through exactla.field_rref.
+A representation is proven on the generators Light's test found for its
+table, |G| |S| products in all (matrix_rep), and it keeps that table:
+every function that takes a group and a rep refuses any other group. The
+fixed-space analysis and the projection law read one generator per
+subgroup of prime order (_prime_homomorphisms).
 """
 
 from __future__ import annotations
@@ -34,13 +39,14 @@ from .errors import (
     UnsupportedRepresentationError,
     read_json,
 )
-from .geodesics import Homomorphism, homomorphisms_cn
+from .geodesics import Homomorphism, _family_subgroups, homomorphisms_cn
 from .groups import GroupTable, _element_id, _row_blocks, abelian_basis, is_abelian
 
 __all__ = [
     "CharacterTable",
     "FixedSpaceReport",
     "ForeignCharacterTableError",
+    "ForeignRepresentationError",
     "GaussianRational",
     "GeodesicSumMatrix",
     "MatrixRep",
@@ -69,8 +75,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # the arithmetic below passes Fractions, which need no new wrapper
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     @staticmethod
     def _coerce(other):
@@ -392,17 +399,34 @@ def fourier_radon_check(
 
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
-    """Exact matrix representation: images[x] is the d x d image of element
-    x, all in one read-only (|G|, d, d) object array of GaussianRational."""
+    """Exact matrix representation of the group it was validated on:
+    images[x] is the d x d image of element x, all in one read-only
+    (|G|, d, d) object array of GaussianRational."""
 
-    group_order: int
+    group: GroupTable
     dim: int
     images: np.ndarray
     declared_unitary: bool
 
+    @property
+    def group_order(self) -> int:
+        return self.group.order
+
 
 def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
-    """Validate images (identity, full homomorphism table, unitarity)."""
+    """Validate images: the identity's image, the product rule and, when
+    declared, unitarity, each proven on the generators g.generators alone.
+
+    Light's test closed {e} under right multiplication by S = g.generators,
+    so every y is a left-bracketed word s_1 ... s_k in S. If rho(e) = I and
+    rho(x) rho(s) = rho(xs) for every x and every s in S, induction on k
+    gives rho(x) rho(y) = rho(xy): with y = y's, rho(x) rho(y's) =
+    rho(x) rho(y') rho(s) = rho(xy') rho(s) = rho(xy's). Every rho(y) is
+    then a product of the rho(s), and a product of unitaries is unitary. So
+    the checks cost |G| |S| products, not |G|^2. As in groups._check_latin,
+    only a rejected rep is scanned in full, so that the error names the
+    first broken pair (a, b), row by row, or the first non-unitary element.
+    """
     mats = [[[_as_gq(v) for v in row] for row in m] for m in images]
     if len(mats) != g.order:
         raise InvalidRepresentationError(
@@ -416,23 +440,31 @@ def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
     eye = _eye(d)
     if not np.array_equal(arr[0], eye):
         raise InvalidRepresentationError("image of the identity is not the identity")
-    for rows in _row_blocks(g.order, g.order * d * d):
+    if any((arr @ arr[s] != arr[g.table[:, s]]).any() for s in g.generators):
+        raise InvalidRepresentationError(
+            f"images break the product at pair {_first_broken_pair(g, arr)}"
+        )
+    if unitary and _non_unitary(arr[list(g.generators)], eye).any():
+        raise InvalidRepresentationError(
+            f"image of {int(np.argmax(_non_unitary(arr, eye)))} is not unitary"
+        )
+    return MatrixRep(group=g, dim=d, images=_frozen(arr), declared_unitary=unitary)
+
+
+def _first_broken_pair(g: GroupTable, arr: np.ndarray) -> tuple[int, int]:
+    """The first (a, b), row by row, with rho(a) rho(b) != rho(ab)."""
+    for rows in _row_blocks(g.order, g.order * arr.shape[1] ** 2):
         # [a, b] compares rho(a) rho(b) with rho(ab), a in this block
         bad = (arr[rows, None] @ arr != arr[g.table[rows]]).any(axis=(2, 3))
         if bad.any():
             a, b = np.argwhere(bad)[0].tolist()
-            raise InvalidRepresentationError(
-                f"images break the product at pair ({rows.start + a}, {b})"
-            )
-    if unitary:
-        bad = (arr @ arr.conj().transpose(0, 2, 1) != eye).any(axis=(1, 2))
-        if bad.any():
-            raise InvalidRepresentationError(
-                f"image of {int(np.argmax(bad))} is not unitary"
-            )
-    return MatrixRep(
-        group_order=g.order, dim=d, images=_frozen(arr), declared_unitary=unitary
-    )
+            return rows.start + a, b
+    raise AssertionError("no broken pair in a rejected rep; construction bug")
+
+
+def _non_unitary(mats: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack mats, whether m m^* differs from eye."""
+    return (mats @ mats.conj().transpose(0, 2, 1) != eye).any(axis=(1, 2))
 
 
 def _as_gq(v) -> GaussianRational:
@@ -447,15 +479,33 @@ class GeodesicSumMatrix:
     array; hermitian by construction."""
 
     matrix: np.ndarray
-    domain_order: int
-    dim: int
+
+
+class ForeignRepresentationError(DimensionError):
+    """A representation was passed along with a group it was not validated on."""
 
 
 def _images(g: GroupTable, rep: MatrixRep) -> np.ndarray:
-    """rep.images, refused unless rep belongs to a group of g's order."""
+    """rep.images, refused unless rep was validated on g itself."""
     if rep.group_order != g.order:
         raise DimensionError("representation belongs to a different group order")
+    if rep.group is not g:
+        raise ForeignRepresentationError("representation belongs to another group")
     return rep.images
+
+
+def _prime_homomorphisms(g: GroupTable) -> list[Homomorphism]:
+    """One homomorphism C_p -> G per subgroup of prime order p, on its
+    generator; the trivial group has none.
+
+    The other generators of a subgroup add nothing to fixed_space_analysis
+    or to check_projection: each x^k generating <x> gives the same geodesic
+    sum, and rho(x), rho(x^k) fix the same vectors, as each is a power of
+    the other.
+    """
+    if g.order == 1:
+        return []
+    return [Homomorphism(len(s), s.generator) for s in _family_subgroups(g, "prime")]
 
 
 def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSumMatrix:
@@ -466,9 +516,7 @@ def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSu
         assert np.array_equal(rep.images[back].sum(axis=0), total), (
             "geodesic sum differs along the inverse generator"
         )
-    return GeodesicSumMatrix(
-        matrix=_frozen(total), domain_order=hom.domain_order, dim=rep.dim
-    )
+    return GeodesicSumMatrix(matrix=_frozen(total))
 
 
 def check_projection(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> bool:
@@ -503,20 +551,25 @@ class FixedSpaceReport:
 
 def fixed_space_analysis(g: GroupTable, rep: MatrixRep) -> FixedSpaceReport:
     """For an irreducible rep the two spaces are 0 and everything, one way
-    or the other; which way decides whether the rep contributes kernel."""
+    or the other; which way decides whether the rep contributes kernel.
+
+    Both spaces are read off one generator per subgroup of prime order
+    (_prime_homomorphisms). An x != e of order m has a prime p dividing m,
+    and rho(x^(m/p)) fixes every vector rho(x) fixes, so the fixed vectors
+    of the elements of prime order already span the fixed span.
+    """
     if not rep.declared_unitary:
         raise UnsupportedRepresentationError("analysis needs a unitary rep")
+    homs = _prime_homomorphisms(g)
+    gens = _images(g, rep)[[hom.image_generator for hom in homs]]
     fixed_rows = [
         vec
-        for shifted in rep.images[1:] - _eye(rep.dim)
+        for shifted in gens - _eye(rep.dim)
         for vec in exactla.field_nullspace(shifted.tolist(), rep.dim, _ZERO, _ONE)
     ]
     fixed_span = len(exactla.field_rref(fixed_rows)[0])
     stacked = [
-        row
-        for p in exactla.prime_divisors(g.order)
-        for hom in homomorphisms_cn(g, p)
-        for row in geodesic_sum(g, rep, hom).matrix.tolist()
+        row for hom in homs for row in geodesic_sum(g, rep, hom).matrix.tolist()
     ]
     kdim = len(exactla.field_nullspace(stacked, rep.dim, _ZERO, _ONE))
     ok = (fixed_span == 0 and kdim == rep.dim) or (
@@ -554,14 +607,20 @@ def quaternion_rep_set(g: GroupTable) -> list[MatrixRep]:
     """The four linear characters and the 2-dim irrep of the order-8
     dicyclic (quaternion) group, exactly, as validated MatrixReps.
 
-    Expects the dicyclic id convention: x = m*4 + k stands for b^m a^k.
+    Any labelling will do: a is the least id of order 4 and b the least id
+    of order 4 outside <a>, and b^m a^k (m < 2, k < 4) is placed at its id
+    in the table. On make_dicyclic(2) that id is m*4 + k.
     """
     if g.order != 8 or sorted(g.elt_order) != [1, 2, 4, 4, 4, 4, 4, 4]:
         raise UnsupportedGroupError("not the quaternion group")
+    a = g.elt_order.index(4)
+    sub_a = g.powers(a)
+    b = next(x for x in range(g.order) if g.elt_order[x] == 4 and x not in sub_a)
+    where = g.table[np.ix_(g.powers(b, 2), sub_a)].ravel()  # b^m a^k, m*4 + k
     mat_i = np.array([[_I, _ZERO], [_ZERO, -_I]], dtype=object)
     mat_j = np.array([[_ZERO, _ONE], [-_ONE, _ZERO]], dtype=object)
     power = np.linalg.matrix_power
-    ids = [divmod(x, 4) for x in range(8)]
+    ids = [divmod(i, 4) for i in np.argsort(where).tolist()]
     images = [power(mat_j, m) @ power(mat_i, k) for m, k in ids]
     reps = [matrix_rep(g, images, unitary=True)]
     for alpha, beta in ((1, 1), (1, -1), (-1, 1), (-1, -1)):

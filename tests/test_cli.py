@@ -158,6 +158,19 @@ def test_spectral_rep_from_file(capsys, tmp_path):
     assert payload["projections_ok"] is True
 
 
+def test_spectral_builtin_q8_on_a_relabelled_table(capsys, tmp_path):
+    # the quaternion reps are placed by reading generators off the table, so
+    # any labelling of Dic2 gives Dic2's answer
+    _, want, _ = run_json(capsys, "spectral", "Dic2", "--rep", "builtin:q8")
+    code, got, _ = run_json(
+        capsys, "spectral", _relabelled_file(tmp_path, "Dic2"), "--rep", "builtin:q8"
+    )
+    assert code == 0
+    for payload in (want, got):
+        del payload["group"], payload["elapsed_ms"]
+    assert got == want
+
+
 def test_flow_constant(capsys):
     code, payload, _ = run_json(capsys, "flow", "constant:5")
     assert code == 0

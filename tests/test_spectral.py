@@ -5,8 +5,9 @@ from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coset_radon import exactla, groups, radon, spectral, verify
+from coset_radon import cli, exactla, groups, radon, spectral, verify
 from coset_radon.errors import (
     CosetRadonError,
     DimensionError,
@@ -15,7 +16,7 @@ from coset_radon.errors import (
     UnsupportedGroupError,
     UnsupportedRepresentationError,
 )
-from coset_radon.geodesics import Homomorphism
+from coset_radon.geodesics import Homomorphism, homomorphisms_cn
 from coset_radon.spectral import GaussianRational
 
 
@@ -349,8 +350,8 @@ def test_matrix_rep_unitarity_enforced():
 
 
 def test_regular_rep_projection_matrix():
-    g = groups.make_cyclic(2)
     rep = _regular_rep_c2()
+    g = rep.group
     hom = Homomorphism(2, 1)
     total = spectral.geodesic_sum(g, rep, hom).matrix
     one = GaussianRational(1)
@@ -594,6 +595,7 @@ _C4 = groups.make_cyclic(4)
 _Q8_REPS = spectral.quaternion_rep_set(groups.make_dicyclic(2))
 _FOREIGN_REP = "representation belongs to a different group order"
 _FOREIGN_TABLE = "character table belongs to another group"
+_FOREIGN_GROUP = "representation belongs to another group"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -631,8 +633,281 @@ _FOREIGN_TABLE = "character table belongs to another group"
                  DimensionError, _FOREIGN_REP, id="coefficients-on-C16"),
     pytest.param(lambda ct: spectral.char_sum_check(_C4, _Q8_REPS),
                  DimensionError, _FOREIGN_REP, id="char-sum-on-C4"),
+    # a Q8 rep passed with another group of order 8, or another build of Q8
+    pytest.param(lambda ct: spectral.char_sum_check(groups.make_cyclic(8), _Q8_REPS),
+                 spectral.ForeignRepresentationError, _FOREIGN_GROUP,
+                 id="char-sum-on-C8"),
+    pytest.param(lambda ct: spectral.matrix_coefficient_vectors(
+                     groups.make_cyclic(8), _Q8_REPS[-1]),
+                 spectral.ForeignRepresentationError, _FOREIGN_GROUP,
+                 id="coefficients-on-C8"),
+    pytest.param(lambda ct: spectral.fixed_space_analysis(
+                     groups.make_dihedral(4), _Q8_REPS[-1]),
+                 spectral.ForeignRepresentationError, _FOREIGN_GROUP,
+                 id="fixed-space-on-D4"),
+    pytest.param(lambda ct: spectral.check_projection(
+                     groups.make_dihedral(4), _Q8_REPS[-1], Homomorphism(2, 1)),
+                 spectral.ForeignRepresentationError, _FOREIGN_GROUP,
+                 id="projection-on-D4"),
+    pytest.param(lambda ct: spectral.geodesic_sum(
+                     groups.make_dicyclic(2), _Q8_REPS[-1], Homomorphism(4, 1)),
+                 spectral.ForeignRepresentationError, _FOREIGN_GROUP,
+                 id="geodesic-sum-on-another-Q8"),
 ])
 def test_spectral_entry_points_refuse_foreign_reps_and_ids(call, error, message):
     with pytest.raises(error) as err:
         call(spectral.characters(_C4))
     assert str(err.value) == message
+
+
+# --- generator proofs against all-pairs and per-element references -------------
+
+
+def _first_non_unitary(images):
+    """The first x whose image m has m m^* != I, by plain nested loops."""
+    d = len(images[0])
+    for x, m in enumerate(images):
+        for i in range(d):
+            for j in range(d):
+                dot = sum((m[i][k] * m[j][k].conjugate() for k in range(d)),
+                          GaussianRational(0))
+                if dot != (i == j):
+                    return x
+    return None
+
+
+def _validation_reference(g, images, unitary):
+    """The error text of the all-pairs product scan and of the unitarity
+    scan over every element, or None when the images pass both."""
+    images = [[[spectral._as_gq(v) for v in row] for row in m] for m in images]
+    d = len(images[0])
+    if images[0] != [[GaussianRational(i == j) for j in range(d)] for i in range(d)]:
+        return "image of the identity is not the identity"
+    pair = _first_broken_pair(g, images)
+    if pair is not None:
+        return f"images break the product at pair {pair}"
+    x = _first_non_unitary(images) if unitary else None
+    return None if x is None else f"image of {x} is not unitary"
+
+
+def _fixed_space_reference(g, rep):
+    """The analysis over every element x != e and every homomorphism of
+    prime length."""
+    d, zero, one = rep.dim, GaussianRational(0), GaussianRational(1)
+    eye = [[GaussianRational(i == j) for j in range(d)] for i in range(d)]
+    fixed_rows = [
+        vec
+        for m in rep.images.tolist()[1:]
+        for vec in exactla.field_nullspace(
+            [[m[i][j] - eye[i][j] for j in range(d)] for i in range(d)], d, zero, one
+        )
+    ]
+    fixed_span = len(exactla.field_rref(fixed_rows)[0])
+    stacked = [
+        row
+        for hom in _all_prime_homomorphisms(g)
+        for row in spectral.geodesic_sum(g, rep, hom).matrix.tolist()
+    ]
+    kdim = len(exactla.field_nullspace(stacked, d, zero, one))
+    ok = (fixed_span, kdim) in ((0, d), (d, 0))
+    return spectral.FixedSpaceReport(
+        dim=d, fixed_span_dim=fixed_span, kernel_dim=kdim, dichotomy_ok=ok
+    )
+
+
+def _all_prime_homomorphisms(g):
+    return [hom for p in exactla.prime_divisors(g.order) for hom in homomorphisms_cn(g, p)]
+
+
+def _projections_reference(g, reps):
+    return all(
+        spectral.check_projection(g, rep, hom)
+        for rep in reps for hom in _all_prime_homomorphisms(g)
+    )
+
+
+def _projections_ok(g, reps):
+    """projections_ok as `spectral --rep` reports it; the trivial group has
+    no geodesics for the payload's verdict, and no homomorphisms to check."""
+    if g.order == 1:
+        assert spectral._prime_homomorphisms(g) == []
+        return True
+    return cli._spectral_rep_payload(g, reps)[0]["projections_ok"]
+
+
+def _assert_matches_references(g, images, unitary):
+    """matrix_rep accepts or rejects as the references do, with the same
+    text, and an accepted unitary rep gets the references' analyses.
+    Returns the references' error text, None when they accept."""
+    want = _validation_reference(g, images, unitary)
+    try:
+        rep = spectral.matrix_rep(g, images, unitary=unitary)
+    except InvalidRepresentationError as err:
+        assert str(err) == want
+        return want
+    assert want is None
+    if unitary:
+        assert spectral.fixed_space_analysis(g, rep) == _fixed_space_reference(g, rep)
+        assert _projections_ok(g, [rep]) == _projections_reference(g, [rep])
+    return None
+
+
+def _relabelled(g, seed):
+    """g rebuilt with element x renamed perm[x], 0 kept at 0; returns the
+    new group and perm."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+    out = np.empty((g.order, g.order), dtype=np.int64)
+    out[np.ix_(perm, perm)] = perm[g.table]
+    return groups.from_cayley_table(out), perm
+
+
+def _permutation_images(n):
+    """The n-dim permutation rep of make_symmetric(n): e_i -> e_p(i)."""
+    one, zero = GaussianRational(1), GaussianRational(0)
+    return [
+        [[one if p[j] == i else zero for j in range(n)] for i in range(n)]
+        for p in groups._permutations(n).tolist()
+    ]
+
+
+def _moved(images, perm):
+    """images laid out for the relabelled group: x's image at perm[x]."""
+    out = [None] * len(images)
+    for x, m in enumerate(images):
+        out[perm[x]] = m
+    return out
+
+
+def _oracle_cases():
+    """(id, group, images, unitary) of valid and invalid reps."""
+    q8 = groups.make_dicyclic(2)
+    for k, rep in enumerate(spectral.quaternion_rep_set(q8)):
+        yield f"q8-{k}", q8, rep.images.tolist(), True
+    c2 = groups.make_cyclic(2)
+    yield "c2-regular", c2, _regular_rep_c2().images.tolist(), True
+    skew = [((1, 0), (0, 1)), ((1, 0), (1, -1))]
+    yield "c2-skew", c2, skew, False
+    yield "c2-skew-unitary", c2, skew, True
+    for n in (3, 4):
+        sym, images = groups.make_symmetric(n), _permutation_images(n)
+        yield f"S{n}", sym, images, True
+        for seed in (1, 2):
+            h, perm = _relabelled(sym, seed)
+            yield f"S{n}-relabelled-{seed}", h, _moved(images, perm), True
+    c1 = groups.make_cyclic(1)
+    yield "trivial-1", c1, [[[1]]], True
+    yield "trivial-2", c1, [((1, 0), (0, 1))], True
+    yield "trivial-not-identity", c1, [[[-1]]], True
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_generator_proofs_match_references(case):
+    _, g, images, unitary = case
+    rejected = _assert_matches_references(g, images, unitary) is not None
+    assert rejected == case[0].endswith(("-unitary", "not-identity"))
+
+
+def test_relabelled_tables_take_other_generators():
+    """The relabelled symmetric groups above prove their reps on generating
+    sets other than the named tables' ones."""
+    for n in (3, 4):
+        sym = groups.make_symmetric(n)
+        for seed in (1, 2):
+            h, perm = _relabelled(sym, seed)
+            assert sorted(h.generators) != sorted(perm[list(sym.generators)].tolist())
+
+
+def _twists(g, images, s):
+    """Two changes of a rep that still pass the product check on the one
+    generator s: rho(x) doubled for x outside <s>, a factor constant on the
+    cosets x<s>; and rho conjugated by P = 2I + rho(s), which commutes with
+    rho(s) and, for s of order m, has the inverse
+    sum_k (-rho(s))^k 2^(m-1-k) / (2^m - (-1)^m)."""
+    arr = np.empty((g.order, len(images[0]), len(images[0])), dtype=object)
+    arr[...] = [[[spectral._as_gq(v) for v in row] for row in m] for m in images]
+    steps, m = g.powers(s), g.elt_order[s]
+    scaled = [a if x in steps else a * 2 for x, a in enumerate(arr)]
+    eye = spectral._eye(arr.shape[1])
+    p = eye * 2 + arr[s]
+    p_inv = sum(arr[y] * ((-1) ** k * 2 ** (m - 1 - k)) for k, y in enumerate(steps))
+    p_inv = p_inv * GaussianRational(Fraction(1, 2**m - (-1) ** m))
+    assert np.array_equal(p @ p_inv, eye)
+    conjugated = [p @ a @ p_inv for a in arr]
+    return [a.tolist() for a in scaled], [a.tolist() for a in conjugated]
+
+
+@pytest.mark.parametrize("name", ["Dic2", "S3", "S4", "S4-relabelled"])
+def test_twists_on_one_generator_match_references(name):
+    """Each generator is needed: a rep twisted so that it passes on one of
+    them is rejected as the all-pairs scan rejects it."""
+    if name == "Dic2":
+        g = groups.make_dicyclic(2)
+        images = spectral.quaternion_rep_set(g)[-1].images.tolist()
+    elif name == "S4-relabelled":
+        g, perm = _relabelled(groups.make_symmetric(4), 1)
+        images = _moved(_permutation_images(4), perm)
+    else:
+        g, images = groups.from_name(name), _permutation_images(int(name[1:]))
+    assert len(g.generators) == 2
+    non_unitary = 0
+    for s in g.generators:
+        scaled, conjugated = _twists(g, images, s)
+        assert _assert_matches_references(g, scaled, unitary=False).startswith(
+            "images break the product at pair"
+        )
+        error = _assert_matches_references(g, conjugated, unitary=True)
+        assert error is None or error.endswith("is not unitary")
+        non_unitary += error is not None
+    # in Q8's 2-dim irrep rho(s)^2 = -I, so P^* P = 5I and P keeps it unitary
+    assert non_unitary >= (name != "Dic2")
+
+
+def _corruption_cases():
+    q8 = groups.make_dicyclic(2)
+    yield "q8-two-dim", q8, spectral.quaternion_rep_set(q8)[-1].images.tolist()
+    yield "c2-regular", groups.make_cyclic(2), _regular_rep_c2().images.tolist()
+    yield "S3", groups.make_symmetric(3), _permutation_images(3)
+
+
+@pytest.mark.parametrize("case", list(_corruption_cases()), ids=lambda c: c[0])
+def test_every_corruption_matches_references(case):
+    _, g, images = case
+    errors = [
+        _assert_matches_references(g, bad, unitary)
+        for bad in _corruptions(images)
+        for unitary in (False, True)
+    ]
+    assert any(errors)
+
+
+@given(
+    case=st.sampled_from(list(_corruption_cases())),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_random_corrupted_image_matches_references(case, data):
+    _, g, images = case
+    x = data.draw(st.integers(1, g.order - 1), label="element")
+    d = len(images[0])
+    i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+    part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    value = GaussianRational(data.draw(part), data.draw(part))
+    bad = [[list(row) for row in m] for m in images]
+    bad[x][i][j] = value
+    _assert_matches_references(g, bad, data.draw(st.booleans(), label="unitary"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quaternion_rep_set_on_relabelled_tables(seed, q8):
+    # any relabelling, the identity's id included
+    perm = np.random.default_rng(seed).permutation(8)
+    table = np.empty((8, 8), dtype=np.int64)
+    table[np.ix_(perm, perm)] = perm[q8.table]
+    h = groups.from_cayley_table(table)
+    reps = spectral.quaternion_rep_set(h)
+    assert [r.dim for r in reps] == [1, 1, 1, 1, 2]
+    assert spectral.char_sum_check(h, reps)
+    for rep in reps:
+        assert spectral.fixed_space_analysis(h, rep) == _fixed_space_reference(h, rep)
+    assert _projections_ok(h, reps) is _projections_reference(h, reps) is True
