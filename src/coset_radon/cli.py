@@ -218,7 +218,8 @@ def cmd_radon(args) -> _Record:
 def _spectral_abelian_payload(g: GroupTable, tolerance: float) -> tuple[dict, list]:
     ct = spectral.characters(g)
     faithful = spectral.faithful_characters(ct)
-    verdict = radon.is_injective(g)
+    # C1 has no geodesics, so every f on it is in the kernel
+    kernel_dim = radon.is_injective(g).kernel_dim if g.order > 1 else 1
     test_f = [Fraction((7 * x) % 11 - 5, 3) for x in range(g.order)]
     fourier_ok = spectral.fourier_radon_check(g, test_f, tolerance=tolerance, ct=ct)
     plancherel = spectral.plancherel_defect(ct, test_f)
@@ -230,8 +231,8 @@ def _spectral_abelian_payload(g: GroupTable, tolerance: float) -> tuple[dict, li
         "characters": [list(c) for c in ct.characters],
         "faithful_count": len(faithful),
         "faithful_indices": faithful,
-        "kernel_dim": verdict.kernel_dim,
-        "kernel_matches_faithful": verdict.kernel_dim == len(faithful),
+        "kernel_dim": kernel_dim,
+        "kernel_matches_faithful": kernel_dim == len(faithful),
         "char_sum_exact": spectral.char_sum_check_characters(ct),
         "fourier_ok": fourier_ok,
         "plancherel_defect": plancherel,
@@ -241,7 +242,7 @@ def _spectral_abelian_payload(g: GroupTable, tolerance: float) -> tuple[dict, li
         f"group {g.recipe}: abelian, factors {list(ct.factors)}, "
         f"exponent {ct.exponent}",
         f"  characters: {len(ct.characters)}, faithful: {len(faithful)}",
-        f"  kernel dim {verdict.kernel_dim} "
+        f"  kernel dim {kernel_dim} "
         f"({'=' if payload['kernel_matches_faithful'] else '!='} faithful count)",
         f"  char-sum identity exact: {payload['char_sum_exact']}",
         f"  fourier identities within {tolerance}: {fourier_ok} "
@@ -257,7 +258,7 @@ def _spectral_rep_payload(g: GroupTable, reps) -> tuple[dict, list]:
         spectral.check_projection(g, rep, hom) for rep in reps for hom in homs
     )
     reports = [spectral.fixed_space_analysis(g, rep) for rep in reps]
-    verdict = radon.is_injective(g)
+    kernel_dim = radon.is_injective(g).kernel_dim if g.order > 1 else 1
     predicted = sum(r.kernel_dim * rep.dim for r, rep in zip(reports, reps))
     payload = {
         "group": g.recipe,
@@ -266,7 +267,7 @@ def _spectral_rep_payload(g: GroupTable, reps) -> tuple[dict, list]:
         "char_sum_exact": spectral.char_sum_check(g, reps),
         "projections_ok": projections_ok,
         "dichotomies": [asdict(r) for r in reports],
-        "kernel_dim": verdict.kernel_dim,
+        "kernel_dim": kernel_dim,
         "predicted_kernel_dim": predicted,
     }
     lines = [
@@ -274,7 +275,7 @@ def _spectral_rep_payload(g: GroupTable, reps) -> tuple[dict, list]:
         f"{payload['rep_dims']}",
         f"  completeness (char-sum) exact: {payload['char_sum_exact']}",
         f"  projection law exact: {projections_ok}",
-        f"  kernel dim {verdict.kernel_dim}, predicted from fixed-point-free "
+        f"  kernel dim {kernel_dim}, predicted from fixed-point-free "
         f"reps: {predicted}",
     ]
     for r in reports:

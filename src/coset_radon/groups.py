@@ -166,9 +166,10 @@ def _check_cap(order: int, what: str) -> None:
     """Raise SizeLimitError before anything of that order is allocated."""
     cap = max_group_order()
     if order > cap:
-        # str() refuses integers of more than 4300 digits, such as 2000!
-        bits = order.bit_length()
-        size = order if bits <= 64 else f"more than 2^{bits - 1}"
+        # str() refuses integers of more than 4300 digits, such as 2000!;
+        # past 64 bits the size is the largest power of two below the order
+        bits = (order - 1).bit_length() - 1
+        size = order if order.bit_length() <= 64 else f"more than 2^{bits}"
         raise SizeLimitError(f"{what} has order {size}, above the cap of {cap}")
 
 
@@ -950,11 +951,8 @@ _ATOM_MAKERS = {
     "A": make_alternating,
 }
 
-_ATOM_ORDERS = {
-    "C": lambda k: k,
-    "D": lambda k: 2 * k,
-    "Dic": lambda k: 4 * k,
-}
+# |C_k| = k, |D_k| = 2k and |Dic_k| = 4k
+_ATOM_SCALE = {"C": 1, "D": 2, "Dic": 4}
 
 
 def _atom_log2(atom: tuple[str, int]) -> float:
@@ -963,34 +961,26 @@ def _atom_log2(atom: tuple[str, int]) -> float:
     kind, k = atom
     if kind in ("S", "A"):
         return math.lgamma(min(k, 10**300) + 1) / math.log(2) - (kind == "A" and k > 1)
-    return math.log2(_ATOM_ORDERS[kind](k))
+    return math.log2(_ATOM_SCALE[kind] * k)
 
 
 def _check_atoms_cap(atoms: list[tuple[str, int]], what: str) -> None:
     """_check_cap on the order of a direct product of atoms (kind, k).
 
-    S and A factorials are multiplied out only while the running product
-    stays within the cap and 2^64 (orders of up to 64 bits print in full);
-    once it passes, the order is over the cap, and the message reads its
-    size off lgamma, so an absurd degree is refused at once.
+    S_k and A_k of degree k > 20 have order above 2^64, past any cap, so
+    the message reads the product's size off lgamma, and an absurd degree
+    is refused at once; otherwise the order is multiplied out exactly.
     """
-    cap = max_group_order()
-    stop = max(cap, 1 << 64)
+    if any(kind in ("S", "A") and k > 20 for kind, k in atoms):
+        bits = math.floor(sum(map(_atom_log2, atoms)) - 1e-6)
+        cap = max_group_order()
+        raise SizeLimitError(f"{what} has order more than 2^{bits}, above the cap of {cap}")
     order = 1
     for kind, k in atoms:
-        if kind not in ("S", "A"):
-            order *= _ATOM_ORDERS[kind](k)
-            continue
-        halve = 2 if kind == "A" and k > 1 else 1
-        f = 1
-        for i in range(2, k + 1):
-            f *= i
-            if order * f > stop * halve:
-                bits = math.floor(sum(map(_atom_log2, atoms)) - 1e-6)
-                raise SizeLimitError(
-                    f"{what} has order more than 2^{bits}, above the cap of {cap}"
-                )
-        order *= f // halve
+        if kind in ("S", "A"):
+            order *= math.factorial(k) // (2 if kind == "A" and k > 1 else 1)
+        else:
+            order *= _ATOM_SCALE[kind] * k
     _check_cap(order, what)
 
 

@@ -15,9 +15,10 @@ products, sums, conjugate transposes and traces are numpy operations on
 those exact entries, and ranks and kernels go through exactla.field_rref.
 A representation is proven on the generators Light's test found for its
 table, |G| |S| products in all (matrix_rep), and it keeps that table:
-every function that takes a group and a rep refuses any other group. The
-fixed-space analysis and the projection law read one generator per
-subgroup of prime order (_prime_homomorphisms).
+every function that takes a group and a rep refuses any other group. A
+coset sum depends on the subgroup, not on the generator that traces it, so
+the Fourier identity, the fixed-space analysis and the projection law all
+read one generator per subgroup of prime order (_prime_homomorphisms).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     UnsupportedRepresentationError,
     read_json,
 )
-from .geodesics import Homomorphism, _family_subgroups, homomorphisms_cn
+from .geodesics import Homomorphism, _family_subgroups
 from .groups import GroupTable, _element_id, _row_blocks, abelian_basis, is_abelian
 
 __all__ = [
@@ -367,9 +368,12 @@ def fourier_radon_check(
 ) -> bool:
     """Transform-then-DFT equals DFT-times-geodesic-sum, per character.
 
-    For every prime p dividing |G| and homomorphism gamma of length p, the
-    Fourier coefficient of x -> sum_t f(x gamma(t)) at chi must be
-    f^(chi) * sum_t chi(gamma(t)). A ct built for another group raises
+    For one generator gamma of each subgroup of prime order p
+    (_prime_homomorphisms), the Fourier coefficient of
+    x -> sum_t f(x gamma^t) at chi must be f^(chi) * sum_t chi(gamma^t).
+    Every other generator gamma^k of that subgroup states the same
+    identity: t -> kt permutes the t < p, so the sums over gamma^(kt)
+    are the sums over gamma^t. A ct built for another group raises
     ForeignCharacterTableError.
     """
     _check_tolerance(tolerance)
@@ -380,16 +384,16 @@ def fourier_radon_check(
     vals = np.array([complex(v) for v in f], dtype=complex)
     fhat = np.array(dft(ct, vals))  # refuses f unless it has |G| values
     roots = _roots(ct)
-    for p in exactla.prime_divisors(g.order):
-        for hom in homomorphisms_cn(g, p):
-            steps = g.powers(hom.image_generator, p)
-            # row x: the orbit x * gen^t, t < p; row chi: chi at gen^t
-            rf = _sums_in_order(g.order, p, lambda rows: vals[g.table[rows][:, steps]])
-            isum = _sums_in_order(
-                len(fhat), p, lambda rows: roots[ct.value_exponents[rows][:, steps]]
-            )
-            if (np.abs(np.array(dft(ct, rf)) - fhat * isum) > tolerance).any():
-                return False
+    for hom in _prime_homomorphisms(g):
+        p = hom.domain_order
+        steps = g.powers(hom.image_generator, p)
+        # row x: the orbit x * gen^t, t < p; row chi: chi at gen^t
+        rf = _sums_in_order(g.order, p, lambda rows: vals[g.table[rows][:, steps]])
+        isum = _sums_in_order(
+            len(fhat), p, lambda rows: roots[ct.value_exponents[rows][:, steps]]
+        )
+        if (np.abs(np.array(dft(ct, rf)) - fhat * isum) > tolerance).any():
+            return False
     return True
 
 
@@ -498,10 +502,10 @@ def _prime_homomorphisms(g: GroupTable) -> list[Homomorphism]:
     """One homomorphism C_p -> G per subgroup of prime order p, on its
     generator; the trivial group has none.
 
-    The other generators of a subgroup add nothing to fixed_space_analysis
-    or to check_projection: each x^k generating <x> gives the same geodesic
-    sum, and rho(x), rho(x^k) fix the same vectors, as each is a power of
-    the other.
+    The other generators of a subgroup add nothing to fourier_radon_check,
+    fixed_space_analysis or check_projection: each x^k generating <x> gives
+    the same geodesic sums, and rho(x), rho(x^k) fix the same vectors, as
+    each is a power of the other.
     """
     if g.order == 1:
         return []
@@ -509,13 +513,16 @@ def _prime_homomorphisms(g: GroupTable) -> list[Homomorphism]:
 
 
 def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSumMatrix:
+    """sum_t rho(gen^t) over t < n, exactly.
+
+    The powers of gen^-1 are the same multiset as those of gen, so the sum
+    along the inverse generator is this one. For a unitary rep it is then
+    the sum of the rho(gen^t)^*, self-adjoint; that is asserted, as a guard
+    on a MatrixRep built without matrix_rep.
+    """
     total = _images(g, rep)[g.powers(hom.image_generator, hom.domain_order)].sum(axis=0)
     if rep.declared_unitary:
         assert np.array_equal(total.conj().T, total), "geodesic sum is not self-adjoint"
-        back = g.powers(g.inv[hom.image_generator], hom.domain_order)
-        assert np.array_equal(rep.images[back].sum(axis=0), total), (
-            "geodesic sum differs along the inverse generator"
-        )
     return GeodesicSumMatrix(matrix=_frozen(total))
 
 

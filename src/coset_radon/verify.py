@@ -509,19 +509,15 @@ def _quotient_cases() -> list[SuiteCase]:
     g = make_direct_product(make_cyclic(6), make_cyclic(6))
     maximal_sets = {s.elements for s in geodesics.maximal_cyclic_subgroups(g)}
     out = []
-    seen = set()
-    for x in range(1, g.order):
-        if g.elt_order[x] not in (2, 3):
+    for sub in geodesics.cyclic_subgroups(g):
+        if len(sub) not in (2, 3):
             continue
-        sub = geodesics.cyclic_subgroup(g, x)
-        if sub.elements in seen:
-            continue
-        seen.add(sub.elements)
         premise = sub.elements not in maximal_sets
         q, _ = quotient_with_projection(g, sub)
         inj_q = _inj(q)
         out.append(_case(
-            f"C6xC6/<{x}> order {q.order}", "quotient transform injective",
+            f"C6xC6/<{sub.generator}> order {q.order}",
+            "quotient transform injective",
             premise and inj_q, f"premise={premise} injective={inj_q}",
         ))
     return out

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -103,6 +104,19 @@ def test_radon_matrix_csv(capsys, tmp_path):
     assert sorted(lines[1:]) == ["0,1,0,1", "1,0,1,0"]
 
 
+def test_radon_matrix_csv_on_a_centre_certified_group(capsys, tmp_path):
+    # the centre certifies S4 without a system, so the CSV is built anew
+    out_csv = tmp_path / "m.csv"
+    code, payload, _ = run_json(capsys, "radon", "S4", "--matrix-csv", str(out_csv))
+    assert code == 0 and payload["method"] == "modular-full-rank"
+    assert radon._group_verdict(groups.from_name("S4"), "prime")[2] is None
+    with open(out_csv, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == [str(j) for j in range(24)]
+    matrix = radon.build_system(groups.from_name("S4"), "prime").matrix
+    assert [tuple(map(int, row)) for row in rows] == list(matrix)
+
+
 def test_json_deterministic_modulo_timing(capsys):
     _, a, _ = run_json(capsys, "radon", "D5")
     _, b, _ = run_json(capsys, "radon", "D5")
@@ -120,6 +134,32 @@ def test_spectral_abelian(capsys):
     assert payload["char_sum_exact"] is True
     assert payload["fourier_ok"] is True
     assert payload["plancherel_defect"] < 1e-9
+
+
+def test_spectral_on_the_trivial_group(capsys, tmp_path):
+    # C1 has no geodesics, so its one function is in the kernel
+    code, payload, err = run_json(capsys, "spectral", "C1")
+    assert (code, err) == (0, "")
+    assert payload["kernel_dim"] == payload["faithful_count"] == 1
+    assert payload["kernel_matches_faithful"] is True
+    assert payload["fourier_ok"] is True and payload["char_sum_exact"] is True
+    code, out, _ = run(capsys, "spectral", "C1")
+    assert code == 0 and "kernel dim 1 (= faithful count)" in out
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"dim": 1, "images": {"0": [[[1, 1, 0, 1]]]}, "unitary": True}))
+    code, payload, err = run_json(capsys, "spectral", "C1", "--rep", str(path))
+    assert (code, err) == (0, "")
+    assert payload["kernel_dim"] == payload["predicted_kernel_dim"] == 1
+    assert payload["projections_ok"] is True and payload["char_sum_exact"] is True
+    assert payload["dichotomies"] == [
+        {"dim": 1, "fixed_span_dim": 0, "kernel_dim": 1, "dichotomy_ok": True}
+    ]
+    code, out, _ = run(capsys, "spectral", "C1", "--rep", str(path))
+    assert code == 0 and "kernel dim 1, predicted from fixed-point-free reps: 1" in out
+    # the transform itself is still refused on C1
+    code, out, err = run(capsys, "radon", "C1")
+    assert (code, out) == (2, "")
+    assert err == "error: the trivial group has no geodesics\n"
 
 
 def test_spectral_tolerance_flag(capsys):
@@ -351,6 +391,7 @@ _LONG_INT = b"[" + b"1" * 5000 + b"]"
     [
         (["group", "file:{path}"], {"semidirect": {"normal": "C7", "action": []}}),
         (["flow", "constant:abc"], None),
+        (["flow", "bogus:3"], None),
         (["flow", "file:{path}"], {"size": 3}),
         (["spectral", "C4", "--rep", "{missing}"], None),
         (["verify", "abelian", "--max-order", "-3"], None),
@@ -404,7 +445,8 @@ _LONG_INT = b"[" + b"1" * 5000 + b"]"
         (["group", "file:{path}"],
          {"semidirect": {"normal": "C7", "acting": "C3", "action": [[0, 1, 2, 3, 4, 5, 6]]}}),
     ],
-    ids=["semidirect-without-acting", "flow-size-not-int", "flow-file-without-table",
+    ids=["semidirect-without-acting", "flow-size-not-int", "flow-unknown-kind",
+         "flow-file-without-table",
          "missing-rep-file", "suite-with-no-cases", "table-not-a-list",
          "row-not-a-list", "boolean-cell", "action-not-a-list", "normal-not-a-spec",
          "flow-string-cell", "flow-string-size", "flow-table-not-a-list",
@@ -433,6 +475,16 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert "(1, 3)" not in err  # no acting pair that does not exist
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("abc", "COSET_RADON_MAX_ORDER must be an integer, got 'abc'"),
+    ("0", "COSET_RADON_MAX_ORDER must be positive, got 0"),
+])
+def test_unusable_order_cap_exits_2_with_one_line(capsys, monkeypatch, cap, message):
+    monkeypatch.setenv("COSET_RADON_MAX_ORDER", cap)
+    code, out, err = run(capsys, "group", "C6")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class _ClosedPipe(io.StringIO):

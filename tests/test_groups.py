@@ -20,6 +20,7 @@ from coset_radon.errors import (
     MissingInverseError,
     NotAbelianError,
     NotAutomorphismError,
+    NotHomomorphismError,
     NotNormalError,
     NotSubgroupError,
     SizeLimitError,
@@ -116,6 +117,20 @@ def test_absurd_degree_refused_at_once():
         groups.from_name("S20")
 
 
+@pytest.mark.parametrize("bits", [64, 65, 100])
+def test_cap_names_the_power_of_two_below_an_order(monkeypatch, bits):
+    monkeypatch.delenv("COSET_RADON_MAX_ORDER", raising=False)
+    for order, below in ((2**bits, bits - 1), (2**bits + 1, bits)):
+        with pytest.raises(SizeLimitError) as err:
+            groups.from_name(f"C{order}")
+        assert str(err.value) == (
+            f"C{order} has order more than 2^{below}, above the cap of 5040"
+        )
+    # 2^64 - 1 still prints in full
+    with pytest.raises(SizeLimitError, match=f"^C{2**64 - 1} has order {2**64 - 1},"):
+        groups.from_name(f"C{2**64 - 1}")
+
+
 def test_direct_product_orders_multiply():
     g = groups.make_direct_product(groups.make_cyclic(3), groups.make_cyclic(4))
     assert g.order == 12
@@ -183,6 +198,15 @@ def test_semidirect_validates_action():
         groups.make_semidirect(c7, c3, bad)
 
 
+def test_semidirect_action_that_is_no_homomorphism():
+    # inversion is an automorphism of C3, but the identity of C2 must act
+    # trivially: phi_0 o phi_0 is not phi_0
+    c3, c2 = groups.make_cyclic(3), groups.make_cyclic(2)
+    with pytest.raises(NotHomomorphismError) as info:
+        groups.make_semidirect(c3, c2, [[0, 2, 1], [0, 2, 1]])
+    assert info.value.pair == (0, 0)
+
+
 @pytest.mark.parametrize("rows,message", [
     (1, "the action lists 1 permutation, but the acting group has 3 elements"),
     (4, "the action lists 4 permutations, but the acting group has 3 elements"),
@@ -218,6 +242,11 @@ def test_subgroup_helpers():
     assert all(len(c) == 3 for c in cosets)
     with pytest.raises(NotSubgroupError):
         groups.subgroup_from_elements(g, [0, 1, 2])
+    with pytest.raises(NotSubgroupError, match="^subgroup must contain the identity 0$"):
+        groups.subgroup_from_elements(g, [4, 8])
+    # inverses are there, but 1*1 = 2 is not
+    with pytest.raises(NotSubgroupError, match=r"^set is not closed: 1\*1 escapes it$"):
+        groups.subgroup_from_elements(g, [0, 1, 11])
 
 
 def _c3xc3_reconstruction(x):

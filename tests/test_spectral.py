@@ -298,6 +298,18 @@ def test_fourier_transform_identity():
         assert spectral.fourier_radon_check(g, f), name
 
 
+def test_fourier_check_runs_one_dft_per_subgroup_of_prime_order(monkeypatch):
+    # C2520 has one subgroup each of order 2, 3, 5 and 7: the DFT of f and
+    # one per subgroup, not one per element of prime order
+    g = groups.make_cyclic(2520)
+    ct = spectral.characters(g)
+    f = [Fraction((7 * x) % 11 - 5, 3) for x in range(g.order)]
+    calls, dft = [], spectral.dft
+    monkeypatch.setattr(spectral, "dft", lambda *args: calls.append(1) or dft(*args))
+    assert spectral.fourier_radon_check(g, f, ct=ct)
+    assert len(calls) == 5
+
+
 def test_fourier_check_length_error():
     with pytest.raises(DimensionError):
         spectral.fourier_radon_check(groups.make_cyclic(4), [1, 2])

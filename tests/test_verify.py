@@ -110,6 +110,21 @@ def test_suite_passes(name):
     assert not failed, failed[:5]
 
 
+def test_quotient_cases_take_each_subgroup_once_by_its_least_generator():
+    # reference: every element of order 2 or 3, the first to reach its subgroup
+    g = groups.from_name("C6xC6")
+    want = {}
+    for x in range(1, g.order):
+        if g.elt_order[x] in (2, 3):
+            want.setdefault(groups.cyclic_subgroup(g, x).elements, x)
+    cases = verify._quotient_cases()
+    assert sorted(c.group for c in cases) == sorted(
+        f"C6xC6/<{x}> order {36 // len(sub)}" for sub, x in want.items()
+    )
+    # three subgroups of order 2 and four of order 3
+    assert len(cases) == 7 and all(c.passed for c in cases)
+
+
 def test_suite_abelian_case_shape():
     report = verify.run_suite("abelian", max_order=12)
     assert all("factors" in c.expected or c.expected for c in report.cases)
