@@ -10,6 +10,9 @@ machinery as the group case.
 
 On a group the rule s(a, b) = b a^{-1} b reproduces coset geometry: the
 orbit through (a, b) visits exactly the coset a<a^{-1}b>, each point once.
+A table from outside (a flow file, a library caller) is checked once, in
+full, by validate_flow. The built-in flows, group_flow and constant_flow,
+carry their construction's proof of the axioms and skip that walk.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SuccessorFlow:
-    """Validated successor table: table[a][b] = s(a, b)."""
+    """Successor table meeting the three axioms: table[a][b] = s(a, b)."""
 
     size: int
     table: tuple[tuple[int, ...], ...]
@@ -97,19 +100,24 @@ def validate_flow(size: int, table, label: str = "flow") -> SuccessorFlow:
 
 
 def group_flow(g: GroupTable) -> SuccessorFlow:
-    """s(a, b) = b a^{-1} b on a group's element ids."""
+    """s(a, b) = b a^{-1} b on a group's element ids, without validate_flow:
+    in the proven group g, s(a, a) = a a^{-1} a = a; s(a, b) = b forces
+    b a^{-1} = e, so a = b; s(s(a, b), b) = b (b a^{-1} b)^{-1} b = a; and
+    every cell is a product in g, so an element id."""
     # row a of table[inv] is a^{-1} b over all b; a second gather puts b in front
     table = g.table[np.arange(g.order), g.table[list(g.inv)]]
-    return validate_flow(g.order, table.tolist(), label=f"group:{g.recipe}")
+    rows = tuple(map(tuple, table.tolist()))
+    return SuccessorFlow(g.order, rows, f"group:{g.recipe}")
 
 
 def constant_flow(size: int) -> SuccessorFlow:
-    """s(a, b) = a: every pair is already its own mirror."""
-    if size < 1:
+    """s(a, b) = a: every pair is already its own mirror. The rule meets the
+    three axioms by inspection, so validate_flow is not called."""
+    if type(size) is not int or size < 1:
         raise InvalidOrderError(f"flow needs at least one point, got {size}")
     _check_cap(size, "flow")
-    table = [[a] * size for a in range(size)]
-    return validate_flow(size, table, label=f"constant:{size}")
+    rows = tuple((a,) * size for a in range(size))
+    return SuccessorFlow(size, rows, f"constant:{size}")
 
 
 def _step(flow: SuccessorFlow, state: tuple[int, int]) -> tuple[int, int]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOrderError, InvalidVariantError, NoGeodesicsError
+from .exactla import is_prime
 from .groups import GroupTable, SubgroupSet, _element_id, cyclic_subgroup, left_cosets
 
 __all__ = [
@@ -58,16 +59,18 @@ def homomorphisms_cn(g: GroupTable, n: int) -> list[Homomorphism]:
 
 def cyclic_subgroups(g: GroupTable) -> list[SubgroupSet]:
     """All distinct nontrivial cyclic subgroups, sorted by (order, elements)."""
-    seen: dict[tuple[int, ...], SubgroupSet] = {}
-    covered = [False] * g.order  # generators of a subgroup already in seen
+    subs: list[SubgroupSet] = []
+    # every generator of a listed subgroup is marked covered, so an
+    # uncovered x generates a subgroup not listed yet
+    covered = [False] * g.order
     for x in range(1, g.order):
         if covered[x]:
             continue
         sub = cyclic_subgroup(g, x)
-        seen[sub.elements] = sub
+        subs.append(sub)
         for y in sub.elements:
             covered[y] |= g.elt_order[y] == len(sub)
-    return sorted(seen.values(), key=lambda s: (len(s.elements), s.elements))
+    return sorted(subs, key=lambda s: (len(s.elements), s.elements))
 
 
 def maximal_cyclic_subgroups(g: GroupTable) -> list[SubgroupSet]:
@@ -106,8 +109,6 @@ def _family_subgroups(g: GroupTable, variant: str) -> list[SubgroupSet]:
         raise NoGeodesicsError("the trivial group has no geodesics")
     if variant == "maximal":
         return maximal_cyclic_subgroups(g)
-    from .exactla import is_prime
-
     return [s for s in cyclic_subgroups(g) if is_prime(len(s.elements))]
 
 

@@ -1,9 +1,10 @@
 """Brute-force isomorphism and embedding search for small groups.
 
 Meant for cross-checks and suite plumbing at desk scale (orders well under
-a few hundred): generator images are chosen by element order and extended
-to a full homomorphism by closure, so the search space stays tiny for the
-groups handled here.
+a few hundred): the generators Light's test proved when the group was
+built are sent to elements of the same orders and extended to a full
+homomorphism by closure, so the search space stays tiny for the groups
+handled here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .groups import GroupTable, _close
+from .groups import GroupTable
 
 __all__ = [
     "are_isomorphic",
@@ -24,14 +25,9 @@ __all__ = [
 
 
 def generating_sequence(g: GroupTable) -> list[int]:
-    """A short generating list, grown greedily by smallest missing id."""
-    gens: list[int] = []
-    reached = np.zeros(g.order, dtype=bool)
-    reached[0] = True
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        _close(g.table, reached, gens)
-    return gens
+    """g.generators as a list: Light's test closed {e} under right
+    multiplication by them when g was built, so they generate g."""
+    return list(g.generators)
 
 
 def _extend_hom(
@@ -55,9 +51,7 @@ def _extend_hom(
                 frontier.append(y)
             elif phi[y] != iy:
                 return None
-    # reachability from e under right multiplication by generators is all of h
-    if -1 in phi:
-        raise AssertionError("generating sequence failed to generate")
+    # the generators generate h, so every phi[y] is set: no -1 is left
     p = np.array(phi)
     if not np.array_equal(p[h.table], g.table[np.ix_(p, p)]):
         return None
@@ -68,16 +62,10 @@ def _search(h: GroupTable, g: GroupTable) -> list[int] | None:
     """An injective homomorphism h -> g as an image list, or None: each
     generator of h goes to an element of g of the same order."""
     gens = generating_sequence(h)
-    if not gens:
-        return [0] if g.order >= 1 else None
-    candidates = []
-    for gen in gens:
-        d = h.elt_order[gen]
-        pool = [x for x in range(g.order) if g.elt_order[x] == d]
-        if not pool:
-            return None
-        candidates.append(pool)
-    for chosen in itertools.product(*candidates):
+    # an empty pool leaves the product, and so the search, empty
+    pools = [[x for x in range(g.order) if g.elt_order[x] == h.elt_order[gen]]
+             for gen in gens]
+    for chosen in itertools.product(*pools):
         phi = _extend_hom(h, g, gens, chosen)
         if phi is not None and len(set(phi)) == h.order:
             return phi

@@ -13,12 +13,14 @@ exact complex rationals (GaussianRational), enough for the quaternion
 group's 2-dimensional representation and all permutation-style examples:
 products, sums, conjugate transposes and traces are numpy operations on
 those exact entries, and ranks and kernels go through exactla.field_rref.
-A representation is proven on the generators Light's test found for its
-table, |G| |S| products in all (matrix_rep), and it keeps that table:
-every function that takes a group and a rep refuses any other group. A
-coset sum depends on the subgroup, not on the generator that traces it, so
-the Fourier identity, the fixed-space analysis and the projection law all
-read one generator per subgroup of prime order (_prime_homomorphisms).
+A representation from outside is proven on the generators Light's test
+found for its table, |G| |S| products in all (matrix_rep); the builtin
+quaternion reps carry their construction's proof (quaternion_rep_set).
+Each keeps its table: every function that takes a group and a rep refuses
+any other group. A coset sum depends on the subgroup, not on the generator
+that traces it, so the Fourier identity, the fixed-space analysis and the
+projection law all read one generator per subgroup of prime order
+(_prime_homomorphisms).
 """
 
 from __future__ import annotations
@@ -612,11 +614,17 @@ def matrix_coefficient_vectors(g: GroupTable, rep: MatrixRep) -> list[tuple]:
 
 def quaternion_rep_set(g: GroupTable) -> list[MatrixRep]:
     """The four linear characters and the 2-dim irrep of the order-8
-    dicyclic (quaternion) group, exactly, as validated MatrixReps.
+    dicyclic (quaternion) group, exactly, as MatrixReps.
 
     Any labelling will do: a is the least id of order 4 and b the least id
     of order 4 outside <a>, and b^m a^k (m < 2, k < 4) is placed at its id
     in the table. On make_dicyclic(2) that id is m*4 + k.
+
+    The order census admits Q8 alone, so the images need no matrix_rep: in
+    Q8 any a, b of order 4 with b outside <a> satisfy b^2 = a^2 and
+    b a b^-1 = a^-1, and each element is b^m a^k exactly once. I =
+    diag(i, -i) and J = [[0, 1], [-1, 0]] are unitary with J^2 = I^2 and
+    J I J^-1 = I^-1, and each sign pair (alpha, beta) meets the same relations.
     """
     if g.order != 8 or sorted(g.elt_order) != [1, 2, 4, 4, 4, 4, 4, 4]:
         raise UnsupportedGroupError("not the quaternion group")
@@ -628,11 +636,14 @@ def quaternion_rep_set(g: GroupTable) -> list[MatrixRep]:
     mat_j = np.array([[_ZERO, _ONE], [-_ONE, _ZERO]], dtype=object)
     power = np.linalg.matrix_power
     ids = [divmod(i, 4) for i in np.argsort(where).tolist()]
-    images = [power(mat_j, m) @ power(mat_i, k) for m, k in ids]
-    reps = [matrix_rep(g, images, unitary=True)]
-    for alpha, beta in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        images = [[[alpha**m * beta**k]] for m, k in ids]
-        reps.append(matrix_rep(g, images, unitary=True))
+    image_sets = [[power(mat_j, m) @ power(mat_i, k) for m, k in ids]]
+    for alpha, beta in itertools.product((1, -1), repeat=2):
+        image_sets.append([[[alpha**m * beta**k]] for m, k in ids])
+    as_gq = np.frompyfunc(_as_gq, 1, 1)  # matrix_power(., 0) and signs are ints
+    reps = []
+    for images in image_sets:
+        arr = _frozen(as_gq(np.array(images, dtype=object)))
+        reps.append(MatrixRep(g, arr.shape[1], arr, declared_unitary=True))
     # trivial first, 2-dim last: conventional reading order
     reps.sort(key=lambda r: (r.dim, (r.images[:, 0, 0] != 1).tolist()))
     return reps
@@ -687,9 +698,15 @@ def load_rep(source, g: GroupTable) -> MatrixRep:
             "malformed representation file: dim must be a positive integer, "
             "images an object and unitary a boolean"
         )
+    keys = [str(x) for x in range(g.order)]
+    unexpected = sorted(raw_images.keys() - set(keys), key=str)
+    if unexpected:
+        raise InvalidRepresentationError(
+            f"image key {unexpected[0]!r} is not an element id 0..{g.order - 1}"
+        )
     images = []
-    for x in range(g.order):
-        m = raw_images.get(str(x))
+    for x, key in enumerate(keys):
+        m = raw_images.get(key)
         if m is None:
             raise InvalidRepresentationError(f"missing image for element {x}")
         if not _is_square(m, dim) or not all(_is_cell(c) for row in m for c in row):

@@ -99,27 +99,21 @@ def _report(name: str, cases: list[SuiteCase]) -> SuiteReport:
 # corpora
 
 
+def _partitions(e: int, top: int):
+    """The partitions of e into parts of at most top, each largest part
+    first, in reverse lexicographic order: a largest part k, then the
+    partitions of e - k into parts of at most k."""
+    if e == 0:
+        yield []
+    for k in range(min(e, top), 0, -1):
+        for rest in _partitions(e - k, k):
+            yield [k, *rest]
+
+
 def _prime_power_splits(p: int, e: int) -> list[list[int]]:
     """All multisets of p-power orders with exponents summing to e, each
-    largest first, in reverse lexicographic order of the exponents.
-
-    The exponents walk the partitions of e: the next one drops the trailing
-    1s, lowers the last part left by one, to k, and refills what the
-    dropped parts held with parts of at most k.
-    """
-    out = []
-    parts = [e]
-    while True:
-        out.append([p**k for k in parts])
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return out
-        k = parts.pop() - 1
-        q, r = divmod(ones + k + 1, k)
-        parts += [k] * q + [r] * (r > 0)
+    largest first, in reverse lexicographic order of the exponents."""
+    return [[p**k for k in parts] for parts in _partitions(e, e)]
 
 
 def abelian_groups_upto(max_order: int) -> list[GroupTable]:
@@ -543,10 +537,8 @@ def suite_flows(max_order: int = 24) -> SuiteReport:
         fl = flows.group_flow(g)
         orbs = flows.flow_orbits(fl)
         projections = {o.projection() for o in orbs if not o.stationary}
-        cosets = set()
-        for sub in geodesics.cyclic_subgroups(g):
-            for coset in left_cosets(g, sub):
-                cosets.add(tuple(coset))
+        subs = geodesics.cyclic_subgroups(g)
+        cosets = {c for sub in subs for c in left_cosets(g, sub)}
         diag_ok = all(
             o.stationary == (o.states[0][0] == o.states[0][1]) for o in orbs
         )
@@ -564,11 +556,7 @@ def suite_flows(max_order: int = 24) -> SuiteReport:
 
 def _reversal_closed(orbs) -> bool:
     state_sets = {frozenset(o.states) for o in orbs}
-    for o in orbs:
-        swapped = frozenset((b, a) for a, b in o.states)
-        if swapped not in state_sets:
-            return False
-    return True
+    return all(frozenset((b, a) for a, b in o.states) in state_sets for o in orbs)
 
 
 def _axiom_witness_case() -> SuiteCase:

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coset_radon import cli, exactla, groups, radon, verify
 from coset_radon.cli import load_group, main
@@ -384,6 +384,13 @@ _UNDECODABLE = b"\xff\xfe{}"
 _DEEP = b"[" * 100_000 + b"]" * 100_000
 # an integer past the digits int() reads from a string
 _LONG_INT = b"[" + b"1" * 5000 + b"]"
+# C2's trivial rep with two image keys that are not element ids
+_EXTRA_IMAGE_KEYS = {
+    "dim": 1,
+    "images": {"0": [[[1, 1, 0, 1]]], "1": [[[1, 1, 0, 1]]], "7": [[[1, 1, 0, 1]]],
+               "banana": 3},
+    "unitary": True,
+}
 
 
 @pytest.mark.parametrize(
@@ -444,6 +451,10 @@ _LONG_INT = b"[" + b"1" * 5000 + b"]"
         (["verify", "abelian", "--max-order", "abc"], None),
         (["group", "file:{path}"],
          {"semidirect": {"normal": "C7", "acting": "C3", "action": [[0, 1, 2, 3, 4, 5, 6]]}}),
+        (["group", "D0"], None),
+        (["group", "S0"], None),
+        (["group", "A0"], None),
+        (["spectral", "C2", "--rep", "{path}"], _EXTRA_IMAGE_KEYS),
     ],
     ids=["semidirect-without-acting", "flow-size-not-int", "flow-unknown-kind",
          "flow-file-without-table",
@@ -460,7 +471,8 @@ _LONG_INT = b"[" + b"1" * 5000 + b"]"
          "spectral-abelian-max-order-1", "products-with-no-cases",
          "table-order-a-float", "table-order-a-boolean", "group-file-long-int",
          "path-with-nul", "path-with-newline", "group-without-spec",
-         "max-order-not-an-int", "action-of-the-wrong-length"],
+         "max-order-not-an-int", "action-of-the-wrong-length", "dihedral-0",
+         "symmetric-0", "alternating-0", "rep-image-key-not-an-id"],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, data):
     path = tmp_path / "input.json"
@@ -886,6 +898,7 @@ def fuzz_file(tmp_path_factory):
     ids=["group-file", "flow-file", "rep-file"],
 )
 @given(data=_JSON_VALUES)
+@example(data=_EXTRA_IMAGE_KEYS)
 @settings(max_examples=100, deadline=None)
 def test_fuzzed_files_keep_the_failure_contract(fuzz_file, argv, data):
     fuzz_file.write_text(json.dumps(data))

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from coset_radon import flows, groups, radon
+from coset_radon import flows, groups, radon, verify
 from coset_radon.errors import FlowAxiomError, InvalidOrderError, SizeLimitError
 from coset_radon.exactla import rank_exact, rational_nullspace
 from coset_radon.geodesics import cyclic_subgroups
@@ -46,8 +47,10 @@ def test_validate_flow_axiom_witnesses():
 def test_invalid_sizes():
     with pytest.raises(InvalidOrderError):
         flows.validate_flow(0, [])
-    with pytest.raises(InvalidOrderError):
-        flows.constant_flow(0)
+    # constant_flow refuses what validate_flow refuses, without its walk
+    for size in (0, True, np.int64(3), 2.0, "3"):
+        with pytest.raises(InvalidOrderError):
+            flows.constant_flow(size)
 
 
 def test_flows_refuse_sizes_above_the_order_cap(monkeypatch):
@@ -191,3 +194,34 @@ def test_group_flow_equals_constant_flow_on_involutive_groups():
     for name in ("C2", "C2xC2", "C2xC2xC2"):
         g = groups.from_name(name)
         assert flows.group_flow(g).table == flows.constant_flow(g.order).table, name
+
+
+def _relabelled(g, seed):
+    """g rebuilt from its table with every id renamed, the identity's too."""
+    perm = np.random.default_rng(seed).permutation(g.order)
+    out = np.empty((g.order, g.order), dtype=np.int64)
+    out[np.ix_(perm, perm)] = perm[g.table]
+    return groups.from_cayley_table(out)
+
+
+def test_builtin_flows_pass_the_axiom_walk():
+    # group_flow and constant_flow skip validate_flow, on the proof in their
+    # docstrings; the walk still accepts each of them with an equal table
+    corpus = verify.groups_upto(24) + [
+        groups.make_symmetric(5), _relabelled(groups.make_symmetric(4), 5)
+    ]
+    built = [flows.group_flow(g) for g in corpus]
+    built += [flows.constant_flow(m) for m in range(1, 41)]
+    for flow in built:
+        again = flows.validate_flow(flow.size, flow.table, flow.label)
+        assert again == flow, flow.label
+        assert all(type(v) is int for row in flow.table for v in row)
+    assert built[-1].table == tuple((a,) * 40 for a in range(40))
+
+
+def test_axiom_witness_case_fails_when_the_walk_accepts(monkeypatch):
+    assert verify._axiom_witness_case().passed
+    monkeypatch.setattr(flows, "validate_flow", lambda size, table, label="flow": None)
+    case = verify._axiom_witness_case()
+    assert not case.passed
+    assert case.computed == "got ['accepted', 'accepted']"

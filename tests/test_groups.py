@@ -44,6 +44,17 @@ def test_cyclic_rejects_nonpositive():
         groups.make_cyclic(0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (groups.make_dihedral, "dihedral parameter must be >= 1, got 0"),
+    (groups.make_symmetric, "symmetric degree must be >= 1, got 0"),
+    (groups.make_alternating, "alternating degree must be >= 1, got 0"),
+])
+def test_families_reject_parameter_zero(make, message):
+    with pytest.raises(InvalidOrderError) as info:
+        make(0)
+    assert str(info.value) == message
+
+
 def test_trivial_group():
     g = groups.make_trivial()
     assert g.order == 1
@@ -945,19 +956,20 @@ def test_is_abelian_matches_definition(corpus):
     assert kinds == {True, False}
 
 
-def test_generating_sequence_is_greedy_by_smallest_missing_id(corpus):
-    for g, t in corpus:
-        gens, closed = [], {0}
-        while len(closed) < g.order:
-            gens.append(min(set(range(g.order)) - closed))
-            closed, frontier = {0}, [0]
-            while frontier:
-                cur = frontier.pop()
-                for y in (t[cur][s] for s in gens):
-                    if y not in closed:
-                        closed.add(y)
-                        frontier.append(y)
-        assert iso.generating_sequence(g) == gens, g.recipe
+def test_generating_sequence_is_lights_generators_and_generates(corpus):
+    s4 = _relabelled(groups.make_symmetric(4), np.random.default_rng(4))
+    extra = [groups.make_symmetric(5), s4]
+    for g, t in corpus + [(g, g.table.tolist()) for g in extra]:
+        gens = iso.generating_sequence(g)
+        assert gens == list(g.generators), g.recipe
+        closed, frontier = {0}, [0]
+        while frontier:
+            cur = frontier.pop()
+            for y in (t[cur][s] for s in gens):
+                if y not in closed:
+                    closed.add(y)
+                    frontier.append(y)
+        assert len(closed) == g.order, g.recipe
 
 
 def _bfs_close(t, reached, gens):

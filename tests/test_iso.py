@@ -53,6 +53,12 @@ def test_find_embedding_is_injective_hom():
             assert phi[h.table[a, b]] == g.table[phi[a], phi[b]]
 
 
+def test_no_embedding_without_elements_of_a_generator_order():
+    # C2^3 has no element of order 4: the generator's pool is empty
+    c2_cubed = groups.from_name("C2xC2xC2")
+    assert iso.find_embedding(groups.make_cyclic(4), c2_cubed) is None
+
+
 def test_no_embedding_of_klein_in_cyclic():
     h = groups.from_name("C2xC2")
     g = groups.make_cyclic(8)

@@ -930,3 +930,18 @@ def test_kernel_basis_builds_its_vectors_once_on_request():
     assert radon.KernelBasis.from_vectors(vectors[1:]) != kb
     assert radon.KernelBasis.from_vectors([vec[::-1] for vec in vectors]) != kb
     assert radon.KernelBasis.from_vectors(()).dim == 0
+
+
+def test_entry_points_refuse_inputs_of_the_wrong_size():
+    sys = radon.build_system(groups.make_cyclic(6), "prime")
+    with pytest.raises(DimensionError, match=f"got 3 values for {sys.nrows} rows"):
+        radon.group_sum_from_radon(sys, [1, 2, 3])
+    c2, c3 = groups.make_cyclic(2), groups.make_cyclic(3)
+    with pytest.raises(DimensionError, match="witness lengths"):
+        radon.kernel_witness_product([1, -1, 0], [1, -1, 0], c2, c3)
+    with pytest.raises(DimensionError, match="witness lengths"):
+        radon.kernel_witness_product([1, -1], [1, -1], c2, c3)
+    with pytest.raises(NoGeodesicsError, match="nontrivial group"):
+        radon.dimension_bound_check(groups.make_trivial())
+    with pytest.raises(DimensionError, match="function length 5, expected 6"):
+        radon.composite_consistency(groups.make_cyclic(6), 6, [[1] * 6, [1] * 5])

@@ -487,6 +487,49 @@ def test_load_rep_malformed(q8):
     }
     with pytest.raises(InvalidRepresentationError):
         spectral.load_rep(bad_shape, q8)
+    # images must have exactly the keys "0" .. "7"; the first unexpected key
+    # in sorted order is named
+    good = spectral.rep_to_dict(spectral.quaternion_rep_set(q8)[0])
+    for extra, named in (
+        ({"8": good["images"]["0"]}, "'8'"),
+        ({"banana": 3, "7 ": good["images"]["7"]}, "'7 '"),
+        ({"-1": 0, "10": 0, "01": 0}, "'-1'"),
+    ):
+        data = {**good, "images": {**good["images"], **extra}}
+        with pytest.raises(InvalidRepresentationError, match=f"image key {named} is"):
+            spectral.load_rep(data, q8)
+    assert spectral.load_rep(good, q8).dim == 1
+
+
+def test_matrix_rep_refuses_images_that_are_not_all_square():
+    g = groups.make_cyclic(2)
+    for images in ([[[1]], [[1, 0], [0, 1]]], [[[1, 0]], [[1, 0]]], [[], []]):
+        with pytest.raises(InvalidRepresentationError, match="not all square"):
+            spectral.matrix_rep(g, images, unitary=False)
+
+
+def _hand_built(g, diagonals):
+    """A MatrixRep with diagonal images, made without matrix_rep's checks,
+    so that it need not be a representation."""
+    d = len(diagonals[0])
+    images = np.full((g.order, d, d), GaussianRational(0), dtype=object)
+    for x, diagonal in enumerate(diagonals):
+        np.fill_diagonal(images[x], [GaussianRational(v) for v in diagonal])
+    return spectral.MatrixRep(g, d, images, declared_unitary=True)
+
+
+def test_check_projection_refuses_a_sum_that_is_no_projection():
+    c2, c3 = groups.make_cyclic(2), groups.make_cyclic(3)
+    # (2 + 1) / 2 is not idempotent, though rho(1) = 1 fixes everything
+    rep = _hand_built(c2, [[2], [1]])
+    assert not spectral.check_projection(c2, rep, Homomorphism(2, 1))
+    # P = (I + diag(2, 1) + diag(0, -2)) / 3 = diag(1, 0) is an orthogonal
+    # projection of the rank the fixed space of rho(1) has, but rho(1) moves
+    # the vectors of its image
+    rep = _hand_built(c3, [[1, 1], [2, 1], [0, -2]])
+    assert not spectral.check_projection(c3, rep, Homomorphism(3, 1))
+    rep = _hand_built(c3, [[1, 1], [1, 2], [1, -3]])  # P = diag(1, 0) again
+    assert spectral.check_projection(c3, rep, Homomorphism(3, 1))
 
 
 # --- array forms against per-entry references ------------------------------------
@@ -908,6 +951,25 @@ def test_one_random_corrupted_image_matches_references(case, data):
     bad = [[list(row) for row in m] for m in images]
     bad[x][i][j] = value
     _assert_matches_references(g, bad, data.draw(st.booleans(), label="unitary"))
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_builtin_quaternion_reps_pass_matrix_rep(seed, q8):
+    # quaternion_rep_set skips matrix_rep, on the proof in its docstring;
+    # matrix_rep still accepts every rep with equal images, on Dic2 and on
+    # the relabelled tables of the test below
+    h = q8
+    if seed is not None:
+        perm = np.random.default_rng(seed).permutation(8)
+        table = np.empty((8, 8), dtype=np.int64)
+        table[np.ix_(perm, perm)] = perm[q8.table]
+        h = groups.from_cayley_table(table)
+    for rep in spectral.quaternion_rep_set(h):
+        again = spectral.matrix_rep(h, rep.images.tolist(), unitary=True)
+        assert np.array_equal(again.images, rep.images)
+        assert (again.dim, again.declared_unitary) == (rep.dim, True)
+        assert not rep.images.flags.writeable
+        assert all(type(v) is GaussianRational for v in rep.images.flat)
 
 
 @pytest.mark.parametrize("seed", range(6))
