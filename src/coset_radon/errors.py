@@ -128,10 +128,6 @@ class GroupSpecError(CosetRadonError):
     """A group expression string could not be parsed."""
 
 
-class RankDisagreementError(CosetRadonError):
-    """Exact and modular rank computations disagree; something is broken."""
-
-
 def read_json(path: str, error: type[CosetRadonError]):
     """The JSON value in the UTF-8 file at path. Every way the file can fail
     to be read or parsed raises error, with a one-line message."""

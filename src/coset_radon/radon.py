@@ -12,33 +12,37 @@ column a exactly when a lies in xH, so the Gram matrix is
 (A^T A)[a, b] = z(a^-1 b), with z = sum of 1_H over the family: A^T A is
 multiplication by z in F[G]. Both families are closed under conjugation,
 so z is central and every z^j is a class function. The Krylov sequence
-delta_e, z delta_e, z^2 delta_e, ... on class vectors mod exactla.P stops
-at the minimal polynomial of z mod P. A nonzero constant term makes z a
-unit, so A^T A is invertible mod P and A has rank |G| mod P, hence over Q:
-the modular-full-rank verdict, reached before any coset row is built. A
-system with fewer rows than |G| skips the test, since it cannot have full
-rank.
+delta_e, z delta_e, ... on class vectors mod exactla.P stops at the
+minimal polynomial of z mod P. A nonzero constant term makes z a unit, so
+A^T A is invertible mod P and A has rank |G| mod P, hence over Q: the
+modular-full-rank verdict, reached before any coset row is built. A
+system with fewer rows than |G| skips the test.
 
-Every other verdict (a flow, a group system with too few rows, a z that is
-no unit mod P) takes the matrix route: one elimination of the rows modulo
-exactla.P, whose full rank is already a proof of full rational rank. That
-elimination leaves the reduced echelon basis, pivoting from the right, so
-a system deficient mod P reads its kernel mod P straight off it, with no
-second elimination; the kernel is lifted to rationals and proven by exact
-integer substitution into every row. The lifted basis has n - rank_P
-independent vectors in reduced row-echelon form and rational rank is at
-least rank_P, so a lift that passes is the unique reduced kernel basis. A
-lift that fails falls back to the fraction-free integer elimination of
-exactla.rational_nullspace.
+Every other verdict, and every kernel, reads one elimination of the rows
+mod P that the system keeps: the reduced echelon basis, pivoting from the
+right. On a system build_system made, the verdict's rank is its length,
+the rank mod P, by this proof:
 
-A kernel comes from its verdict's route: the empty basis when the centre
-or a full rank mod P certifies, else the matrix route's proven basis. A
-KernelBasis holds an integer code per entry into the distinct values the
-basis takes, as the lift finds them; the fallback and the empty basis are
-converted to the same form. Its Fraction vectors are built only when read,
-and its entry strings write each distinct value once. A family is listed
-only by geodesics._family_subgroups and held by the system build_system
-makes on it; any other system is answered from its rows alone.
+- z acts on each chi-isotypic block as omega_chi = sum over H of
+  |H| dim V_chi^H / chi(1), a rational algebraic integer, so an integer in
+  [0, S], S = sum over H of |H|.
+- A^T A is symmetric, so prod over omega of (A^T A - omega) = 0 over Z
+  and mod P. The omega are distinct integers below S < P, so A^T A is
+  diagonalizable mod P with nullity m_0 (omega = 0's multiplicity), as
+  over Q: rank_P(A) >= rank_P(A^T A) = |G| - m_0 = rank_Q(A) >= rank_P(A).
+- S < P. A non-identity element lies in at most one subgroup of prime
+  order, so S <= 2(|G| - 1) for the prime family. Distinct maximal cyclic
+  subgroups share no generator, so S <= (|G| - 1) max m/phi(m) over
+  m <= |G| for the maximal one. At groups.MAX_TABLE_ORDER that maximum is
+  at m = 30030, and S < 341,670, far below P = 33,554,393.
+
+Any other system (a flow, or one built by hand) proves a deficit mod P by
+its kernel, which kernel() also returns unless the centre or a full rank
+mod P certifies: the kernel mod P read off the reduced basis, lifted to
+rationals and summed back exactly over every row. The lift has
+n - rank_P independent vectors in reduced row-echelon form and rational
+rank is at least rank_P, so a lift that passes is the unique reduced
+kernel basis; one that fails falls back to exactla.rational_nullspace.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from .errors import (
     NoGeodesicsError,
     NotCoprimeError,
     NotCyclicError,
-    RankDisagreementError,
     UnsupportedGroupError,
 )
 from .geodesics import _family_subgroups, _geodesics_for, homomorphisms_cn
@@ -113,7 +116,8 @@ class RadonSystem:
     the rows, a block per subgroup. Only build_system sets it: it is no
     constructor argument, and dataclasses.replace drops it. Any system
     without one (a flow, or a group system built by hand) is answered from
-    its rows alone.
+    its rows alone. _echelon, the rows' reduced echelon basis mod
+    exactla.P, is computed on first access and kept read-only.
     """
 
     group: GroupTable | None
@@ -147,6 +151,12 @@ class RadonSystem:
         if self.family is None:
             raise InvalidVariantError("only a system build_system made has geodesics")
         return tuple(_geodesics_for(self.group, self.family))
+
+    @cached_property
+    def _echelon(self) -> np.ndarray:
+        echelon = exactla.echelon_mod(_array_rows(self), self.ncols, exactla.P)
+        echelon.flags.writeable = False
+        return echelon
 
 
 def _indptr(lengths) -> np.ndarray:
@@ -281,22 +291,22 @@ def apply(sys: RadonSystem, f) -> tuple:
 
 
 def kernel(sys: RadonSystem) -> KernelBasis:
-    """Exact rational kernel in reduced row-echelon form, from the route of
-    the system's verdict: empty when the centre of the family build_system
-    left on it or a full rank mod exactla.P certifies, else read off the
-    elimination mod P and summed back exactly over every row, so a
+    """Exact rational kernel in reduced row-echelon form: empty when the
+    centre or a full rank mod exactla.P certifies, else lifted from the
+    system's elimination mod P and summed back exactly over every row, so a
     KernelBasis in hand is a certificate."""
-    return _verdict(sys)[1]
+    if _centre(sys) or len(sys._echelon) == sys.ncols:
+        return _NO_KERNEL
+    return _kernel(sys)
 
 
-def _kernel(sys: RadonSystem, echelon: np.ndarray) -> KernelBasis:
-    """kernel(sys), from an exactla.echelon_mod basis of its rows mod
-    exactla.P: the kernel mod P, lifted to rationals, or, when the lift
-    fails or does not annihilate every row exactly,
-    exactla.rational_nullspace."""
+def _kernel(sys: RadonSystem) -> KernelBasis:
+    """The kernel of rows deficient mod exactla.P: the kernel mod P of the
+    system's echelon basis, lifted to rationals, or, when the lift fails or
+    does not annihilate every row exactly, exactla.rational_nullspace."""
     p = exactla.P
     # the lift writes over the kernel mod P it is given, so it gets a fresh one
-    lifted = exactla.lift_nullspace(exactla.nullspace_mod(echelon, p), p)
+    lifted = exactla.lift_nullspace(exactla.nullspace_mod(sys._echelon, p), p)
     if lifted is not None and _annihilates(sys, lifted[2]):
         return KernelBasis(*lifted[:2])
     vectors = exactla.rational_nullspace(
@@ -382,50 +392,45 @@ def _centre_verdict(g: GroupTable, variant: str, subs) -> InjectivityVerdict | N
     return _make_verdict(n, variant, rows, n, "modular-full-rank")
 
 
-def _matrix_verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
-    """The verdict from the rows: one elimination mod exactla.P. A full rank
-    there is the verdict, with an empty basis; otherwise the kernel comes
-    from that elimination's reduced echelon basis, proven exactly."""
-    n = sys.ncols
-    echelon = exactla.echelon_mod(_array_rows(sys), n, exactla.P)
-    modular = len(echelon)
+def _matrix_verdict(sys: RadonSystem) -> InjectivityVerdict:
+    """The verdict from the rows: their rank mod exactla.P when it is full
+    or the system has a family, else n less the dimension of the proven
+    kernel."""
+    n, modular = sys.ncols, len(sys._echelon)
     if modular == n:
-        verdict = _make_verdict(n, sys.variant, sys.nrows, n, "modular-full-rank")
-        return verdict, _NO_KERNEL
-    ker = _kernel(sys, echelon)
-    r = n - ker.dim
-    if r < modular:  # pragma: no cover - modular rank never exceeds rational
-        raise RankDisagreementError(f"exact rank {r} below modular rank {modular}")
-    return _make_verdict(n, sys.variant, sys.nrows, r, "exact-elimination"), ker
+        return _make_verdict(n, sys.variant, sys.nrows, n, "modular-full-rank")
+    rank = modular if sys.family else n - _kernel(sys).dim
+    return _make_verdict(n, sys.variant, sys.nrows, rank, "exact-elimination")
 
 
-def _verdict(sys: RadonSystem) -> tuple[InjectivityVerdict, KernelBasis]:
-    """The verdict on a system, with the kernel basis that settled it: the
-    centre of its family when that certifies, else the matrix route."""
-    verdict = sys.family and _centre_verdict(sys.group, sys.variant, sys.family)
-    return (verdict, _NO_KERNEL) if verdict else _matrix_verdict(sys)
+def _centre(sys: RadonSystem) -> InjectivityVerdict | None:
+    """The centre's verdict on the family of a system build_system made."""
+    return sys.family and _centre_verdict(sys.group, sys.variant, sys.family)
+
+
+def _verdict(sys: RadonSystem) -> InjectivityVerdict:
+    """The verdict on a system: the centre of its family when that
+    certifies, else the matrix route."""
+    return _centre(sys) or _matrix_verdict(sys)
 
 
 def _group_verdict(
     g: GroupTable, variant: str
-) -> tuple[InjectivityVerdict, KernelBasis, RadonSystem | None]:
-    """The verdict on g's family, the kernel basis that settled it, and the
-    family's system, or None when the centre certified before any row was
-    built; the matrix route runs on a system built on the family the
-    centre was asked on."""
+) -> tuple[InjectivityVerdict, RadonSystem | None]:
+    """The verdict on g's family and its system, built on the family the
+    centre was asked on, or None when the centre certified with no row."""
     subs = _family_subgroups(g, variant)
-    verdict = _centre_verdict(g, variant, subs)
-    if verdict is not None:
-        return verdict, _NO_KERNEL, None
+    if verdict := _centre_verdict(g, variant, subs):
+        return verdict, None
     sys = _build_system(g, variant, subs)
-    return (*_matrix_verdict(sys), sys)
+    return _matrix_verdict(sys), sys
 
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
     """(rank, kernel_dim, method): a unit in the centre of the system's
-    family, if it holds one, or a full rank mod exactla.P certifies full
-    rational rank; otherwise the exactly proven kernel settles the rank."""
-    v = _verdict(sys)[0]
+    family, if it holds one, or the rank mod exactla.P, which is the rank
+    over Q when full or on a family; a proven kernel settles any other."""
+    v = _verdict(sys)
     return v.rank, v.kernel_dim, v.method
 
 
@@ -474,18 +479,19 @@ def reconstruct_cpxcp(sys: RadonSystem, values, x: int) -> Fraction:
     p+1 times and everything else once, so subtracting the total mass and
     dividing by p isolates f(x), on the prime system build_system made.
     """
+    return reconstruct_all(sys, values)[_element_id(sys.group, x)]
+
+
+def reconstruct_all(sys: RadonSystem, values) -> tuple[Fraction, ...]:
+    """reconstruct_cpxcp at every element, reading values once."""
     if sys.variant != "prime" or sys.family is None:
         raise InvalidVariantError("reconstruction needs build_system's prime system")
     p = _elementary_square_prime(sys.group)
     vals = list(values)
     total = group_sum_from_radon(sys, vals)  # one value per row, checked
-    through_x = np.flatnonzero(sys.indices == _element_id(sys.group, x))
-    hits = np.searchsorted(sys.indptr, through_x, "right") - 1
-    return (Fraction(sum(vals[i] for i in hits.tolist())) - total) / p
-
-
-def reconstruct_all(sys: RadonSystem, values) -> tuple[Fraction, ...]:
-    return tuple(reconstruct_cpxcp(sys, values, x) for x in range(sys.ncols))
+    # every row holds p entries; a stable sort keeps each element's rows in order
+    through = (np.argsort(sys.indices, kind="stable") // p).reshape(-1, p + 1).tolist()
+    return tuple((Fraction(sum(vals[i] for i in hits)) - total) / p for hits in through)
 
 
 def kernel_witness_cyclic(g: GroupTable) -> tuple[Fraction, ...]:

@@ -109,7 +109,7 @@ def test_radon_matrix_csv_on_a_centre_certified_group(capsys, tmp_path):
     out_csv = tmp_path / "m.csv"
     code, payload, _ = run_json(capsys, "radon", "S4", "--matrix-csv", str(out_csv))
     assert code == 0 and payload["method"] == "modular-full-rank"
-    assert radon._group_verdict(groups.from_name("S4"), "prime")[2] is None
+    assert radon._group_verdict(groups.from_name("S4"), "prime")[1] is None
     with open(out_csv, newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == [str(j) for j in range(24)]
@@ -558,11 +558,20 @@ def test_radon_builds_system_and_kernel_once(capsys, monkeypatch):
 
     counting("_build_system")
     counting("_kernel")
+    eliminations, lifts = [], []
+    eliminate, lift = exactla.echelon_mod, exactla.lift_nullspace
+    monkeypatch.setattr(
+        exactla, "echelon_mod", lambda *args: eliminations.append(1) or eliminate(*args)
+    )
+    monkeypatch.setattr(
+        exactla, "lift_nullspace", lambda *args: lifts.append(1) or lift(*args)
+    )
     code, payload, _ = run_json(capsys, "radon", "Dic3", "--kernel")
     assert code == 0
     assert payload["method"] == "exact-elimination"
     assert len(payload["kernel"]) == payload["kernel_dim"] == 4
     assert calls == {"_build_system": 1, "_kernel": 1}
+    assert eliminations == lifts == [1]
 
 
 def test_json_key_sets_from_records(capsys):
@@ -732,7 +741,8 @@ def _reference_outputs(spec, variant):
     VARIANT --kernel` prints, written from a fresh verdict by the reference
     formatter."""
     g = load_group(spec)
-    verdict, kb, _ = radon._group_verdict(g, variant)
+    verdict = radon.is_injective(g, variant)
+    kb = radon.kernel(radon.build_system(g, variant))
     rows = _reference_kernel_rows(kb)
     payload = {"group": g.recipe, **asdict(verdict), "kernel": rows}
     lines = [
@@ -821,34 +831,56 @@ def test_a_kernel_of_one_vector_is_singular_in_text(capsys):
 
 
 def test_a_verdict_without_a_kernel_builds_no_vectors(capsys, monkeypatch, tmp_path):
-    # only the zero-average cases of the maximal suite read a kernel's
-    # vectors; every other noninjective verdict leaves them unbuilt
-    kernels, reading, make, case = [], [], radon._kernel, verify._zero_average_cyclic_case
+    # a family's rank mod P is its rank over Q, so on a group system only
+    # the zero-average cases of the maximal suite, which read a kernel, lift
+    # one or fall back; a flow still proves its deficit by its kernel
+    within, lifts, deficits, decide = [], [], [], radon._matrix_verdict
 
-    def recording(*args):
-        kernels.append((bool(reading), make(*args)))
-        return kernels[-1][1]
+    def deciding(sys):
+        verdict = decide(sys)
+        deficits.append(sys.family is not None and verdict.kernel_dim > 0)
+        return verdict
 
-    def zero_average(n):
-        reading.append(n)
-        try:
-            return case(n)
-        finally:
-            reading.pop()
+    def entering(function, label):
+        def wrapper(*args):
+            within.append(label(*args))
+            try:
+                return function(*args)
+            finally:
+                within.pop()
 
-    monkeypatch.setattr(radon, "_kernel", recording)
-    monkeypatch.setattr(verify, "_zero_average_cyclic_case", zero_average)
+        return wrapper
+
+    def recording(function):
+        def wrapper(*args):
+            lifts.append(tuple(within))
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        radon, "_kernel",
+        entering(radon._kernel, lambda sys: "flow" if sys.group is None else "group"),
+    )
+    monkeypatch.setattr(
+        verify, "_zero_average_cyclic_case",
+        entering(verify._zero_average_cyclic_case, lambda n: "zero-average"),
+    )
+    monkeypatch.setattr(radon, "_matrix_verdict", deciding)
+    for name in ("lift_nullspace", "rational_nullspace"):
+        monkeypatch.setattr(exactla, name, recording(getattr(exactla, name)))
     for argv in (
         ["radon", "C360"],
         ["radon", _relabelled_file(tmp_path, "Dic63"), "--json"],
         ["radon", "C96", "--variant", "maximal"],
+        ["spectral", "C12"],
         *(["verify", suite] for suite in verify.SUITES),
     ):
         assert run(capsys, *argv)[0] == 0
-    unread = [kb for read, kb in kernels if not read]
-    assert len(unread) > 100 and all(kb.dim > 0 for kb in unread)
-    assert not any("vectors" in vars(kb) for kb in unread)
-    assert all("vectors" in vars(kb) for read, kb in kernels if read)
+    assert sum(deficits) > 100
+    assert lifts.count(("zero-average", "group")) == 29  # C2 ... C30
+    assert ("flow",) in lifts
+    assert all(ctx in (("zero-average", "group"), ("flow",)) for ctx in lifts)
 
 
 # --- the failure contract under fuzzed input ---------------------------------

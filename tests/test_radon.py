@@ -321,7 +321,7 @@ def test_modular_certificate_matches_exact_rank():
     for sys in _verdict_oracle_systems():
         n = sys.ncols
         exact = exactla.rank_exact(sys.matrix, n)
-        verdict = radon._verdict(sys)[0]
+        verdict = radon._verdict(sys)
         assert verdict.rank == exact
         assert (verdict.method == "modular-full-rank") == (exact == n)
 
@@ -378,7 +378,7 @@ def test_centre_certifies_exactly_when_the_matrix_route_does():
     for g in _centre_corpus():
         for variant in radon.VARIANTS:
             subs = geodesics._family_subgroups(g, variant)
-            matrix = radon._matrix_verdict(radon.build_system(g, variant))[0]
+            matrix = radon._matrix_verdict(radon.build_system(g, variant))
             centre = radon._centre_verdict(g, variant, subs)
             assert (centre is not None) == (matrix.method == "modular-full-rank")
             assert centre in (None, matrix), (g.recipe, variant)
@@ -407,10 +407,62 @@ def test_centre_verdict_matches_matrix_route_on_relabelled_tables(small_groups, 
     g = data.draw(st.sampled_from(small_groups))
     g = _relabelled(g, data.draw(st.permutations(range(g.order))))
     for variant in radon.VARIANTS:
-        matrix = radon._matrix_verdict(radon.build_system(g, variant))[0]
+        sys = radon.build_system(g, variant)
+        matrix = radon._matrix_verdict(sys)
         assert radon.is_injective(g, variant) == matrix
         subs = geodesics._family_subgroups(g, variant)
         assert radon._centre_verdict(g, variant, subs) in (None, matrix)
+        # the rank mod P is the rank over Q
+        oracle = exactla.rational_nullspace(sys.matrix, g.order)
+        assert matrix.rank == g.order - len(oracle)
+
+
+def test_a_family_rank_mod_p_is_its_rank_over_q(monkeypatch):
+    # the verdict's rank against the kernel the lift proves: a rank mod P
+    # above the rank over Q would leave a lift that fails the exact check
+    calls, _ = _counting_nullspace(monkeypatch)
+    deficient = 0
+    for g in _centre_corpus():
+        for variant in radon.VARIANTS:
+            sys = radon.build_system(g, variant)
+            verdict = radon._verdict(sys)
+            assert verdict.rank == g.order - radon.kernel(sys).dim, (g.recipe, variant)
+            deficient += verdict.rank < g.order
+    assert deficient > 100
+    assert calls == []
+
+
+def _totients(n):
+    """phi(m) for every m <= n, by a sieve over the primes."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def test_the_sum_of_family_orders_stays_below_p():
+    # the module docstring's bound on S = sum of |H|, which makes the rank
+    # mod P of a family's rows its rank over Q
+    n = groups.MAX_TABLE_ORDER
+    phi = _totients(n)
+    top = max(range(1, n + 1), key=lambda m: Fraction(m, phi[m]))  # the first
+    ratio = Fraction(top, phi[top])
+    assert top == 30030
+    assert 2 * (n - 1) < (n - 1) * ratio < 341_670 < exactla.P
+    # both bounds hold on the corpus
+    for g in _centre_corpus():
+        largest = max(Fraction(m, phi[m]) for m in range(1, g.order + 1))
+        for variant, bound in (("prime", 2), ("maximal", largest)):
+            total = sum(map(len, geodesics._family_subgroups(g, variant)))
+            assert total <= (g.order - 1) * bound, (g.recipe, variant)
+
+
+def test_verdict_rank_is_the_rank_of_the_integer_oracle():
+    for sys in _kernel_oracle_systems():
+        oracle = exactla.rational_nullspace(sys.matrix, sys.ncols)
+        assert radon.decide_system(sys)[0] == sys.ncols - len(oracle)
 
 
 @pytest.mark.parametrize(
@@ -508,11 +560,19 @@ def test_wrong_lift_is_caught_and_falls_back(monkeypatch, name):
     monkeypatch.setattr(exactla, "lift_nullspace", wrong)
     calls, oracle = _counting_nullspace(monkeypatch)
     sys = radon.build_system(groups.from_name(name), "prime")
-    verdict, ker = radon._verdict(sys)
+    # the verdict on a family reads its rank mod P and lifts nothing
+    verdict = radon._verdict(sys)
+    assert calls == []
+    ker = radon.kernel(sys)
     assert calls == [sys.ncols]
     assert ker.vectors == tuple(oracle(sys.matrix, sys.ncols))
     assert verdict.kernel_dim == ker.dim > 0
     assert verdict.method == "exact-elimination"
+    # the same rows without their family prove the deficit by the kernel
+    bare = dataclasses.replace(sys)
+    assert bare.family is None
+    assert radon._verdict(bare) == verdict
+    assert calls == [sys.ncols] * 2
 
 
 def test_kernel_is_certificate():
@@ -596,6 +656,8 @@ def test_reconstruction_on_elementary_squares(p):
     f = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(p * p))
     values = radon.apply(sys, f)
     assert radon.reconstruct_all(sys, values) == f
+    # the values are read once, so a one-shot iterator will do
+    assert radon.reconstruct_all(sys, iter(values)) == f
 
 
 def test_reconstruction_rejects_other_groups():
