@@ -1,8 +1,18 @@
 """Finite groups as validated Cayley tables with dense 0-based element ids.
 
 The identity always sits at id 0. Constructors hand back immutable
-GroupTable records, and every one of them is proven a group, at every
-order, in three steps:
+GroupTable records, and every one of them is a group, at every order.
+
+A named group's construction is its proof, stated in each constructor's
+docstring: cyclic tables are addition mod n, dihedral and dicyclic tables
+are rows of the cyclic window table with a known presentation, S_n and A_n
+are composition of permutations, a direct product of groups is a group,
+and so is a quotient by a subgroup that is_normal has checked. Such a
+table is only wrapped (_wrap), never checked again.
+
+A table from outside, a Cayley table (from_cayley_table) or a semidirect
+product by a supplied action (make_semidirect), is proven a group by _build
+in three steps:
 
 1. 0 is a two-sided identity;
 2. every row holds a 0, so every element has a right inverse;
@@ -15,7 +25,9 @@ identity and right inverses is a group, and a group's table is a latin
 square, so the latin property is never checked on a table that is
 accepted. A rejected Cayley table is checked for it, so that its error
 names the first row or column that is not a permutation, as it would if
-that were checked first.
+that were checked first. Both routes choose the same generators, by one
+greedy closure (_greedy_generators), so a table gets the same GroupTable
+whichever route built it.
 
 A group holds exactly one multiplication table: GroupTable.table, a
 read-only C-contiguous uint16 array with table[a, b] the id of a*b. It is
@@ -116,9 +128,10 @@ def max_group_order() -> int:
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:
-    """A validated group: its read-only uint16 Cayley table plus cached
-    per-element data (inverses and element orders, as Python ints) and the
-    generating set on which Light's test proved associativity."""
+    """A group: its read-only uint16 Cayley table plus cached per-element
+    data (inverses and element orders, as Python ints) and a generating
+    set, the one _greedy_generators chooses; on a table from outside,
+    Light's test proved associativity on exactly that set."""
 
     order: int
     table: np.ndarray
@@ -199,39 +212,58 @@ def _check_latin(t: np.ndarray) -> None:
             )
 
 
-def _check_associativity(t: np.ndarray, orders: np.ndarray) -> list[int]:
-    """Light's test on a greedy generating set; a proof at every order.
-    Returns that generating set.
+def _greedy_generators(t: np.ndarray, orders: np.ndarray):
+    """Yield a generating set of t, chosen greedily: the unreached element
+    of largest order, then {0} closed under right multiplication by every
+    generator so far (_close), until every id is reached.
 
-    The elements a with (xa)y = x(ay) for all x, y are closed under
-    products in any magma, so checking a generating set proves
-    associativity. Closing {0} under right multiplication by the checked
-    generators reaches only left-bracketed products of them. On a table
-    with identity 0 and a 0 in every row, each set R reached so far is a
-    group: right multiplication by a checked a is injective, since
-    (xa)a' = x(aa') = x for a right inverse a' of a. A new generator b lies
-    outside R, so Rb is disjoint from R and as large, and there are at most
-    log2(n) generators. The test costs O(n^2 log n). Taking an unreached
-    element of largest order as the next generator keeps the set small in
-    practice.
+    Each generator is yielded before the mask is closed under it, so that
+    Light's test can check it first. Closing {0} reaches only
+    left-bracketed products of the generators. On a table with identity 0
+    and a 0 in every row whose generators pass Light's test, or on any
+    group, each set R reached so far is a group: right multiplication by
+    a checked a is injective, since (xa)a' = x(aa') = x for a right inverse
+    a' of a. A new generator b lies outside R, so Rb is disjoint from R and
+    as large, and there are at most log2(n) generators. Taking an
+    unreached element of largest order keeps the set small in practice.
     """
-    n = len(t)
-    reached = np.zeros(n, dtype=bool)
+    reached = np.zeros(len(t), dtype=bool)
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
         a = int(np.argmax(np.where(reached, 0, orders)))
-        right_a, left_a = np.ascontiguousarray(t[:, a]), t[a]
-        for rows in _row_blocks(n):
-            # take gathers several times faster than fancy indexing here
-            lhs = t.take(right_a[rows], axis=0)  # (x*a)*y
-            rhs = t[rows].take(left_a, axis=1)  # x*(a*y)
-            if not np.array_equal(lhs, rhs):
-                x, y = np.argwhere(lhs != rhs)[0]
-                raise AssociativityError((rows.start + int(x), a, int(y)))
+        yield a
         gens.append(a)
         _close(t, reached, gens)
+
+
+def _check_associativity(t: np.ndarray, orders: np.ndarray) -> list[int]:
+    """Light's test on the greedy generating set; a proof at every order.
+    Returns that generating set.
+
+    The elements a with (xa)y = x(ay) for all x, y are closed under
+    products in any magma, so checking a generating set proves
+    associativity. With at most log2(n) generators (_greedy_generators)
+    the test costs O(n^2 log n).
+    """
+    gens = []
+    for a in _greedy_generators(t, orders):
+        _check_generator(t, a)
+        gens.append(a)
     return gens
+
+
+def _check_generator(t: np.ndarray, a: int) -> None:
+    """Light's comparison for one element a: (xa)y = x(ay) for every x, y,
+    or AssociativityError at the first failing triple, row by row."""
+    right_a, left_a = np.ascontiguousarray(t[:, a]), t[a]
+    for rows in _row_blocks(len(t)):
+        # take gathers several times faster than fancy indexing here
+        lhs = t.take(right_a[rows], axis=0)  # (x*a)*y
+        rhs = t[rows].take(left_a, axis=1)  # x*(a*y)
+        if not np.array_equal(lhs, rhs):
+            x, y = np.argwhere(lhs != rhs)[0]
+            raise AssociativityError((rows.start + int(x), a, int(y)))
 
 
 def _close(t: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
@@ -301,9 +333,9 @@ def _element_orders(t: np.ndarray) -> np.ndarray:
 
 
 def _build(t: np.ndarray, recipe: str) -> GroupTable:
-    """Prove that a table with values in 0..n-1 is a group with identity 0,
-    in the three steps of the module docstring, and wrap it, read-only, in
-    a GroupTable.
+    """Prove that a table from outside, with values in 0..n-1, is a group
+    with identity 0, in the three steps of the module docstring, and wrap
+    it, read-only, in a GroupTable.
 
     Callers check the order cap before they allocate the table.
     """
@@ -316,11 +348,31 @@ def _build(t: np.ndarray, recipe: str) -> GroupTable:
     if bad.size:
         raise MissingInverseError(int(bad[0]))
     orders = _element_orders(t)
-    gens = _check_associativity(t, orders)
+    return _group_table(t, recipe, inv, orders, _check_associativity(t, orders))
+
+
+def _wrap(t: np.ndarray, recipe: str) -> GroupTable:
+    """Wrap, read-only, the table of a group whose construction proves it
+    one, with identity 0; nothing is checked.
+
+    The inverse of x is x^(n-1), which is x^(ord x - 1) since ord x divides
+    n: O(log n) gathers by squaring. The generators are those _build would
+    find, chosen by the same greedy closure without Light's comparisons.
+    """
+    n = len(t)
+    ids = np.arange(n, dtype=np.uint16)
+    orders = _element_orders(t)
+    inv = _powers(t, ids, n - 1) if n > 1 else ids
+    return _group_table(t, recipe, inv, orders, list(_greedy_generators(t, orders)))
+
+
+def _group_table(
+    t: np.ndarray, recipe: str, inv: np.ndarray, orders: np.ndarray, gens: list[int]
+) -> GroupTable:
     t = np.ascontiguousarray(t, dtype=np.uint16)
     t.setflags(write=False)
     return GroupTable(
-        order=n,
+        order=len(t),
         table=t,
         inv=tuple(inv.tolist()),
         elt_order=tuple(orders.tolist()),
@@ -341,11 +393,12 @@ def _cyclic_window(n: int) -> np.ndarray:
 
 
 def make_cyclic(n: int) -> GroupTable:
-    """C_n with addition mod n."""
+    """C_n with addition mod n, a group with identity 0: its construction
+    is its proof."""
     if n < 1:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {n}")
     _check_cap(n, f"C{n}")
-    return _build(_cyclic_window(n).copy(), f"C{n}")
+    return _wrap(_cyclic_window(n).copy(), f"C{n}")
 
 
 def make_trivial() -> GroupTable:
@@ -353,14 +406,15 @@ def make_trivial() -> GroupTable:
 
 
 def make_direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
-    """G1 x G2 with id encoding a*|G2| + b."""
+    """G1 x G2 with id encoding a*|G2| + b. A direct product of groups is a
+    group, with identity (0, 0) at id 0, so the table is not checked."""
     recipe = f"{g1.recipe}x{g2.recipe}"
     _check_cap(g1.order * g2.order, recipe)
-    return _build(_product_table([g1.table, g2.table]), recipe)
+    return _wrap(_product_table([g1.table, g2.table]), recipe)
 
 
 def _product_table(tables: list[np.ndarray]) -> np.ndarray:
-    """The table of the left-associated direct product of tables, unproven:
+    """The table of the left-associated direct product of tables:
     the element (a1, a2, ..., ak) has the mixed-radix id
     ((a1*n2 + a2)*n3 + ...)*nk + ak. The orders multiply to at most
     MAX_TABLE_ORDER."""
@@ -383,7 +437,8 @@ def _scaled_ids(n: int, step: int) -> np.ndarray:
 
 
 def _rotations_and_flips(m: int, fold: int) -> np.ndarray:
-    """Table of <r, s | r^m = 1, s^2 = r^fold, r^k s = s r^-k>.
+    """Table of <r, s | r^m = 1, s^2 = r^fold, r^k s = s r^-k>, for fold
+    0 or m/2, where every element is s^f r^k with f < 2 and k < m.
 
     The element s^f r^k has id f*m + k. Each block gathers rows of add,
     add[a, k2] = r^(a + k2), plus m where s remains; ids stay below 2m.
@@ -399,26 +454,38 @@ def _rotations_and_flips(m: int, fold: int) -> np.ndarray:
 
 
 def make_dihedral(n: int) -> GroupTable:
-    """D_n of order 2n; id = flip*n + rotation."""
+    """D_n of order 2n; id = flip*n + rotation.
+
+    Its table is rows of the cyclic window table, written off the
+    presentation <r, s | r^n = s^2 = 1, srs = r^-1>, the symmetries of a
+    regular n-gon (n >= 3; C2 and C2 x C2 for n = 1, 2): a group, with
+    identity r^0 at id 0, so the table is not checked.
+    """
     if n < 1:
         raise InvalidOrderError(f"dihedral parameter must be >= 1, got {n}")
     _check_cap(2 * n, f"D{n}")
-    return _build(_rotations_and_flips(n, 0), f"D{n}")
+    return _wrap(_rotations_and_flips(n, 0), f"D{n}")
 
 
 def make_dicyclic(n: int) -> GroupTable:
-    """Dic_n of order 4n (n >= 2); Dic_2 is the quaternion group."""
+    """Dic_n of order 4n (n >= 2); Dic_2 is the quaternion group.
+
+    Its table is rows of the cyclic window table, written off the
+    presentation <a, b | a^2n = 1, b^2 = a^n, b^-1 a b = a^-1>, a group of
+    order 4n (the unit quaternions generated by e^(i pi/n) and j), with
+    identity a^0 at id 0, so the table is not checked.
+    """
     if n < 2:
         raise InvalidOrderError(f"dicyclic parameter must be >= 2, got {n}")
     _check_cap(4 * n, f"Dic{n}")
     # b^2 = a^n folds the double flip back into the rotations
-    return _build(_rotations_and_flips(2 * n, n), f"Dic{n}")
+    return _wrap(_rotations_and_flips(2 * n, n), f"Dic{n}")
 
 
 def _perm_table(p: np.ndarray) -> np.ndarray:
     """Table of the permutations in the rows of the uint16 array p, closed
-    under p*q = p o q, unproven; the identity is the first row, as it is in
-    lexicographic order. Its temporaries die before the table is proven.
+    under p*q = p o q; the identity is the first row, as it is in
+    lexicographic order. Its temporaries die before the table is wrapped.
 
     Row g of the table lists the ids of g o p_j, so the row of g*s is
     row(g)[row(s)], one gather. Generators are taken one at a time, each
@@ -477,15 +544,19 @@ def _permutations(n: int) -> np.ndarray:
 
 
 def make_symmetric(n: int) -> GroupTable:
-    """S_n on n letters, elements in lexicographic order."""
+    """S_n on n letters, elements in lexicographic order. The product is
+    composition of permutations, which is associative, with the identity
+    permutation first: the table is not checked."""
     if n < 1:
         raise InvalidOrderError(f"symmetric degree must be >= 1, got {n}")
     _check_atoms_cap([("S", n)], f"S_{n}")
-    return _build(_perm_table(_permutations(n)), f"S{n}")
+    return _wrap(_perm_table(_permutations(n)), f"S{n}")
 
 
 def make_alternating(n: int) -> GroupTable:
-    """A_n, the even permutations of n letters."""
+    """A_n, the even permutations of n letters. They are closed under
+    composition, which is associative, and the identity permutation is
+    first: the table is not checked."""
     if n < 1:
         raise InvalidOrderError(f"alternating degree must be >= 1, got {n}")
     _check_atoms_cap([("A", n)], f"A_{n}")
@@ -493,7 +564,7 @@ def make_alternating(n: int) -> GroupTable:
     perms = _permutations(n)
     i, j = np.triu_indices(n, 1)
     even = (perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0
-    return _build(_perm_table(perms[even]), f"A{n}")
+    return _wrap(_perm_table(perms[even]), f"A{n}")
 
 
 def make_semidirect(
@@ -504,7 +575,9 @@ def make_semidirect(
     action[h] is the permutation of N's ids giving the automorphism applied
     by the acting element h. Each permutation must be an automorphism of N
     and h -> action[h] must itself be a homomorphism; both are checked
-    exhaustively before any multiplication happens.
+    exhaustively before any multiplication happens. The action comes from
+    outside, so the table is then proven a group by _build, as a Cayley
+    table is.
     """
     nn, nh = normal.order, acting.order
     recipe = f"semidirect({normal.recipe},{acting.recipe})"
@@ -825,11 +898,11 @@ def conjugacy_classes(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """(labels, reps): the class index of every element and the least
     member of each class, classes ordered by it, so class 0 is {e}.
 
-    Classes are the orbits of conjugation x -> a^-1 x a by the generators
-    Light's test found, one gather of the table each. The orbits are the
-    components of the graph joining x to a^-1 x a for each of them: every
-    round hooks the larger root of each edge onto the smaller and jumps
-    every element to its root, so a root is the least member of its class.
+    Classes are the orbits of conjugation x -> a^-1 x a by g.generators,
+    one gather of the table each. The orbits are the components of the
+    graph joining x to a^-1 x a for each of them: every round hooks the
+    larger root of each edge onto the smaller and jumps every element to
+    its root, so a root is the least member of its class.
     A central generator moves nothing, so an abelian group has singletons.
     """
     ids = np.arange(g.order)
@@ -859,7 +932,12 @@ def conjugacy_classes(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
 def quotient_with_projection(
     g: GroupTable, sub: SubgroupSet
 ) -> tuple[GroupTable, tuple[int, ...]]:
-    """Quotient group G/H plus the element -> coset id projection map."""
+    """Quotient group G/H plus the element -> coset id projection map.
+
+    is_normal checks every conjugate first, and the cosets of a normal
+    subgroup of a group form a group under xH * yH = xyH, with H itself,
+    the coset of id 0, as identity: the quotient's table is not checked.
+    """
     witness = is_normal(g, sub)
     if witness is not None:
         raise NotNormalError(witness)
@@ -867,7 +945,7 @@ def quotient_with_projection(
     proj = np.empty(g.order, dtype=np.uint16)
     proj[cosets] = np.arange(len(cosets), dtype=np.uint16)[:, None]
     reps = cosets[:, 0]
-    q = _build(proj[g.table[np.ix_(reps, reps)]], f"{g.recipe}/<order {len(sub)}>")
+    q = _wrap(proj[g.table[np.ix_(reps, reps)]], f"{g.recipe}/<order {len(sub)}>")
     return q, tuple(proj.tolist())
 
 
@@ -880,8 +958,8 @@ def quotient(g: GroupTable, sub: SubgroupSet) -> GroupTable:
 
 
 def is_abelian(g: GroupTable) -> bool:
-    """Whether the generators Light's test found commute pairwise: they
-    generate the group, so then every pair of elements commutes."""
+    """Whether g.generators commute pairwise: they generate the group, so
+    then every pair of elements commutes."""
     t = g.table
     return all(t[a, b] == t[b, a] for a, b in itertools.combinations(g.generators, 2))
 
@@ -1001,10 +1079,11 @@ def from_name(spec: str) -> GroupTable:
     a number in ASCII digits, joined by x for direct products.
 
     The order of the whole expression is checked against the cap before
-    any factor is built. Each distinct atom is built, and proven, once; a
-    product is then one table, written in one left-associated mixed-radix
-    pass over the atoms' tables (the ids and recipe of folding
-    make_direct_product over them) and proven once by _build."""
+    any factor is built. Each distinct atom is built once; a product is
+    then one table, written in one left-associated mixed-radix pass over
+    the atoms' tables (the ids and recipe of folding make_direct_product
+    over them). A direct product of groups is a group, so that table is
+    wrapped, not checked."""
     parts = spec.strip().split("x")
     if not parts or any(not p for p in parts):
         raise GroupSpecError(f"cannot parse group expression {spec!r}")
@@ -1023,4 +1102,4 @@ def from_name(spec: str) -> GroupTable:
     if len(factors) == 1:
         return factors[0]
     recipe = "x".join(g.recipe for g in factors)
-    return _build(_product_table([g.table for g in factors]), recipe)
+    return _wrap(_product_table([g.table for g in factors]), recipe)

@@ -1,10 +1,10 @@
 """Brute-force isomorphism and embedding search for small groups.
 
 Meant for cross-checks and suite plumbing at desk scale (orders well under
-a few hundred): the generators Light's test proved when the group was
-built are sent to elements of the same orders and extended to a full
-homomorphism by closure, so the search space stays tiny for the groups
-handled here.
+a few hundred): the generators the group was built with (g.generators,
+chosen by one greedy closure whether or not the table was proven) are
+sent to elements of the same orders and extended to a full homomorphism
+by closure, so the search space stays tiny for the groups handled here.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ __all__ = [
 
 
 def generating_sequence(g: GroupTable) -> list[int]:
-    """g.generators as a list: Light's test closed {e} under right
-    multiplication by them when g was built, so they generate g."""
+    """g.generators as a list: groups._greedy_generators closed {e} under
+    right multiplication by them when g was built, so they generate g."""
     return list(g.generators)
 
 

@@ -13,10 +13,10 @@ exact complex rationals (GaussianRational), enough for the quaternion
 group's 2-dimensional representation and all permutation-style examples:
 products, sums, conjugate transposes and traces are numpy operations on
 those exact entries, and ranks and kernels go through exactla.field_rref.
-A representation from outside is proven on the generators Light's test
-found for its table, |G| |S| products in all (matrix_rep); the builtin
-quaternion reps carry their construction's proof (quaternion_rep_set).
-Each keeps its table: every function that takes a group and a rep refuses
+A representation from outside is proven on the generators S the group
+was built with, which generate it, |G| |S| products in all (matrix_rep);
+the builtin quaternion reps carry their construction's proof
+(quaternion_rep_set). Each keeps its table: every function that takes a group and a rep refuses
 any other group. A coset sum depends on the subgroup, not on the generator
 that traces it, so the Fourier identity, the fixed-space analysis and the
 projection law all read one generator per subgroup of prime order
@@ -423,8 +423,9 @@ def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
     """Validate images: the identity's image, the product rule and, when
     declared, unitarity, each proven on the generators g.generators alone.
 
-    Light's test closed {e} under right multiplication by S = g.generators,
-    so every y is a left-bracketed word s_1 ... s_k in S. If rho(e) = I and
+    The greedy closure that chose S = g.generators (groups._greedy_generators)
+    closed {e} under right multiplication by S, so every y is a
+    left-bracketed word s_1 ... s_k in S. If rho(e) = I and
     rho(x) rho(s) = rho(xs) for every x and every s in S, induction on k
     gives rho(x) rho(y) = rho(xy): with y = y's, rho(x) rho(y's) =
     rho(x) rho(y') rho(s) = rho(xy') rho(s) = rho(xy's). Every rho(y) is

@@ -692,13 +692,18 @@ def test_a_failing_suite_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize("suite", ["abelian", "lemma-prime", "spectral-abelian", "flows"])
 def test_sweep_bound_above_the_cap_exits_3_before_any_build(capsys, monkeypatch, suite):
     monkeypatch.setenv("COSET_RADON_MAX_ORDER", "200")
-    builds, build = [], groups._build
+    builds = []
 
-    def counting(t, recipe):
-        builds.append(recipe)
-        return build(t, recipe)
+    def counting(build):
+        def counted(t, recipe):
+            builds.append(recipe)
+            return build(t, recipe)
 
-    monkeypatch.setattr(groups, "_build", counting)
+        return counted
+
+    # named tables are wrapped, tables from outside proven: count both
+    monkeypatch.setattr(groups, "_build", counting(groups._build))
+    monkeypatch.setattr(groups, "_wrap", counting(groups._wrap))
     code, out, err = run(capsys, "verify", suite, "--max-order", "100000")
     assert (code, out, builds) == (3, "", [])
     assert err == "error: max order 100000 is above the cap of 200\n"

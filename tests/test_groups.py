@@ -425,6 +425,7 @@ def test_abelian_basis_builds_no_quotient_and_proves_no_table(monkeypatch):
 
     monkeypatch.setattr(groups, "quotient_with_projection", refuse)
     monkeypatch.setattr(groups, "_build", refuse)
+    monkeypatch.setattr(groups, "_wrap", refuse)
     for g in gs:
         orders = [d for _, d in groups.abelian_basis(g)]
         assert orders == groups.invariant_factors(g)[::-1]
@@ -559,6 +560,7 @@ def test_order_cap_checked_before_any_table(monkeypatch):
         raise AssertionError("a table was built above the cap")
 
     monkeypatch.setattr(groups, "_build", no_table)
+    monkeypatch.setattr(groups, "_wrap", no_table)
     for spec in ("C5041", "D2521", "Dic1261", "C72xC71"):
         with pytest.raises(SizeLimitError):
             groups.from_name(spec)
@@ -779,6 +781,87 @@ def test_each_generator_at_least_doubles_the_reached_set(monkeypatch):
     bigger = [groups.from_name(s) for s in ("S6", "A7", "C2xC2xC2xC2xC2xC2xC2xC2")]
     for g in verify.groups_upto(64) + bigger:
         assert 2 ** len(g.generators) <= g.order, g.recipe
+
+
+# ---------------------------------------------------------------------------
+# named groups carry their construction's proof; Light's test runs only on
+# tables from outside
+
+
+def test_light_test_runs_only_on_tables_from_outside(monkeypatch):
+    quotients, quotient = [], verify.quotient_with_projection
+    calls, check = [], groups._check_generator  # Light's comparison, per generator
+
+    def recorded(g, sub):
+        quotients.append(sub)
+        return quotient(g, sub)
+
+    def counted(t, a):
+        calls.append(a)
+        check(t, a)
+
+    monkeypatch.setattr(verify, "quotient_with_projection", recorded)
+    monkeypatch.setattr(groups, "_check_generator", counted)
+    for build in (
+        lambda: groups.from_name("A7"),
+        lambda: groups.from_name("C2xC2xS3"),
+        lambda: groups.make_dihedral(500),
+        lambda: groups.make_dicyclic(15),
+        verify._quotient_cases,
+    ):
+        build()
+        assert calls == []
+    assert quotients
+    # one build's worth: one comparison per generator the proof returns
+    s4 = groups.make_symmetric(4)
+    perm = np.random.default_rng(5).permutation(s4.order)
+    raw = np.empty_like(s4.table)
+    raw[np.ix_(perm, perm)] = perm[s4.table]
+    g = groups.from_cayley_table(raw)
+    assert calls == list(g.generators) and len(calls) >= 2
+    calls.clear()
+    c7, c3 = groups.make_cyclic(7), groups.make_cyclic(3)
+    g = groups.make_semidirect(c7, c3, [[x * 2**h % 7 for x in range(7)] for h in range(3)])
+    assert calls == list(g.generators) and len(calls) >= 2
+
+
+def _same_as_the_full_proof(g: groups.GroupTable) -> None:
+    """g, as its constructor wrapped it, equals field for field what
+    _build's three-step proof makes of the same table."""
+    want = groups._build(g.table, g.recipe)
+    assert g.table.dtype == np.uint16 and g.table.flags.c_contiguous, g.recipe
+    assert not g.table.flags.writeable, g.recipe
+    assert (g.order, g.table.tobytes(), g.recipe) == (
+        want.order, want.table.tobytes(), want.recipe
+    )
+    assert g.inv == want.inv, g.recipe
+    assert g.elt_order == want.elt_order, g.recipe
+    assert g.generators == want.generators, g.recipe
+    assert {type(v) for v in g.inv + g.elt_order + g.generators} == {int}, g.recipe
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["S5", "S6", "S7", "A3", "A4", "A5", "A6", "A7", "C5040", "Dic1260", "D2520",
+     "x".join(["C2"] * 10), "x".join(["C2"] * 12)],
+)
+def test_named_tables_wrap_as_the_full_proof_builds_them(name):
+    _same_as_the_full_proof(groups.from_name(name))
+
+
+def test_small_groups_and_quotients_wrap_as_the_full_proof_builds_them(monkeypatch):
+    quotients, quotient = [], verify.quotient_with_projection
+
+    def recorded(g, sub):
+        q, proj = quotient(g, sub)
+        quotients.append(q)
+        return q, proj
+
+    monkeypatch.setattr(verify, "quotient_with_projection", recorded)
+    verify._quotient_cases()
+    assert len(quotients) > 1
+    for g in verify.groups_upto(64) + quotients:
+        _same_as_the_full_proof(g)
 
 
 @pytest.mark.parametrize(
