@@ -186,7 +186,7 @@ def cmd_geodesics(args) -> _Record:
 
 def cmd_radon(args) -> _Record:
     g = load_group(args.spec)
-    verdict, sys_ = radon._group_verdict(g, args.variant)
+    verdict, sys_ = radon._group_verdict(g, args.variant, kernel=args.kernel)
     payload = {"group": g.recipe, **asdict(verdict)}
     lines = [
         f"group {g.recipe} ({args.variant}): "
@@ -208,7 +208,7 @@ def cmd_radon(args) -> _Record:
             raise CosetRadonError(f"cannot write {args.matrix_csv}: {exc}")
         lines.append(f"  matrix written to {args.matrix_csv}")
     if args.kernel:
-        # only the centre certifies without a system, and only injectivity
+        # a deficient verdict asked for a kernel has built its system
         kb = radon._NO_KERNEL if verdict.injective else radon._kernel(sys_)
         payload["kernel"] = kb.entry_strings()
         if not args.json:

@@ -45,7 +45,6 @@ __all__ = [
     "P",
     "echelon_mod",
     "factorize",
-    "krylov_invertible_mod",
     "lift_nullspace",
     "nullspace_mod",
     "prime_divisors",
@@ -370,35 +369,6 @@ def echelon_mod(rows, ncols: int, p: int) -> np.ndarray:
 def rank_mod(rows, ncols: int, p: int) -> int:
     """Rank of an integer matrix mod p, with early stop at full rank."""
     return len(echelon_mod(rows, ncols, p))
-
-
-def krylov_invertible_mod(step, v: np.ndarray, p: int) -> bool:
-    """Whether T is invertible mod p on the Krylov space of v, where step(u)
-    returns T u mod p as an int64 array: whether the monic polynomial m of
-    least degree with m(T) v = 0 mod p has a nonzero constant term.
-
-    Each new vector T^d v is reduced against the normalized rows before it;
-    every row carries only its coefficient on v, so the vector that reduces
-    to zero, the first dependency, hands back that constant term.
-    """
-    pivots, rows, consts = [], [], []
-    u = v % p
-    while True:
-        r, c = u.copy(), 0 if rows else 1
-        for q, row, k in zip(pivots, rows, consts):
-            f = int(r[q])
-            if f:
-                r = (r - f * row) % p
-                c = (c - f * k) % p
-        nz = np.flatnonzero(r)
-        if not nz.size:
-            return c != 0
-        q = int(nz[0])
-        s = pow(int(r[q]), p - 2, p)
-        pivots.append(q)
-        rows.append(r * s % p)
-        consts.append(c * s % p)
-        u = step(u)
 
 
 def nullspace_mod(echelon: np.ndarray, p: int) -> np.ndarray:

@@ -100,13 +100,18 @@ def _geodesics_for(g: GroupTable, subs: Iterable[SubgroupSet]) -> list[Geodesic]
     return rows
 
 
-def _family_subgroups(g: GroupTable, variant: str) -> list[SubgroupSet]:
-    """The subgroups whose cosets are a variant's geodesics: the cyclic
-    subgroups of prime order, or the maximal cyclic subgroups."""
+def _check_family(g: GroupTable, variant: str) -> None:
+    """Raise unless variant names a family and g has geodesics."""
     if variant not in ("prime", "maximal"):
         raise InvalidVariantError(f"unknown variant {variant!r}")
     if g.order < 2:
         raise NoGeodesicsError("the trivial group has no geodesics")
+
+
+def _family_subgroups(g: GroupTable, variant: str) -> list[SubgroupSet]:
+    """The subgroups whose cosets are a variant's geodesics: the cyclic
+    subgroups of prime order, or the maximal cyclic subgroups."""
+    _check_family(g, variant)
     if variant == "maximal":
         return maximal_cyclic_subgroups(g)
     return [s for s in cyclic_subgroups(g) if is_prime(len(s.elements))]

@@ -7,21 +7,13 @@ Cayley table per subgroup, and every product and kernel check reads those
 arrays directly. Injectivity of the transform is exactly "the 0/1 incidence
 matrix A of these rows has full column rank over the rationals".
 
-A group verdict asks the centre of the group algebra first. Row xH meets
-column a exactly when a lies in xH, so the Gram matrix is
-(A^T A)[a, b] = z(a^-1 b), with z = sum of 1_H over the family: A^T A is
-multiplication by z in F[G]. Both families are closed under conjugation,
-so z is central and every z^j is a class function. The Krylov sequence
-delta_e, z delta_e, ... on class vectors mod exactla.P stops at the
-minimal polynomial of z mod P. A nonzero constant term makes z a unit, so
-A^T A is invertible mod P and A has rank |G| mod P, hence over Q: the
-modular-full-rank verdict, reached before any coset row is built. A
-system with fewer rows than |G| skips the test.
-
-Every other verdict, and every kernel, reads one elimination of the rows
-mod P that the system keeps: the reduced echelon basis, pivoting from the
-right. On a system build_system made, the verdict's rank is its length,
-the rank mod P, by this proof:
+A group verdict is read off the centre of the group algebra, before any
+coset row is built. Row xH meets column a exactly when a lies in xH, so
+the Gram matrix is (A^T A)[a, b] = z(a^-1 b), with z = sum of 1_H over
+the family: A^T A is multiplication by z in F[G]. Both families are closed
+under conjugation, so z is central. centre.nullity finds the nullity m_0
+of z mod P = exactla.P on class vectors, and the rank of A is |G| - m_0,
+by this proof:
 
 - z acts on each chi-isotypic block as omega_chi = sum over H of
   |H| dim V_chi^H / chi(1), a rational algebraic integer, so an integer in
@@ -35,11 +27,34 @@ the rank mod P, by this proof:
   subgroups share no generator, so S <= (|G| - 1) max m/phi(m) over
   m <= |G| for the maximal one. At groups.MAX_TABLE_ORDER that maximum is
   at m = 30030, and S < 341,670, far below P = 33,554,393.
+- The omega are distinct mod P and z is diagonalizable mod P, so the
+  minimal polynomial of z mod P is prod over omega of (x - omega).
+- delta_e generates F_P[G], since a = a delta_e, and z is central, so
+  q(z) delta_e = 0 gives q(z) a = a q(z) delta_e = 0 for every a: the
+  Krylov sequence delta_e, z delta_e, ... stops at that polynomial.
+- The idempotent e_0 = prod over omega != 0 of (z - omega)/(-omega)
+  projects onto the kernel of z, and multiplication by it has trace
+  m_0 = |G| e_0(e). Its denominators divide a product of omega in
+  (0, S], all below P, so |G| e_0(e) mod P is m_0, because m_0 <= |G| < P.
 
-Any other system (a flow, or one built by hand) proves a deficit mod P by
-its kernel, which kernel() also returns unless the centre or a full rank
-mod P certifies: the kernel mod P read off the reduced basis, lifted to
-rationals and summed back exactly over every row. The lift has
+The prime family's z and row count are read off the element orders
+(centre's docstring), so a prime verdict lists no subgroup. Rows are
+built only where the answer reads them: a kernel of a deficient verdict,
+--matrix-csv, flows and hand-built systems. One size rule keeps a family
+on its rows: a family whose product by z would read more cells,
+|support z| x classes, than its rows hold, rows x |G|. A kernel of a
+family with fewer rows than |G| also goes straight to its rows, whose
+count already proves the deficit. The rows' verdict reads one
+elimination mod P that the system keeps: the reduced echelon basis,
+pivoting from the right, whose length on a family is the rank over Q by
+the proof above. Wherever the spectrum and the rows both run, the rank
+mod P of the rows must be |G| - m_0, or an AssertionError is raised.
+
+Any other system (a flow, or one built by hand) is answered from its
+rows alone. A full rank mod P certifies, and a deficit mod P is proven
+by the kernel, which kernel() also returns: the kernel mod P read off
+the reduced basis, lifted to rationals and summed back exactly over
+every row. The lift has
 n - rank_P independent vectors in reduced row-echelon form and rational
 rank is at least rank_P, so a lift that passes is the unique reduced
 kernel basis; one that fails falls back to exactla.rational_nullspace.
@@ -55,7 +70,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import exactla
+from . import centre, exactla
 from .errors import (
     DimensionError,
     InvalidOrderError,
@@ -65,15 +80,18 @@ from .errors import (
     NotCyclicError,
     UnsupportedGroupError,
 )
-from .geodesics import _family_subgroups, _geodesics_for, homomorphisms_cn
+from .geodesics import (
+    _check_family,
+    _family_subgroups,
+    _geodesics_for,
+    homomorphisms_cn,
+)
 from .groups import (
     _BLOCK_CELLS,
     GroupTable,
     SubgroupSet,
     _element_id,
     _left_coset_array,
-    _row_blocks,
-    conjugacy_classes,
     is_abelian,
     is_cyclic,
     make_direct_product,
@@ -292,10 +310,16 @@ def apply(sys: RadonSystem, f) -> tuple:
 
 def kernel(sys: RadonSystem) -> KernelBasis:
     """Exact rational kernel in reduced row-echelon form: empty when the
-    centre or a full rank mod exactla.P certifies, else lifted from the
-    system's elimination mod P and summed back exactly over every row, so a
-    KernelBasis in hand is a certificate."""
-    if _centre(sys) or len(sys._echelon) == sys.ncols:
+    family's verdict or a full rank mod exactla.P certifies, else lifted
+    from the system's elimination mod P and summed back exactly over every
+    row, so a KernelBasis in hand is a certificate. A family with fewer
+    rows than columns goes straight to its rows."""
+    if sys.family is not None and sys.nrows >= sys.ncols:
+        verdict = _verdict(sys)
+        if verdict.injective:
+            return _NO_KERNEL
+        _check_rows(sys, verdict)
+    elif len(sys._echelon) == sys.ncols:
         return _NO_KERNEL
     return _kernel(sys)
 
@@ -347,49 +371,13 @@ def _make_verdict(
     )
 
 
-def _central_element(g: GroupTable, subs) -> np.ndarray:
-    """z = sum of 1_H over subs, as its value at every element: the number
-    of subgroups in subs that hold it."""
-    return np.bincount(np.concatenate([s.elements for s in subs]), minlength=g.order)
-
-
-def _centre_verdict(g: GroupTable, variant: str, subs) -> InjectivityVerdict | None:
-    """The modular-full-rank verdict when z = sum of 1_H over subs is a unit
-    of F_P[G], P = exactla.P, else None. rows is counted from the subgroup
-    sizes; fewer rows than |G| cannot give full rank, so such a family
-    never starts the Krylov sequence.
-
-    z is a unit exactly when its minimal polynomial has a nonzero constant
-    term, and that polynomial is the first dependency of the Krylov
-    sequence delta_e, z delta_e, ..., all class functions. A product z v
-    reads v, given on classes, at the class of s^-1 r for every s in the
-    support of z and every class representative r, a block of the support
-    at a time.
-    """
-    n = g.order
-    rows = sum(n // len(s) for s in subs)
-    if rows < n:
-        return None
-    labels, reps = conjugacy_classes(g)
-    z = _central_element(g, subs)
-    support = np.flatnonzero(z)
-    weight, inv = z[support, None], np.take(g.inv, support)
-    blocks = _row_blocks(len(support), len(reps))
-
-    def times_z(v: np.ndarray) -> np.ndarray:
-        # entries of v are below P < 2^25 and the weights sum to the sum of
-        # |H|, a few times |G| at most, so every sum stays inside int64
-        out = np.zeros(len(reps), dtype=np.int64)
-        for block in blocks:
-            classes = labels[g.table[inv[block, None], reps]]
-            out += (weight[block] * v[classes]).sum(axis=0)
-        return out % exactla.P
-
-    delta_e = np.zeros(len(reps), dtype=np.int64)
-    delta_e[0] = 1
-    if not exactla.krylov_invertible_mod(times_z, delta_e, exactla.P):
-        return None
-    return _make_verdict(n, variant, rows, n, "modular-full-rank")
+def _check_rows(sys: RadonSystem, verdict: InjectivityVerdict) -> None:
+    """Raise unless the rank mod exactla.P of the rows is the verdict's."""
+    if len(sys._echelon) != verdict.rank:
+        raise AssertionError(
+            f"rows of rank {len(sys._echelon)} mod P against a verdict of rank "
+            f"{verdict.rank}"
+        )
 
 
 def _matrix_verdict(sys: RadonSystem) -> InjectivityVerdict:
@@ -403,33 +391,60 @@ def _matrix_verdict(sys: RadonSystem) -> InjectivityVerdict:
     return _make_verdict(n, sys.variant, sys.nrows, rank, "exact-elimination")
 
 
-def _centre(sys: RadonSystem) -> InjectivityVerdict | None:
-    """The centre's verdict on the family of a system build_system made."""
-    return sys.family and _centre_verdict(sys.group, sys.variant, sys.family)
+def _spectrum_verdict(
+    g: GroupTable, variant: str, z: np.ndarray, rows: int
+) -> InjectivityVerdict | None:
+    """The verdict read off the nullity m_0 of the family's central element
+    z, or None when the size rule keeps the family on its rows."""
+    m0 = centre.nullity(g, z, rows)
+    if m0 is None:
+        return None
+    method = "exact-elimination" if m0 else "modular-full-rank"
+    return _make_verdict(g.order, variant, rows, g.order - m0, method)
 
 
 def _verdict(sys: RadonSystem) -> InjectivityVerdict:
-    """The verdict on a system: the centre of its family when that
-    certifies, else the matrix route."""
-    return _centre(sys) or _matrix_verdict(sys)
+    """The verdict on a system: the spectrum of its family's central
+    element, unless the size rule keeps the family on its rows, else the
+    matrix route."""
+    if sys.family is not None:
+        z = centre.central_element(sys.group, sys.family)
+        if verdict := _spectrum_verdict(sys.group, sys.variant, z, sys.nrows):
+            return verdict
+    return _matrix_verdict(sys)
 
 
 def _group_verdict(
-    g: GroupTable, variant: str
+    g: GroupTable, variant: str, kernel: bool = False
 ) -> tuple[InjectivityVerdict, RadonSystem | None]:
-    """The verdict on g's family and its system, built on the family the
-    centre was asked on, or None when the centre certified with no row."""
-    subs = _family_subgroups(g, variant)
-    if verdict := _centre_verdict(g, variant, subs):
-        return verdict, None
-    sys = _build_system(g, variant, subs)
-    return _matrix_verdict(sys), sys
+    """The verdict on g's family and its system, or None when no row was
+    read. kernel asks for the rows a kernel needs: a deficient verdict
+    builds them and checks their rank against it, and a family with fewer
+    rows than |G| goes straight to them."""
+    _check_family(g, variant)
+    if variant == "prime":
+        subs = None
+        z, rows = centre.prime_element(g)
+    else:
+        subs = _family_subgroups(g, variant)
+        z, rows = centre.central_element(g, subs), sum(g.order // len(s) for s in subs)
+    verdict = None
+    if not (kernel and rows < g.order):
+        verdict = _spectrum_verdict(g, variant, z, rows)
+        if verdict is not None and (verdict.injective or not kernel):
+            return verdict, None
+    sys = _build_system(g, variant, subs or _family_subgroups(g, variant))
+    if verdict is None:
+        return _matrix_verdict(sys), sys
+    _check_rows(sys, verdict)
+    return verdict, sys
 
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
-    """(rank, kernel_dim, method): a unit in the centre of the system's
-    family, if it holds one, or the rank mod exactla.P, which is the rank
-    over Q when full or on a family; a proven kernel settles any other."""
+    """(rank, kernel_dim, method): |G| - m_0 on a family, from the spectrum
+    of its central element, or the rank mod exactla.P of the rows, which is
+    the rank over Q when full or on a family; a proven kernel settles any
+    other."""
     v = _verdict(sys)
     return v.rank, v.kernel_dim, v.method
 
@@ -478,20 +493,31 @@ def reconstruct_cpxcp(sys: RadonSystem, values, x: int) -> Fraction:
     directions contributes its coset through x once; those sums count f(x)
     p+1 times and everything else once, so subtracting the total mass and
     dividing by p isolates f(x), on the prime system build_system made.
+    Only the p+1 entries of indices equal to x are read.
     """
-    return reconstruct_all(sys, values)[_element_id(sys.group, x)]
+    p, vals, total = _cpxcp_values(sys, values)
+    hits = np.flatnonzero(sys.indices == _element_id(sys.group, x)) // p
+    return (Fraction(sum(vals[i] for i in hits.tolist())) - total) / p
 
 
 def reconstruct_all(sys: RadonSystem, values) -> tuple[Fraction, ...]:
     """reconstruct_cpxcp at every element, reading values once."""
+    p, vals, total = _cpxcp_values(sys, values)
+    # a stable sort keeps each element's rows in order
+    through = (np.argsort(sys.indices, kind="stable") // p).reshape(-1, p + 1).tolist()
+    return tuple((Fraction(sum(vals[i] for i in hits)) - total) / p for hits in through)
+
+
+def _cpxcp_values(sys: RadonSystem, values) -> tuple[int, list, Fraction]:
+    """(p, the values as a list, the total mass) for a reconstruction on
+    C_p x C_p, once the system, the group and the value count are checked.
+    Every row of that prime system holds p entries, so position k of
+    indices lies in row k // p."""
     if sys.variant != "prime" or sys.family is None:
         raise InvalidVariantError("reconstruction needs build_system's prime system")
     p = _elementary_square_prime(sys.group)
     vals = list(values)
-    total = group_sum_from_radon(sys, vals)  # one value per row, checked
-    # every row holds p entries; a stable sort keeps each element's rows in order
-    through = (np.argsort(sys.indices, kind="stable") // p).reshape(-1, p + 1).tolist()
-    return tuple((Fraction(sum(vals[i] for i in hits)) - total) / p for hits in through)
+    return p, vals, group_sum_from_radon(sys, vals)  # one value per row, checked
 
 
 def kernel_witness_cyclic(g: GroupTable) -> tuple[Fraction, ...]:

@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import chain, product
 from math import gcd
 
+import numpy as np
+
 from . import flows, geodesics, iso, radon, spectral
 from .errors import FlowAxiomError, GroupSpecError, InvalidOrderError
 from .errors import NoGeodesicsError, SizeLimitError
@@ -412,9 +414,19 @@ def _quaternion_span_case() -> SuiteCase:
 
 
 def _zero_average_cyclic_case(n: int) -> SuiteCase:
+    """The maximal kernel of C_n is the n - 1 functions of sum 0. Each
+    vector's sum is read off its codes: the count of each code times the
+    distinct value it stands for."""
     g = make_cyclic(n)
     kb = radon.kernel(radon.build_system(g, "maximal"))
-    zero_avg = all(sum(vec) == 0 for vec in kb.vectors)
+    k = len(kb.values)
+    counts = np.bincount(
+        (kb.codes + k * np.arange(kb.dim)[:, None]).ravel(), minlength=kb.dim * k
+    )
+    zero_avg = all(
+        sum(c * v for c, v in zip(row, kb.values) if c) == 0
+        for row in counts.reshape(kb.dim, k).tolist()
+    )
     return _case(
         g.recipe, "kernel = zero-average functions",
         kb.dim == n - 1 and zero_avg,

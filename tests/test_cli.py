@@ -836,15 +836,15 @@ def test_a_kernel_of_one_vector_is_singular_in_text(capsys):
 
 
 def test_a_verdict_without_a_kernel_builds_no_vectors(capsys, monkeypatch, tmp_path):
-    # a family's rank mod P is its rank over Q, so on a group system only
-    # the zero-average cases of the maximal suite, which read a kernel, lift
-    # one or fall back; a flow still proves its deficit by its kernel
-    within, lifts, deficits, decide = [], [], [], radon._matrix_verdict
+    # a family's verdict is |G| - m_0, from the spectrum or from the rank
+    # mod P of its rows, so on a group system only the zero-average cases of
+    # the maximal suite, which read a kernel, lift one or fall back; a flow
+    # still proves its deficit by its kernel
+    within, lifts, deficits, make = [], [], [], radon._make_verdict
 
-    def deciding(sys):
-        verdict = decide(sys)
-        deficits.append(sys.family is not None and verdict.kernel_dim > 0)
-        return verdict
+    def deciding(n, variant, rows, rank, method):
+        deficits.append(variant in radon.VARIANTS and rank < n)
+        return make(n, variant, rows, rank, method)
 
     def entering(function, label):
         def wrapper(*args):
@@ -871,7 +871,7 @@ def test_a_verdict_without_a_kernel_builds_no_vectors(capsys, monkeypatch, tmp_p
         verify, "_zero_average_cyclic_case",
         entering(verify._zero_average_cyclic_case, lambda n: "zero-average"),
     )
-    monkeypatch.setattr(radon, "_matrix_verdict", deciding)
+    monkeypatch.setattr(radon, "_make_verdict", deciding)
     for name in ("lift_nullspace", "rational_nullspace"):
         monkeypatch.setattr(exactla, name, recording(getattr(exactla, name)))
     for argv in (

@@ -192,40 +192,6 @@ def test_rank_plus_nullity(rows):
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
 
 
-def test_krylov_invertible_mod_reads_the_constant_term():
-    def diagonal(*entries):
-        return lambda u: np.array(entries, dtype=np.int64) * u % 7
-
-    ones = np.ones(3, dtype=np.int64)
-    assert not exactla.krylov_invertible_mod(diagonal(0, 1, 2), ones, 7)
-    assert exactla.krylov_invertible_mod(diagonal(3, 1, 2), ones, 7)
-    # T is singular, yet invertible on the span of v = e_1
-    e1 = np.array([0, 1, 0], dtype=np.int64)
-    assert exactla.krylov_invertible_mod(diagonal(0, 1, 2), e1, 7)
-
-
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=6), min_size=4, max_size=4),
-        min_size=4,
-        max_size=4,
-    ),
-    st.lists(st.integers(min_value=0, max_value=6), min_size=4, max_size=4),
-)
-@settings(max_examples=100, deadline=None)
-def test_krylov_invertible_mod_matches_a_rank_oracle(matrix, start):
-    # T is invertible on the Krylov space K of v exactly when T K = K, i.e.
-    # when T v, ..., T^d v have rank d = dim K
-    t, p = np.array(matrix, dtype=np.int64), 7
-    krylov = [np.array(start, dtype=np.int64)]
-    for _ in range(4):
-        krylov.append(t @ krylov[-1] % p)
-    d = exactla.rank_mod(krylov, 4, p)
-    expected = exactla.rank_mod(krylov[1 : d + 1], 4, p) == d
-    step = lambda u: t @ u % p  # noqa: E731
-    assert exactla.krylov_invertible_mod(step, krylov[0], p) == expected
-
-
 def test_factorize():
     assert exactla.factorize(1) == []
     assert exactla.factorize(360) == [(2, 3), (3, 2), (5, 1)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from coset_radon import exactla, flows, geodesics, groups, radon, verify
+from coset_radon import centre, exactla, flows, geodesics, groups, radon, verify
 from coset_radon.errors import (
     DimensionError,
     InvalidOrderError,
@@ -254,12 +254,12 @@ def test_method_reflects_certificate_path():
     "kind, name", [("group", "C6"), ("group", "Dic15"), ("group", "S4"), ("flow", 7)]
 )
 def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
-    # one elimination over the system's rows, at P, except for S4, whose
-    # full rank the centre certifies with none; every system here fills one
-    # chunk, so that is one Gauss-Jordan pass, and a deficient system reads
-    # its kernel off the reduced basis it leaves, with no second pass and
-    # no integer elimination
-    eliminations = 0 if name == "S4" else 1
+    # a group verdict reads the spectrum of its family's central element,
+    # with no elimination; a flow's is one elimination over its rows, at P,
+    # which fill one chunk, so that is one Gauss-Jordan pass, and its
+    # deficit reads the kernel off the reduced basis it leaves, with no
+    # second pass and no integer elimination
+    eliminations = 1 if kind == "flow" else 0
     primes, passes, integer = [], [], []
     echelon_mod, int_echelon = exactla.echelon_mod, exactla.int_echelon
     eliminate = exactla._eliminate_mod
@@ -294,14 +294,16 @@ def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
     "name, variant", [("Dic3", "prime"), ("C12", "maximal"), ("S4", "prime")]
 )
 def test_a_group_verdict_lists_its_family_once(monkeypatch, name, variant):
-    # the matrix route builds its system on the family the centre was asked on
+    # the prime family's z is read off the element orders, so its verdict
+    # lists no subgroup; the maximal family is listed once, for z and, when
+    # the size rule keeps it on its rows, for its system
     listed, family = [], radon._family_subgroups
     monkeypatch.setattr(
         radon, "_family_subgroups", lambda g, v: listed.append(v) or family(g, v)
     )
     verdict = radon.is_injective(groups.from_name(name), variant)
     assert verdict.injective == (name == "S4")
-    assert listed == [variant]
+    assert listed == ([] if variant == "prime" else [variant])
 
 
 def _verdict_oracle_systems():
@@ -336,7 +338,7 @@ def test_gram_matrix_is_multiplication_by_the_central_element(name, variant):
     g = groups.from_name(name)
     sys = radon.build_system(g, variant)
     a = np.array(sys.matrix, dtype=np.int64)
-    z = radon._central_element(g, geodesics._family_subgroups(g, variant))
+    z = centre.central_element(g, geodesics._family_subgroups(g, variant))
     quotients = g.table[np.array(g.inv)[:, None], np.arange(g.order)]  # a^-1 b
     assert np.array_equal(a.T @ a, z[quotients])
     # z is central: z(a^-1 b a) = z(b)
@@ -374,17 +376,27 @@ def _centre_corpus():
 
 
 def test_centre_certifies_exactly_when_the_matrix_route_does():
-    certified = 0
+    # the group verdict, from the spectrum or, under the size rule, the
+    # rows, and the spectrum with no size rule, against the rows'
+    # elimination; the prime family's z and rows from element orders
+    # against the listed family's
+    certified = spectra = 0
     for g in _centre_corpus():
         for variant in radon.VARIANTS:
-            subs = geodesics._family_subgroups(g, variant)
-            matrix = radon._matrix_verdict(radon.build_system(g, variant))
-            centre = radon._centre_verdict(g, variant, subs)
-            assert (centre is not None) == (matrix.method == "modular-full-rank")
-            assert centre in (None, matrix), (g.recipe, variant)
+            sys = radon.build_system(g, variant)
+            matrix = radon._matrix_verdict(sys)
             assert radon.is_injective(g, variant) == matrix, (g.recipe, variant)
-            certified += centre is not None
-    assert certified > 100
+            assert radon.decide_system(sys) == (
+                matrix.rank, matrix.kernel_dim, matrix.method
+            )
+            z = centre.central_element(g, sys.family)
+            assert centre.nullity(g, z) == g.order - matrix.rank, (g.recipe, variant)
+            if variant == "prime":
+                prime_z, rows = centre.prime_element(g)
+                assert np.array_equal(prime_z, z) and rows == sys.nrows, g.recipe
+            spectra += centre.nullity(g, z, sys.nrows) is not None
+            certified += matrix.method == "modular-full-rank"
+    assert (certified, spectra) == (116, 179)
 
 
 def _relabelled(g, perm):
@@ -410,8 +422,13 @@ def test_centre_verdict_matches_matrix_route_on_relabelled_tables(small_groups, 
         sys = radon.build_system(g, variant)
         matrix = radon._matrix_verdict(sys)
         assert radon.is_injective(g, variant) == matrix
-        subs = geodesics._family_subgroups(g, variant)
-        assert radon._centre_verdict(g, variant, subs) in (None, matrix)
+        # the spectrum, with no size rule, on the relabelled table
+        m0 = centre.nullity(g, centre.central_element(g, sys.family))
+        assert m0 == g.order - matrix.rank
+        if variant == "prime":
+            z, rows = centre.prime_element(g)
+            assert rows == sys.nrows
+            assert np.array_equal(z, centre.central_element(g, sys.family))
         # the rank mod P is the rank over Q
         oracle = exactla.rational_nullspace(sys.matrix, g.order)
         assert matrix.rank == g.order - len(oracle)
@@ -471,16 +488,22 @@ def test_verdict_rank_is_the_rank_of_the_integer_oracle():
 def test_fewer_rows_than_order_never_start_the_krylov_sequence(
     monkeypatch, name, variant
 ):
-    calls = []
+    # a kernel of fewer rows than |G| goes straight to the rows, whose count
+    # proves the deficit; the verdict alone reads the spectrum, unless the
+    # size rule keeps the family on its rows, as it does the one row of C12
+    # and of C7
+    calls, krylov = [], centre.minimal_polynomial
     monkeypatch.setattr(
-        exactla, "krylov_invertible_mod", lambda *args: calls.append(args) or True
+        centre, "minimal_polynomial", lambda *args: calls.append(1) or krylov(*args)
     )
     g = groups.from_name(name)
-    verdict = radon.is_injective(g, variant)
+    verdict, sys = radon._group_verdict(g, variant, kernel=True)
     assert verdict.rows < g.order and not verdict.injective
-    assert verdict.method == "exact-elimination" and calls == []
-    radon.is_injective(groups.from_name("S4"), variant)
-    assert len(calls) == 1  # the patch is reached when rows suffice
+    assert verdict.method == "exact-elimination"
+    assert radon.kernel(sys).dim == verdict.kernel_dim
+    assert calls == []
+    assert radon.is_injective(g, variant) == verdict
+    assert len(calls) == (name == "Dic3")
 
 
 def _kernel_oracle_systems():
@@ -658,6 +681,9 @@ def test_reconstruction_on_elementary_squares(p):
     assert radon.reconstruct_all(sys, values) == f
     # the values are read once, so a one-shot iterator will do
     assert radon.reconstruct_all(sys, iter(values)) == f
+    # one element reads only the p + 1 rows through it
+    assert tuple(radon.reconstruct_cpxcp(sys, values, x) for x in range(p * p)) == f
+    assert all(radon.reconstruct_cpxcp(sys, iter(values), x) == f[x] for x in range(p * p))
 
 
 def test_reconstruction_rejects_other_groups():
