@@ -315,7 +315,10 @@ def suite_bound() -> SuiteReport:
 
 
 # the composite lengths up to _LEMMA_MAX_N, each checked on _LEMMA_FUNCTIONS
-# random functions per group, drawn from _LEMMA_SEED ^ |G|
+# random functions per group, drawn from _LEMMA_SEED ^ |G| and scaled to
+# integers once per group; a case checks every homomorphism C_n -> G at
+# once, in one gather of the functions along all their orbits per block
+# (radon._composite_check)
 _LEMMA_MAX_N, _LEMMA_FUNCTIONS, _LEMMA_SEED = 12, 20, 20260822
 
 

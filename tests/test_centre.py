@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from coset_radon import centre, exactla, groups, radon
+from coset_radon import centre, exactla, geodesics, groups, radon, verify
 
 
 def test_minimal_polynomial_reads_a_diagonal_spectrum():
@@ -83,6 +83,51 @@ def test_closed_forms_of_the_named_families(n):
     assert radon.is_injective(dic, "maximal").kernel_dim == 2 * n
     if n >= 3:
         assert radon.is_injective(groups.make_dihedral(n)).injective
+
+
+def _closure(g, x, y, limit):
+    """The subgroup <x, y> as a set of ids, or None once it passes limit
+    elements."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        a = frontier.pop()
+        for b in (g.table.item(a, x), g.table.item(a, y)):
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+                if len(reached) > limit:
+                    return None
+    return reached
+
+
+def _noncyclic_p2_or_pq(g):
+    """Whether g has a noncyclic subgroup of order p^2 or pq. Such a group
+    is generated by two elements of prime order, so the subgroups <x, y>
+    of one generator x, y each of two subgroups of prime order are tried."""
+    gens = [
+        s.generator for s in geodesics.cyclic_subgroups(g)
+        if exactla.is_prime(len(s.elements))
+    ]
+    for i, x in enumerate(gens):
+        for y in gens[i + 1 :]:
+            order = g.elt_order[x] * g.elt_order[y]
+            sub = _closure(g, x, y, order)
+            if sub is not None and len(sub) == order:
+                if all(g.elt_order[z] < order for z in sub):
+                    return True
+    return False
+
+
+# The paper's one-way test: every subgroup of order p^2 or pq of a
+# Frobenius complement is cyclic, so a group with a noncyclic one is no
+# Frobenius complement, and its prime family is injective.
+def test_a_noncyclic_subgroup_of_order_p2_or_pq_makes_the_prime_family_injective():
+    found = 0
+    for g in verify.groups_upto(64):
+        if _noncyclic_p2_or_pq(g):
+            found += 1
+            assert radon.is_injective(g).injective, g.recipe
+    assert found == 85  # of the 163 groups: all but the cyclic and dicyclic ones
 
 
 @pytest.mark.parametrize(

@@ -733,6 +733,24 @@ def test_bound_equality_klein():
     assert chk.subgroup_count == 3
 
 
+
+def _listed_bound(g):
+    """(lhs, rhs, count) of the counting bound from the listed family."""
+    subs = geodesics._family_subgroups(g, "prime")
+    lhs = sum((Fraction(1, len(s.elements)) for s in subs), Fraction(0))
+    return lhs, 1 + Fraction(len(subs) - 1, g.order), len(subs)
+
+
+def test_bound_from_element_orders_matches_the_listed_family():
+    named = [groups.from_name(name) for name in ("S4", "S5", "A4", "A5", "Dic3")]
+    for g in verify.groups_upto(64) + named:
+        if g.order < 2:
+            continue
+        chk = radon.dimension_bound_check(g)
+        lhs, rhs, count = _listed_bound(g)
+        assert (chk.lhs, chk.rhs, chk.subgroup_count) == (lhs, rhs, count), g.recipe
+        assert chk.bound_holds == (lhs < rhs), g.recipe
+
 def _random_functions(order, count, seed):
     rng = random.Random(seed)
     return [
@@ -849,6 +867,92 @@ def test_composite_check_leaves_int64_where_a_sum_could_wrap(monkeypatch):
     monkeypatch.setattr(radon, "homomorphisms_cn", lambda *args: fake)
     assert not _consistency_oracle(g, 6, 1, [f])
     assert _both_paths(g, 6, [f]) == (False, False)
+
+
+
+def _composite_loop(g, n, values, gens):
+    """The identities of _composite_check one generator at a time: a walk
+    of the table per orbit length and two or three gathers each."""
+    m = exactla.factorize(n)[0][0]
+    k = n // m
+    if values.dtype != object and values.size:
+        if int(np.abs(values).max()) * m * n >= 2**63:
+            values = values.astype(object)
+
+    def orbit_sums(vals, gen, length):
+        """Row x of the result sums the rows x * gen^t of vals, t < length."""
+        return vals[g.table[:, g.powers(gen, length)]].sum(axis=1)
+
+    for gen in gens:
+        gk = g.power(gen, k)
+        long_sums = orbit_sums(values, gen, n)
+        if gk == 0:
+            same = long_sums == m * orbit_sums(values, gen, k)
+        else:
+            same = m * long_sums == orbit_sums(orbit_sums(values, gk, m), gen, n)
+        if not same.all():
+            return False
+    return True
+
+
+def _generators(g, n):
+    return [hom.image_generator for hom in geodesics.homomorphisms_cn(g, n)]
+
+
+def test_composite_check_agrees_with_the_loop_on_the_suite_corpus():
+    composites = [n for n in range(4, 13) if not exactla.is_prime(n)]
+    for g in verify.groups_upto(24):
+        fs = verify.random_rational_functions(
+            g.order, verify._LEMMA_FUNCTIONS, verify._LEMMA_SEED ^ g.order
+        )
+        values = radon._integer_columns(g, fs)
+        assert values.dtype == np.int64
+        for n in composites:
+            for vals in (values, values.astype(object)):
+                want = _composite_loop(g, n, vals, _generators(g, n))
+                assert radon._composite_check(g, n, vals) == want, (g.recipe, n)
+
+
+@pytest.mark.parametrize("budget,count", [(300, 3), (700, 1)])
+@pytest.mark.parametrize("name", ["S4", "C12xC2"])
+def test_composite_check_in_blocks_of_a_few_hundred_cells(monkeypatch, name, budget, count):
+    # |G| * n = 288 cells a homomorphism and a function at n = 12: a budget
+    # of 300 takes one of each a block, 700 two homomorphisms of one function
+    g = groups.from_name(name)
+    values = radon._integer_columns(g, _random_functions(g.order, count, seed=g.order))
+    blocks = []
+    check = radon._orbits_consistent
+
+    def spy(g, values, walk, *args):
+        blocks.append(walk.size * g.order * values.shape[1])  # the gather's cells
+        return check(g, values, walk, *args)
+
+    def answer(n, vals, cells):
+        monkeypatch.setattr(radon, "_ORBIT_CELLS", cells)
+        blocks.clear()
+        return radon._composite_check(g, n, vals)
+
+    monkeypatch.setattr(radon, "_orbits_consistent", spy)
+    assert answer(12, values, radon._BLOCK_CELLS) and len(blocks) == 1
+    for n in (12, 6, 4):
+        gens = _generators(g, n)
+        for vals in (values, values.astype(object)):
+            assert answer(n, vals, budget) == _composite_loop(g, n, vals, gens)
+            assert max(blocks) <= budget, (n, blocks)
+            assert n != 12 or len(blocks) > 1
+    # a generator whose order does not divide n fails, in one block with the
+    # others and in the last of several blocks, on the last function alone:
+    # a constant meets both identities along any generator
+    n = 6 if name == "S4" else 4
+    wrong = next(x for x in range(1, g.order) if n % g.elt_order[x])
+    gens = _generators(g, n) + [wrong]
+    fake = [geodesics.Homomorphism(n, x) for x in gens]
+    monkeypatch.setattr(radon, "homomorphisms_cn", lambda *args: fake)
+    fs = [[1] * g.order] * (count - 1) + _random_functions(g.order, 1, seed=n)
+    values = radon._integer_columns(g, fs)
+    assert not _composite_loop(g, n, values, gens)
+    assert not answer(n, values, radon._BLOCK_CELLS) and len(blocks) == 1
+    assert not answer(n, values, budget) and len(blocks) > 1
 
 
 def test_composite_consistency_vacuous_without_homomorphisms():
