@@ -71,8 +71,15 @@ predicted = sum(
 print(f"kernel predicted from representations: {predicted}, "
       f"computed from the matrix: {radon.is_injective(q8).kernel_dim}")
 
-# the 2-dim rep's matrix coefficients x -> rho(x^-1)[i][j] are the kernel
-coeffs = spectral.matrix_coefficient_vectors(q8, reps[-1])
+# the 2-dim rep's matrix coefficients x -> rho(x^-1)[i][j] are the kernel.
+# They come as integer arrays, the real and imaginary parts of D times each
+# coefficient; the transform is linear, so it kills a coefficient exactly
+# when it kills both parts.
+re, im = spectral.matrix_coefficient_vectors(q8, reps[-1])
 sys = radon.build_system(q8, "prime")
-assert all(not any(map(bool, radon.apply(sys, list(c)))) for c in coeffs)
+assert len(re) == len(im) == 4
+assert all(
+    not any(radon.apply(sys, part_re)) and not any(radon.apply(sys, part_im))
+    for part_re, part_im in zip(re.tolist(), im.tolist())
+)
 print("all four matrix-coefficient functions annihilated: confirmed")

@@ -23,9 +23,11 @@ rational_nullspace, the fallback when a lift fails and the test oracle,
 rests on one fraction-free integer elimination, int_echelon, with
 Python's unbounded integers: rows are cross-multiplied, divided by their
 gcd and kept in echelon form, so no floating point is ever involved; it
-divides only to write its output Fractions. field_rref and
-field_nullspace, generic over any exact field, serve the Gaussian-rational
-representations in spectral.
+divides only to write its output Fractions. Every other exact rank in
+the package, the representation ranks in spectral included, is
+rank_exact on integer rows. field_rref and field_nullspace, generic over
+any exact field, have no caller in the package: they stay as the test
+reference for rational_nullspace and as names perfbench/tracer.py wraps.
 """
 
 from __future__ import annotations

@@ -8,19 +8,20 @@ mod L. CharacterTable.value_exponents holds every such exponent as one int64
 array indexed [character, element], so every identity is checkable in
 integer arithmetic, sums of roots of unity by CRT differences (_vanishing);
 floats only appear in the numeric DFT, whose sums run in element order. A
-matrix representation holds its images as one (|G|, d, d) object array of
-exact complex rationals (GaussianRational), enough for the quaternion
-group's 2-dimensional representation and all permutation-style examples:
-products, sums, conjugate transposes and traces are numpy operations on
-those exact entries, and ranks and kernels go through exactla.field_rref.
-A representation from outside is proven on the generators S the group
-was built with, which generate it, |G| |S| products in all (matrix_rep);
-the builtin quaternion reps carry their construction's proof
-(quaternion_rep_set). Each keeps its table: every function that takes a group and a rep refuses
-any other group. A coset sum depends on the subgroup, not on the generator
-that traces it, so the Fourier identity, the fixed-space analysis and the
-projection law all read one generator per subgroup of prime order
-(_prime_homomorphisms).
+matrix representation holds its images over one common denominator D as
+two (|G|, d, d) integer arrays, the real and imaginary parts of D rho(x):
+int64 under a bound that covers every product formed (_integer_dtype),
+Python ints above it. Products, sums, conjugate transposes and traces are
+then integer numpy operations, and each rank over Q(i) is half the
+exactla.rank_exact of a realification (_rank), the package's one exact
+integer elimination. A representation from outside is proven on the
+generators S the group was built with, which generate it, |G| |S|
+products in all (matrix_rep); the builtin quaternion reps carry their
+construction's proof (quaternion_rep_set). Each keeps its table: every
+function that takes a group and a rep refuses any other group. A coset
+sum depends on the subgroup, not on the generator that traces it, so the
+Fourier identity, the fixed-space analysis and the projection law all
+read one generator per subgroup of prime order (_prime_homomorphisms).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "FixedSpaceReport",
     "ForeignCharacterTableError",
     "ForeignRepresentationError",
-    "GaussianRational",
     "GeodesicSumMatrix",
     "MatrixRep",
     "char_sum_check",
@@ -70,113 +70,6 @@ __all__ = [
     "quaternion_rep_set",
     "rep_to_dict",
 ]
-
-
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        # the arithmetic below passes Fractions, which need no new wrapper
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n2 = o.re * o.re + o.im * o.im
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n2,
-            (self.im * o.re - self.re * o.im) / n2,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
-
-
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
-_I = GaussianRational(0, 1)
-
-
-def _eye(d: int) -> np.ndarray:
-    """The d x d identity as an object array of GaussianRational."""
-    out = np.full((d, d), _ZERO, dtype=object)
-    np.fill_diagonal(out, _ONE)
-    return out
-
-
-def _rank(m: np.ndarray) -> int:
-    return len(exactla.field_rref(m.tolist())[0])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -406,12 +299,16 @@ def fourier_radon_check(
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
     """Exact matrix representation of the group it was validated on:
-    images[x] is the d x d image of element x, all in one read-only
-    (|G|, d, d) object array of GaussianRational."""
+    rho(x) = (re[x] + i im[x]) / denominator, with re and im read-only
+    (|G|, d, d) integer arrays and denominator the lcm of every entry's
+    denominators. The arrays are int64 when _integer_dtype's bound covers
+    the rep, else object arrays of Python ints."""
 
     group: GroupTable
     dim: int
-    images: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    denominator: int
     declared_unitary: bool
 
     @property
@@ -419,9 +316,36 @@ class MatrixRep:
         return self.group.order
 
 
+def _integer_dtype(order: int, dim: int, largest: int):
+    """int64 when 2 d (|G| K)^2 < 2^63, with K the larger of the denominator
+    D and the largest |part| of the entries of D rho; object otherwise.
+
+    That bounds every integer the rep functions form, partial sums of
+    numpy's matmul included. An entry of D rho is at most K, and a geodesic
+    sum T of one period, m <= |G| terms, at most |G| K. A real or imaginary
+    part of a product of two complex d x d matrices sums 2d products: at
+    most 2 d K^2 for the product rule and unitarity, and 2 d (|G| K)^2 for
+    check_projection's T T and (D rho(gen)) T, the largest.
+    """
+    return np.int64 if 2 * dim * (order * largest) ** 2 < 2**63 else object
+
+
+def _times(a, b):
+    """The product of two complex matrices, or stacks of them, each held as
+    an (re, im) pair of integer arrays."""
+    return a[0] @ b[0] - a[1] @ b[1], a[0] @ b[1] + a[1] @ b[0]
+
+
+def _differs(a, b) -> np.ndarray:
+    """Entrywise, whether the (re, im) pairs a and b differ."""
+    return (a[0] != b[0]) | (a[1] != b[1])
+
+
 def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
-    """Validate images: the identity's image, the product rule and, when
-    declared, unitarity, each proven on the generators g.generators alone.
+    """Validate images, one d x d matrix per element whose entries are each
+    an int, a Fraction or an (re, im) pair of those: the identity's image,
+    the product rule and, when declared, unitarity, each proven on the
+    generators g.generators alone.
 
     The greedy closure that chose S = g.generators (groups._greedy_generators)
     closed {e} under right multiplication by S, so every y is a
@@ -433,8 +357,14 @@ def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
     the checks cost |G| |S| products, not |G|^2. As in groups._check_latin,
     only a rejected rep is scanned in full, so that the error names the
     first broken pair (a, b), row by row, or the first non-unitary element.
+
+    Over the common denominator D each check is an integer one: the product
+    rule is (D rho(x)) (D rho(s)) = D (D rho(xs)), and with D rho = A + iB,
+    rho rho^* = I is A A^T + B B^T = D^2 I and B A^T - A B^T = 0.
     """
-    mats = [[[_as_gq(v) for v in row] for row in m] for m in images]
+    pair = (tuple, list)
+    mats = [[[v if isinstance(v, pair) else (v, 0) for v in row] for row in m]
+            for m in images]
     if len(mats) != g.order:
         raise InvalidRepresentationError(
             f"{len(mats)} images for a group of order {g.order}"
@@ -442,63 +372,83 @@ def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
     d = len(mats[0])
     if d == 0 or any(len(m) != d or any(len(row) != d for row in m) for m in mats):
         raise InvalidRepresentationError("images are not all square of one size")
-    arr = np.empty((g.order, d, d), dtype=object)
-    arr[...] = mats
-    eye = _eye(d)
-    if not np.array_equal(arr[0], eye):
+    # every real part, then every imaginary part
+    parts = np.moveaxis(np.array(mats, dtype=object), -1, 0).ravel().tolist()
+    parts = [Fraction(v) for v in parts]
+    den = math.lcm(*(v.denominator for v in parts))
+    ints = [v.numerator * (den // v.denominator) for v in parts]
+    dtype = _integer_dtype(g.order, d, max(den, *map(abs, ints)))
+    re, im = np.array(ints, dtype=dtype).reshape(2, g.order, d, d)
+    if (re[0] != den * np.eye(d, dtype=dtype)).any() or im[0].any():
         raise InvalidRepresentationError("image of the identity is not the identity")
-    if any((arr @ arr[s] != arr[g.table[:, s]]).any() for s in g.generators):
+    for s in g.generators:
+        xs = g.table[:, s]
+        lhs = _times((re, im), (re[s], im[s]))
+        if _differs(lhs, (den * re[xs], den * im[xs])).any():
+            raise InvalidRepresentationError(
+                f"images break the product at pair {_first_broken_pair(g, re, im, den)}"
+            )
+    gens = list(g.generators)
+    if unitary and _non_unitary(re[gens], im[gens], den).any():
         raise InvalidRepresentationError(
-            f"images break the product at pair {_first_broken_pair(g, arr)}"
+            f"image of {int(np.argmax(_non_unitary(re, im, den)))} is not unitary"
         )
-    if unitary and _non_unitary(arr[list(g.generators)], eye).any():
-        raise InvalidRepresentationError(
-            f"image of {int(np.argmax(_non_unitary(arr, eye)))} is not unitary"
-        )
-    return MatrixRep(group=g, dim=d, images=_frozen(arr), declared_unitary=unitary)
+    return MatrixRep(g, d, _frozen(re), _frozen(im), den, declared_unitary=unitary)
 
 
-def _first_broken_pair(g: GroupTable, arr: np.ndarray) -> tuple[int, int]:
+def _first_broken_pair(
+    g: GroupTable, re: np.ndarray, im: np.ndarray, den: int
+) -> tuple[int, int]:
     """The first (a, b), row by row, with rho(a) rho(b) != rho(ab)."""
-    for rows in _row_blocks(g.order, g.order * arr.shape[1] ** 2):
-        # [a, b] compares rho(a) rho(b) with rho(ab), a in this block
-        bad = (arr[rows, None] @ arr != arr[g.table[rows]]).any(axis=(2, 3))
+    for rows in _row_blocks(g.order, g.order * re.shape[1] ** 2):
+        # [a, b] compares D rho(a) D rho(b) with D D rho(ab), a in this block
+        lhs = _times((re[rows, None], im[rows, None]), (re, im))
+        ab = g.table[rows]
+        bad = _differs(lhs, (den * re[ab], den * im[ab])).any(axis=(2, 3))
         if bad.any():
             a, b = np.argwhere(bad)[0].tolist()
             return rows.start + a, b
     raise AssertionError("no broken pair in a rejected rep; construction bug")
 
 
-def _non_unitary(mats: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack mats, whether m m^* differs from eye."""
-    return (mats @ mats.conj().transpose(0, 2, 1) != eye).any(axis=(1, 2))
+def _non_unitary(re: np.ndarray, im: np.ndarray, den: int) -> np.ndarray:
+    """Per matrix of the stack (re + i im) / den, whether m m^* differs from I."""
+    re_t, im_t = re.transpose(0, 2, 1), im.transpose(0, 2, 1)
+    eye = np.eye(re.shape[1], dtype=re.dtype) * den**2
+    product = re @ re_t + im @ im_t, im @ re_t
+    return _differs(product, (eye, re @ im_t)).any(axis=(1, 2))
 
 
-def _as_gq(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    return GaussianRational(v)
+def _rank(re: np.ndarray, im: np.ndarray) -> int:
+    """Rank over Q(i) of the integer matrix re + i im: half the rank_exact
+    of its realification [[re, -im], [im, re]], which is similar over C to
+    the block diagonal of the matrix and its conjugate."""
+    real = np.block([[re, -im], [im, re]])
+    return exactla.rank_exact(real.tolist(), real.shape[1]) // 2
 
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSumMatrix:
-    """I(rho, gamma) = sum_t rho(gamma(t)), a read-only (d, d) object
-    array; hermitian by construction."""
+    """I(rho, gamma) = sum_t rho(gamma(t)) = (re + i im) / denominator, with
+    re and im read-only (d, d) integer arrays over the rep's denominator;
+    hermitian by construction."""
 
-    matrix: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    denominator: int
 
 
 class ForeignRepresentationError(DimensionError):
     """A representation was passed along with a group it was not validated on."""
 
 
-def _images(g: GroupTable, rep: MatrixRep) -> np.ndarray:
-    """rep.images, refused unless rep was validated on g itself."""
+def _images(g: GroupTable, rep: MatrixRep) -> tuple[np.ndarray, np.ndarray]:
+    """(rep.re, rep.im), refused unless rep was validated on g itself."""
     if rep.group_order != g.order:
         raise DimensionError("representation belongs to a different group order")
     if rep.group is not g:
         raise ForeignRepresentationError("representation belongs to another group")
-    return rep.images
+    return rep.re, rep.im
 
 
 def _prime_homomorphisms(g: GroupTable) -> list[Homomorphism]:
@@ -523,30 +473,44 @@ def geodesic_sum(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> GeodesicSu
     the sum of the rho(gen^t)^*, self-adjoint; that is asserted, as a guard
     on a MatrixRep built without matrix_rep.
     """
-    total = _images(g, rep)[g.powers(hom.image_generator, hom.domain_order)].sum(axis=0)
+    steps = g.powers(hom.image_generator, hom.domain_order)
+    re, im = (part[steps].sum(axis=0) for part in _images(g, rep))
     if rep.declared_unitary:
-        assert np.array_equal(total.conj().T, total), "geodesic sum is not self-adjoint"
-    return GeodesicSumMatrix(matrix=_frozen(total))
+        assert _self_adjoint(re, im), "geodesic sum is not self-adjoint"
+    return GeodesicSumMatrix(_frozen(re), _frozen(im), rep.denominator)
+
+
+def _self_adjoint(re: np.ndarray, im: np.ndarray) -> bool:
+    return np.array_equal(re.T, re) and np.array_equal(im.T, -im)
 
 
 def check_projection(g: GroupTable, rep: MatrixRep, hom: Homomorphism) -> bool:
     """I/n is the orthogonal projection onto the fixed space of rho(gen).
 
-    Exact check: idempotent, self-adjoint, kills into the fixed space of the
-    generator image, and has the same rank as that fixed space.
+    gen^n = e, so n is a multiple of gen's order m and I/n = I_m/m, with I_m
+    the sum over one period. With T = D I_m that is p = T / (m D), and each
+    check is an integer one: p is idempotent (T T = m D T), self-adjoint,
+    kills into the fixed space of the generator image
+    ((D rho(gen)) T = D T), and has the rank of that fixed space,
+    d - rank(rho(gen) - I). An idempotent's rank is its trace, so the last
+    is tr T = m D (d - rank(rho(gen) - I)); it is read only once
+    idempotence holds.
     """
     if not rep.declared_unitary:
         raise UnsupportedRepresentationError("projection check needs a unitary rep")
-    total = geodesic_sum(g, rep, hom).matrix
-    p = total * GaussianRational(Fraction(1, hom.domain_order))
-    if not np.array_equal(p @ p, p):
+    gen = hom.image_generator
+    m = g.elt_order[gen]
+    total = geodesic_sum(g, rep, Homomorphism(m, gen))
+    t, den = (total.re, total.im), rep.denominator
+    if _differs(_times(t, t), (m * den * t[0], m * den * t[1])).any():
         return False
-    if not np.array_equal(p.conj().T, p):
+    if not _self_adjoint(*t):
         return False
-    shifted = rep.images[hom.image_generator] - _eye(rep.dim)
-    if (shifted @ p).astype(bool).any():
+    image = (rep.re[gen], rep.im[gen])
+    if _differs(_times(image, t), (den * t[0], den * t[1])).any():
         return False
-    return _rank(p) == rep.dim - _rank(shifted)
+    shifted = image[0] - den * np.eye(rep.dim, dtype=image[0].dtype), image[1]
+    return int(np.trace(t[0])) == m * den * (rep.dim - _rank(*shifted))
 
 
 @dataclass(frozen=True)
@@ -567,26 +531,25 @@ def fixed_space_analysis(g: GroupTable, rep: MatrixRep) -> FixedSpaceReport:
     (_prime_homomorphisms). An x != e of order m has a prime p dividing m,
     and rho(x^(m/p)) fixes every vector rho(x) fixes, so the fixed vectors
     of the elements of prime order already span the fixed span.
+
+    One rank gives both. For a unitary rep, the geodesic sum I_gamma of a
+    generator gamma of order n is n times the orthogonal projection onto
+    Fix rho(gamma): the average of rho over <gamma> is idempotent,
+    self-adjoint, fixed by rho(gamma) and the identity on Fix rho(gamma).
+    So ker I_gamma = (Fix rho(gamma))^perp, and the intersection of the
+    kernels is (sum of the fixed spaces)^perp. With r the rank of the
+    stacked sums, kernel_dim = d - r and fixed_span_dim = r.
     """
     if not rep.declared_unitary:
         raise UnsupportedRepresentationError("analysis needs a unitary rep")
-    homs = _prime_homomorphisms(g)
-    gens = _images(g, rep)[[hom.image_generator for hom in homs]]
-    fixed_rows = [
-        vec
-        for shifted in gens - _eye(rep.dim)
-        for vec in exactla.field_nullspace(shifted.tolist(), rep.dim, _ZERO, _ONE)
-    ]
-    fixed_span = len(exactla.field_rref(fixed_rows)[0])
-    stacked = [
-        row for hom in homs for row in geodesic_sum(g, rep, hom).matrix.tolist()
-    ]
-    kdim = len(exactla.field_nullspace(stacked, rep.dim, _ZERO, _ONE))
-    ok = (fixed_span == 0 and kdim == rep.dim) or (
-        fixed_span == rep.dim and kdim == 0
+    sums = [geodesic_sum(g, rep, hom) for hom in _prime_homomorphisms(g)]
+    d = rep.dim
+    r = _rank(
+        np.reshape([s.re for s in sums], (-1, d)),
+        np.reshape([s.im for s in sums], (-1, d)),
     )
     return FixedSpaceReport(
-        dim=rep.dim, fixed_span_dim=fixed_span, kernel_dim=kdim, dichotomy_ok=ok
+        dim=d, fixed_span_dim=r, kernel_dim=d - r, dichotomy_ok=r in (0, d)
     )
 
 
@@ -594,19 +557,29 @@ def char_sum_check(g: GroupTable, reps) -> bool:
     """sum_rho dim(rho) tr(rho(x)) = |G| at e, 0 elsewhere, exactly.
 
     The caller asserts the list is a complete set of irreducibles; the check
-    is the standard completeness witness for that claim.
+    is the standard completeness witness for that claim. The sum is taken
+    over the lcm L of the reps' denominators, in Python ints.
     """
-    want = np.zeros(g.order, dtype=object)
-    want[0] = g.order
-    acc = sum(_images(g, rep).trace(axis1=1, axis2=2) * rep.dim for rep in reps)
+    reps = list(reps)
+    lcm = math.lcm(*(rep.denominator for rep in reps))
+    acc = np.zeros((2, g.order), dtype=object)
+    for rep in reps:
+        traces = np.trace(np.stack(_images(g, rep)), axis1=2, axis2=3)
+        acc += traces.astype(object) * (rep.dim * (lcm // rep.denominator))
+    want = np.zeros((2, g.order), dtype=object)
+    want[0, 0] = g.order * lcm
     return np.array_equal(acc, want)
 
 
-def matrix_coefficient_vectors(g: GroupTable, rep: MatrixRep) -> list[tuple]:
-    """The dim^2 functions x -> rho(x^-1)[i][j] as exact vectors on G,
-    ordered by (i, j)."""
-    coeffs = _images(g, rep)[list(g.inv)].reshape(g.order, rep.dim**2).T
-    return [tuple(vec) for vec in coeffs.tolist()]
+def matrix_coefficient_vectors(
+    g: GroupTable, rep: MatrixRep
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dim^2 functions x -> rho(x^-1)[i][j], as vectors on G in rows
+    i dim + j, times rep.denominator and split into real and imaginary
+    parts: two integer arrays of shape (dim^2, |G|)."""
+    inv = list(g.inv)
+    re, im = (part[inv].reshape(g.order, rep.dim**2).T for part in _images(g, rep))
+    return re, im
 
 
 # ---------------------------------------------------------------------------
@@ -633,20 +606,26 @@ def quaternion_rep_set(g: GroupTable) -> list[MatrixRep]:
     sub_a = g.powers(a)
     b = next(x for x in range(g.order) if g.elt_order[x] == 4 and x not in sub_a)
     where = g.table[np.ix_(g.powers(b, 2), sub_a)].ravel()  # b^m a^k, m*4 + k
-    mat_i = np.array([[_I, _ZERO], [_ZERO, -_I]], dtype=object)
-    mat_j = np.array([[_ZERO, _ONE], [-_ONE, _ZERO]], dtype=object)
-    power = np.linalg.matrix_power
     ids = [divmod(i, 4) for i in np.argsort(where).tolist()]
-    image_sets = [[power(mat_j, m) @ power(mat_i, k) for m, k in ids]]
+    # I, J and the identity as (re, im) pairs of integer matrices
+    zero = np.zeros((2, 2), dtype=np.int64)
+    one = np.eye(2, dtype=np.int64), zero
+    mat_i = zero, np.diag([1, -1])
+    mat_j = np.array([[0, 1], [-1, 0]]), zero
+    powers_i = [one]
+    for _ in range(3):
+        powers_i.append(_times(powers_i[-1], mat_i))
+    two = [_times(mat_j if m else one, powers_i[k]) for m, k in ids]
+    image_sets = [tuple(map(np.array, zip(*two)))]  # (re, im) stacks
     for alpha, beta in itertools.product((1, -1), repeat=2):
-        image_sets.append([[[alpha**m * beta**k]] for m, k in ids])
-    as_gq = np.frompyfunc(_as_gq, 1, 1)  # matrix_power(., 0) and signs are ints
-    reps = []
-    for images in image_sets:
-        arr = _frozen(as_gq(np.array(images, dtype=object)))
-        reps.append(MatrixRep(g, arr.shape[1], arr, declared_unitary=True))
+        signs = np.array([alpha**m * beta**k for m, k in ids]).reshape(8, 1, 1)
+        image_sets.append((signs, np.zeros_like(signs)))
+    reps = [
+        MatrixRep(g, len(re[0]), _frozen(re), _frozen(im), 1, declared_unitary=True)
+        for re, im in image_sets
+    ]
     # trivial first, 2-dim last: conventional reading order
-    reps.sort(key=lambda r: (r.dim, (r.images[:, 0, 0] != 1).tolist()))
+    reps.sort(key=lambda r: (r.dim, (r.re[:, 0, 0] != 1).tolist()))
     return reps
 
 
@@ -655,13 +634,20 @@ def quaternion_rep_set(g: GroupTable) -> list[MatrixRep]:
 
 
 def rep_to_dict(rep: MatrixRep) -> dict:
+    """The file form load_rep reads: each entry a cell [re_num, re_den,
+    im_num, im_den], both parts in lowest terms."""
+    den = rep.denominator
+
+    def lowest(v: int) -> list[int]:
+        k = math.gcd(v, den)
+        return [v // k, den // k]
+
     images = {
         str(x): [
-            [[v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator]
-             for v in row]
-            for row in m
+            [lowest(a) + lowest(b) for a, b in zip(row_re, row_im)]
+            for row_re, row_im in zip(m_re, m_im)
         ]
-        for x, m in enumerate(rep.images.tolist())
+        for x, (m_re, m_im) in enumerate(zip(rep.re.tolist(), rep.im.tolist()))
     }
     return {"dim": rep.dim, "images": images, "unitary": rep.declared_unitary}
 
@@ -715,8 +701,7 @@ def load_rep(source, g: GroupTable) -> MatrixRep:
                 f"image of {x} is not a {dim}x{dim} matrix of cells [re_num, "
                 f"re_den, im_num, im_den], four ints with nonzero denominators"
             )
-        images.append([
-            [GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in r]
-            for r in m
-        ])
+        images.append(
+            [[(Fraction(a, b), Fraction(c, d)) for a, b, c, d in r] for r in m]
+        )
     return matrix_rep(g, images, unitary=unitary)

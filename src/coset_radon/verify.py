@@ -19,7 +19,7 @@ import numpy as np
 from . import flows, geodesics, iso, radon, spectral
 from .errors import FlowAxiomError, GroupSpecError, InvalidOrderError
 from .errors import NoGeodesicsError, SizeLimitError
-from .exactla import factorize, field_rref, is_prime
+from .exactla import factorize, is_prime, rank_exact
 from .groups import (
     GroupTable,
     from_name,
@@ -401,16 +401,13 @@ def _quaternion_span_case() -> SuiteCase:
     sys = radon.build_system(g, "prime")
     dim = radon.decide_system(sys)[1]
     two = next(r for r in spectral.quaternion_rep_set(g) if r.dim == 2)
-    # the real and imaginary parts of each coefficient vector, as Fractions
-    parts = [
-        [getattr(c, axis) for c in vec]
-        for vec in spectral.matrix_coefficient_vectors(g, two)
-        for axis in ("re", "im")
-    ]
+    # the real and imaginary parts of each coefficient vector, scaled to integers
+    re, im = spectral.matrix_coefficient_vectors(g, two)
+    parts = [*re.tolist(), *im.tolist()]
     expected = "coefficients span kernel"
     if any(any(radon.apply(sys, part)) for part in parts):
         return _case(g.recipe, expected, False, "coefficient vector not annihilated")
-    rank = len(field_rref([part for part in parts if any(part)])[0])
+    rank = rank_exact(parts, g.order)
     return _case(
         g.recipe, expected, dim == 4 and rank == 4, f"kernel={dim} span={rank}"
     )

@@ -179,13 +179,12 @@ def test_criterion_08_spectral_cross_check():
         failures.append(("Q8", "kernel dim", verdict.kernel_dim))
     rep = spectral.quaternion_rep_set(q8)[-1]
     sys = radon.build_system(q8, "prime")
-    rows = []
-    for vec in spectral.matrix_coefficient_vectors(q8, rep):
-        if any(bool(v) for v in radon.apply(sys, list(vec))):
+    # the real and imaginary parts of the coefficient vectors, as integers
+    re, im = spectral.matrix_coefficient_vectors(q8, rep)
+    rows = [*re.tolist(), *im.tolist()]
+    for row in rows:
+        if any(bool(v) for v in radon.apply(sys, row)):
             failures.append(("Q8", "matrix coefficient not annihilated"))
-        # entries are Gaussian integers here, so the parts are plain ints
-        rows.append([int(v.re) for v in vec])
-        rows.append([int(v.im) for v in vec])
     if exactla.rank_exact(rows, 8) != 4:
         failures.append(("Q8", "coefficients do not span the kernel"))
     _conclude(8, "spectral kernel cross-check", failures)

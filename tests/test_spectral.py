@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaussian_oracle as oracle
 from coset_radon import cli, exactla, groups, radon, spectral, verify
 from coset_radon.errors import (
     CosetRadonError,
@@ -17,35 +19,6 @@ from coset_radon.errors import (
     UnsupportedRepresentationError,
 )
 from coset_radon.geodesics import Homomorphism, homomorphisms_cn
-from coset_radon.spectral import GaussianRational
-
-
-# --- exact complex scalars ---------------------------------------------------
-
-
-def test_gaussian_rational_arithmetic():
-    i = GaussianRational(0, 1)
-    assert i * i == -1
-    assert (GaussianRational(1, 2) + GaussianRational(3, -1)) == GaussianRational(4, 1)
-    assert GaussianRational(Fraction(1, 2)) * 2 == 1
-    assert 1 - GaussianRational(0, 1) == GaussianRational(1, -1)
-
-
-def test_gaussian_rational_division():
-    z = GaussianRational(3, 4)
-    assert z / z == 1
-    assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
-    assert z * z.conjugate() == 25
-    with pytest.raises(ZeroDivisionError):
-        z / GaussianRational(0)
-
-
-def test_gaussian_rational_conversions():
-    z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
-    assert complex(z) == 0.5 - 0.75j
-    assert bool(z)
-    assert not GaussianRational(0)
-    assert hash(GaussianRational(2)) == hash(GaussianRational(2, 0))
 
 
 # --- character tables ---------------------------------------------------------
@@ -325,14 +298,14 @@ def test_fourier_check_refuses_unusable_tolerance(tolerance):
     assert spectral.fourier_radon_check(g, [1, 0, 0, 0, 0, 0], tolerance=0.0)
 
 
+
+
 # --- matrix representations ---------------------------------------------------
 
 
 def _regular_rep_c2():
-    flip = ((GaussianRational(0), GaussianRational(1)),
-            (GaussianRational(1), GaussianRational(0)))
-    ident = ((GaussianRational(1), GaussianRational(0)),
-             (GaussianRational(0), GaussianRational(1)))
+    flip = ((0, 1), (1, 0))
+    ident = ((1, 0), (0, 1))
     return spectral.matrix_rep(groups.make_cyclic(2), [ident, flip], unitary=True)
 
 
@@ -350,12 +323,35 @@ def test_matrix_rep_validation():
         spectral.matrix_rep(g, [ident, doubled], unitary=False)
 
 
+def test_matrix_rep_reads_ints_fractions_and_pairs():
+    g = groups.make_cyclic(2)
+    # rho(1) = [[3/5, 4i/5], [-4i/5, -3/5]], a unitary involution, with its
+    # entries written in each form matrix_rep reads
+    ident = [[1, Fraction(0)], [(0, 0), (Fraction(3, 3), 0)]]
+    forms = [
+        [[Fraction(3, 5), (0, Fraction(4, 5))],
+         [(0, Fraction(-4, 5)), Fraction(-3, 5)]],
+        [[(Fraction(6, 10), 0), [0, Fraction(4, 5)]],
+         [(0, Fraction(4, -5)), (Fraction(-3, 5), 0)]],
+    ]
+    for image in forms:
+        rep = spectral.matrix_rep(g, [ident, image], unitary=True)
+        assert (rep.denominator, rep.re.dtype) == (5, np.int64)
+        assert rep.re.tolist() == [[[5, 0], [0, 5]], [[3, 0], [0, -3]]]
+        assert rep.im.tolist() == [[[0, 0], [0, 0]], [[0, 4], [-4, 0]]]
+    # one denominator for all parts: the lcm of 2 and 3
+    image = [[1, 0], [(Fraction(1, 2), Fraction(1, 3)), -1]]
+    rep = spectral.matrix_rep(g, [ident, image], unitary=False)
+    assert rep.denominator == 6
+    assert rep.re[1].tolist() == [[6, 0], [3, -6]]
+    assert rep.im[1].tolist() == [[0, 0], [2, 0]]
+
+
 def test_matrix_rep_unitarity_enforced():
     g = groups.make_cyclic(2)
     ident = ((1, 0), (0, 1))
     # valid rep, but with a non-unitary similarity twist
-    skew = ((GaussianRational(1), GaussianRational(0)),
-            (GaussianRational(1), GaussianRational(-1)))
+    skew = ((1, 0), (1, -1))
     assert spectral.matrix_rep(g, [ident, skew], unitary=False).dim == 2
     with pytest.raises(InvalidRepresentationError):
         spectral.matrix_rep(g, [ident, skew], unitary=True)
@@ -365,9 +361,10 @@ def test_regular_rep_projection_matrix():
     rep = _regular_rep_c2()
     g = rep.group
     hom = Homomorphism(2, 1)
-    total = spectral.geodesic_sum(g, rep, hom).matrix
-    one = GaussianRational(1)
-    assert total.tolist() == [[one, one], [one, one]]
+    total = spectral.geodesic_sum(g, rep, hom)
+    assert total.re.tolist() == [[1, 1], [1, 1]]
+    assert total.im.tolist() == [[0, 0], [0, 0]]
+    assert total.denominator == 1
     assert spectral.check_projection(g, rep, hom)
 
 
@@ -396,7 +393,7 @@ def q8_reps(q8):
 def test_quaternion_rep_set_shape(q8_reps):
     assert [r.dim for r in q8_reps] == [1, 1, 1, 1, 2]
     # trivial rep first
-    assert all(m[0][0] == 1 for m in q8_reps[0].images)
+    assert (q8_reps[0].re == q8_reps[0].denominator).all()
     assert all(r.declared_unitary for r in q8_reps)
 
 
@@ -413,8 +410,6 @@ def test_quaternion_completeness(q8, q8_reps):
 
 
 def test_quaternion_projections(q8, q8_reps):
-    from coset_radon.geodesics import homomorphisms_cn
-
     for rep in q8_reps:
         for hom in homomorphisms_cn(q8, 2):
             assert spectral.check_projection(q8, rep, hom)
@@ -424,8 +419,8 @@ def test_quaternion_center_sum_vanishes_on_2dim(q8, q8_reps):
     rep = q8_reps[-1]
     # the unique order-2 element generates the center
     center = next(x for x in range(1, 8) if q8.elt_order[x] == 2)
-    total = spectral.geodesic_sum(q8, rep, Homomorphism(2, center)).matrix
-    assert all(not v for row in total for v in row)
+    total = spectral.geodesic_sum(q8, rep, Homomorphism(2, center))
+    assert not total.re.any() and not total.im.any()
 
 
 def test_quaternion_dichotomy(q8, q8_reps):
@@ -449,12 +444,18 @@ def test_quaternion_kernel_prediction(q8, q8_reps):
 
 def test_quaternion_matrix_coefficients_span_kernel(q8, q8_reps):
     rep = q8_reps[-1]
+    re, im = spectral.matrix_coefficient_vectors(q8, rep)
+    # row i d + j is D rho(x^-1)[i][j], x along the row
+    images = oracle.gq_images(rep)
+    want = [images[q8.inv[x]][i][j] for i in range(2) for j in range(2) for x in range(8)]
+    den = rep.denominator
+    got = [oracle.GaussianRational(Fraction(a, den), Fraction(b, den))
+           for a, b in zip(re.ravel().tolist(), im.ravel().tolist())]
+    assert got == want
     sys = radon.build_system(q8, "prime")
-    rows = []
-    for vec in spectral.matrix_coefficient_vectors(q8, rep):
-        assert not any(spectral.GaussianRational(0) + v for v in radon.apply(sys, vec))
-        rows.append([v.re for v in vec])
-        rows.append([v.im for v in vec])
+    rows = [*re.tolist(), *im.tolist()]
+    for row in rows:
+        assert not any(radon.apply(sys, row))
     rref, pivots = exactla.field_rref([[Fraction(v) for v in r] for r in rows])
     assert len(pivots) == 4
 
@@ -463,8 +464,6 @@ def test_quaternion_matrix_coefficients_span_kernel(q8, q8_reps):
 
 
 def test_rep_round_trip(q8, q8_reps, tmp_path):
-    import json
-
     rep = q8_reps[-1]
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(spectral.rep_to_dict(rep)))
@@ -472,7 +471,8 @@ def test_rep_round_trip(q8, q8_reps, tmp_path):
     assert (again.group_order, again.dim, again.declared_unitary) == (
         rep.group_order, rep.dim, rep.declared_unitary
     )
-    assert np.array_equal(again.images, rep.images)
+    assert np.array_equal(again.re, rep.re) and np.array_equal(again.im, rep.im)
+    assert again.denominator == rep.denominator
 
 
 def test_load_rep_malformed(q8):
@@ -512,54 +512,38 @@ def _hand_built(g, diagonals):
     """A MatrixRep with diagonal images, made without matrix_rep's checks,
     so that it need not be a representation."""
     d = len(diagonals[0])
-    images = np.full((g.order, d, d), GaussianRational(0), dtype=object)
+    re = np.zeros((g.order, d, d), dtype=np.int64)
     for x, diagonal in enumerate(diagonals):
-        np.fill_diagonal(images[x], [GaussianRational(v) for v in diagonal])
-    return spectral.MatrixRep(g, d, images, declared_unitary=True)
+        np.fill_diagonal(re[x], diagonal)
+    return spectral.MatrixRep(g, d, re, np.zeros_like(re), 1, declared_unitary=True)
 
 
 def test_check_projection_refuses_a_sum_that_is_no_projection():
     c2, c3 = groups.make_cyclic(2), groups.make_cyclic(3)
-    # (2 + 1) / 2 is not idempotent, though rho(1) = 1 fixes everything
-    rep = _hand_built(c2, [[2], [1]])
-    assert not spectral.check_projection(c2, rep, Homomorphism(2, 1))
-    # P = (I + diag(2, 1) + diag(0, -2)) / 3 = diag(1, 0) is an orthogonal
-    # projection of the rank the fixed space of rho(1) has, but rho(1) moves
-    # the vectors of its image
-    rep = _hand_built(c3, [[1, 1], [2, 1], [0, -2]])
-    assert not spectral.check_projection(c3, rep, Homomorphism(3, 1))
-    rep = _hand_built(c3, [[1, 1], [1, 2], [1, -3]])  # P = diag(1, 0) again
-    assert spectral.check_projection(c3, rep, Homomorphism(3, 1))
+    cases = [
+        # (2 + 1) / 2 is not idempotent, though rho(1) = 1 fixes everything
+        (c2, [[2], [1]], False),
+        # P = (I + diag(2, 1) + diag(0, -2)) / 3 = diag(1, 0) is an orthogonal
+        # projection of the rank the fixed space of rho(1) has, but rho(1)
+        # moves the vectors of its image
+        (c3, [[1, 1], [2, 1], [0, -2]], False),
+        (c3, [[1, 1], [1, 2], [1, -3]], True),  # P = diag(1, 0) again
+    ]
+    for g, diagonals, want in cases:
+        rep, hom = _hand_built(g, diagonals), Homomorphism(g.order, 1)
+        assert spectral.check_projection(g, rep, hom) is want
+        assert oracle.check_projection(g, oracle.gq_images(rep), hom) is want
 
 
 # --- array forms against per-entry references ------------------------------------
 
 
-def _first_broken_pair(g, images):
-    """Row-major first (a, b) with images[a] images[b] != images[ab], by
-    plain nested loops over nested lists."""
-    d = len(images[0])
-
-    def mul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(d)), GaussianRational(0))
-             for j in range(d)]
-            for i in range(d)
-        ]
-
-    for a in range(g.order):
-        for b in range(g.order):
-            if mul(images[a], images[b]) != images[int(g.table[a, b])]:
-                return a, b
-    return None
-
-
 def _corruptions(images):
     """Copies of images with one image x > 0 changed in several ways."""
-    i = GaussianRational(0, 1)
+    images = oracle.gq_array(images).tolist()
     changes = [
         lambda m: [[-v for v in row] for row in m],
-        lambda m: [[v * i for v in row] for row in m],
+        lambda m: [[v * oracle.I for v in row] for row in m],
         lambda m: m[::-1],
         lambda m: [row[::-1] for row in m],
         lambda m: [[v + 1 for v in row] for row in m],
@@ -577,16 +561,15 @@ def test_matrix_rep_names_first_broken_pair(which, q8, q8_reps):
         g, rep = q8, q8_reps[-1]
     else:
         g, rep = groups.make_cyclic(2), _regular_rep_c2()
-    images = rep.images.tolist()
     broken = 0
-    for bad in _corruptions(images):
-        pair = _first_broken_pair(g, bad)
+    for bad in _corruptions(oracle.gq_images(rep)):
+        pair = oracle.first_broken_pair(g, bad)
         if pair is None:
-            assert spectral.matrix_rep(g, bad, unitary=False).dim == rep.dim
+            assert spectral.matrix_rep(g, oracle.entries(bad), unitary=False).dim == rep.dim
             continue
         broken += 1
         with pytest.raises(InvalidRepresentationError) as err:
-            spectral.matrix_rep(g, bad, unitary=False)
+            spectral.matrix_rep(g, oracle.entries(bad), unitary=False)
         assert str(err.value) == f"images break the product at pair {pair}"
     assert broken >= 2
 
@@ -639,8 +622,8 @@ def test_dft_and_fourier_check_match_per_entry_reference(name):
 def test_array_forms_refuse_writes(q8, q8_reps):
     ct = spectral.characters(groups.from_name("C2xC4"))
     rep = q8_reps[-1]
-    total = spectral.geodesic_sum(q8, rep, Homomorphism(4, 1)).matrix
-    for arr in (ct.value_exponents, rep.images, total):
+    total = spectral.geodesic_sum(q8, rep, Homomorphism(4, 1))
+    for arr in (ct.value_exponents, rep.re, rep.im, total.re, total.im):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
@@ -715,70 +698,21 @@ def test_spectral_entry_points_refuse_foreign_reps_and_ids(call, error, message)
     assert str(err.value) == message
 
 
+
 # --- generator proofs against all-pairs and per-element references -------------
 
 
-def _first_non_unitary(images):
-    """The first x whose image m has m m^* != I, by plain nested loops."""
-    d = len(images[0])
-    for x, m in enumerate(images):
-        for i in range(d):
-            for j in range(d):
-                dot = sum((m[i][k] * m[j][k].conjugate() for k in range(d)),
-                          GaussianRational(0))
-                if dot != (i == j):
-                    return x
-    return None
-
-
-def _validation_reference(g, images, unitary):
-    """The error text of the all-pairs product scan and of the unitarity
-    scan over every element, or None when the images pass both."""
-    images = [[[spectral._as_gq(v) for v in row] for row in m] for m in images]
-    d = len(images[0])
-    if images[0] != [[GaussianRational(i == j) for j in range(d)] for i in range(d)]:
-        return "image of the identity is not the identity"
-    pair = _first_broken_pair(g, images)
-    if pair is not None:
-        return f"images break the product at pair {pair}"
-    x = _first_non_unitary(images) if unitary else None
-    return None if x is None else f"image of {x} is not unitary"
-
-
-def _fixed_space_reference(g, rep):
+def _fixed_space_reference(g, images):
     """The analysis over every element x != e and every homomorphism of
-    prime length."""
-    d, zero, one = rep.dim, GaussianRational(0), GaussianRational(1)
-    eye = [[GaussianRational(i == j) for j in range(d)] for i in range(d)]
-    fixed_rows = [
-        vec
-        for m in rep.images.tolist()[1:]
-        for vec in exactla.field_nullspace(
-            [[m[i][j] - eye[i][j] for j in range(d)] for i in range(d)], d, zero, one
-        )
-    ]
-    fixed_span = len(exactla.field_rref(fixed_rows)[0])
-    stacked = [
-        row
-        for hom in _all_prime_homomorphisms(g)
-        for row in spectral.geodesic_sum(g, rep, hom).matrix.tolist()
-    ]
-    kdim = len(exactla.field_nullspace(stacked, d, zero, one))
-    ok = (fixed_span, kdim) in ((0, d), (d, 0))
+    prime length, in Gaussian rationals."""
+    fixed_span, kdim, ok = oracle.fixed_space(g, oracle.gq_array(images))
     return spectral.FixedSpaceReport(
-        dim=d, fixed_span_dim=fixed_span, kernel_dim=kdim, dichotomy_ok=ok
+        dim=len(images[0]), fixed_span_dim=fixed_span, kernel_dim=kdim, dichotomy_ok=ok
     )
 
 
-def _all_prime_homomorphisms(g):
-    return [hom for p in exactla.prime_divisors(g.order) for hom in homomorphisms_cn(g, p)]
-
-
-def _projections_reference(g, reps):
-    return all(
-        spectral.check_projection(g, rep, hom)
-        for rep in reps for hom in _all_prime_homomorphisms(g)
-    )
+def _projections_reference(g, image_sets):
+    return oracle.projections(g, [oracle.gq_array(images) for images in image_sets])
 
 
 def _projections_ok(g, reps):
@@ -792,18 +726,20 @@ def _projections_ok(g, reps):
 
 def _assert_matches_references(g, images, unitary):
     """matrix_rep accepts or rejects as the references do, with the same
-    text, and an accepted unitary rep gets the references' analyses.
-    Returns the references' error text, None when they accept."""
-    want = _validation_reference(g, images, unitary)
+    text; an accepted rep holds the images it was given, and an accepted
+    unitary rep gets the references' analyses. Returns the references'
+    error text, None when they accept."""
+    want = oracle.validation_reference(g, images, unitary)
     try:
-        rep = spectral.matrix_rep(g, images, unitary=unitary)
+        rep = spectral.matrix_rep(g, oracle.entries(images), unitary=unitary)
     except InvalidRepresentationError as err:
         assert str(err) == want
         return want
     assert want is None
+    assert np.array_equal(oracle.gq_images(rep), oracle.gq_array(images))
     if unitary:
-        assert spectral.fixed_space_analysis(g, rep) == _fixed_space_reference(g, rep)
-        assert _projections_ok(g, [rep]) == _projections_reference(g, [rep])
+        assert spectral.fixed_space_analysis(g, rep) == _fixed_space_reference(g, images)
+        assert _projections_ok(g, [rep]) == _projections_reference(g, [images])
     return None
 
 
@@ -819,9 +755,8 @@ def _relabelled(g, seed):
 
 def _permutation_images(n):
     """The n-dim permutation rep of make_symmetric(n): e_i -> e_p(i)."""
-    one, zero = GaussianRational(1), GaussianRational(0)
     return [
-        [[one if p[j] == i else zero for j in range(n)] for i in range(n)]
+        [[int(p[j] == i) for j in range(n)] for i in range(n)]
         for p in groups._permutations(n).tolist()
     ]
 
@@ -838,9 +773,9 @@ def _oracle_cases():
     """(id, group, images, unitary) of valid and invalid reps."""
     q8 = groups.make_dicyclic(2)
     for k, rep in enumerate(spectral.quaternion_rep_set(q8)):
-        yield f"q8-{k}", q8, rep.images.tolist(), True
+        yield f"q8-{k}", q8, oracle.gq_images(rep).tolist(), True
     c2 = groups.make_cyclic(2)
-    yield "c2-regular", c2, _regular_rep_c2().images.tolist(), True
+    yield "c2-regular", c2, oracle.gq_images(_regular_rep_c2()).tolist(), True
     skew = [((1, 0), (0, 1)), ((1, 0), (1, -1))]
     yield "c2-skew", c2, skew, False
     yield "c2-skew-unitary", c2, skew, True
@@ -879,14 +814,13 @@ def _twists(g, images, s):
     cosets x<s>; and rho conjugated by P = 2I + rho(s), which commutes with
     rho(s) and, for s of order m, has the inverse
     sum_k (-rho(s))^k 2^(m-1-k) / (2^m - (-1)^m)."""
-    arr = np.empty((g.order, len(images[0]), len(images[0])), dtype=object)
-    arr[...] = [[[spectral._as_gq(v) for v in row] for row in m] for m in images]
+    arr = oracle.gq_array(images)
     steps, m = g.powers(s), g.elt_order[s]
     scaled = [a if x in steps else a * 2 for x, a in enumerate(arr)]
-    eye = spectral._eye(arr.shape[1])
+    eye = oracle.eye(arr.shape[1])
     p = eye * 2 + arr[s]
     p_inv = sum(arr[y] * ((-1) ** k * 2 ** (m - 1 - k)) for k, y in enumerate(steps))
-    p_inv = p_inv * GaussianRational(Fraction(1, 2**m - (-1) ** m))
+    p_inv = p_inv * oracle.GaussianRational(Fraction(1, 2**m - (-1) ** m))
     assert np.array_equal(p @ p_inv, eye)
     conjugated = [p @ a @ p_inv for a in arr]
     return [a.tolist() for a in scaled], [a.tolist() for a in conjugated]
@@ -898,7 +832,7 @@ def test_twists_on_one_generator_match_references(name):
     them is rejected as the all-pairs scan rejects it."""
     if name == "Dic2":
         g = groups.make_dicyclic(2)
-        images = spectral.quaternion_rep_set(g)[-1].images.tolist()
+        images = oracle.gq_images(spectral.quaternion_rep_set(g)[-1]).tolist()
     elif name == "S4-relabelled":
         g, perm = _relabelled(groups.make_symmetric(4), 1)
         images = _moved(_permutation_images(4), perm)
@@ -920,8 +854,8 @@ def test_twists_on_one_generator_match_references(name):
 
 def _corruption_cases():
     q8 = groups.make_dicyclic(2)
-    yield "q8-two-dim", q8, spectral.quaternion_rep_set(q8)[-1].images.tolist()
-    yield "c2-regular", groups.make_cyclic(2), _regular_rep_c2().images.tolist()
+    yield "q8-two-dim", q8, oracle.gq_images(spectral.quaternion_rep_set(q8)[-1]).tolist()
+    yield "c2-regular", groups.make_cyclic(2), oracle.gq_images(_regular_rep_c2()).tolist()
     yield "S3", groups.make_symmetric(3), _permutation_images(3)
 
 
@@ -947,7 +881,7 @@ def test_one_random_corrupted_image_matches_references(case, data):
     d = len(images[0])
     i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
     part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    value = GaussianRational(data.draw(part), data.draw(part))
+    value = oracle.GaussianRational(data.draw(part), data.draw(part))
     bad = [[list(row) for row in m] for m in images]
     bad[x][i][j] = value
     _assert_matches_references(g, bad, data.draw(st.booleans(), label="unitary"))
@@ -965,11 +899,12 @@ def test_builtin_quaternion_reps_pass_matrix_rep(seed, q8):
         table[np.ix_(perm, perm)] = perm[q8.table]
         h = groups.from_cayley_table(table)
     for rep in spectral.quaternion_rep_set(h):
-        again = spectral.matrix_rep(h, rep.images.tolist(), unitary=True)
-        assert np.array_equal(again.images, rep.images)
-        assert (again.dim, again.declared_unitary) == (rep.dim, True)
-        assert not rep.images.flags.writeable
-        assert all(type(v) is GaussianRational for v in rep.images.flat)
+        images = oracle.gq_images(rep).tolist()
+        again = spectral.matrix_rep(h, oracle.entries(images), unitary=True)
+        assert np.array_equal(again.re, rep.re) and np.array_equal(again.im, rep.im)
+        assert (again.dim, again.denominator, again.declared_unitary) == (rep.dim, 1, True)
+        for arr in (rep.re, rep.im):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -982,6 +917,63 @@ def test_quaternion_rep_set_on_relabelled_tables(seed, q8):
     reps = spectral.quaternion_rep_set(h)
     assert [r.dim for r in reps] == [1, 1, 1, 1, 2]
     assert spectral.char_sum_check(h, reps)
-    for rep in reps:
-        assert spectral.fixed_space_analysis(h, rep) == _fixed_space_reference(h, rep)
-    assert _projections_ok(h, reps) is _projections_reference(h, reps) is True
+    image_sets = [oracle.gq_images(rep).tolist() for rep in reps]
+    for rep, images in zip(reps, image_sets):
+        assert spectral.fixed_space_analysis(h, rep) == _fixed_space_reference(h, images)
+    assert _projections_ok(h, reps) is _projections_reference(h, image_sets) is True
+
+
+# --- Python ints where int64 could overflow ------------------------------------
+
+
+def _householder_images(v):
+    """S4's permutation rep conjugated by H = I - 2 v v^T / (v^T v), which
+    is symmetric and orthogonal, so H P H is unitary again."""
+    norm = sum(a * a for a in v)
+    h = [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], norm) for j in range(4)]
+         for i in range(4)]
+    return [
+        [[sum(h[i][k] * p[k][l] * h[l][j] for k in range(4) for l in range(4))
+          for j in range(4)] for i in range(4)]
+        for p in _permutation_images(4)
+    ]
+
+
+@pytest.mark.parametrize("v, dtype", [
+    ((65537, 3, 40000, 7), object),
+    ((1, 2, 0, 3), np.int64),
+], ids=["large-v", "small-v"])
+def test_householder_conjugated_rep_matches_references(v, dtype):
+    # (v^T v)^2 is about 2^65 for the large v, past int64 as a denominator
+    g = groups.make_symmetric(4)
+    images = _householder_images(v)
+    assert _assert_matches_references(g, images, unitary=True) is None
+    rep = spectral.matrix_rep(g, images, unitary=True)
+    assert rep.re.dtype == rep.im.dtype == dtype
+    assert (rep.denominator.bit_length() > 63) is (dtype is object)
+    plain = spectral.matrix_rep(g, _permutation_images(4), unitary=True)
+    assert spectral.fixed_space_analysis(g, rep) == spectral.fixed_space_analysis(g, plain)
+    assert _projections_ok(g, [rep]) is _projections_ok(g, [plain]) is True
+    assert spectral.char_sum_check(g, [rep]) == spectral.char_sum_check(g, [plain])
+    want = oracle.rep_to_dict(oracle.gq_array(images), True)
+    assert json.dumps(spectral.rep_to_dict(rep)) == json.dumps(want)
+    again = spectral.load_rep(json.loads(json.dumps(want)), g)
+    assert np.array_equal(again.re, rep.re) and np.array_equal(again.im, rep.im)
+
+
+def test_non_unitary_rep_with_entries_past_int64_bounds():
+    # [[1, 0], [c, -1]] squares to I for any c
+    g, c = groups.make_cyclic(2), 2**62
+    images = [[[1, 0], [0, 1]], [[1, 0], [c, -1]]]
+    assert _assert_matches_references(g, images, unitary=False) is None
+    rep = spectral.matrix_rep(g, images, unitary=False)
+    assert rep.re.dtype == object and rep.re[1, 1, 0] == c
+    images[1][0][1] = 1
+    error = _assert_matches_references(g, images, unitary=False)
+    assert error == "images break the product at pair (1, 1)"
+
+
+def test_rep_to_dict_matches_reference_writer(q8, q8_reps):
+    for rep in q8_reps:
+        want = oracle.rep_to_dict(oracle.gq_images(rep), rep.declared_unitary)
+        assert json.dumps(spectral.rep_to_dict(rep)) == json.dumps(want)
