@@ -37,24 +37,24 @@ by this proof:
   m_0 = |G| e_0(e). Its denominators divide a product of omega in
   (0, S], all below P, so |G| e_0(e) mod P is m_0, because m_0 <= |G| < P.
 
-The prime family's z and row count are read off the element orders
-(centre's docstring), so a prime verdict lists no subgroup. Rows are
-built only where the answer reads them: a kernel of a deficient verdict,
---matrix-csv, flows and hand-built systems. One size rule keeps a family
-on its rows: a family whose product by z would read more cells,
-|support z| x classes, than its rows hold, rows x |G|. A kernel of a
-family with fewer rows than |G| also goes straight to its rows, whose
-count already proves the deficit. The rows' verdict reads one
-elimination mod P that the system keeps: the reduced echelon basis,
-pivoting from the right, whose length on a family is the rank over Q by
-the proof above. Wherever the spectrum and the rows both run, the rank
-mod P of the rows must be |G| - m_0, or an AssertionError is raised.
+One route, _group_verdict, answers a family for is_injective,
+decide_system, kernel and the CLI. The prime family's z and row count
+are read off the element orders (centre's docstring); the maximal family
+is listed once, or read off the system build_system made. One size rule
+keeps a family on its rows: one whose product by z would read more cells,
+|support z| x classes, than its rows hold, rows x |G|. Rows are otherwise
+read only for a kernel of a deficient verdict, --matrix-csv, flows and
+hand-built systems, through one elimination mod P that the system keeps:
+the reduced echelon basis, pivoting from the right, whose length on a
+family is its rank over Q by the proof above. Wherever m_0 and the rows'
+rank are both known, the rank must be |G| - m_0, or an AssertionError is
+raised.
 
-Any other system (a flow, or one built by hand) is answered from its
-rows alone. A full rank mod P certifies, and a deficit mod P is proven
-by the kernel, which kernel() also returns: the kernel mod P read off
-the reduced basis, lifted to rationals and summed back exactly over
-every row. The lift has
+Any other system (a flow, one built by hand, or a dataclasses.replace
+copy, which drops the family) is answered from its rows alone. A full
+rank mod P certifies, and a deficit mod P is proven by the kernel, which
+kernel() also returns: the kernel mod P read off the reduced basis,
+lifted to rationals and summed back exactly over every row. The lift has
 n - rank_P independent vectors in reduced row-echelon form and rational
 rank is at least rank_P, so a lift that passes is the unique reduced
 kernel basis; one that fails falls back to exactla.rational_nullspace.
@@ -268,6 +268,12 @@ class KernelBasis:
 
 @dataclass(frozen=True)
 class InjectivityVerdict:
+    """A verdict, all of it read off rank, the rank over Q: kernel_dim is
+    order - rank; injective is rank == order, with method
+    "modular-full-rank", else method is "exact-elimination";
+    frobenius_complement is rank < order for the prime family, which holds
+    exactly when G is a Frobenius complement, and None for any other."""
+
     order: int
     variant: str
     rows: int
@@ -312,16 +318,13 @@ def kernel(sys: RadonSystem) -> KernelBasis:
     """Exact rational kernel in reduced row-echelon form: empty when the
     family's verdict or a full rank mod exactla.P certifies, else lifted
     from the system's elimination mod P and summed back exactly over every
-    row, so a KernelBasis in hand is a certificate. A family with fewer
-    rows than columns goes straight to its rows."""
-    if sys.family is not None and sys.nrows >= sys.ncols:
-        verdict = _verdict(sys)
-        if verdict.injective:
-            return _NO_KERNEL
-        _check_rows(sys, verdict)
-    elif len(sys._echelon) == sys.ncols:
-        return _NO_KERNEL
-    return _kernel(sys)
+    row, so a KernelBasis in hand is a certificate."""
+    if sys.family is None:
+        injective = len(sys._echelon) == sys.ncols
+    else:
+        verdict, _ = _group_verdict(sys.group, sys.variant, kernel=True, sys=sys)
+        injective = verdict.injective
+    return _NO_KERNEL if injective else _kernel(sys)
 
 
 def _kernel(sys: RadonSystem) -> KernelBasis:
@@ -361,91 +364,58 @@ def _integer_multiple(vec) -> list[int]:
 _NO_KERNEL = KernelBasis.from_vectors(())
 
 
-def _make_verdict(
-    n: int, variant: str, rows: int, rank: int, method: str
-) -> InjectivityVerdict:
+def _make_verdict(n: int, variant: str, rows: int, rank: int) -> InjectivityVerdict:
     frob = (rank < n) if variant == "prime" else None
+    method = "modular-full-rank" if rank == n else "exact-elimination"
     return InjectivityVerdict(
         order=n, variant=variant, rows=rows, rank=rank, kernel_dim=n - rank,
         injective=rank == n, frobenius_complement=frob, method=method,
     )
 
 
-def _check_rows(sys: RadonSystem, verdict: InjectivityVerdict) -> None:
-    """Raise unless the rank mod exactla.P of the rows is the verdict's."""
-    if len(sys._echelon) != verdict.rank:
-        raise AssertionError(
-            f"rows of rank {len(sys._echelon)} mod P against a verdict of rank "
-            f"{verdict.rank}"
-        )
-
-
-def _matrix_verdict(sys: RadonSystem) -> InjectivityVerdict:
-    """The verdict from the rows: their rank mod exactla.P when it is full
-    or the system has a family, else n less the dimension of the proven
-    kernel."""
-    n, modular = sys.ncols, len(sys._echelon)
-    if modular == n:
-        return _make_verdict(n, sys.variant, sys.nrows, n, "modular-full-rank")
-    rank = modular if sys.family else n - _kernel(sys).dim
-    return _make_verdict(n, sys.variant, sys.nrows, rank, "exact-elimination")
-
-
-def _spectrum_verdict(
-    g: GroupTable, variant: str, z: np.ndarray, rows: int
-) -> InjectivityVerdict | None:
-    """The verdict read off the nullity m_0 of the family's central element
-    z, or None when the size rule keeps the family on its rows."""
-    m0 = centre.nullity(g, z, rows)
-    if m0 is None:
-        return None
-    method = "exact-elimination" if m0 else "modular-full-rank"
-    return _make_verdict(g.order, variant, rows, g.order - m0, method)
-
-
-def _verdict(sys: RadonSystem) -> InjectivityVerdict:
-    """The verdict on a system: the spectrum of its family's central
-    element, unless the size rule keeps the family on its rows, else the
-    matrix route."""
-    if sys.family is not None:
-        z = centre.central_element(sys.group, sys.family)
-        if verdict := _spectrum_verdict(sys.group, sys.variant, z, sys.nrows):
-            return verdict
-    return _matrix_verdict(sys)
+def _rows_verdict(sys: RadonSystem) -> InjectivityVerdict:
+    """The verdict on rows alone: their rank mod exactla.P when it is
+    full, else n less the dimension of the proven kernel."""
+    n = sys.ncols
+    rank = n if len(sys._echelon) == n else n - _kernel(sys).dim
+    return _make_verdict(n, sys.variant, sys.nrows, rank)
 
 
 def _group_verdict(
-    g: GroupTable, variant: str, kernel: bool = False
+    g: GroupTable, variant: str, kernel: bool = False, sys: RadonSystem | None = None
 ) -> tuple[InjectivityVerdict, RadonSystem | None]:
-    """The verdict on g's family and its system, or None when no row was
-    read. kernel asks for the rows a kernel needs: a deficient verdict
-    builds them and checks their rank against it, and a family with fewer
-    rows than |G| goes straight to them."""
+    """The verdict on g's family, and its system if one was given or built.
+
+    sys, when given, is the family's system from build_system, whose family
+    is read instead of listed again. The verdict is |G| - m_0 unless the
+    size rule keeps the family on its rows, whose rank mod exactla.P it
+    then is. kernel asks for the rows a kernel needs, so a deficient
+    verdict reads them too, and their rank must be |G| - m_0."""
     _check_family(g, variant)
+    subs = sys.family if sys else None
     if variant == "prime":
-        subs = None
         z, rows = centre.prime_element(g)
     else:
-        subs = _family_subgroups(g, variant)
+        subs = subs or _family_subgroups(g, variant)
         z, rows = centre.central_element(g, subs), sum(g.order // len(s) for s in subs)
-    verdict = None
-    if not (kernel and rows < g.order):
-        verdict = _spectrum_verdict(g, variant, z, rows)
-        if verdict is not None and (verdict.injective or not kernel):
-            return verdict, None
-    sys = _build_system(g, variant, subs or _family_subgroups(g, variant))
-    if verdict is None:
-        return _matrix_verdict(sys), sys
-    _check_rows(sys, verdict)
-    return verdict, sys
+    n, m0 = g.order, centre.nullity(g, z, rows)
+    if m0 == 0 or (m0 is not None and not kernel):
+        return _make_verdict(n, variant, rows, n - m0), sys
+    sys = sys or _build_system(g, variant, subs or _family_subgroups(g, variant))
+    rank = len(sys._echelon)
+    if m0 is not None and rank != n - m0:
+        raise AssertionError(f"rows of rank {rank} mod P against |G| - m_0 = {n - m0}")
+    return _make_verdict(n, variant, rows, rank), sys
 
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
-    """(rank, kernel_dim, method): |G| - m_0 on a family, from the spectrum
-    of its central element, or the rank mod exactla.P of the rows, which is
-    the rank over Q when full or on a family; a proven kernel settles any
-    other."""
-    v = _verdict(sys)
+    """(rank, kernel_dim, method): _group_verdict on a family, else the
+    rank mod exactla.P of the rows when full, or n less the dimension of
+    their proven kernel."""
+    if sys.family is None:
+        v = _rows_verdict(sys)
+    else:
+        v = _group_verdict(sys.group, sys.variant, sys=sys)[0]
     return v.rank, v.kernel_dim, v.method
 
 

@@ -374,7 +374,8 @@ def matrix_rep(g: GroupTable, images, unitary: bool) -> MatrixRep:
         raise InvalidRepresentationError("images are not all square of one size")
     # every real part, then every imaginary part
     parts = np.moveaxis(np.array(mats, dtype=object), -1, 0).ravel().tolist()
-    parts = [Fraction(v) for v in parts]
+    # ints and Fractions carry numerator and denominator as they are
+    parts = [v if type(v) in (int, Fraction) else Fraction(v) for v in parts]
     den = math.lcm(*(v.denominator for v in parts))
     ints = [v.numerator * (den // v.denominator) for v in parts]
     dtype = _integer_dtype(g.order, d, max(den, *map(abs, ints)))

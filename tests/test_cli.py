@@ -842,9 +842,9 @@ def test_a_verdict_without_a_kernel_builds_no_vectors(capsys, monkeypatch, tmp_p
     # still proves its deficit by its kernel
     within, lifts, deficits, make = [], [], [], radon._make_verdict
 
-    def deciding(n, variant, rows, rank, method):
+    def deciding(n, variant, rows, rank):
         deficits.append(variant in radon.VARIANTS and rank < n)
-        return make(n, variant, rows, rank, method)
+        return make(n, variant, rows, rank)
 
     def entering(function, label):
         def wrapper(*args):

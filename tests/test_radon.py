@@ -188,7 +188,7 @@ def test_verdict_builds_no_geodesic_record(monkeypatch):
     # geodesics._geodesics_for is the one producer of the records
     monkeypatch.setattr(geodesics, "Geodesic", counting)
     for name, variant in (("S4", "prime"), ("C12", "maximal"), ("Dic3", "prime")):
-        radon._verdict(radon.build_system(groups.from_name(name), variant))
+        radon.decide_system(radon.build_system(groups.from_name(name), variant))
     assert made == []
     # the rows view is where the records are made, one per row
     assert len(radon.build_system(groups.from_name("S4")).rows) == len(made) == 140
@@ -323,9 +323,9 @@ def test_modular_certificate_matches_exact_rank():
     for sys in _verdict_oracle_systems():
         n = sys.ncols
         exact = exactla.rank_exact(sys.matrix, n)
-        verdict = radon._verdict(sys)
-        assert verdict.rank == exact
-        assert (verdict.method == "modular-full-rank") == (exact == n)
+        rank, _, method = radon.decide_system(sys)
+        assert rank == exact
+        assert (method == "modular-full-rank") == (exact == n)
 
 
 # --- verdicts from the centre of F_P[G] -----------------------------------------
@@ -384,7 +384,7 @@ def test_centre_certifies_exactly_when_the_matrix_route_does():
     for g in _centre_corpus():
         for variant in radon.VARIANTS:
             sys = radon.build_system(g, variant)
-            matrix = radon._matrix_verdict(sys)
+            matrix = radon._rows_verdict(sys)
             assert radon.is_injective(g, variant) == matrix, (g.recipe, variant)
             assert radon.decide_system(sys) == (
                 matrix.rank, matrix.kernel_dim, matrix.method
@@ -420,7 +420,7 @@ def test_centre_verdict_matches_matrix_route_on_relabelled_tables(small_groups, 
     g = _relabelled(g, data.draw(st.permutations(range(g.order))))
     for variant in radon.VARIANTS:
         sys = radon.build_system(g, variant)
-        matrix = radon._matrix_verdict(sys)
+        matrix = radon._rows_verdict(sys)
         assert radon.is_injective(g, variant) == matrix
         # the spectrum, with no size rule, on the relabelled table
         m0 = centre.nullity(g, centre.central_element(g, sys.family))
@@ -429,9 +429,11 @@ def test_centre_verdict_matches_matrix_route_on_relabelled_tables(small_groups, 
             z, rows = centre.prime_element(g)
             assert rows == sys.nrows
             assert np.array_equal(z, centre.central_element(g, sys.family))
-        # the rank mod P is the rank over Q
+        # the rank mod P is the rank over Q, and both routes give the
+        # integer oracle's kernel
         oracle = exactla.rational_nullspace(sys.matrix, g.order)
         assert matrix.rank == g.order - len(oracle)
+        assert _routes_agree(sys).vectors == tuple(oracle)
 
 
 def test_a_family_rank_mod_p_is_its_rank_over_q(monkeypatch):
@@ -442,11 +444,40 @@ def test_a_family_rank_mod_p_is_its_rank_over_q(monkeypatch):
     for g in _centre_corpus():
         for variant in radon.VARIANTS:
             sys = radon.build_system(g, variant)
-            verdict = radon._verdict(sys)
-            assert verdict.rank == g.order - radon.kernel(sys).dim, (g.recipe, variant)
-            deficient += verdict.rank < g.order
+            rank = radon.decide_system(sys)[0]
+            assert rank == g.order - radon.kernel(sys).dim, (g.recipe, variant)
+            deficient += rank < g.order
     assert deficient > 100
     assert calls == []
+
+
+def _routes_agree(sys):
+    """Check that a built system's family route (_group_verdict) and the
+    route of the same rows without their family (_rows_verdict) give one
+    kernel and one verdict; return that kernel."""
+    bare = dataclasses.replace(sys)
+    assert bare.family is None
+    ker = radon.kernel(sys)
+    assert ker == radon.kernel(bare), (sys.group.recipe, sys.variant)
+    assert radon.decide_system(sys) == radon.decide_system(bare), (
+        sys.group.recipe, sys.variant
+    )
+    return ker
+
+
+def test_the_family_route_and_the_rows_route_agree():
+    # every corpus family through both routes; on the smallest groups both
+    # against the integer oracle
+    small = 0
+    for g in _centre_corpus():
+        for variant in radon.VARIANTS:
+            sys = radon.build_system(g, variant)
+            ker = _routes_agree(sys)
+            if g.order <= 12:
+                oracle = exactla.rational_nullspace(sys.matrix, g.order)
+                assert ker.vectors == tuple(oracle), (g.recipe, variant)
+                small += 1
+    assert small == 2 * 23
 
 
 def _totients(n):
@@ -483,27 +514,44 @@ def test_verdict_rank_is_the_rank_of_the_integer_oracle():
 
 
 @pytest.mark.parametrize(
-    "name, variant", [("C12", "maximal"), ("C7", "prime"), ("Dic3", "maximal")]
+    "name, variant", [("Dic63", "prime"), ("Dic64", "prime"), ("Dic3", "maximal")]
 )
-def test_fewer_rows_than_order_never_start_the_krylov_sequence(
+def test_fewer_rows_than_order_are_checked_against_the_spectrum(
     monkeypatch, name, variant
 ):
-    # a kernel of fewer rows than |G| goes straight to the rows, whose count
-    # proves the deficit; the verdict alone reads the spectrum, unless the
-    # size rule keeps the family on its rows, as it does the one row of C12
-    # and of C7
-    calls, krylov = [], centre.minimal_polynomial
-    monkeypatch.setattr(
-        centre, "minimal_polynomial", lambda *args: calls.append(1) or krylov(*args)
-    )
+    # a kernel of fewer rows than |G| reads the spectrum first, like every
+    # family the size rule lets through, so the rows' rank mod P must be
+    # |G| - m_0
     g = groups.from_name(name)
     verdict, sys = radon._group_verdict(g, variant, kernel=True)
     assert verdict.rows < g.order and not verdict.injective
     assert verdict.method == "exact-elimination"
+    assert len(sys._echelon) == verdict.rank
     assert radon.kernel(sys).dim == verdict.kernel_dim
-    assert calls == []
     assert radon.is_injective(g, variant) == verdict
-    assert len(calls) == (name == "Dic3")
+    nullity = centre.nullity
+    monkeypatch.setattr(centre, "nullity", lambda *a: nullity(*a) + 1)
+    with pytest.raises(AssertionError):
+        radon.kernel(radon.build_system(g, variant))
+    with pytest.raises(AssertionError):
+        radon._group_verdict(g, variant, kernel=True)
+
+
+@pytest.mark.parametrize("name, variant", [("C12", "maximal"), ("C7", "prime")])
+def test_the_size_rule_keeps_a_one_row_kernel_on_its_rows(monkeypatch, name, variant):
+    # one row of |G| cells, where a product by z would read |G|^2: nullity
+    # returns None, and the verdict and the kernel read the rows alone
+    nullities, nullity = [], centre.nullity
+    monkeypatch.setattr(
+        centre, "nullity", lambda *a: nullities.append(nullity(*a)) or nullities[-1]
+    )
+    g = groups.from_name(name)
+    verdict, sys = radon._group_verdict(g, variant, kernel=True)
+    assert verdict.rows == 1 and not verdict.injective
+    assert len(sys._echelon) == verdict.rank == 1
+    assert radon.kernel(sys).dim == verdict.kernel_dim
+    assert radon.is_injective(g, variant) == verdict
+    assert nullities == [None] * 3
 
 
 def _kernel_oracle_systems():
@@ -584,7 +632,7 @@ def test_wrong_lift_is_caught_and_falls_back(monkeypatch, name):
     calls, oracle = _counting_nullspace(monkeypatch)
     sys = radon.build_system(groups.from_name(name), "prime")
     # the verdict on a family reads its rank mod P and lifts nothing
-    verdict = radon._verdict(sys)
+    verdict = radon._group_verdict(sys.group, sys.variant, sys=sys)[0]
     assert calls == []
     ker = radon.kernel(sys)
     assert calls == [sys.ncols]
@@ -594,7 +642,7 @@ def test_wrong_lift_is_caught_and_falls_back(monkeypatch, name):
     # the same rows without their family prove the deficit by the kernel
     bare = dataclasses.replace(sys)
     assert bare.family is None
-    assert radon._verdict(bare) == verdict
+    assert radon._rows_verdict(bare) == verdict
     assert calls == [sys.ncols] * 2
 
 
