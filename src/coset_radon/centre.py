@@ -134,8 +134,8 @@ def nullity(g: GroupTable, z: np.ndarray, rows: int | None = None) -> int | None
     held = [classes(blocks[0])] if len(blocks) == 1 else None
 
     def times_z(v: np.ndarray) -> np.ndarray:
-        # entries of v are below P < 2^25 and the weights sum to the sum of
-        # |H|, a few times |G| at most, so every sum stays inside int64
+        # entries of v are below P < 2^25 and the weights sum to S < P, so
+        # every sum stays inside int64
         out = np.zeros(len(reps), dtype=np.int64)
         for block, gathered in zip(blocks, held or map(classes, blocks)):
             out += (weight[block] * v[gathered]).sum(axis=0)
@@ -146,8 +146,8 @@ def nullity(g: GroupTable, z: np.ndarray, rows: int | None = None) -> int | None
     mu, traces = minimal_polynomial(times_z, delta_e, p)
     if mu[0]:
         return 0
-    # mu(omega) for every omega in [0, S], by Horner; S < 2^19, so each
-    # product stays below 2^44
+    # mu(omega) for every omega in [0, S], by Horner; S < P < 2^25, so each
+    # product stays below 2^50
     omega = np.arange(int(z.sum()) + 1, dtype=np.int64)
     value = np.zeros_like(omega)
     for coefficient in reversed(mu):

@@ -862,14 +862,14 @@ def _left_coset_array(g: GroupTable, sub: SubgroupSet) -> np.ndarray:
     """The left cosets of H as one uint16 array, |G|/|H| rows of |H|: each
     row sorted, rows ordered by their minimal member.
 
-    Row x of the sorted gather table[:, H] is the coset xH, and it is kept
-    where x is its minimal member.
+    Row x of the gather table[:, H] is the coset xH. It is kept where x is
+    its minimal member, and only the rows kept are sorted.
     """
-    h = list(sub.elements)
+    h, ids = list(sub.elements), np.arange(g.order)
     blocks = []
     for rows in _row_blocks(g.order, len(h)):
-        block = np.sort(g.table[rows, h], axis=1)
-        blocks.append(block[block[:, 0] == np.arange(g.order)[rows]])
+        block = g.table[rows, h]
+        blocks.append(np.sort(block[block.min(axis=1) == ids[rows]], axis=1))
     return np.concatenate(blocks)
 
 

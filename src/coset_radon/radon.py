@@ -570,22 +570,35 @@ def dimension_bound_check(g: GroupTable) -> BoundCheck:
 
 
 def composite_consistency(g: GroupTable, n: int, functions) -> bool:
-    """Check that length-n coset sums reduce to prime-length data.
-
-    For n = k*m (m the smallest prime factor) and any homomorphism gamma of
-    length n: either gamma^k is trivial and the length-n sum is m times the
-    length-k sum along the same generator, or the length-n transform equals
-    1/m times the length-m sums taken along gamma^k at the n shifted points.
-    Functions are rational vectors of length |G|; each is rescaled to
-    integers, so the comparisons stay exact and cheap, and the sums run in
-    int64 wherever a bound proves that exact. Every homomorphism is checked
-    in one gather of the functions along all their orbits, taken in blocks
-    of at most _ORBIT_CELLS cells (_composite_check). Vacuously true when
-    no homomorphism of length n exists.
+    """Whether each homomorphism gamma of composite length n = k*m, m its
+    least prime, meets its case's identity on the given rational functions:
+    length-n sums are m times length-k sums if gamma^k = e, else 1/m times
+    the length-n orbit sums of the length-m sums along gamma^k. Exact, in
+    int64 while m*n times the largest scaled value is below 2^63. Vacuously
+    true with no homomorphism; verify.suite_lemma_prime proves the lemma.
     """
     if n < 4 or exactla.is_prime(n):
         raise InvalidOrderError(f"composite length required, got {n}")
-    return _composite_check(g, n, _integer_columns(g, functions))
+    values = _integer_columns(g, functions)
+    m = exactla.factorize(n)[0][0]
+    k = n // m
+    if int(np.abs(values).max(initial=0)) * m * n >= 2**63:
+        values = values.astype(object)
+
+    def orbit_sums(vals: np.ndarray, gen: int, length: int) -> np.ndarray:
+        """Row x of the result sums the rows x gen^t of vals, t < length."""
+        return vals[g.table[:, g.powers(gen, length)]].sum(axis=1)
+
+    for gen in (hom.image_generator for hom in homomorphisms_cn(g, n)):
+        long_sums = orbit_sums(values, gen, n)
+        gk = g.power(gen, k)
+        if gk == 0:
+            same = long_sums == m * orbit_sums(values, gen, k)
+        else:
+            same = m * long_sums == orbit_sums(orbit_sums(values, gk, m), gen, n)
+        if not same.all():
+            return False
+    return True
 
 
 def _integer_columns(g: GroupTable, functions) -> np.ndarray:
@@ -600,74 +613,3 @@ def _integer_columns(g: GroupTable, functions) -> np.ndarray:
     top = max((abs(v) for vec in scaled for v in vec), default=0)
     dtype = np.int64 if top < 2**63 else object
     return np.array(scaled, dtype=dtype).reshape(-1, g.order).T
-
-
-# the most cells of one block's gather in _composite_check, 1 MB in int64:
-# blocks of _BLOCK_CELLS cells ran verify lemma-prime --max-order 128 in
-# about the same time at a peak RSS of 56 MB, against 39 MB with these
-_ORBIT_CELLS = _BLOCK_CELLS // 8
-
-
-def _composite_check(g: GroupTable, n: int, values: np.ndarray) -> bool:
-    """composite_consistency on integer values, one column per function.
-
-    Each homomorphism's generator a gets a row of the walk table,
-    walk[h, s] = a^s for s < n, built in n - 1 steps over all of them at
-    once. One gather, orbits[s, h, x] = values[x a_h^s] of shape (n, homs,
-    |G|, functions), then holds every orbit. Its sum over s is the length-n
-    sums. Its prefix orbits[:k] sums the length-k orbits where a^k = e. Its
-    stride orbits[::k] sums the length-m orbits along a^k where a^k != e,
-    and a second gather of those sums along the walk gives the nested sums.
-    The rows with a^k = e are sorted first, so both cases are slices, not
-    copies. Homomorphisms, and functions when one homomorphism's gather
-    is too big, are taken in blocks whose gather holds at most _ORBIT_CELLS
-    cells, or |G| * n cells, one homomorphism and one function, when that
-    is more.
-
-    Every sum and multiple is at most m*n times the largest magnitude
-    (the deepest sum adds m*n values), so int64 is exact while that
-    product stays below 2^63; past it the values are summed on Python
-    ints.
-    """
-    m = exactla.factorize(n)[0][0]
-    k = n // m
-    gens = np.array([hom.image_generator for hom in homomorphisms_cn(g, n)], dtype=np.intp)
-    if not gens.size:
-        return True
-    if values.dtype != object and values.size:
-        if int(np.abs(values).max()) * m * n >= 2**63:
-            values = values.astype(object)
-    values = np.ascontiguousarray(values)  # a gather copies whole rows
-    walk = np.zeros((len(gens), n), dtype=np.intp)
-    for s in range(1, n):
-        walk[:, s] = g.table[walk[:, s - 1], gens]
-    walk = walk[np.argsort(walk[:, k] != 0, kind="stable")]
-    width, cells = values.shape[1], g.order * n
-    fstep = max(1, min(width, _ORBIT_CELLS // cells))
-    hstep = max(1, _ORBIT_CELLS // (cells * fstep))
-    return all(
-        _orbits_consistent(g, values[:, lo : lo + fstep], walk[h : h + hstep], m, k)
-        for lo in range(0, width, fstep)
-        for h in range(0, len(gens), hstep)
-    )
-
-
-def _orbits_consistent(
-    g: GroupTable, values: np.ndarray, walk: np.ndarray, m: int, k: int
-) -> bool:
-    """Both identities of _composite_check on one block of walk rows,
-    those with a^k = e first, and of functions."""
-    trivial = int(np.count_nonzero(walk[:, k] == 0))
-    points = g.table.T[walk.T]  # points[s, h, x] = x a_h^s
-    orbits = values[points]
-    long_sums = orbits.sum(axis=0)
-    if not (long_sums[:trivial] == m * orbits[:k, :trivial].sum(axis=0)).all():
-        return False
-    if trivial == len(walk):
-        return True
-    # short[h, x] sums values at x, x a_h^k, ..., x a_h^(k(m-1))
-    short = orbits[::k, trivial:].sum(axis=0)
-    del orbits  # so that the nested gather does not double the peak
-    rows = np.arange(len(walk) - trivial)[:, None]
-    nested = short[rows, points[:, trivial:]].sum(axis=0)
-    return bool((m * long_sums[trivial:] == nested).all())

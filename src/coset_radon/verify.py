@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from . import flows, geodesics, iso, radon, spectral
+from . import centre, flows, geodesics, iso, radon, spectral
 from .errors import FlowAxiomError, GroupSpecError, InvalidOrderError
 from .errors import NoGeodesicsError, SizeLimitError
 from .exactla import factorize, is_prime, rank_exact
@@ -314,24 +314,35 @@ def suite_bound() -> SuiteReport:
     return _report("bound", cases)
 
 
-# the composite lengths up to _LEMMA_MAX_N, each checked on _LEMMA_FUNCTIONS
-# random functions per group, drawn from _LEMMA_SEED ^ |G| and scaled to
-# integers once per group; a case checks every homomorphism C_n -> G at
-# once, in one gather of the functions along all their orbits per block
-# (radon._composite_check)
-_LEMMA_MAX_N, _LEMMA_FUNCTIONS, _LEMMA_SEED = 12, 20, 20260822
-
-
 def suite_lemma_prime(max_order: int = 24) -> SuiteReport:
-    """Composite transforms reduce to prime data: the two-case consistency
-    identity across every composite length and corpus group."""
+    """Composite lengths add nothing: on every corpus group and composite
+    n <= 12, the prime coset sums of any f fix its length-n ones.
+
+    A homomorphism C_n -> G, 1 -> a, sweeps the left cosets of <a>, whose
+    order divides n. Let z_n sum 1_H over the cyclic H with 1 < |H| | n,
+    a family closed under conjugation like the prime one, whose z_p comes
+    from centre.prime_element. z_p + z_n is the Gram matrix of the coset
+    rows A_p and A_n of both stacked (radon's docstring): its kernel is the
+    meet of ker A_p and ker A_n. So equal nullities of z_p + z_n and z_p
+    put the length-n rows in the span of the prime rows: the lemma, for
+    every f. centre.nullity is exact while S, the sum of |H| over both
+    families, is below P, and S <= (n + 2)(|G| - 1) < 10^6 for n <= 12 up
+    to groups.MAX_TABLE_ORDER: each nonidentity element generates one
+    cyclic subgroup, and the N_p elements of prime order p give
+    N_p/(p - 1) subgroups of order p. No comparison is needed when z_p has
+    nullity 0 or z_n = 0.
+    """
     cases = []
-    composites = [n for n in range(4, _LEMMA_MAX_N + 1) if not is_prime(n)]
+    composites = [n for n in range(4, 13) if not is_prime(n)]
     for g in groups_upto(max_order):
-        fs = random_rational_functions(g.order, _LEMMA_FUNCTIONS, _LEMMA_SEED ^ g.order)
-        values = radon._integer_columns(g, fs)  # scaled once for every length
+        z_p, _ = centre.prime_element(g)
+        m0 = centre.nullity(g, z_p)
+        subs = geodesics.cyclic_subgroups(g) if m0 else []
         for n in composites:
-            ok = radon._composite_check(g, n, values)
+            swept = [h for h in subs if n % len(h) == 0]
+            ok = not swept or m0 == centre.nullity(
+                g, z_p + centre.central_element(g, swept)
+            )
             cases.append(_case(f"{g.recipe} len={n}", "consistent", ok, "inconsistent"))
     return _report("lemma-prime", cases)
 

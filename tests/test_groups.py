@@ -999,6 +999,28 @@ def test_left_cosets_match_sorted_products(corpus):
             assert groups.left_cosets(g, sub) == want, (g.recipe, sub.elements)
 
 
+def _sorted_gather_cosets(g, sub):
+    """The coset array by sorting every row of the gather table[:, H] and
+    keeping row x where x is its least member."""
+    block = np.sort(g.table[:, list(sub.elements)], axis=1)
+    return block[block[:, 0] == np.arange(g.order)]
+
+
+@pytest.mark.parametrize("cells", [None, 40])
+def test_coset_array_keeps_rows_before_sorting(monkeypatch, cells):
+    # cells = 40 splits every gather into several row blocks
+    if cells:
+        monkeypatch.setattr(groups, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(11)
+    named = verify.groups_upto(48)
+    for g in named + [_relabelled(g, rng) for g in named]:
+        whole = groups.SubgroupSet(tuple(range(g.order)))
+        for sub in geodesics.cyclic_subgroups(g) + [whole]:
+            got, want = groups._left_coset_array(g, sub), _sorted_gather_cosets(g, sub)
+            assert got.dtype == want.dtype == np.uint16
+            assert np.array_equal(got, want), (g.recipe, sub.elements)
+
+
 def _first_conjugation_escape(t, inv, elements):
     members = set(elements)
     for x in range(len(t)):

@@ -842,16 +842,6 @@ def _consistency_oracle(g, n, gen, functions):
     return True
 
 
-def _both_paths(g, n, functions):
-    """composite_consistency on int64 sums where the bound allows them,
-    and the same check forced onto Python ints."""
-    values = radon._integer_columns(g, functions)
-    return (
-        radon.composite_consistency(g, n, functions),
-        radon._composite_check(g, n, values.astype(object)),
-    )
-
-
 def _near_bound(g, n, above):
     """An integer function whose largest magnitude times m*n sits just
     below 2^63, or just reaches it."""
@@ -877,7 +867,7 @@ def test_composite_consistency_paths_agree_with_fraction_oracle(name, n):
     for batch in (fns[:4], fns[4:5], fns[5:]):
         want = all(_consistency_oracle(g, n, h.image_generator, batch) for h in homs)
         assert want
-        assert _both_paths(g, n, batch) == (want, want)
+        assert radon.composite_consistency(g, n, batch) == want
     assert radon._integer_columns(g, fns[4:5]).dtype == np.int64
 
 
@@ -887,7 +877,7 @@ def test_composite_check_fails_along_a_generator_of_the_wrong_order(
 ):
     # the identities are a theorem for every homomorphism C_n -> G, so only
     # a generator whose order does not divide n can make them fail; such a
-    # generator shows that both paths can answer no
+    # generator shows that the check can answer no, in int64 and on Python ints
     g = groups.from_name(name)
     wrong = [x for x in range(1, g.order) if n % g.elt_order[x]]
     fns = _random_functions(g.order, 3, seed=11 * n + g.order)
@@ -898,7 +888,7 @@ def test_composite_check_fails_along_a_generator_of_the_wrong_order(
         monkeypatch.setattr(radon, "homomorphisms_cn", lambda *args: fake)
         for batch in (fns[:3], fns[3:4], fns[4:]):
             want = _consistency_oracle(g, n, x, batch)
-            assert _both_paths(g, n, batch) == (want, want), x
+            assert radon.composite_consistency(g, n, batch) == want, x
             answers.add(want)
     assert False in answers
 
@@ -914,93 +904,8 @@ def test_composite_check_leaves_int64_where_a_sum_could_wrap(monkeypatch):
     fake = [geodesics.Homomorphism(6, 1)]
     monkeypatch.setattr(radon, "homomorphisms_cn", lambda *args: fake)
     assert not _consistency_oracle(g, 6, 1, [f])
-    assert _both_paths(g, 6, [f]) == (False, False)
+    assert not radon.composite_consistency(g, 6, [f])
 
-
-
-def _composite_loop(g, n, values, gens):
-    """The identities of _composite_check one generator at a time: a walk
-    of the table per orbit length and two or three gathers each."""
-    m = exactla.factorize(n)[0][0]
-    k = n // m
-    if values.dtype != object and values.size:
-        if int(np.abs(values).max()) * m * n >= 2**63:
-            values = values.astype(object)
-
-    def orbit_sums(vals, gen, length):
-        """Row x of the result sums the rows x * gen^t of vals, t < length."""
-        return vals[g.table[:, g.powers(gen, length)]].sum(axis=1)
-
-    for gen in gens:
-        gk = g.power(gen, k)
-        long_sums = orbit_sums(values, gen, n)
-        if gk == 0:
-            same = long_sums == m * orbit_sums(values, gen, k)
-        else:
-            same = m * long_sums == orbit_sums(orbit_sums(values, gk, m), gen, n)
-        if not same.all():
-            return False
-    return True
-
-
-def _generators(g, n):
-    return [hom.image_generator for hom in geodesics.homomorphisms_cn(g, n)]
-
-
-def test_composite_check_agrees_with_the_loop_on_the_suite_corpus():
-    composites = [n for n in range(4, 13) if not exactla.is_prime(n)]
-    for g in verify.groups_upto(24):
-        fs = verify.random_rational_functions(
-            g.order, verify._LEMMA_FUNCTIONS, verify._LEMMA_SEED ^ g.order
-        )
-        values = radon._integer_columns(g, fs)
-        assert values.dtype == np.int64
-        for n in composites:
-            for vals in (values, values.astype(object)):
-                want = _composite_loop(g, n, vals, _generators(g, n))
-                assert radon._composite_check(g, n, vals) == want, (g.recipe, n)
-
-
-@pytest.mark.parametrize("budget,count", [(300, 3), (700, 1)])
-@pytest.mark.parametrize("name", ["S4", "C12xC2"])
-def test_composite_check_in_blocks_of_a_few_hundred_cells(monkeypatch, name, budget, count):
-    # |G| * n = 288 cells a homomorphism and a function at n = 12: a budget
-    # of 300 takes one of each a block, 700 two homomorphisms of one function
-    g = groups.from_name(name)
-    values = radon._integer_columns(g, _random_functions(g.order, count, seed=g.order))
-    blocks = []
-    check = radon._orbits_consistent
-
-    def spy(g, values, walk, *args):
-        blocks.append(walk.size * g.order * values.shape[1])  # the gather's cells
-        return check(g, values, walk, *args)
-
-    def answer(n, vals, cells):
-        monkeypatch.setattr(radon, "_ORBIT_CELLS", cells)
-        blocks.clear()
-        return radon._composite_check(g, n, vals)
-
-    monkeypatch.setattr(radon, "_orbits_consistent", spy)
-    assert answer(12, values, radon._BLOCK_CELLS) and len(blocks) == 1
-    for n in (12, 6, 4):
-        gens = _generators(g, n)
-        for vals in (values, values.astype(object)):
-            assert answer(n, vals, budget) == _composite_loop(g, n, vals, gens)
-            assert max(blocks) <= budget, (n, blocks)
-            assert n != 12 or len(blocks) > 1
-    # a generator whose order does not divide n fails, in one block with the
-    # others and in the last of several blocks, on the last function alone:
-    # a constant meets both identities along any generator
-    n = 6 if name == "S4" else 4
-    wrong = next(x for x in range(1, g.order) if n % g.elt_order[x])
-    gens = _generators(g, n) + [wrong]
-    fake = [geodesics.Homomorphism(n, x) for x in gens]
-    monkeypatch.setattr(radon, "homomorphisms_cn", lambda *args: fake)
-    fs = [[1] * g.order] * (count - 1) + _random_functions(g.order, 1, seed=n)
-    values = radon._integer_columns(g, fs)
-    assert not _composite_loop(g, n, values, gens)
-    assert not answer(n, values, radon._BLOCK_CELLS) and len(blocks) == 1
-    assert not answer(n, values, budget) and len(blocks) > 1
 
 
 def test_composite_consistency_vacuous_without_homomorphisms():

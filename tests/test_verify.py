@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coset_radon import groups, verify
+from coset_radon import centre, exactla, geodesics, groups, verify
 from coset_radon.errors import GroupSpecError
 
 
@@ -109,6 +109,69 @@ def test_suite_passes(name):
     assert report.total > 0
     failed = [c for c in report.cases if not c.passed]
     assert not failed, failed[:5]
+
+
+_COMPOSITES = [n for n in range(4, 13) if not exactla.is_prime(n)]
+
+
+@pytest.mark.parametrize("p,failed", [(2, 200), (3, 42)])
+def test_lemma_prime_fails_without_the_subgroups_of_one_prime_order(monkeypatch, p, failed):
+    # a prime family short of its subgroups of order p spans less than the
+    # length-n rows wherever an element of order p lies in a swept subgroup
+    prime_element = centre.prime_element
+
+    def short_of_p(g):
+        z, rows = prime_element(g)
+        hit = np.array(g.elt_order) == p
+        z = np.where(hit, 0, z)
+        z[0] -= np.count_nonzero(hit) // (p - 1)
+        return z, rows
+
+    monkeypatch.setattr(centre, "prime_element", short_of_p)
+    report = verify.suite_lemma_prime()
+    assert (report.total, report.failed) == (318, failed)
+    assert {c.computed for c in report.cases if not c.passed} == {"inconsistent"}
+
+
+@pytest.mark.parametrize("max_order,compared", [(24, 105), (128, 582)])
+def test_lemma_prime_compares_nullities_wherever_a_kernel_could_shrink(
+    monkeypatch, max_order, compared
+):
+    # one prime nullity per group, then one comparison per case whose group
+    # has a prime kernel and a nontrivial cyclic subgroup of order dividing n
+    calls = []
+    nullity = centre.nullity
+
+    def counting(g, z, rows=None):
+        calls.append(g.recipe)
+        return nullity(g, z, rows)
+
+    monkeypatch.setattr(centre, "nullity", counting)
+    report = verify.suite_lemma_prime(max_order)
+    corpus = verify.groups_upto(max_order)
+    assert report.passed and report.total == len(corpus) * len(_COMPOSITES)
+    monkeypatch.undo()
+    want = sum(
+        any(n % len(h) == 0 for h in geodesics.cyclic_subgroups(g))
+        for g in corpus
+        if centre.nullity(g, centre.prime_element(g)[0])
+        for n in _COMPOSITES
+    )
+    assert len(calls) - len(corpus) == want == compared
+
+
+def test_lemma_prime_central_sums_stay_below_p():
+    # S = sum of |H| over both families, the range centre.nullity searches
+    # for eigenvalues, is at most (n + 2)(|G| - 1)
+    assert (max(_COMPOSITES) + 2) * (groups.MAX_TABLE_ORDER - 1) < exactla.P
+    named = [groups.from_name(name) for name in ("S5", "A5", "C2xC2xC2xC2", "C60")]
+    for g in verify.groups_upto(48) + named:
+        z_p = centre.prime_element(g)[0]
+        subs = geodesics.cyclic_subgroups(g)
+        for n in _COMPOSITES:
+            swept = [h for h in subs if n % len(h) == 0]
+            z_n = centre.central_element(g, swept) if swept else 0
+            assert int((z_p + z_n).sum()) <= (n + 2) * (g.order - 1), (g.recipe, n)
 
 
 def test_quotient_cases_take_each_subgroup_once_by_its_least_generator():
