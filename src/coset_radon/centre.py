@@ -35,11 +35,9 @@ nullity(g, z) finds m_0 in four steps:
    (0, S], and S < P, so the identity holds mod P. Since m_0 <= |G| < P,
    m_0 is its residue.
 
-The size rule. A product by z reads |support z| x classes cells, and the
-dense rows hold rows x |G|. A family whose product would read more than
-its rows keeps the row route: nullity, given the row count, returns None.
-C5040 and C96 in the maximal variant are such families. Each has one row
-of |G| cells, while a product by z would read |G|^2 cells.
+The size rule. The product by z on classes reads |support z| x classes
+cells. Past rows x |G|, what a family's dense rows hold, nullity sums over
+cosets instead, about 2|G| cells per subgroup, as C_n maximal and C_p prime do.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import exactla
-from .groups import GroupTable, _row_blocks, conjugacy_classes
+from .groups import GroupTable, _left_coset_array, _row_blocks
 
 __all__ = ["central_element", "minimal_polynomial", "nullity", "prime_element"]
 
@@ -110,36 +108,44 @@ def minimal_polynomial(step, v: np.ndarray, p: int) -> tuple[list[int], list[int
         u = step(u)
 
 
-def nullity(g: GroupTable, z: np.ndarray, rows: int | None = None) -> int | None:
+def nullity(g: GroupTable, z: np.ndarray, rows: int | None = None, family=None) -> int:
     """m_0, the nullity of multiplication by the central element z, given
-    at every element; None when rows, the family's row count, is given and
-    a product by z would read more cells than the rows hold.
-
-    A product z v reads v, given on classes, at the class of s^-1 r for
-    every s in the support of z and every class representative r, a block
-    of the support at a time.
-    """
+    at every element. Past the size rule on rows, a family's row count, z v
+    is A^T A v by coset sums over the subgroups family() lists: v, spread
+    to every element, is summed over each left coset and added back at its
+    members. An element receives one sum per H, of |H| entries below P, so
+    its total stays below S P < P^2 < 2^50. Otherwise z v reads v at the
+    class of s^-1 r, s in the support of z and r a class representative, a
+    block of the support at a time."""
     n, p = g.order, exactla.P
-    labels, reps = conjugacy_classes(g)
+    labels, reps = g._classes
     support = np.flatnonzero(z)
     if rows is not None and len(support) * len(reps) > rows * n:
-        return None
-    weight, inv = z[support, None], np.take(g.inv, support)
-    blocks = _row_blocks(len(support), len(reps))
+        cosets = [_left_coset_array(g, sub) for sub in family()]
 
-    def classes(block: slice) -> np.ndarray:
-        return labels[g.table[inv[block, None], reps]]
+        def times_z(v: np.ndarray) -> np.ndarray:
+            spread, out = v[labels], np.zeros(n, dtype=np.int64)
+            for coset in cosets:
+                out[coset] += spread[coset].sum(axis=1, keepdims=True)
+            return out[reps] % p
 
-    # one block is gathered once for every product, more are gathered anew
-    held = [classes(blocks[0])] if len(blocks) == 1 else None
+    else:
+        weight, inv = z[support, None], np.take(g.inv, support)
+        blocks = _row_blocks(len(support), len(reps))
 
-    def times_z(v: np.ndarray) -> np.ndarray:
-        # entries of v are below P < 2^25 and the weights sum to S < P, so
-        # every sum stays inside int64
-        out = np.zeros(len(reps), dtype=np.int64)
-        for block, gathered in zip(blocks, held or map(classes, blocks)):
-            out += (weight[block] * v[gathered]).sum(axis=0)
-        return out % p
+        def classes(block: slice) -> np.ndarray:
+            return labels[g.table[inv[block, None], reps]]
+
+        # one block is gathered once for every product, more are gathered anew
+        held = [classes(blocks[0])] if len(blocks) == 1 else None
+
+        def times_z(v: np.ndarray) -> np.ndarray:
+            # entries of v are below P < 2^25 and the weights sum to S < P,
+            # so every sum stays inside int64
+            out = np.zeros(len(reps), dtype=np.int64)
+            for block, gathered in zip(blocks, held or map(classes, blocks)):
+                out += (weight[block] * v[gathered]).sum(axis=0)
+            return out % p
 
     delta_e = np.zeros(len(reps), dtype=np.int64)
     delta_e[0] = 1  # class 0 is {e}

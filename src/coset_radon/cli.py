@@ -186,7 +186,9 @@ def cmd_geodesics(args) -> _Record:
 
 def cmd_radon(args) -> _Record:
     g = load_group(args.spec)
-    verdict, sys_ = radon._group_verdict(g, args.variant, kernel=args.kernel)
+    # the maximal family is listed once, for the verdict and for any system
+    subs = geodesics._family_subgroups(g, "maximal") if args.variant == "maximal" else None
+    verdict = radon._group_verdict(g, args.variant, subs)
     payload = {"group": g.recipe, **asdict(verdict)}
     lines = [
         f"group {g.recipe} ({args.variant}): "
@@ -196,9 +198,10 @@ def cmd_radon(args) -> _Record:
     ]
     if verdict.frobenius_complement is not None:
         lines.append(f"  frobenius complement: {verdict.frobenius_complement}")
+    if args.matrix_csv or (args.kernel and not verdict.injective):
+        subs = subs or geodesics._family_subgroups(g, args.variant)
+        sys_ = radon._build_system(g, args.variant, subs)
     if args.matrix_csv:
-        if sys_ is None:
-            sys_ = radon.build_system(g, args.variant)
         try:
             with open(args.matrix_csv, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -208,7 +211,6 @@ def cmd_radon(args) -> _Record:
             raise CosetRadonError(f"cannot write {args.matrix_csv}: {exc}")
         lines.append(f"  matrix written to {args.matrix_csv}")
     if args.kernel:
-        # a deficient verdict asked for a kernel has built its system
         kb = radon._NO_KERNEL if verdict.injective else radon._kernel(sys_)
         payload["kernel"] = kb.entry_strings()
         if not args.json:

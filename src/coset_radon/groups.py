@@ -56,6 +56,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +155,13 @@ class GroupTable:
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k (negative powers go through the inverse)."""
         return self.powers(a)[k % self.elt_order[a]]
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """conjugacy_classes(self), computed once and kept read-only."""
+        labels, reps = conjugacy_classes(self)
+        labels.flags.writeable = reps.flags.writeable = False
+        return labels, reps
 
 
 @dataclass(frozen=True)

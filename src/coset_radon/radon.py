@@ -38,17 +38,14 @@ by this proof:
   (0, S], all below P, so |G| e_0(e) mod P is m_0, because m_0 <= |G| < P.
 
 One route, _group_verdict, answers a family for is_injective,
-decide_system, kernel and the CLI. The prime family's z and row count
-are read off the element orders (centre's docstring); the maximal family
-is listed once, or read off the system build_system made. One size rule
-keeps a family on its rows: one whose product by z would read more cells,
-|support z| x classes, than its rows hold, rows x |G|. Rows are otherwise
-read only for a kernel of a deficient verdict, --matrix-csv, flows and
-hand-built systems, through one elimination mod P that the system keeps:
-the reduced echelon basis, pivoting from the right, whose length on a
-family is its rank over Q by the proof above. Wherever m_0 and the rows'
-rank are both known, the rank must be |G| - m_0, or an AssertionError is
-raised.
+decide_system, kernel and the CLI, from the spectrum alone. The prime
+family's z and row count are read off the element orders (centre's
+docstring); the maximal family is listed once, or read off the system
+build_system made. centre's size rule only chooses how z multiplies. Rows
+are read only for a kernel of a deficient verdict, --matrix-csv, flows
+and hand-built systems, through one elimination mod P that the system
+keeps: the reduced echelon basis, pivoting from the right, whose length
+on a family is its rank over Q by the proof above.
 
 Any other system (a flow, one built by hand, or a dataclasses.replace
 copy, which drops the family) is answered from its rows alone. A full
@@ -322,8 +319,7 @@ def kernel(sys: RadonSystem) -> KernelBasis:
     if sys.family is None:
         injective = len(sys._echelon) == sys.ncols
     else:
-        verdict, _ = _group_verdict(sys.group, sys.variant, kernel=True, sys=sys)
-        injective = verdict.injective
+        injective = _group_verdict(sys.group, sys.variant, sys.family).injective
     return _NO_KERNEL if injective else _kernel(sys)
 
 
@@ -381,41 +377,26 @@ def _rows_verdict(sys: RadonSystem) -> InjectivityVerdict:
     return _make_verdict(n, sys.variant, sys.nrows, rank)
 
 
-def _group_verdict(
-    g: GroupTable, variant: str, kernel: bool = False, sys: RadonSystem | None = None
-) -> tuple[InjectivityVerdict, RadonSystem | None]:
-    """The verdict on g's family, and its system if one was given or built.
-
-    sys, when given, is the family's system from build_system, whose family
-    is read instead of listed again. The verdict is |G| - m_0 unless the
-    size rule keeps the family on its rows, whose rank mod exactla.P it
-    then is. kernel asks for the rows a kernel needs, so a deficient
-    verdict reads them too, and their rank must be |G| - m_0."""
+def _group_verdict(g: GroupTable, variant: str, subs=None) -> InjectivityVerdict:
+    """The verdict on g's family, of rank |G| - m_0; subs is the family
+    when it is already listed."""
     _check_family(g, variant)
-    subs = sys.family if sys else None
     if variant == "prime":
         z, rows = centre.prime_element(g)
     else:
         subs = subs or _family_subgroups(g, variant)
         z, rows = centre.central_element(g, subs), sum(g.order // len(s) for s in subs)
-    n, m0 = g.order, centre.nullity(g, z, rows)
-    if m0 == 0 or (m0 is not None and not kernel):
-        return _make_verdict(n, variant, rows, n - m0), sys
-    sys = sys or _build_system(g, variant, subs or _family_subgroups(g, variant))
-    rank = len(sys._echelon)
-    if m0 is not None and rank != n - m0:
-        raise AssertionError(f"rows of rank {rank} mod P against |G| - m_0 = {n - m0}")
-    return _make_verdict(n, variant, rows, rank), sys
+    m0 = centre.nullity(g, z, rows, lambda: subs or _family_subgroups(g, variant))
+    return _make_verdict(g.order, variant, rows, g.order - m0)
 
 
 def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
-    """(rank, kernel_dim, method): _group_verdict on a family, else the
-    rank mod exactla.P of the rows when full, or n less the dimension of
-    their proven kernel."""
+    """(rank, kernel_dim, method) of _group_verdict on a family, else of
+    _rows_verdict."""
     if sys.family is None:
         v = _rows_verdict(sys)
     else:
-        v = _group_verdict(sys.group, sys.variant, sys=sys)[0]
+        v = _group_verdict(sys.group, sys.variant, sys.family)
     return v.rank, v.kernel_dim, v.method
 
 
@@ -426,7 +407,7 @@ def is_injective(g: GroupTable, variant: str = "prime") -> InjectivityVerdict:
     complement, so that flag is reported as the definitional restatement of
     the verdict; the maximal variant carries no such flag.
     """
-    return _group_verdict(g, variant)[0]
+    return _group_verdict(g, variant)
 
 
 def group_sum_from_radon(sys: RadonSystem, values) -> Fraction:

@@ -330,7 +330,8 @@ def suite_lemma_prime(max_order: int = 24) -> SuiteReport:
     to groups.MAX_TABLE_ORDER: each nonidentity element generates one
     cyclic subgroup, and the N_p elements of prime order p give
     N_p/(p - 1) subgroups of order p. No comparison is needed when z_p has
-    nullity 0 or z_n = 0.
+    nullity 0 or z_n = 0, and lengths that sweep the same subgroups share
+    one.
     """
     cases = []
     composites = [n for n in range(4, 13) if not is_prime(n)]
@@ -338,11 +339,13 @@ def suite_lemma_prime(max_order: int = 24) -> SuiteReport:
         z_p, _ = centre.prime_element(g)
         m0 = centre.nullity(g, z_p)
         subs = geodesics.cyclic_subgroups(g) if m0 else []
+        nullities = {(): m0}  # by the subgroups swept, each compared once
         for n in composites:
-            swept = [h for h in subs if n % len(h) == 0]
-            ok = not swept or m0 == centre.nullity(
-                g, z_p + centre.central_element(g, swept)
-            )
+            swept = tuple(h for h in subs if n % len(h) == 0)
+            if swept not in nullities:
+                z_n = centre.central_element(g, swept)
+                nullities[swept] = centre.nullity(g, z_p + z_n)
+            ok = nullities[swept] == m0
             cases.append(_case(f"{g.recipe} len={n}", "consistent", ok, "inconsistent"))
     return _report("lemma-prime", cases)
 

@@ -149,32 +149,44 @@ def test_a_spectrum_verdict_builds_no_coset_row(
     assert built == eliminated == []
 
 
-def test_the_size_rule_keeps_a_one_row_family_on_its_rows(monkeypatch):
+def test_the_size_rule_takes_a_one_row_family_to_coset_sums(monkeypatch):
     # C5040's maximal family is one row of 5040 cells, where a product by z
-    # would read 5040^2
-    built, nullities = [], []
-    build, nullity = radon._build_system, centre.nullity
+    # on classes would read 5040^2: the verdict sums over its cosets, and
+    # builds no row
+    built, listed, nullities = [], [], []
+    build, family, nullity = radon._build_system, radon._family_subgroups, centre.nullity
     monkeypatch.setattr(radon, "_build_system", lambda *a: built.append(1) or build(*a))
+    monkeypatch.setattr(
+        radon, "_family_subgroups", lambda *a: listed.append(1) or family(*a)
+    )
     monkeypatch.setattr(
         centre, "nullity", lambda *a: nullities.append(nullity(*a)) or nullities[-1]
     )
     verdict = radon.is_injective(groups.from_name("C5040"), "maximal")
     assert (verdict.rows, verdict.rank, verdict.kernel_dim) == (1, 1, 5039)
-    assert built == [1] and nullities == [None]
+    assert built == [] and listed == [1] and nullities == [5039]
 
 
-def test_rows_that_disagree_with_the_spectrum_raise(monkeypatch):
-    # a kernel asked of a deficient spectrum builds the rows and checks
-    # their rank mod P against |G| - m_0
+def test_a_deficient_spectrum_matches_its_rows(monkeypatch):
+    # the verdict reads no row; the rows' rank mod P and their proven kernel
+    # are its oracle, and a nullity one off shows against them
     g = groups.from_name("C240")
-    verdict, sys = radon._group_verdict(g, "prime", kernel=True)
-    assert verdict.rows >= g.order and verdict.kernel_dim == 64
+    verdict = radon.is_injective(g)
+    sys = radon.build_system(g, "prime")
+    assert verdict.rows == sys.nrows >= g.order and verdict.kernel_dim == 64
     assert len(sys._echelon) == verdict.rank
+    assert radon.kernel(sys).dim == verdict.kernel_dim
     nullity = centre.nullity
     monkeypatch.setattr(centre, "nullity", lambda *a: nullity(*a) + 1)
-    with pytest.raises(AssertionError):
-        radon._group_verdict(g, "prime", kernel=True)
-    with pytest.raises(AssertionError):
-        radon.kernel(radon.build_system(g, "prime"))
-    # a verdict alone reads no row, so there is nothing to check it against
-    assert radon.is_injective(g).kernel_dim == 65
+    assert radon.is_injective(g).kernel_dim == 65 != radon.kernel(sys).dim
+
+
+def test_two_nullities_of_one_group_find_its_classes_once(monkeypatch):
+    calls, find = [], groups.conjugacy_classes
+    monkeypatch.setattr(groups, "conjugacy_classes", lambda g: calls.append(1) or find(g))
+    g = groups.from_name("Dic15")
+    z = centre.prime_element(g)[0]
+    assert centre.nullity(g, z) == centre.nullity(g, 2 * z) == 16
+    assert calls == [1]
+    labels, reps = g._classes
+    assert not labels.flags.writeable and not reps.flags.writeable

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coset_radon import cli, exactla, groups, radon, verify
+from coset_radon import cli, exactla, geodesics, groups, radon, verify
 from coset_radon.cli import load_group, main
 
 
@@ -104,17 +104,51 @@ def test_radon_matrix_csv(capsys, tmp_path):
     assert sorted(lines[1:]) == ["0,1,0,1", "1,0,1,0"]
 
 
-def test_radon_matrix_csv_on_a_centre_certified_group(capsys, tmp_path):
-    # the centre certifies S4 without a system, so the CSV is built anew
+def test_radon_matrix_csv_on_a_centre_certified_group(capsys, tmp_path, monkeypatch):
+    # the centre certifies S4 without a system, so the system is built for
+    # the CSV alone
+    built, build = [], radon._build_system
+    monkeypatch.setattr(radon, "_build_system", lambda *a: built.append(1) or build(*a))
     out_csv = tmp_path / "m.csv"
     code, payload, _ = run_json(capsys, "radon", "S4", "--matrix-csv", str(out_csv))
     assert code == 0 and payload["method"] == "modular-full-rank"
-    assert radon._group_verdict(groups.from_name("S4"), "prime")[1] is None
+    assert built == [1]
+    run_json(capsys, "radon", "S4", "--kernel")
+    assert built == [1]
     with open(out_csv, newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == [str(j) for j in range(24)]
     matrix = radon.build_system(groups.from_name("S4"), "prime").matrix
     assert [tuple(map(int, row)) for row in rows] == list(matrix)
+
+
+@pytest.mark.parametrize(
+    "argv, listed, built",
+    [
+        (["C96", "--variant", "maximal", "--kernel"], 1, 1),
+        (["C96", "--variant", "maximal"], 1, 0),
+        (["Dic64", "--kernel"], 1, 1),
+        (["Dic64"], 0, 0),
+        (["S4", "--variant", "maximal", "--kernel"], 1, 0),
+    ],
+)
+def test_radon_lists_a_family_once_and_builds_rows_only_for_a_kernel(
+    capsys, monkeypatch, argv, listed, built
+):
+    # the verdict reads no row; a deficient --kernel builds the system, on
+    # the maximal family the verdict listed
+    calls = {"listed": 0, "built": 0}
+    family, build = geodesics._family_subgroups, radon._build_system
+
+    def counting(key, fn):
+        return lambda *a: calls.__setitem__(key, calls[key] + 1) or fn(*a)
+
+    for mod in (geodesics, radon):
+        monkeypatch.setattr(mod, "_family_subgroups", counting("listed", family))
+    monkeypatch.setattr(radon, "_build_system", counting("built", build))
+    code, payload, _ = run_json(capsys, "radon", *argv)
+    assert code == 0 and ("kernel" in payload) == ("--kernel" in argv)
+    assert calls == {"listed": listed, "built": built}
 
 
 def test_json_deterministic_modulo_timing(capsys):

@@ -296,7 +296,7 @@ def test_one_modular_elimination_per_verdict(monkeypatch, kind, name):
 def test_a_group_verdict_lists_its_family_once(monkeypatch, name, variant):
     # the prime family's z is read off the element orders, so its verdict
     # lists no subgroup; the maximal family is listed once, for z and, when
-    # the size rule keeps it on its rows, for its system
+    # the size rule takes it to coset sums, for its cosets
     listed, family = [], radon._family_subgroups
     monkeypatch.setattr(
         radon, "_family_subgroups", lambda g, v: listed.append(v) or family(g, v)
@@ -375,12 +375,18 @@ def _centre_corpus():
             yield g
 
 
+def _both_products(g, sys):
+    """m_0 of the family of sys by the product on classes and by coset
+    sums, each forced; rows = 0 puts every family past the size rule."""
+    z = centre.central_element(g, sys.family)
+    return centre.nullity(g, z), centre.nullity(g, z, 0, lambda: sys.family)
+
+
 def test_centre_certifies_exactly_when_the_matrix_route_does():
-    # the group verdict, from the spectrum or, under the size rule, the
-    # rows, and the spectrum with no size rule, against the rows'
-    # elimination; the prime family's z and rows from element orders
-    # against the listed family's
-    certified = spectra = 0
+    # the group verdict against the rows' elimination, and both products by
+    # z, each forced, against the rows' rank mod P; the prime family's z and
+    # rows from element orders against the listed family's
+    certified, products = 0, {"classes": 0, "cosets": 0}
     for g in _centre_corpus():
         for variant in radon.VARIANTS:
             sys = radon.build_system(g, variant)
@@ -389,14 +395,41 @@ def test_centre_certifies_exactly_when_the_matrix_route_does():
             assert radon.decide_system(sys) == (
                 matrix.rank, matrix.kernel_dim, matrix.method
             )
+            m0 = g.order - len(sys._echelon)
+            assert _both_products(g, sys) == (m0, m0), (g.recipe, variant)
             z = centre.central_element(g, sys.family)
-            assert centre.nullity(g, z) == g.order - matrix.rank, (g.recipe, variant)
             if variant == "prime":
                 prime_z, rows = centre.prime_element(g)
                 assert np.array_equal(prime_z, z) and rows == sys.nrows, g.recipe
-            spectra += centre.nullity(g, z, sys.nrows) is not None
+            # the size rule's choice, seen by whether the family is listed
+            listed = []
+            centre.nullity(g, z, sys.nrows, lambda: listed.append(1) or sys.family)
+            products["cosets" if listed else "classes"] += 1
             certified += matrix.method == "modular-full-rank"
-    assert (certified, spectra) == (116, 179)
+    assert certified == 116
+    # coset sums take abelian families only: the one-row maximal family of
+    # each of the 49 cyclic groups, the prime one of the 15 C_p, and the
+    # maximal families of 13 products such as C2xC2xC3, of 3 to 7 subgroups
+    assert products == {"classes": 179, "cosets": 49 + 15 + 13}
+
+
+def test_no_verdict_reads_a_row(monkeypatch):
+    # every family, whichever product by z the size rule chooses, is
+    # answered with no system built, no row scattered and no elimination
+    def refuse(*args):
+        raise AssertionError("a verdict read a row")
+
+    corpus = [(g, v) for g in _centre_corpus() for v in radon.VARIANTS]
+    large = [("C5040", "maximal", 1), ("C5039", "prime", 1), ("C2xC2520", "maximal", 16)]
+    large = [(groups.from_name(name), v, rank) for name, v, rank in large]
+    for name in ("_build_system", "_array_rows"):
+        monkeypatch.setattr(radon, name, refuse)
+    monkeypatch.setattr(exactla, "echelon_mod", refuse)
+    for g, variant in corpus:
+        radon.is_injective(g, variant)
+    for g, variant, rank in large:
+        verdict = radon.is_injective(g, variant)
+        assert (verdict.rank, verdict.kernel_dim) == (rank, g.order - rank), g.recipe
 
 
 def _relabelled(g, perm):
@@ -422,9 +455,9 @@ def test_centre_verdict_matches_matrix_route_on_relabelled_tables(small_groups, 
         sys = radon.build_system(g, variant)
         matrix = radon._rows_verdict(sys)
         assert radon.is_injective(g, variant) == matrix
-        # the spectrum, with no size rule, on the relabelled table
-        m0 = centre.nullity(g, centre.central_element(g, sys.family))
-        assert m0 == g.order - matrix.rank
+        # both products by z on the relabelled table
+        m0 = g.order - len(sys._echelon)
+        assert _both_products(g, sys) == (m0, m0) and m0 == g.order - matrix.rank
         if variant == "prime":
             z, rows = centre.prime_element(g)
             assert rows == sys.nrows
@@ -516,42 +549,37 @@ def test_verdict_rank_is_the_rank_of_the_integer_oracle():
 @pytest.mark.parametrize(
     "name, variant", [("Dic63", "prime"), ("Dic64", "prime"), ("Dic3", "maximal")]
 )
-def test_fewer_rows_than_order_are_checked_against_the_spectrum(
-    monkeypatch, name, variant
-):
-    # a kernel of fewer rows than |G| reads the spectrum first, like every
-    # family the size rule lets through, so the rows' rank mod P must be
-    # |G| - m_0
+def test_fewer_rows_than_order_are_checked_against_the_spectrum(name, variant):
+    # a family of fewer rows than |G| is deficient; the verdict reads its
+    # spectrum, and the rows' rank mod P and their proven kernel must agree
     g = groups.from_name(name)
-    verdict, sys = radon._group_verdict(g, variant, kernel=True)
+    verdict = radon.is_injective(g, variant)
     assert verdict.rows < g.order and not verdict.injective
     assert verdict.method == "exact-elimination"
+    sys = radon.build_system(g, variant)
     assert len(sys._echelon) == verdict.rank
     assert radon.kernel(sys).dim == verdict.kernel_dim
-    assert radon.is_injective(g, variant) == verdict
-    nullity = centre.nullity
-    monkeypatch.setattr(centre, "nullity", lambda *a: nullity(*a) + 1)
-    with pytest.raises(AssertionError):
-        radon.kernel(radon.build_system(g, variant))
-    with pytest.raises(AssertionError):
-        radon._group_verdict(g, variant, kernel=True)
+    assert radon.decide_system(sys) == (
+        verdict.rank, verdict.kernel_dim, verdict.method
+    )
 
 
 @pytest.mark.parametrize("name, variant", [("C12", "maximal"), ("C7", "prime")])
 def test_the_size_rule_keeps_a_one_row_kernel_on_its_rows(monkeypatch, name, variant):
-    # one row of |G| cells, where a product by z would read |G|^2: nullity
-    # returns None, and the verdict and the kernel read the rows alone
+    # one row of |G| cells, where a product by z on classes would read
+    # |G|^2: the verdict sums over cosets, and the kernel reads the row,
+    # whose rank mod P is the verdict's
     nullities, nullity = [], centre.nullity
     monkeypatch.setattr(
         centre, "nullity", lambda *a: nullities.append(nullity(*a)) or nullities[-1]
     )
     g = groups.from_name(name)
-    verdict, sys = radon._group_verdict(g, variant, kernel=True)
+    verdict = radon.is_injective(g, variant)
     assert verdict.rows == 1 and not verdict.injective
+    sys = radon.build_system(g, variant)
     assert len(sys._echelon) == verdict.rank == 1
     assert radon.kernel(sys).dim == verdict.kernel_dim
-    assert radon.is_injective(g, variant) == verdict
-    assert nullities == [None] * 3
+    assert nullities == [g.order - 1] * 2
 
 
 def _kernel_oracle_systems():
@@ -631,8 +659,8 @@ def test_wrong_lift_is_caught_and_falls_back(monkeypatch, name):
     monkeypatch.setattr(exactla, "lift_nullspace", wrong)
     calls, oracle = _counting_nullspace(monkeypatch)
     sys = radon.build_system(groups.from_name(name), "prime")
-    # the verdict on a family reads its rank mod P and lifts nothing
-    verdict = radon._group_verdict(sys.group, sys.variant, sys=sys)[0]
+    # the verdict on a family reads its spectrum and lifts nothing
+    verdict = radon._group_verdict(sys.group, sys.variant, sys.family)
     assert calls == []
     ker = radon.kernel(sys)
     assert calls == [sys.ncols]
