@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from time import perf_counter
 
 from . import flows, geodesics, radon, spectral, verify
@@ -186,9 +186,9 @@ def cmd_geodesics(args) -> _Record:
 
 def cmd_radon(args) -> _Record:
     g = load_group(args.spec)
-    # the maximal family is listed once, for the verdict and for any system
-    subs = geodesics._family_subgroups(g, "maximal") if args.variant == "maximal" else None
-    verdict = radon._group_verdict(g, args.variant, subs)
+    # the family is listed at most once, for the verdict and for any system
+    family = cache(partial(geodesics._family_subgroups, g, args.variant))
+    verdict = radon._group_verdict(g, args.variant, family)
     payload = {"group": g.recipe, **asdict(verdict)}
     lines = [
         f"group {g.recipe} ({args.variant}): "
@@ -199,8 +199,7 @@ def cmd_radon(args) -> _Record:
     if verdict.frobenius_complement is not None:
         lines.append(f"  frobenius complement: {verdict.frobenius_complement}")
     if args.matrix_csv or (args.kernel and not verdict.injective):
-        subs = subs or geodesics._family_subgroups(g, args.variant)
-        sys_ = radon._build_system(g, args.variant, subs)
+        sys_ = radon._build_system(g, args.variant, family())
     if args.matrix_csv:
         try:
             with open(args.matrix_csv, "w", encoding="utf-8", newline="") as fh:

@@ -120,9 +120,10 @@ def _family_subgroups(g: GroupTable, variant: str) -> list[SubgroupSet]:
 def prime_geodesics(g: GroupTable) -> list[Geodesic]:
     """Deduplicated geodesics of prime length, the rows that matter.
 
-    Composite-length coset sums are recoverable from these, so nothing else
-    enters the linear systems. One geodesic per (subgroup, coset) pair: the
-    p-1 generators of each order-p subgroup all trace the same coset.
+    Composite-length coset sums are recoverable from these, by the proof in
+    radon.composite_consistency, so nothing else enters the linear systems.
+    One geodesic per (subgroup, coset) pair: the p-1 generators of each
+    order-p subgroup all trace the same coset.
     """
     return _geodesics_for(g, _family_subgroups(g, "prime"))
 

@@ -40,8 +40,9 @@ by this proof:
 One route, _group_verdict, answers a family for is_injective,
 decide_system, kernel and the CLI, from the spectrum alone. The prime
 family's z and row count are read off the element orders (centre's
-docstring); the maximal family is listed once, or read off the system
-build_system made. centre's size rule only chooses how z multiplies. Rows
+docstring); a family is listed at most once, by a cached family() that a
+built system or the CLI may hand in, when the maximal z or centre's size
+rule needs it. centre's size rule only chooses how z multiplies. Rows
 are read only for a kernel of a deficient verdict, --matrix-csv, flows
 and hand-built systems, through one elimination mod P that the system
 keeps: the reduced echelon basis, pivoting from the right, whose length
@@ -62,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -81,7 +82,7 @@ from .geodesics import (
     _check_family,
     _family_subgroups,
     _geodesics_for,
-    homomorphisms_cn,
+    cyclic_subgroups,
 )
 from .groups import (
     _BLOCK_CELLS,
@@ -319,7 +320,7 @@ def kernel(sys: RadonSystem) -> KernelBasis:
     if sys.family is None:
         injective = len(sys._echelon) == sys.ncols
     else:
-        injective = _group_verdict(sys.group, sys.variant, sys.family).injective
+        injective = _group_verdict(sys.group, sys.variant, lambda: sys.family).injective
     return _NO_KERNEL if injective else _kernel(sys)
 
 
@@ -377,16 +378,18 @@ def _rows_verdict(sys: RadonSystem) -> InjectivityVerdict:
     return _make_verdict(n, sys.variant, sys.nrows, rank)
 
 
-def _group_verdict(g: GroupTable, variant: str, subs=None) -> InjectivityVerdict:
-    """The verdict on g's family, of rank |G| - m_0; subs is the family
-    when it is already listed."""
+def _group_verdict(g: GroupTable, variant: str, family=None) -> InjectivityVerdict:
+    """The verdict on g's family, of rank |G| - m_0; family() lists its
+    subgroups, once, only when the maximal z or centre's size rule needs
+    them."""
     _check_family(g, variant)
+    family = family or cache(partial(_family_subgroups, g, variant))
     if variant == "prime":
         z, rows = centre.prime_element(g)
     else:
-        subs = subs or _family_subgroups(g, variant)
+        subs = family()
         z, rows = centre.central_element(g, subs), sum(g.order // len(s) for s in subs)
-    m0 = centre.nullity(g, z, rows, lambda: subs or _family_subgroups(g, variant))
+    m0 = centre.nullity(g, z, rows, family)
     return _make_verdict(g.order, variant, rows, g.order - m0)
 
 
@@ -396,7 +399,7 @@ def decide_system(sys: RadonSystem) -> tuple[int, int, str]:
     if sys.family is None:
         v = _rows_verdict(sys)
     else:
-        v = _group_verdict(sys.group, sys.variant, sys.family)
+        v = _group_verdict(sys.group, sys.variant, lambda: sys.family)
     return v.rank, v.kernel_dim, v.method
 
 
@@ -550,47 +553,44 @@ def dimension_bound_check(g: GroupTable) -> BoundCheck:
     return BoundCheck(lhs=lhs, rhs=rhs, bound_holds=lhs < rhs, subgroup_count=count)
 
 
-def composite_consistency(g: GroupTable, n: int, functions) -> bool:
-    """Whether each homomorphism gamma of composite length n = k*m, m its
-    least prime, meets its case's identity on the given rational functions:
-    length-n sums are m times length-k sums if gamma^k = e, else 1/m times
-    the length-n orbit sums of the length-m sums along gamma^k. Exact, in
-    int64 while m*n times the largest scaled value is below 2^63. Vacuously
-    true with no homomorphism; verify.suite_lemma_prime proves the lemma.
+def composite_consistency(g: GroupTable, n: int) -> bool:
+    """Whether the prime coset sums of every function on g fix its sums
+    along every homomorphism C_n -> G, n composite.
+
+    A homomorphism 1 -> a sweeps each left coset of <a> n/|<a>| times,
+    so its sums are multiples of the coset sums of the cyclic H with
+    1 < |H| | n. Let z_n sum 1_H over those H, a family closed under
+    conjugation like the prime one, whose z_p is centre.prime_element.
+    z_p + z_n is the Gram matrix of the prime rows A_p and the length-n
+    rows A_n stacked (this module's docstring), so its kernel is the meet
+    of ker A_p and ker A_n. Equal nullities of z_p + z_n and z_p put
+    ker A_p inside ker A_n, the length-n rows in the span of the prime
+    rows: the lemma, for every f.
+
+    centre.nullity is exact while S, the sum of |H| over both families, is
+    below exactla.P. The prime family gives at most 2(|G| - 1), and the
+    distinct cyclic H share no generator, so z_n gives at most
+    (|G| - 1) max m/phi(m) over m <= |G|. Up to groups.MAX_TABLE_ORDER,
+    S <= (|G| - 1)(2 + 30030/5760) < 472,800, far below P, for every n.
     """
     if n < 4 or exactla.is_prime(n):
         raise InvalidOrderError(f"composite length required, got {n}")
-    values = _integer_columns(g, functions)
-    m = exactla.factorize(n)[0][0]
-    k = n // m
-    if int(np.abs(values).max(initial=0)) * m * n >= 2**63:
-        values = values.astype(object)
-
-    def orbit_sums(vals: np.ndarray, gen: int, length: int) -> np.ndarray:
-        """Row x of the result sums the rows x gen^t of vals, t < length."""
-        return vals[g.table[:, g.powers(gen, length)]].sum(axis=1)
-
-    for gen in (hom.image_generator for hom in homomorphisms_cn(g, n)):
-        long_sums = orbit_sums(values, gen, n)
-        gk = g.power(gen, k)
-        if gk == 0:
-            same = long_sums == m * orbit_sums(values, gen, k)
-        else:
-            same = m * long_sums == orbit_sums(orbit_sums(values, gk, m), gen, n)
-        if not same.all():
-            return False
-    return True
+    return _composites_consistent(g, [n])[0]
 
 
-def _integer_columns(g: GroupTable, functions) -> np.ndarray:
-    """The functions, each rescaled to integers by _integer_multiple, one
-    column per function: int64 when every value fits, else Python ints."""
-    scaled = []
-    for f in functions:
-        vals = [v if type(v) in (int, Fraction) else Fraction(v) for v in f]
-        if len(vals) != g.order:
-            raise DimensionError(f"function length {len(vals)}, expected {g.order}")
-        scaled.append(_integer_multiple(vals))
-    top = max((abs(v) for vec in scaled for v in vec), default=0)
-    dtype = np.int64 if top < 2**63 else object
-    return np.array(scaled, dtype=dtype).reshape(-1, g.order).T
+def _composites_consistent(g: GroupTable, lengths) -> list[bool]:
+    """composite_consistency(g, n) for each n in lengths, from one nullity
+    of z_p. No comparison is needed when z_p has nullity 0 or z_n = 0, and
+    lengths that sweep the same subgroups share one."""
+    z_p, _ = centre.prime_element(g)
+    m0 = centre.nullity(g, z_p)
+    subs = cyclic_subgroups(g) if m0 else []
+    nullities = {(): m0}  # by the subgroups swept, each compared once
+    out = []
+    for n in lengths:
+        swept = tuple(h for h in subs if n % len(h) == 0)
+        if swept not in nullities:
+            z_n = centre.central_element(g, swept)
+            nullities[swept] = centre.nullity(g, z_p + z_n)
+        out.append(nullities[swept] == m0)
+    return out

@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from . import centre, flows, geodesics, iso, radon, spectral
+from . import flows, geodesics, iso, radon, spectral
 from .errors import FlowAxiomError, GroupSpecError, InvalidOrderError
 from .errors import NoGeodesicsError, SizeLimitError
 from .exactla import factorize, is_prime, rank_exact
@@ -160,30 +160,14 @@ def groups_upto(max_order: int) -> list[GroupTable]:
     return [g for g in out if g.order <= max_order]
 
 
-# every value random_rational_functions can draw, by its two draws:
-# _FRACTIONS[a + 9][b - 1] is a/b
-_FRACTIONS = [[Fraction(a, b) for b in range(1, 8)] for a in range(-9, 10)]
-
-
 def random_rational_functions(n: int, count: int, seed: int) -> list[list[Fraction]]:
-    """count lists of n values a/b, with a drawn from -9..9 and then b from
-    1..7 by random.Random(seed), as rng.randint(-9, 9) and rng.randint(1, 7)
-    would draw them: a + 9 is the first draw of 5 random bits that is below
-    19, and b - 1 the first draw of 3 random bits that is below 7."""
-    bits = random.Random(seed).getrandbits
-    out = []
-    for _ in range(count):
-        f = []
-        for _ in range(n):
-            a = bits(5)
-            while a >= 19:
-                a = bits(5)
-            b = bits(3)
-            while b == 7:
-                b = bits(3)
-            f.append(_FRACTIONS[a][b])
-        out.append(f)
-    return out
+    """count lists of n values a/b, a drawn from -9..9 and then b from
+    1..7 by random.Random(seed)."""
+    rng = random.Random(seed)
+    return [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+        for _ in range(count)
+    ]
 
 
 def _inj(g: GroupTable, variant: str = "prime") -> bool:
@@ -316,36 +300,12 @@ def suite_bound() -> SuiteReport:
 
 def suite_lemma_prime(max_order: int = 24) -> SuiteReport:
     """Composite lengths add nothing: on every corpus group and composite
-    n <= 12, the prime coset sums of any f fix its length-n ones.
-
-    A homomorphism C_n -> G, 1 -> a, sweeps the left cosets of <a>, whose
-    order divides n. Let z_n sum 1_H over the cyclic H with 1 < |H| | n,
-    a family closed under conjugation like the prime one, whose z_p comes
-    from centre.prime_element. z_p + z_n is the Gram matrix of the coset
-    rows A_p and A_n of both stacked (radon's docstring): its kernel is the
-    meet of ker A_p and ker A_n. So equal nullities of z_p + z_n and z_p
-    put the length-n rows in the span of the prime rows: the lemma, for
-    every f. centre.nullity is exact while S, the sum of |H| over both
-    families, is below P, and S <= (n + 2)(|G| - 1) < 10^6 for n <= 12 up
-    to groups.MAX_TABLE_ORDER: each nonidentity element generates one
-    cyclic subgroup, and the N_p elements of prime order p give
-    N_p/(p - 1) subgroups of order p. No comparison is needed when z_p has
-    nullity 0 or z_n = 0, and lengths that sweep the same subgroups share
-    one.
-    """
+    n <= 12, the prime coset sums of any f fix its length-n ones, by
+    radon.composite_consistency's proof, one nullity of z_p per group."""
     cases = []
     composites = [n for n in range(4, 13) if not is_prime(n)]
     for g in groups_upto(max_order):
-        z_p, _ = centre.prime_element(g)
-        m0 = centre.nullity(g, z_p)
-        subs = geodesics.cyclic_subgroups(g) if m0 else []
-        nullities = {(): m0}  # by the subgroups swept, each compared once
-        for n in composites:
-            swept = tuple(h for h in subs if n % len(h) == 0)
-            if swept not in nullities:
-                z_n = centre.central_element(g, swept)
-                nullities[swept] = centre.nullity(g, z_p + z_n)
-            ok = nullities[swept] == m0
+        for n, ok in zip(composites, radon._composites_consistent(g, composites)):
             cases.append(_case(f"{g.recipe} len={n}", "consistent", ok, "inconsistent"))
     return _report("lemma-prime", cases)
 

@@ -130,13 +130,15 @@ def test_radon_matrix_csv_on_a_centre_certified_group(capsys, tmp_path, monkeypa
         (["Dic64", "--kernel"], 1, 1),
         (["Dic64"], 0, 0),
         (["S4", "--variant", "maximal", "--kernel"], 1, 0),
+        (["C97", "--kernel"], 1, 1),
+        (["C97"], 1, 0),
     ],
 )
 def test_radon_lists_a_family_once_and_builds_rows_only_for_a_kernel(
     capsys, monkeypatch, argv, listed, built
 ):
     # the verdict reads no row; a deficient --kernel builds the system, on
-    # the maximal family the verdict listed
+    # the family the verdict listed
     calls = {"listed": 0, "built": 0}
     family, build = geodesics._family_subgroups, radon._build_system
 

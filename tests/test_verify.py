@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coset_radon import centre, exactla, geodesics, groups, verify
+from coset_radon import centre, exactla, geodesics, groups, radon, verify
 from coset_radon.errors import GroupSpecError
 
 
@@ -114,10 +114,8 @@ def test_suite_passes(name):
 _COMPOSITES = [n for n in range(4, 13) if not exactla.is_prime(n)]
 
 
-@pytest.mark.parametrize("p,failed", [(2, 200), (3, 42)])
-def test_lemma_prime_fails_without_the_subgroups_of_one_prime_order(monkeypatch, p, failed):
-    # a prime family short of its subgroups of order p spans less than the
-    # length-n rows wherever an element of order p lies in a swept subgroup
+def _short_of(p):
+    """centre.prime_element with the subgroups of order p left out of z."""
     prime_element = centre.prime_element
 
     def short_of_p(g):
@@ -127,10 +125,49 @@ def test_lemma_prime_fails_without_the_subgroups_of_one_prime_order(monkeypatch,
         z[0] -= np.count_nonzero(hit) // (p - 1)
         return z, rows
 
-    monkeypatch.setattr(centre, "prime_element", short_of_p)
+    return short_of_p
+
+
+@pytest.mark.parametrize("p,failed", [(2, 200), (3, 42)])
+def test_lemma_prime_fails_without_the_subgroups_of_one_prime_order(monkeypatch, p, failed):
+    # a prime family short of its subgroups of order p spans less than the
+    # length-n rows wherever an element of order p lies in a swept subgroup
+    monkeypatch.setattr(centre, "prime_element", _short_of(p))
     report = verify.suite_lemma_prime()
     assert (report.total, report.failed) == (318, failed)
     assert {c.computed for c in report.cases if not c.passed} == {"inconsistent"}
+
+
+_ORACLE_LENGTHS = _COMPOSITES + [24, 60]
+
+
+def _rows_oracle(g, n, short_of=None):
+    """Whether the prime rows, less those of the subgroups of order
+    short_of, have the exact rank of those rows stacked on the left cosets
+    of every cyclic H with 1 < |H| | n."""
+    prime = [r for r in radon.build_system(g, "prime").matrix if sum(r) != short_of]
+    swept = [
+        [int(x in coset) for x in range(g.order)]
+        for h in geodesics.cyclic_subgroups(g)
+        if n % len(h) == 0
+        for coset in groups.left_cosets(g, h)
+    ]
+    return exactla.rank_exact(prime + swept, g.order) == exactla.rank_exact(prime, g.order)
+
+
+@pytest.mark.parametrize("short_of", [None, 2, 3])
+def test_composite_consistency_matches_the_rank_of_the_rows(monkeypatch, short_of):
+    # with the subgroups of order p out of z_p and out of the prime rows,
+    # the centre and the rows still agree, and some length now adds a row
+    # the prime family misses
+    corpus = verify.groups_upto(12)
+    cases = [(g, n) for g in corpus for n in _ORACLE_LENGTHS]
+    want = {(g.recipe, n): _rows_oracle(g, n, short_of) for g, n in cases}
+    if short_of:
+        monkeypatch.setattr(centre, "prime_element", _short_of(short_of))
+    got = {(g.recipe, n): radon.composite_consistency(g, n) for g, n in cases}
+    assert got == want
+    assert (False in want.values()) == bool(short_of)
 
 
 @pytest.mark.parametrize("max_order,compared", [(24, 58), (128, 319)])
