@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if variant:
             p.add_argument(
                 "--variant",
-                choices=("prime", "maximal"),
+                choices=geodesics.VARIANTS,
                 default="prime",
                 help="geodesic family (default prime)",
             )

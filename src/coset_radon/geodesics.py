@@ -20,6 +20,7 @@ from .groups import GroupTable, SubgroupSet, _element_id, cyclic_subgroup, left_
 __all__ = [
     "Geodesic",
     "Homomorphism",
+    "VARIANTS",
     "composite_orbit",
     "cyclic_subgroups",
     "homomorphisms_cn",
@@ -27,6 +28,9 @@ __all__ = [
     "maximal_geodesics",
     "prime_geodesics",
 ]
+
+# the two families of geodesics, by name
+VARIANTS = ("prime", "maximal")
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ def _geodesics_for(g: GroupTable, subs: Iterable[SubgroupSet]) -> list[Geodesic]
 
 def _check_family(g: GroupTable, variant: str) -> None:
     """Raise unless variant names a family and g has geodesics."""
-    if variant not in ("prime", "maximal"):
+    if variant not in VARIANTS:
         raise InvalidVariantError(f"unknown variant {variant!r}")
     if g.order < 2:
         raise NoGeodesicsError("the trivial group has no geodesics")

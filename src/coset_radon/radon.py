@@ -79,6 +79,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .geodesics import (
+    VARIANTS,
     _check_family,
     _family_subgroups,
     _geodesics_for,
@@ -111,9 +112,8 @@ __all__ = [
     "kernel_witness_product",
     "reconstruct_all",
     "reconstruct_cpxcp",
+    "VARIANTS",
 ]
-
-VARIANTS = ("prime", "maximal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,10 +580,11 @@ def composite_consistency(g: GroupTable, n: int) -> bool:
 
 def _composites_consistent(g: GroupTable, lengths) -> list[bool]:
     """composite_consistency(g, n) for each n in lengths, from one nullity
-    of z_p. No comparison is needed when z_p has nullity 0 or z_n = 0, and
-    lengths that sweep the same subgroups share one."""
-    z_p, _ = centre.prime_element(g)
-    m0 = centre.nullity(g, z_p)
+    of z_p, under centre's size rule as in _group_verdict. No comparison is
+    needed when z_p has nullity 0 or z_n = 0, and lengths that sweep the
+    same subgroups share one."""
+    z_p, rows_p = centre.prime_element(g)
+    m0 = centre.nullity(g, z_p, rows_p, cache(partial(_family_subgroups, g, "prime")))
     subs = cyclic_subgroups(g) if m0 else []
     nullities = {(): m0}  # by the subgroups swept, each compared once
     out = []

@@ -6,8 +6,11 @@ d_1 | ... | d_k and exponent L, a character is a tuple (c_1, ..., c_k) and
 its value at x is the L-th root of unity with exponent sum(c_i * x_i * L/d_i)
 mod L. CharacterTable.value_exponents holds every such exponent as one int64
 array indexed [character, element], so every identity is checkable in
-integer arithmetic, sums of roots of unity by CRT differences (_vanishing);
-floats only appear in the numeric DFT, whose sums run in element order. A
+integer arithmetic, sums of roots of unity by CRT differences (_vanishing).
+Floats appear only in the FFT: a character is a product of characters of
+the cyclic factors, so dft is one inverse FFT over the invariant-factor
+axes, and fourier_radon_check compares it with sums of value_exponents'
+roots, two independent forms of the same characters. A
 matrix representation holds its images over one common denominator D as
 two (|G|, d, d) integer arrays, the real and imaginary parts of D rho(x):
 int64 under a bound that covers every product formed (_integer_dtype),
@@ -122,6 +125,8 @@ def characters(g: GroupTable) -> CharacterTable:
     # term is below d_i * exponent <= |G|^2, so int64 holds the whole sum
     combos = np.array(chars, dtype=np.int64).reshape(len(chars), len(factors))
     weights = np.array([exponent // d for d in factors], dtype=np.int64)
+    value_exponents = (combos * weights) @ combos[where].T
+    value_exponents %= exponent
     return CharacterTable(
         group=g,
         factors=factors,
@@ -129,7 +134,7 @@ def characters(g: GroupTable) -> CharacterTable:
         basis=basis,
         coords=coords,
         characters=chars,
-        value_exponents=_frozen((combos * weights) @ combos[where].T % exponent),
+        value_exponents=_frozen(value_exponents),
     )
 
 
@@ -139,40 +144,27 @@ def char_value(ct: CharacterTable, char_index: int, x: int) -> complex:
     return cmath.exp(2j * cmath.pi * e / ct.exponent)
 
 
-def _roots(ct: CharacterTable) -> np.ndarray:
-    """Root k is char_value's value at exponent k, bit for bit."""
-    return np.array(
-        [cmath.exp(2j * cmath.pi * k / ct.exponent) for k in range(ct.exponent)]
-    )
-
-
-def _sums_in_order(nrows: int, width: int, terms) -> np.ndarray:
-    """Row sums of the nrows x width complex array terms(rows) returns for a
-    block of rows, each added up left to right as Python's sum does, so they
-    match an entry-by-entry sum bit for bit."""
-    out = np.empty(nrows, dtype=complex)
-    for rows in _row_blocks(nrows, width):
-        out[rows] = np.add.accumulate(terms(rows), axis=1)[:, -1]
-    return out
-
-
 def faithful_characters(ct: CharacterTable) -> list[int]:
     """Indices of the characters whose kernel is trivial."""
     return np.flatnonzero((ct.value_exponents[:, 1:] != 0).all(axis=1)).tolist()
 
 
 def dft(ct: CharacterTable, f) -> list[complex]:
-    """Numeric Fourier coefficients sum_x f(x) chi(x), one per character."""
+    """Numeric Fourier coefficients sum_x f(x) chi(x), one per character.
+
+    chi(x) = exp(2 pi i sum_i c_i x_i / d_i) on the coordinates x_i of x, so
+    with f laid out on the coordinates, in an array of shape ct.factors, the
+    coefficients are |G| times its inverse FFT, ravelled in C order: the
+    order of ct.characters."""
     vals = np.array([complex(v) for v in f], dtype=complex)
-    if len(vals) != ct.group.order:
-        raise DimensionError(
-            f"function length {len(vals)}, expected {ct.group.order}"
-        )
-    roots = _roots(ct)
-    return _sums_in_order(
-        len(ct.characters), len(vals),
-        lambda rows: roots[ct.value_exponents[rows]] * vals,
-    ).tolist()
+    n = ct.group.order
+    if len(vals) != n:
+        raise DimensionError(f"function length {len(vals)}, expected {n}")
+    if not ct.factors:  # the trivial group: f^(1) = f(e)
+        return vals.tolist()
+    grid = np.zeros(ct.factors, dtype=complex)
+    grid[tuple(np.array(ct.coords).T)] = vals
+    return (n * np.fft.ifftn(grid)).ravel().tolist()
 
 
 def plancherel_defect(ct: CharacterTable, f) -> float:
@@ -278,15 +270,12 @@ def fourier_radon_check(
         raise ForeignCharacterTableError("character table belongs to another group")
     vals = np.array([complex(v) for v in f], dtype=complex)
     fhat = np.array(dft(ct, vals))  # refuses f unless it has |G| values
-    roots = _roots(ct)
     for hom in _prime_homomorphisms(g):
-        p = hom.domain_order
-        steps = g.powers(hom.image_generator, p)
-        # row x: the orbit x * gen^t, t < p; row chi: chi at gen^t
-        rf = _sums_in_order(g.order, p, lambda rows: vals[g.table[rows][:, steps]])
-        isum = _sums_in_order(
-            len(fhat), p, lambda rows: roots[ct.value_exponents[rows][:, steps]]
-        )
+        steps = g.powers(hom.image_generator, hom.domain_order)
+        # x -> sum_t f(x gen^t), and chi -> sum_t chi(gen^t)
+        rf = vals[g.table[:, steps]].sum(axis=1)
+        angles = (2 * np.pi / ct.exponent) * ct.value_exponents[:, steps]
+        isum = np.exp(1j * angles).sum(axis=1)
         if (np.abs(np.array(dft(ct, rf)) - fhat * isum) > tolerance).any():
             return False
     return True

@@ -859,6 +859,18 @@ def test_composite_consistency_vacuous_without_homomorphisms(monkeypatch):
     assert len(calls) == 1
 
 
+def test_composite_consistency_takes_the_size_rule_for_z_p(monkeypatch):
+    # C1009's z_p is 1 everywhere: its products by classes would read
+    # 1009^2 cells against one row of 1009, so m_0 comes from coset sums
+    # over the prime family, listed once
+    listed, family = [], radon._family_subgroups
+    monkeypatch.setattr(
+        radon, "_family_subgroups", lambda g, v: listed.append(v) or family(g, v)
+    )
+    assert radon.composite_consistency(groups.make_cyclic(1009), 12)
+    assert listed == ["prime"]
+
+
 def test_composite_consistency_rejects_prime_length():
     g = groups.make_cyclic(12)
     for n in (1, 2, 3, 5):
